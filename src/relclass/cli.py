@@ -12,9 +12,10 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -67,7 +68,6 @@ class RunConfig:
     report: str | None = None
     trial_log: str | None = None
     seed: int = 0
-    threads: int = 1
     k: int = 10
     n_trials: int = 20
     fraction: float = 0.1
@@ -85,10 +85,19 @@ class RunConfig:
     stride: int = 1
 
 
+# per RunConfig annotation: what a config-file value must be, and the JSON
+# value types that qualify (true/false never do, though bool is an int)
+CONFIG_VALUE_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str | None: ("a string or null", (str, type(None))),
+}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file (if any) and the parsed flags into a RunConfig."""
     merged = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    hints = get_type_hints(RunConfig)  # field name -> annotation
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             try:
@@ -98,11 +107,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_values, dict):
             raise ValueError(f"config file {args.config}: expected a JSON object")
         for key, value in file_values.items():
-            if key not in known:
+            if key not in hints:
                 raise ValueError(f"config file {args.config}: unknown key {key!r}")
+            what, accepted = CONFIG_VALUE_TYPES[hints[key]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(
+                    f"config file {args.config}: key {key!r} must be {what}, got {value!r}"
+                )
             setattr(merged, key, value)
     for key, value in vars(args).items():
-        if key in known and value is not None:
+        if key in hints and value is not None:
             setattr(merged, key, value)
     return merged
 
@@ -167,7 +181,7 @@ def cmd_train(cfg: RunConfig) -> int:
         model = svm.train_multiclass(
             instances, table, levin,
             C=cfg.C, gamma=cfg.gamma, freq_threshold=cfg.freq_threshold,
-            seed=cfg.seed, threads=cfg.threads,
+            seed=cfg.seed,
         )
         svm.save_svm_model(model, out)
         report["feature_space_size"] = len(model.space)
@@ -178,6 +192,7 @@ def cmd_train(cfg: RunConfig) -> int:
         clstm.save_clstm_model(model, out)
         report["hyper"] = hyper.to_dict()
         report["l_max"] = model.l_max
+        report["loss_history"] = list(model.loss_history)
         report["final_epoch_loss"] = model.loss_history[-1] if model.loss_history else None
     report["timing"] = {"train_seconds": time.perf_counter() - start}
     _write_json(report, cfg.report)
@@ -300,7 +315,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
             model = svm.train_multiclass(
                 train_set, table, levin,
                 C=cfg.C, gamma=cfg.gamma, freq_threshold=cfg.freq_threshold,
-                seed=cfg.seed, threads=cfg.threads,
+                seed=cfg.seed,
             )
             return model.predict_many
     else:
@@ -330,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; explicit flags win")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--embeddings", help="embedding table file")
     common.add_argument("--levin", help="verb-class TSV file")
     common.add_argument("--out", help="primary output path")

@@ -122,85 +122,10 @@ def n_windows(l_max: int, ws: int, st: int) -> int:
     return (l_max - ws) // st + 1
 
 
-def conv1d(I_pad: np.ndarray, filters: np.ndarray, bias: np.ndarray, st: int = 1) -> np.ndarray:
-    """ReLU 1-D convolution over the column axis.
-
-    ``filters`` has shape (k, v*ws); window j covers columns j*st .. j*st+ws-1,
-    flattened column-major. Returns the k x m feature-map matrix.
-    """
-    v, l_max = I_pad.shape
-    k, flat = filters.shape
-    if flat % v != 0:
-        raise ValueError("filter length is not a multiple of the embedding dimension")
-    ws = flat // v
-    m = n_windows(l_max, ws, st)
-    out = np.empty((k, m), dtype=np.float64)
-    for j in range(m):
-        window = I_pad[:, j * st : j * st + ws].reshape(-1, order="F")
-        out[:, j] = filters @ window + bias
-    return np.maximum(out, 0.0)
-
-
-def split_maps(C: np.ndarray) -> list[np.ndarray]:
-    """Columns of the feature-map matrix as a sequence of R^k vectors."""
-    return [C[:, j].copy() for j in range(C.shape[1])]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def lstm_forward(xs: Sequence[np.ndarray], params: dict[str, np.ndarray]) -> np.ndarray:
-    """Final hidden state of a standard LSTM over the input sequence.
-
-    Gates use the logistic sigmoid, candidate and cell output use tanh,
-    h_0 = c_0 = 0.
-    """
-    if len(xs) == 0:
-        raise ValueError("empty input sequence")
-    u = params["b_i"].shape[0]
-    h = np.zeros(u)
-    c = np.zeros(u)
-    for x in xs:
-        i = _sigmoid(params["w_i"] @ x + params["u_i"] @ h + params["b_i"])
-        f = _sigmoid(params["w_f"] @ x + params["u_f"] @ h + params["b_f"])
-        o = _sigmoid(params["w_o"] @ x + params["u_o"] @ h + params["b_o"])
-        g = np.tanh(params["w_g"] @ x + params["u_g"] @ h + params["b_g"])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-    return h
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def classify(
-    h: np.ndarray,
-    soft_w: np.ndarray,
-    soft_b: np.ndarray,
-    dropout_rate: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Class distribution from a sentence representation.
-
-    At training time an inverted-scaling dropout mask is applied to h first;
-    inference never drops.
-    """
-    if training and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-time dropout needs an RNG")
-        keep = 1.0 - dropout_rate
-        h = h * (rng.random(h.shape) < keep) / keep
-    return softmax(h @ soft_w.T + soft_b)
 
 
 def init_params(
@@ -229,18 +154,38 @@ def init_params(
 
 # ---------------------------------------------------------------------------
 # batched forward/backward
+#
+# Activations are time-major: row t of an (m, B, .) array is window/step t
+# of every instance in the batch. The four gates are fused in the order
+# i, f, o, g (Appleyard et al., arXiv:1604.01946): one (4u, k) input
+# projection over all steps at once, one (4u, u) recurrent matmul per step.
+
+GATES = "ifog"
+
+
+def _fused(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Input weights (4u, k), recurrent weights (4u, u) and biases (4u,)."""
+    return (
+        np.concatenate([params["w_" + g] for g in GATES]),
+        np.concatenate([params["u_" + g] for g in GATES]),
+        np.concatenate([params["b_" + g] for g in GATES]),
+    )
+
+
+def _window_slices(m: int, ws: int, st: int) -> list[slice]:
+    """Per filter column w, the time steps that feed column w of the m windows."""
+    return [slice(w, w + (m - 1) * st + 1, st) for w in range(ws)]
+
 
 @dataclass
 class ForwardCache:
     """Everything the backward pass needs, for one batch."""
 
-    batch: np.ndarray  # (B, v, l_max) padded inputs
-    windows: list[np.ndarray]  # m arrays (B, v*ws), column-major flattened
-    pre_relu: list[np.ndarray]  # m arrays (B, k)
-    xs: list[np.ndarray]  # m arrays (B, k), post-ReLU
-    gates: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]  # i,f,o,g per step
-    cells: list[np.ndarray]  # c_t per step, (B, u)
-    hiddens: list[np.ndarray]  # h_t per step, (B, u)
+    inputs: np.ndarray  # (l_max, B, v) padded inputs, time-major
+    xs: np.ndarray  # (m, B, k) conv feature maps, post-ReLU
+    gates: np.ndarray  # (m, B, 4, u) gate activations, in the order of GATES
+    cells: np.ndarray  # (m + 1, B, u) c_t, with c_0 = 0 first
+    hiddens: np.ndarray  # (m + 1, B, u) h_t, with h_0 = 0 first
     mask: np.ndarray  # dropout mask incl. inverted scaling, (B, u)
     h_drop: np.ndarray  # (B, u)
     probs: np.ndarray  # (B, n_classes)
@@ -253,34 +198,44 @@ def forward_batch(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardCache:
+    """Class distributions for a (B, v, l_max) batch of padded inputs.
+
+    At training time an inverted-scaling dropout mask is applied to the final
+    hidden state; inference never drops.
+    """
     B, v, l_max = batch.shape
-    k = hyper.num_filters
-    ws, st = hyper.filter_width, hyper.stride
-    m = n_windows(l_max, ws, st)
     u = hyper.rnn_units
+    m = n_windows(l_max, hyper.filter_width, hyper.stride)
+    inputs = np.ascontiguousarray(batch.transpose(2, 0, 1))
 
-    windows, pre_relu, xs = [], [], []
-    for j in range(m):
-        seg = batch[:, :, j * st : j * st + ws]
-        flat = seg.transpose(0, 2, 1).reshape(B, ws * v)  # column-major per instance
-        z = flat @ params["conv_w"].T + params["conv_b"]
-        windows.append(flat)
-        pre_relu.append(z)
-        xs.append(np.maximum(z, 0.0))
+    # conv: window j sums, over the filter's columns w, block w of conv_w
+    # times input column j*st + w; one matmul per w covers every window
+    conv_w = params["conv_w"]
+    xs = np.zeros((m * B, conv_w.shape[0]))
+    for w, cols in enumerate(_window_slices(m, hyper.filter_width, hyper.stride)):
+        xs += inputs[cols].reshape(m * B, v) @ conv_w[:, w * v : (w + 1) * v].T
+    xs += params["conv_b"]
+    np.maximum(xs, 0.0, out=xs)
 
-    h = np.zeros((B, u))
-    c = np.zeros((B, u))
-    gates, cells, hiddens = [], [], []
-    for x in xs:
-        i = _sigmoid(x @ params["w_i"].T + h @ params["u_i"].T + params["b_i"])
-        f = _sigmoid(x @ params["w_f"].T + h @ params["u_f"].T + params["b_f"])
-        o = _sigmoid(x @ params["w_o"].T + h @ params["u_o"].T + params["b_o"])
-        g = np.tanh(x @ params["w_g"].T + h @ params["u_g"].T + params["b_g"])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gates.append((i, f, o, g))
-        cells.append(c)
-        hiddens.append(h)
+    w_x, w_h, bias = _fused(params)
+    gates = xs @ w_x.T
+    gates += bias
+    gates = gates.reshape(m, B, 4, u)
+    xs = xs.reshape(m, B, -1)
+    cells = np.zeros((m + 1, B, u))
+    hiddens = np.zeros((m + 1, B, u))
+    for t in range(m):
+        a = gates[t]
+        a += (hiddens[t] @ w_h.T).reshape(B, 4, u)
+        # sigmoid as 0.5 * (1 + tanh(x / 2)): no overflow, no mask
+        sig = a[:, :3]
+        sig *= 0.5
+        np.tanh(a, out=a)
+        sig += 1.0
+        sig *= 0.5
+        i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        np.add(f * cells[t], i * g, out=cells[t + 1])
+        np.multiply(o, np.tanh(cells[t + 1]), out=hiddens[t + 1])
 
     if training and hyper.dropout_rate > 0.0:
         if rng is None:
@@ -289,9 +244,9 @@ def forward_batch(
         mask = (rng.random((B, u)) < keep) / keep
     else:
         mask = np.ones((B, u))
-    h_drop = h * mask
+    h_drop = hiddens[m] * mask
     probs = softmax(h_drop @ params["soft_w"].T + params["soft_b"])
-    return ForwardCache(batch, windows, pre_relu, xs, gates, cells, hiddens, mask, h_drop, probs)
+    return ForwardCache(inputs, xs, gates, cells, hiddens, mask, h_drop, probs)
 
 
 def batch_loss(cache: ForwardCache, gold: np.ndarray, params: dict[str, np.ndarray], l2_scale: float) -> float:
@@ -308,64 +263,61 @@ def backward_batch(
     hyper: Hyperparams,
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of batch_loss for every trainable tensor."""
-    B = gold.shape[0]
-    m = len(cache.xs)
+    _, B, v = cache.inputs.shape
+    m, _, k = cache.xs.shape
     u = hyper.rnn_units
 
     dlogits = cache.probs.copy()
     dlogits[np.arange(B), gold] -= 1.0
     dlogits /= B
 
-    grads = {name: np.zeros_like(params[name]) for name in PARAM_NAMES}
-    grads["soft_w"] = dlogits.T @ cache.h_drop + hyper.l2_scale * params["soft_w"]
-    grads["soft_b"] = dlogits.sum(axis=0)
+    grads = {
+        "soft_w": dlogits.T @ cache.h_drop + hyper.l2_scale * params["soft_w"],
+        "soft_b": dlogits.sum(axis=0),
+    }
 
+    w_x, w_h, _ = _fused(params)
+    gates, cells = cache.gates, cache.cells
+    # pre-activation gradients of all steps, (m, B, 4, u) like the gates
+    da = np.empty((m, B, 4, u))
     dh = (dlogits @ params["soft_w"]) * cache.mask
     dc = np.zeros((B, u))
-    dxs = [None] * m
-    for t_step in range(m - 1, -1, -1):
-        i, f, o, g = cache.gates[t_step]
-        c = cache.cells[t_step]
-        c_prev = cache.cells[t_step - 1] if t_step > 0 else np.zeros((B, u))
-        h_prev = cache.hiddens[t_step - 1] if t_step > 0 else np.zeros((B, u))
-        tanh_c = np.tanh(c)
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c**2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_o = do * o * (1.0 - o)
-        da_g = dg * (1.0 - g**2)
-        x = cache.xs[t_step]
-        grads["w_i"] += da_i.T @ x
-        grads["w_f"] += da_f.T @ x
-        grads["w_o"] += da_o.T @ x
-        grads["w_g"] += da_g.T @ x
-        grads["u_i"] += da_i.T @ h_prev
-        grads["u_f"] += da_f.T @ h_prev
-        grads["u_o"] += da_o.T @ h_prev
-        grads["u_g"] += da_g.T @ h_prev
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
-        grads["b_g"] += da_g.sum(axis=0)
-        dxs[t_step] = (
-            da_i @ params["w_i"] + da_f @ params["w_f"]
-            + da_o @ params["w_o"] + da_g @ params["w_g"]
-        )
-        dc = dc * f
-        dh = (
-            da_i @ params["u_i"] + da_f @ params["u_f"]
-            + da_o @ params["u_o"] + da_g @ params["u_g"]
-        )
+    for t in range(m - 1, -1, -1):
+        a = gates[t]
+        i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        tanh_c = np.tanh(cells[t + 1])
+        dc += dh * o * (1.0 - tanh_c * tanh_c)
+        d = da[t]
+        # activation derivatives: s(1 - s) for the sigmoid gates, 1 - g^2 for g
+        np.subtract(1.0, a, out=d)
+        d *= a
+        np.subtract(1.0, g * g, out=d[:, 3])
+        d[:, 0] *= dc * g
+        d[:, 1] *= dc * cells[t]
+        d[:, 2] *= dh * tanh_c
+        d[:, 3] *= dc * i
+        dc *= f
+        dh = d.reshape(B, 4 * u) @ w_h
 
-    for t_step in range(m):
-        dz = dxs[t_step] * (cache.pre_relu[t_step] > 0)
-        grads["conv_w"] += dz.T @ cache.windows[t_step]
-        grads["conv_b"] += dz.sum(axis=0)
-    return grads
+    da = da.reshape(m * B, 4 * u)
+    xs = cache.xs.reshape(m * B, k)
+    d_wx = da.T @ xs
+    d_wh = da.T @ cache.hiddens[:-1].reshape(m * B, u)
+    d_b = da.sum(axis=0)
+    for n, gate in enumerate(GATES):
+        rows = slice(n * u, (n + 1) * u)
+        grads["w_" + gate] = d_wx[rows]
+        grads["u_" + gate] = d_wh[rows]
+        grads["b_" + gate] = d_b[rows]
+
+    dz = da @ w_x
+    dz *= xs > 0
+    slices = _window_slices(m, hyper.filter_width, hyper.stride)
+    grads["conv_w"] = np.concatenate(
+        [dz.T @ cache.inputs[cols].reshape(m * B, v) for cols in slices], axis=1
+    )
+    grads["conv_b"] = dz.sum(axis=0)
+    return {name: grads[name] for name in PARAM_NAMES}
 
 
 # ---------------------------------------------------------------------------

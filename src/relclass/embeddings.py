@@ -8,6 +8,7 @@ keyed by lemma. Out-of-vocabulary lemmas map to the zero vector.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -105,6 +106,10 @@ def _parse_vector_line(line: str, lineno: int, path) -> tuple[str, list[float]]:
         values = [float(p) for p in parts[1:]]
     except ValueError as exc:
         raise EmbeddingFormatError(f"{path}: line {lineno}: bad float: {exc}") from exc
+    # a nan or inf makes the sum non-finite; huge finite values can too, so
+    # the exact test decides (the sum alone is the cheap pass over every line)
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite value for {token!r}")
     return token, values
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -274,34 +273,6 @@ class BinarySvmModel:
         return float(self.decision_packed(pack_features([fv]))[0])
 
 
-def train_binary_smo(
-    X: Sequence[FeatureVector],
-    y: Sequence[int],
-    C: float,
-    gamma: float,
-    tol: float = 1e-3,
-    max_iter: int = 100_000,
-) -> BinarySvmModel:
-    """Train one binary RBF SVM on labeled feature vectors (+1/-1)."""
-    if len(X) < 2:
-        raise SvmTrainingError("need at least two training points")
-    y = np.asarray(y, dtype=np.float64)
-    packed = pack_features(X)
-    K = kernel_matrix(packed, packed, gamma)
-    alpha, b, n_iter, converged = smo_solve(K, y, C, tol, max_iter)
-    sv_mask = alpha > 0
-    sv_idx = np.flatnonzero(sv_mask)
-    return BinarySvmModel(
-        sv=packed.subset(sv_idx),
-        coef=(alpha * y)[sv_idx],
-        b=b,
-        C=C,
-        gamma=gamma,
-        n_iter=n_iter,
-        converged=converged,
-    )
-
-
 # ---------------------------------------------------------------------------
 # sigmoid calibration
 
@@ -531,7 +502,6 @@ def train_multiclass(
     freq_threshold: int = 5,
     tol: float = 1e-3,
     seed: int = 0,
-    threads: int = 1,
 ) -> SvmModel:
     """Train all class-pair SVMs plus calibrators on a labeled corpus.
 
@@ -585,15 +555,9 @@ def train_multiclass(
         calibrator = fit_sigmoid(scores, y.astype(int))
         return PairModel(LABELS[i], LABELS[j], binary, calibrator)
 
-    jobs = list(enumerate(itertools.combinations(range(len(LABELS)), 2)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: train_pair(job[0], *job[1]), jobs))
-    else:
-        results = [train_pair(no, i, j) for no, (i, j) in jobs]
-    pair_models = {
-        pair: model for (_, pair), model in zip(jobs, results) if model is not None
-    }
+    pairs = itertools.combinations(range(len(LABELS)), 2)
+    results = {(i, j): train_pair(no, i, j) for no, (i, j) in enumerate(pairs)}
+    pair_models = {pair: model for pair, model in results.items() if model is not None}
     return SvmModel(
         pair_models=pair_models,
         space=space,

@@ -1,8 +1,10 @@
 """Shared fixtures and small builders for the test suite."""
 
+import numpy as np
 import pytest
 
 from relclass.cli import fixture_path
+from relclass.clstm import Hyperparams, forward_batch, init_params
 from relclass.corpus import RelationInstance, RelationLabel, TokenAnnotation
 from relclass.embeddings import EmbeddingTable
 from relclass.features import load_levin_table
@@ -17,6 +19,17 @@ def make_instance(tokens, e1, e2, label=RelationLabel.USAGE, reverse=False,
                   id="t-0", subtask="1.1"):
     return RelationInstance(id=id, tokens=tuple(tokens), e1=e1, e2=e2,
                             label=label, reverse=reverse, subtask=subtask)
+
+
+def conv_maps(I_pad, filters, bias, stride):
+    """The k x m conv feature maps of one padded instance, read from the
+    forward_batch cache of a batch of one."""
+    v = I_pad.shape[0]
+    k, flat = filters.shape
+    hyper = Hyperparams(num_filters=k, filter_width=flat // v, rnn_units=1, stride=stride)
+    params = init_params(v, hyper, np.random.default_rng(0))
+    params.update(conv_w=filters, conv_b=bias)
+    return forward_batch(I_pad[None], params, hyper).xs[:, 0].T
 
 
 # the bundled example sentence: "Combination methods are an effective way of

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_instance, tok
+from conftest import conv_maps, make_instance, tok
 from oracles import (
     conv1d_oracle,
     f1_oracle,
@@ -31,11 +31,9 @@ from relclass.clstm import (
     adam_step,
     backward_batch,
     batch_loss,
-    conv1d,
     forward_batch,
     init_params,
     load_clstm_model,
-    lstm_forward,
     save_clstm_model,
     train,
 )
@@ -164,16 +162,19 @@ def test_c05_conv_and_lstm_oracles():
         I_pad = rng.normal(size=(v, l_max))
         filters = rng.normal(size=(k, v * ws))
         bias = rng.normal(size=k)
-        assert relative_error(conv1d(I_pad, filters, bias, stride),
+        assert relative_error(conv_maps(I_pad, filters, bias, stride),
                               conv1d_oracle(I_pad, filters, bias, stride)) <= 1e-12
 
+    # conv-LSTM final state of one instance against oracle conv -> oracle LSTM
     hyper = Hyperparams(num_filters=2, filter_width=2, rnn_units=3)
     params = init_params(2, hyper, rng)
-    xs = [rng.normal(size=2) for _ in range(6)]
-    assert relative_error(lstm_forward(xs, params), lstm_oracle(xs, params)) <= 1e-12
+    batch = rng.normal(size=(1, 2, 7))
+    xs = conv1d_oracle(batch[0], params["conv_w"], params["conv_b"], 1).T
+    h = forward_batch(batch, params, hyper).hiddens[-1, 0]
+    assert relative_error(h, lstm_oracle(xs, params)) <= 1e-12
 
     zero = {name: np.zeros_like(p) for name, p in params.items()}
-    assert np.array_equal(lstm_forward(xs, zero), np.zeros(3))
+    assert np.array_equal(forward_batch(batch, zero, hyper).hiddens[-1, 0], np.zeros(3))
 
 
 def test_c06_loss_and_optimizer_analytics():

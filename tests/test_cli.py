@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_train_svm_writes_model_and_report(workdir):
 
 
 def test_train_clstm_seed_reproducible(workdir, tmp_path):
-    digests = []
+    digests, histories = [], []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         rc = main([
@@ -55,7 +56,13 @@ def test_train_clstm_seed_reproducible(workdir, tmp_path):
         ])
         assert rc == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        report = json.loads((tmp_path / f"{name}.report").read_text())
+        histories.append(report["loss_history"])
+        assert len(report["loss_history"]) == 2  # one loss per epoch
+        assert all(math.isfinite(loss) for loss in report["loss_history"])
+        assert report["loss_history"][-1] == report["final_epoch_loss"]
     assert digests[0] == digests[1]
+    assert histories[0] == histories[1]
 
 
 def test_train_rejects_unlabeled_corpus(workdir, tmp_path):
@@ -327,3 +334,17 @@ def test_config_unknown_key_rejected(workdir, tmp_path, capsys):
     ])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "3"), ("epochs", 2.5), ("seed", True), ("l2", "0.1"), ("embeddings", 7),
+])
+def test_config_value_of_wrong_type_rejected(workdir, tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    rc = main([
+        "features", "--corpus", str(workdir / "train.jsonl"), "--config", str(config),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"key {key!r} must be" in err and str(config) in err

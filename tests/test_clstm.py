@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, tok
+from conftest import conv_maps, make_instance, tok
 from oracles import conv1d_oracle, finite_diff_grads, lstm_oracle, relative_error
 from relclass.clstm import (
     PARAM_NAMES,
@@ -15,17 +15,13 @@ from relclass.clstm import (
     backward_batch,
     batch_loss,
     build_sequence,
-    classify,
-    conv1d,
     forward_batch,
     init_params,
     load_clstm_model,
-    lstm_forward,
     n_windows,
     pad,
     save_clstm_model,
     softmax,
-    split_maps,
     train,
 )
 from relclass.corpus import RelationLabel, build_lemma_counts
@@ -136,7 +132,8 @@ def test_n_windows():
 
 def test_conv_zero_input_zero_bias():
     filters = np.random.default_rng(0).normal(size=(4, 6))
-    out = conv1d(np.zeros((2, 5)), filters, np.zeros(4))
+    out = conv_maps(np.zeros((2, 5)), filters, np.zeros(4), 1)
+    assert out.shape == (4, 3)
     assert np.all(out == 0.0)
 
 
@@ -151,35 +148,31 @@ def test_conv_matches_oracle_on_random_shapes():
         I_pad = rng.normal(size=(v, l_max))
         filters = rng.normal(size=(k, v * ws))
         bias = rng.normal(size=k)
-        ours = conv1d(I_pad, filters, bias, stride)
+        ours = conv_maps(I_pad, filters, bias, stride)
         ref = conv1d_oracle(I_pad, filters, bias, stride)
         assert relative_error(ours, ref) <= 1e-12
-
-
-def test_split_maps_roundtrip():
-    C = np.arange(6.0).reshape(2, 3)
-    xs = split_maps(C)
-    assert len(xs) == 3 and all(x.shape == (2,) for x in xs)
-    assert np.array_equal(np.column_stack(xs), C)
-    assert len(split_maps(np.ones((4, 1)))) == 1
 
 
 def test_lstm_matches_unrolled_oracle():
     rng = np.random.default_rng(11)
     hyper = Hyperparams(num_filters=2, filter_width=2, rnn_units=3)
     params = init_params(2, hyper, rng)
-    xs = [rng.normal(size=2) for _ in range(5)]
-    ours = lstm_forward(xs, params)
+    batch = rng.normal(size=(1, 2, 6))
+    cache = forward_batch(batch, params, hyper)
+    xs = conv1d_oracle(batch[0], params["conv_w"], params["conv_b"], 1).T
+    assert len(xs) == 5 and np.any(xs > 0)
     ref = lstm_oracle(xs, params)
-    assert relative_error(ours, ref) <= 1e-12
+    assert relative_error(cache.hiddens[-1, 0], ref) <= 1e-12
 
 
 def test_lstm_zero_parameters_give_zero_state():
     hyper = Hyperparams(num_filters=2, filter_width=2, rnn_units=3)
-    params = {name: np.zeros_like(p)
+    params = {name: np.zeros_like(p) if name[:2] in ("w_", "u_", "b_") else p
               for name, p in init_params(2, hyper, np.random.default_rng(0)).items()}
-    xs = [np.ones(2) for _ in range(4)]
-    assert np.array_equal(lstm_forward(xs, params), np.zeros(3))
+    params["conv_b"] = np.ones(2)
+    cache = forward_batch(np.ones((1, 2, 5)), params, hyper)
+    assert np.all(cache.xs > 0)
+    assert np.array_equal(cache.hiddens, np.zeros((5, 1, 3)))
 
 
 def test_softmax_uniform_and_normalized():
@@ -192,18 +185,21 @@ def test_softmax_uniform_and_normalized():
 
 
 def test_classify_zero_weights_uniform():
-    h = np.random.default_rng(0).normal(size=5)
-    probs = classify(h, np.zeros((6, 5)), np.zeros(6))
+    params = tiny_params()
+    params["soft_w"] = np.zeros((6, 5))
+    params["soft_b"] = np.zeros(6)
+    batch = np.random.default_rng(0).normal(size=(1, 3, 6))
+    probs = forward_batch(batch, params, TINY).probs[0]
     assert probs == pytest.approx(np.full(6, 1 / 6))
 
 
 def test_classify_dropout_zero_equals_inference():
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=5)
-    w, b = rng.normal(size=(6, 5)), rng.normal(size=6)
-    trained = classify(h, w, b, dropout_rate=0.0, training=True,
-                       rng=np.random.default_rng(99))
-    assert np.array_equal(trained, classify(h, w, b))
+    params = tiny_params()
+    batch = np.random.default_rng(1).normal(size=(1, 3, 6))
+    assert TINY.dropout_rate == 0.0
+    trained = forward_batch(batch, params, TINY, training=True,
+                            rng=np.random.default_rng(99)).probs
+    assert np.array_equal(trained, forward_batch(batch, params, TINY).probs)
 
 
 def test_init_params_shapes_and_forget_bias():

@@ -36,6 +36,14 @@ def test_load_ragged_row_reports_line(tmp_path):
         load_table(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_non_finite_value_reports_line(tmp_path, bad):
+    path = tmp_path / "v.txt"
+    path.write_text(f"a 1.0 0.0\nb 0.5 {bad}\nc 0.0 1.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=r"v\.txt: line 2: non-finite"):
+        load_table(path)
+
+
 def test_load_duplicate_token(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("a 1.0\na 2.0\n", encoding="utf-8")

@@ -200,16 +200,6 @@ def test_deep_training_instance_gets_its_class(svm_model):
     assert max(dist, key=dist.get) == inst.label
 
 
-def test_multiclass_thread_count_does_not_change_model(syn_table, levin):
-    corpus = make_corpus(n_per_class=12)
-    serial = train_multiclass(corpus, syn_table, levin, freq_threshold=5, threads=1)
-    parallel = train_multiclass(corpus, syn_table, levin, freq_threshold=5, threads=4)
-    for key in serial.pair_models:
-        a, b = serial.pair_models[key], parallel.pair_models[key]
-        assert np.array_equal(a.svm.coef, b.svm.coef)
-        assert a.calibrator.A == b.calibrator.A and a.calibrator.B == b.calibrator.B
-
-
 def test_multiclass_rejects_bad_corpora(syn_table, levin):
     corpus = make_corpus(n_per_class=5)
     from relclass.corpus import RelationInstance
