@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 
 from relclass.search import SearchSpace, random_search, write_trial_log
 from relclass.synthetic import make_corpus, make_embedding_table
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
     winner = max(results, key=lambda r: r.macro_f1)
     print(f"\nbest of {args.trials} trials: macro-F1 {winner.macro_f1:.4f} "
           f"(micro-F1 {winner.micro_f1:.4f}, {winner.wall_time:.1f}s)")
-    print(json.dumps(best.to_dict(), indent=2))
+    print(json.dumps(asdict(best), indent=2))
     return 0
 
 

@@ -12,39 +12,22 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib.resources import files
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
 from . import clstm, search, svm
-from .corpus import (
-    CorpusFormatError,
-    InstanceValidationError,
-    LABELS,
-    parse_corpus,
-)
-from .embeddings import EmbeddingFormatError, EmbeddingTable, load_table
+from .corpus import LABELS, build_lemma_counts, parse_corpus
+from .embeddings import EmbeddingTable, load_table
 from .evaluation import confusion, cross_validate, f1_scores, format_report
 from .features import LevinTable, NAMESPACES, extract_keys, load_levin_table
-from .corpus import build_lemma_counts
-from .modelio import ModelFormatError
-from .svm import SvmTrainingError
+from .modelio import ModelFormatError, argmax_labels, write_atomic
 
 log = logging.getLogger(__name__)
 
-USAGE_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    CorpusFormatError,
-    InstanceValidationError,
-    EmbeddingFormatError,
-    ModelFormatError,
-    SvmTrainingError,
-    ValueError,
-)
+# every input, config and model-file error of the package is a ValueError
+USAGE_ERRORS = (FileNotFoundError, IsADirectoryError, ValueError)
 
 
 def fixture_path(name: str) -> Path:
@@ -147,9 +130,20 @@ def _hyper_from(cfg: RunConfig) -> clstm.Hyperparams:
 def _write_json(payload: dict, path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
     if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        write_atomic(path, (text, "\n"))
     else:
         print(text)
+
+
+def _train_model(cfg: RunConfig, instances, table: EmbeddingTable, levin: LevinTable):
+    """Train the model kind ``cfg.model`` names, with the configured settings."""
+    if cfg.model == "svm":
+        return svm.train_multiclass(
+            instances, table, levin,
+            C=cfg.C, gamma=cfg.gamma, freq_threshold=cfg.freq_threshold,
+            seed=cfg.seed,
+        )
+    return clstm.train(instances, table, _hyper_from(cfg), freq_threshold=cfg.freq_threshold)
 
 
 def _label_counts(instances) -> dict[str, int]:
@@ -177,20 +171,14 @@ def cmd_train(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "model_file": out,
     }
+    model = _train_model(cfg, instances, table, levin)
     if cfg.model == "svm":
-        model = svm.train_multiclass(
-            instances, table, levin,
-            C=cfg.C, gamma=cfg.gamma, freq_threshold=cfg.freq_threshold,
-            seed=cfg.seed,
-        )
         svm.save_svm_model(model, out)
         report["feature_space_size"] = len(model.space)
         report["binary_models"] = len(model.pair_models)
     else:
-        hyper = _hyper_from(cfg)
-        model = clstm.train(instances, table, hyper, freq_threshold=cfg.freq_threshold)
         clstm.save_clstm_model(model, out)
-        report["hyper"] = hyper.to_dict()
+        report["hyper"] = asdict(model.hyper)
         report["l_max"] = model.l_max
         report["loss_history"] = list(model.loss_history)
         report["final_epoch_loss"] = model.loss_history[-1] if model.loss_history else None
@@ -203,9 +191,11 @@ def cmd_train(cfg: RunConfig) -> int:
 def _load_any_model(path: str, table: EmbeddingTable):
     with open(path, encoding="utf-8") as fh:
         try:
-            kind = json.load(fh).get("format")
+            payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: not a model file: {exc}") from exc
+    kind = payload.get("format") if isinstance(payload, dict) else None
+    del payload  # the loader parses the file again; do not hold two copies
     if kind == svm.SVM_FORMAT:
         return svm.load_svm_model(path, table)
     if kind == clstm.CLSTM_FORMAT:
@@ -221,15 +211,17 @@ def cmd_predict(cfg: RunConfig) -> int:
     instances = parse_corpus(cfg.corpus)
     out = cfg.out or "predictions.jsonl"
     probs = model.predict_proba_many(instances)
-    with open(out, "w", encoding="utf-8") as fh:
-        for inst, row in zip(instances, probs):
-            record = {
-                "id": inst.id,
-                "label": LABELS[int(np.argmax(row))].value,
-                "proba": {label.value: float(p) for label, p in zip(LABELS, row)},
-            }
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+    records = (
+        {
+            "id": inst.id,
+            "label": best.value,
+            "proba": {label.value: p for label, p in zip(LABELS, row.tolist())},
+        }
+        for inst, best, row in zip(instances, argmax_labels(probs), probs)
+    )
+    write_atomic(
+        out, (json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n" for rec in records)
+    )
     print(f"{len(instances)} predictions written to {out}")
     return 0
 
@@ -277,7 +269,7 @@ def cmd_search(cfg: RunConfig) -> int:
     if cfg.trial_log:
         search.write_trial_log(results, cfg.trial_log)
         print(f"trial log written to {cfg.trial_log}")
-    _write_json({"best": best.to_dict(), "n_trials": len(results)}, cfg.out)
+    _write_json({"best": asdict(best), "n_trials": len(results)}, cfg.out)
     return 0
 
 
@@ -297,7 +289,7 @@ def cmd_features(cfg: RunConfig) -> int:
                                 sort_keys=True, ensure_ascii=False))
     text = "\n".join(lines) + ("\n" if lines else "")
     if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+        write_atomic(cfg.out, (text,))
     else:
         sys.stdout.write(text)
     return 0
@@ -310,20 +302,10 @@ def cmd_crossval(cfg: RunConfig) -> int:
         raise ValueError("--corpus is required")
     instances = parse_corpus(cfg.corpus)
     table, levin = _load_common(cfg)
-    if cfg.model == "svm":
-        def train_fn(train_set):
-            model = svm.train_multiclass(
-                train_set, table, levin,
-                C=cfg.C, gamma=cfg.gamma, freq_threshold=cfg.freq_threshold,
-                seed=cfg.seed,
-            )
-            return model.predict_many
-    else:
-        hyper = _hyper_from(cfg)
 
-        def train_fn(train_set):
-            model = clstm.train(train_set, table, hyper, freq_threshold=cfg.freq_threshold)
-            return model.predict_many
+    def train_fn(train_set):
+        return _train_model(cfg, train_set, table, levin).predict_many
+
     result = cross_validate(instances, train_fn, k=cfg.k, seed=cfg.seed)
     for n, fold in enumerate(result.fold_reports, start=1):
         print(f"fold {n:2d}: macro-F1 {fold.macro_f1:.4f}  micro-F1 {fold.micro_f1:.4f}")

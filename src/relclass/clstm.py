@@ -12,7 +12,7 @@ can be checked against finite differences.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +23,6 @@ from .corpus import (
     LABELS,
     FrequencyTable,
     RelationInstance,
-    RelationLabel,
     build_lemma_counts,
     extract_context,
     filter_context,
@@ -75,20 +74,6 @@ class Hyperparams:
             raise ValueError("l2_scale must be nonnegative")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_filters": self.num_filters,
-            "filter_width": self.filter_width,
-            "rnn_units": self.rnn_units,
-            "dropout_rate": self.dropout_rate,
-            "l2_scale": self.l2_scale,
-            "stride": self.stride,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-        }
 
 
 def build_sequence(
@@ -363,7 +348,7 @@ def adam_step(
 # model + training loop
 
 @dataclass(frozen=True)
-class ClstmModel:
+class ClstmModel(modelio.Classifier):
     params: dict[str, np.ndarray]
     hyper: Hyperparams
     l_max: int
@@ -383,22 +368,18 @@ class ClstmModel:
         return pad(I, self.l_max)
 
     def predict_proba_many(self, instances: Sequence[RelationInstance]) -> np.ndarray:
+        """Class distributions, one row per instance, LABELS order. Runs in
+        batches of ``hyper.batch_size``, so memory does not grow with the corpus."""
         if not instances:
             return np.zeros((0, len(LABELS)))
-        batch = np.stack([self._padded(inst) for inst in instances])
-        cache = forward_batch(batch, self.params, self.hyper, training=False)
-        return cache.probs
-
-    def predict_proba(self, inst: RelationInstance) -> dict[RelationLabel, float]:
-        row = self.predict_proba_many([inst])[0]
-        return {label: float(p) for label, p in zip(LABELS, row)}
-
-    def predict_many(self, instances: Sequence[RelationInstance]) -> list[RelationLabel]:
-        probs = self.predict_proba_many(instances)
-        return [LABELS[int(np.argmax(row))] for row in probs]
-
-    def predict(self, inst: RelationInstance) -> RelationLabel:
-        return self.predict_many([inst])[0]
+        step = self.hyper.batch_size
+        return np.vstack([
+            forward_batch(
+                np.stack([self._padded(inst) for inst in instances[start : start + step]]),
+                self.params, self.hyper,
+            ).probs
+            for start in range(0, len(instances), step)
+        ])
 
 
 def train(
@@ -458,42 +439,24 @@ def train(
 # model file
 
 def save_clstm_model(model: ClstmModel, path: str | Path) -> None:
-    payload = {
-        "format": CLSTM_FORMAT,
-        "version": 1,
-        "labels": [label.value for label in LABELS],
-        "hyper": model.hyper.to_dict(),
+    fields = {
+        "hyper": asdict(model.hyper),
         "l_max": model.l_max,
-        "freq_threshold": model.freq_threshold,
-        "freq": dict(sorted(model.freq.items())),
-        "embedding": {"name": model.table.name, "dim": model.table.dim},
         "params": {name: modelio.encode_array(model.params[name]) for name in PARAM_NAMES},
     }
-    modelio.save_json(payload, path)
+    modelio.save_model(model, CLSTM_FORMAT, fields, path)
+
+
+def _build_clstm_model(payload: dict, **common) -> ClstmModel:
+    return ClstmModel(
+        params={
+            name: modelio.decode_array(payload["params"][name]).copy() for name in PARAM_NAMES
+        },
+        hyper=Hyperparams(**payload["hyper"]),
+        l_max=payload["l_max"],
+        **common,
+    )
 
 
 def load_clstm_model(path: str | Path, table: EmbeddingTable) -> ClstmModel:
-    payload = modelio.load_json(path, CLSTM_FORMAT)
-    if payload["labels"] != [label.value for label in LABELS]:
-        raise modelio.ModelFormatError(f"{path}: unexpected label list")
-    emb = payload["embedding"]
-    if emb["dim"] != table.dim:
-        raise modelio.ModelFormatError(
-            f"{path}: model expects {emb['dim']}-dim embeddings, table has {table.dim}"
-        )
-    if emb["name"] and table.name and emb["name"] != table.name:
-        log.warning(
-            "embedding table name mismatch: model trained with %r, predicting with %r",
-            emb["name"], table.name,
-        )
-    params = {
-        name: modelio.decode_array(payload["params"][name]).copy() for name in PARAM_NAMES
-    }
-    return ClstmModel(
-        params=params,
-        hyper=Hyperparams(**payload["hyper"]),
-        l_max=payload["l_max"],
-        freq=FrequencyTable(payload["freq"]),
-        freq_threshold=payload["freq_threshold"],
-        table=table,
-    )
+    return modelio.load_model(path, CLSTM_FORMAT, table, _build_clstm_model)

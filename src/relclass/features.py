@@ -102,10 +102,6 @@ def load_levin_table(path: str | Path) -> LevinTable:
     return LevinTable(classes)
 
 
-def levin_lookup(lemma: str, levin: LevinTable) -> frozenset[int]:
-    return levin.lookup(lemma)
-
-
 def pos_path(context: Sequence[TokenAnnotation]) -> str:
     """First character of each context token's POS tag, concatenated."""
     return "".join(tok.pos[0] for tok in context)

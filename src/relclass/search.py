@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import modelio
 from .clstm import Hyperparams, train
 from .corpus import RelationInstance
 from .embeddings import EmbeddingTable
@@ -59,13 +60,7 @@ class TrialResult:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "hyper": self.hyper.to_dict(),
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "seed": self.seed,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def _round_half_up(x: float) -> int:
@@ -132,17 +127,13 @@ def stratified_split(
 
 
 def sample_config(space: SearchSpace, rng: np.random.Generator, seed: int = 0) -> Hyperparams:
-    """One uniform draw from the space, with the fixed training settings."""
+    """One uniform draw from the space; the other settings keep their defaults."""
     return Hyperparams(
         num_filters=int(rng.integers(space.num_filters[0], space.num_filters[1], endpoint=True)),
         filter_width=int(rng.integers(space.filter_width[0], space.filter_width[1], endpoint=True)),
         rnn_units=int(rng.integers(space.rnn_units[0], space.rnn_units[1], endpoint=True)),
         dropout_rate=float(rng.uniform(space.dropout_rate[0], space.dropout_rate[1])),
         l2_scale=float(rng.uniform(space.l2_scale[0], space.l2_scale[1])),
-        stride=1,
-        learning_rate=0.002,
-        batch_size=128,
-        epochs=100,
         seed=seed,
     )
 
@@ -176,7 +167,7 @@ def random_search(
         trial_seed = int(rng.integers(0, 2**31))
         hyper = sample_config(space, rng, seed=trial_seed)
         if epochs is not None:
-            hyper = Hyperparams(**{**hyper.to_dict(), "epochs": epochs})
+            hyper = replace(hyper, epochs=epochs)
         start = time.perf_counter()
         model = train(train_set, table, hyper, freq_threshold)
         pred = model.predict_many(val_set)
@@ -200,8 +191,8 @@ def random_search(
 
 
 def write_trial_log(results: Sequence[TrialResult], path: str | Path) -> None:
-    """Append-only JSON-lines log, one trial per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(json.dumps(result.to_dict(), sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+    """JSON-lines log, one trial per line; replaces the file atomically."""
+    modelio.write_atomic(
+        path,
+        (json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False) + "\n" for r in results),
+    )

@@ -80,40 +80,23 @@ def pack_features(fvs: Sequence[FeatureVector], space_size: int | None = None) -
         raise ValueError("nothing to pack")
     if space_size is None:
         space_size = fvs[0].space_size
-    indptr = [0]
-    indices: list[int] = []
-    for fv in fvs:
-        if fv.space_size != space_size:
-            raise ValueError("feature vectors come from different spaces")
-        indices.extend(fv.bool_indices.tolist())
-        indptr.append(len(indices))
-    data = np.ones(len(indices), dtype=np.float64)
-    csr = sparse.csr_matrix(
-        (data, np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
-        shape=(len(fvs), space_size),
-    )
-    return PackedFeatures(
-        bool_csr=csr,
-        bool_counts=np.asarray(csr.sum(axis=1)).ravel(),
-        dense=np.vstack([fv.dense for fv in fvs]).astype(np.float64),
+    if any(fv.space_size != space_size for fv in fvs):
+        raise ValueError("feature vectors come from different spaces")
+    return packed_from_bool_lists(
+        [fv.bool_indices for fv in fvs], np.vstack([fv.dense for fv in fvs]), space_size
     )
 
 
 def packed_from_bool_lists(
     bool_lists: Sequence[Sequence[int]], dense: np.ndarray, space_size: int
 ) -> PackedFeatures:
-    indptr = [0]
-    indices: list[int] = []
-    for row in bool_lists:
-        indices.extend(int(i) for i in row)
-        indptr.append(len(indices))
+    """Rows given as sorted boolean column indices plus their dense blocks."""
+    rows = [np.asarray(row, dtype=np.int32) for row in bool_lists]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum([row.size for row in rows])
+    indices = np.concatenate([np.zeros(0, dtype=np.int32), *rows])
     csr = sparse.csr_matrix(
-        (
-            np.ones(len(indices), dtype=np.float64),
-            np.asarray(indices, dtype=np.int32),
-            np.asarray(indptr, dtype=np.int32),
-        ),
-        shape=(len(bool_lists), space_size),
+        (np.ones(indices.size), indices, indptr), shape=(len(rows), space_size)
     )
     return PackedFeatures(
         bool_csr=csr,
@@ -269,9 +252,6 @@ class BinarySvmModel:
     def decision_packed(self, x: PackedFeatures) -> np.ndarray:
         return kernel_matrix(x, self.sv, self.gamma) @ self.coef + self.b
 
-    def decision(self, fv: FeatureVector) -> float:
-        return float(self.decision_packed(pack_features([fv]))[0])
-
 
 # ---------------------------------------------------------------------------
 # sigmoid calibration
@@ -370,35 +350,47 @@ def fit_sigmoid(scores: Sequence[float], labels: Sequence[int]) -> SigmoidCalibr
 def pairwise_coupling(
     r: np.ndarray, tol: float = 1e-10, max_sweeps: int = 1000
 ) -> np.ndarray:
-    """Couple pairwise probabilities r_ij = P(i | i or j) into one distribution.
+    """Couple pairwise probabilities r[n, i, j] = P(i | i or j) of each of the
+    n instances of an (n, k, k) stack into one distribution per instance.
 
     Minimizes sum_i sum_{j!=i} (r_ji p_i - r_ij p_j)^2 over the probability
     simplex via the normalized fixed-point iteration on Q p = (p'Qp) e, with
-    Q_ii = sum_{j!=i} r_ji^2 and Q_ij = -r_ji r_ij.
+    Q_ii = sum_{j!=i} r_ji^2 and Q_ij = -r_ji r_ij (Wu, Lin & Weng, JMLR 2004,
+    method 2). All rows sweep together; a row stops updating once it has
+    converged. Returns the (n, k) distributions.
     """
     r = np.asarray(r, dtype=np.float64)
-    k = r.shape[0]
-    if r.shape != (k, k) or k < 2:
-        raise ValueError("r must be a square matrix of size >= 2")
+    if r.ndim != 3 or r.shape[1] != r.shape[2] or r.shape[1] < 2:
+        raise ValueError("r must be an (n, k, k) stack of square matrices with k >= 2")
+    n, k, _ = r.shape
     off = ~np.eye(k, dtype=bool)
-    if np.any((r[off] <= 0) | (r[off] >= 1)):
+    r_t = r.transpose(0, 2, 1)
+    if np.any((r[:, off] <= 0) | (r[:, off] >= 1)):
         raise ValueError("off-diagonal pairwise probabilities must lie in (0,1)")
-    if np.max(np.abs(r + r.T - 1.0)[off]) > 1e-9:
+    if np.any(np.abs(r + r_t - 1.0)[:, off] > 1e-9):
         raise ValueError("pairwise probabilities are not complementary")
-    Q = -r.T * r
-    np.fill_diagonal(Q, (r.T**2 * off).sum(axis=1))
-    p = np.full(k, 1.0 / k)
+    Q = -r_t * r
+    Q[:, ~off] = (r_t**2 * off).sum(axis=2)
+    p = np.full((n, k), 1.0 / k)
+    active = np.arange(n)  # rows still iterating
     for _ in range(max_sweeps):
-        for t_idx in range(k):
-            qp = Q @ p
-            pqp = float(p @ qp)
-            p[t_idx] += (pqp - qp[t_idx]) / Q[t_idx, t_idx]
-            p /= p.sum()
-        qp = Q @ p
-        if float(np.max(np.abs(qp - p @ qp))) < tol:
+        if not active.size:
             break
-    else:
-        log.warning("pairwise coupling did not reach tol=%g in %d sweeps", tol, max_sweeps)
+        Qa, pa = Q[active], p[active]
+        for t_idx in range(k):
+            qp = (Qa @ pa[:, :, None])[:, :, 0]
+            pqp = np.einsum("ij,ij->i", pa, qp)
+            pa[:, t_idx] += (pqp - qp[:, t_idx]) / Qa[:, t_idx, t_idx]
+            pa /= pa.sum(axis=1, keepdims=True)
+        qp = (Qa @ pa[:, :, None])[:, :, 0]
+        pqp = np.einsum("ij,ij->i", pa, qp)
+        p[active] = pa
+        active = active[np.max(np.abs(qp - pqp[:, None]), axis=1) >= tol]
+    if active.size:
+        log.warning(
+            "pairwise coupling: %d of %d instances did not reach tol=%g in %d sweeps",
+            active.size, n, tol, max_sweeps,
+        )
     return p
 
 
@@ -414,7 +406,7 @@ class PairModel:
 
 
 @dataclass(frozen=True)
-class SvmModel:
+class SvmModel(modelio.Classifier):
     """Trained one-vs-one SVM plus everything prediction needs."""
 
     pair_models: dict[tuple[int, int], PairModel]
@@ -426,10 +418,6 @@ class SvmModel:
     table: EmbeddingTable
     C: float
     gamma: float
-
-    @property
-    def labels(self) -> tuple[RelationLabel, ...]:
-        return LABELS
 
     def _pack(self, instances: Sequence[RelationInstance]) -> PackedFeatures:
         fvs = [
@@ -453,19 +441,7 @@ class SvmModel:
             rij = np.clip(rij, 1e-12, 1.0 - 1e-12)
             r[:, i, j] = rij
             r[:, j, i] = 1.0 - rij
-        return np.vstack([pairwise_coupling(r[t]) for t in range(n)])
-
-    def predict_proba(self, inst: RelationInstance) -> dict[RelationLabel, float]:
-        row = self.predict_proba_many([inst])[0]
-        return {label: float(p) for label, p in zip(LABELS, row)}
-
-    def predict_many(self, instances: Sequence[RelationInstance]) -> list[RelationLabel]:
-        probs = self.predict_proba_many(instances)
-        # argmax takes the first maximum, i.e. ties break by label order
-        return [LABELS[int(np.argmax(row))] for row in probs]
-
-    def predict(self, inst: RelationInstance) -> RelationLabel:
-        return self.predict_many([inst])[0]
+        return pairwise_coupling(r)
 
 
 def _calibration_scores(
@@ -571,46 +547,29 @@ def train_multiclass(
     )
 
 
-# spec-level convenience wrappers
-
-def predict_proba(model: SvmModel, inst: RelationInstance) -> dict[RelationLabel, float]:
-    return model.predict_proba(inst)
-
-
-def predict(model: SvmModel, inst: RelationInstance) -> RelationLabel:
-    return model.predict(inst)
-
-
 # ---------------------------------------------------------------------------
 # model file
 
 def save_svm_model(model: SvmModel, path: str | Path) -> None:
-    pairs = []
-    for (i, j), pair in sorted(model.pair_models.items()):
-        pairs.append(
-            {
-                "first": pair.first.value,
-                "second": pair.second.value,
-                "b": pair.svm.b,
-                "A": pair.calibrator.A,
-                "B": pair.calibrator.B,
-                "coef": modelio.encode_array(pair.svm.coef),
-                "sv_dense": modelio.encode_array(pair.svm.sv.dense),
-                "sv_bool": pair.svm.sv.bool_index_lists(),
-                "n_iter": pair.svm.n_iter,
-                "converged": pair.svm.converged,
-            }
-        )
-    payload = {
-        "format": SVM_FORMAT,
-        "version": 1,
-        "labels": [label.value for label in LABELS],
+    pairs = [
+        {
+            "first": pair.first.value,
+            "second": pair.second.value,
+            "b": pair.svm.b,
+            "A": pair.calibrator.A,
+            "B": pair.calibrator.B,
+            "coef": modelio.encode_array(pair.svm.coef),
+            "sv_dense": modelio.encode_array(pair.svm.sv.dense),
+            "sv_bool": pair.svm.sv.bool_index_lists(),
+            "n_iter": pair.svm.n_iter,
+            "converged": pair.svm.converged,
+        }
+        for _, pair in sorted(model.pair_models.items())
+    ]
+    fields = {
         "C": model.C,
         "gamma": model.gamma,
-        "freq_threshold": model.freq_threshold,
-        "freq": dict(sorted(model.freq.items())),
         "levin": {lemma: sorted(model.levin.lookup(lemma)) for lemma in sorted(model.levin.lemmas())},
-        "embedding": {"name": model.table.name, "dim": model.table.dim},
         "space": [[key.namespace, key.value] for key in model.space.keys()],
         "scaler": {
             "min": modelio.encode_array(model.scaler.mins),
@@ -618,23 +577,10 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
         },
         "pairs": pairs,
     }
-    modelio.save_json(payload, path)
+    modelio.save_model(model, SVM_FORMAT, fields, path)
 
 
-def load_svm_model(path: str | Path, table: EmbeddingTable) -> SvmModel:
-    payload = modelio.load_json(path, SVM_FORMAT)
-    if payload["labels"] != [label.value for label in LABELS]:
-        raise modelio.ModelFormatError(f"{path}: unexpected label list")
-    emb = payload["embedding"]
-    if emb["dim"] != table.dim:
-        raise modelio.ModelFormatError(
-            f"{path}: model expects {emb['dim']}-dim embeddings, table has {table.dim}"
-        )
-    if emb["name"] and table.name and emb["name"] != table.name:
-        log.warning(
-            "embedding table name mismatch: model trained with %r, predicting with %r",
-            emb["name"], table.name,
-        )
+def _build_svm_model(payload: dict, **common) -> SvmModel:
     space = FeatureSpace(FeatureKey(ns, value) for ns, value in payload["space"])
     scaler = MinMaxScaler(
         modelio.decode_array(payload["scaler"]["min"]),
@@ -666,10 +612,12 @@ def load_svm_model(path: str | Path, table: EmbeddingTable) -> SvmModel:
         pair_models=pair_models,
         space=space,
         scaler=scaler,
-        freq=FrequencyTable(payload["freq"]),
-        freq_threshold=payload["freq_threshold"],
         levin=LevinTable({lemma: ids for lemma, ids in payload["levin"].items()}),
-        table=table,
         C=payload["C"],
         gamma=payload["gamma"],
+        **common,
     )
+
+
+def load_svm_model(path: str | Path, table: EmbeddingTable) -> SvmModel:
+    return modelio.load_model(path, SVM_FORMAT, table, _build_svm_model)

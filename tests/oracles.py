@@ -201,3 +201,33 @@ def f1_oracle(cm: np.ndarray) -> tuple[list[float], float, float]:
         2 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r > 0 else 0.0
     )
     return f1s, macro, micro
+
+
+# ---------------------------------------------------------------------------
+# pairwise-coupling oracle
+
+def coupling_oracle(r: np.ndarray, tol: float = 1e-10, max_sweeps: int = 1000) -> np.ndarray:
+    """One (k, k) pairwise matrix coupled by the fixed point of Wu, Lin & Weng
+    (JMLR 2004, method 2), with Q built and applied entry by entry."""
+    k = r.shape[0]
+    Q = np.zeros((k, k))
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                Q[i, i] += r[j, i] ** 2
+                Q[i, j] = -r[j, i] * r[i, j]
+
+    def apply_q(p):
+        qp = [sum(Q[i, j] * p[j] for j in range(k)) for i in range(k)]
+        return qp, sum(p[i] * qp[i] for i in range(k))
+
+    p = np.full(k, 1.0 / k)
+    for _ in range(max_sweeps):
+        for t in range(k):
+            qp, pqp = apply_q(p)
+            p[t] += (pqp - qp[t]) / Q[t, t]
+            p /= p.sum()
+        qp, pqp = apply_q(p)
+        if max(abs(q - pqp) for q in qp) < tol:
+            break
+    return p

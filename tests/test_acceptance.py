@@ -123,7 +123,7 @@ def test_c03_pairwise_coupling_recovery():
         for i, j in itertools.combinations(range(6), 2):
             r[i, j] = p[i] / (p[i] + p[j])
             r[j, i] = 1.0 - r[i, j]
-        q = pairwise_coupling(r)
+        q = pairwise_coupling(r[None])[0]
         worst = max(worst, float(np.abs(q - p).max()))
         assert abs(q.sum() - 1.0) <= 1e-9
     elapsed = time.perf_counter() - start

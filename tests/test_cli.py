@@ -133,6 +133,55 @@ def test_predict_empty_corpus(workdir, tmp_path):
     assert out.read_text() == ""
 
 
+@pytest.fixture(scope="module")
+def clstm_model_file(workdir):
+    path = workdir / "clstm-model.json"
+    rc = main([
+        "train", "--model", "clstm", "--train", str(workdir / "train.jsonl"),
+        "--embeddings", str(workdir / "emb.txt"), "--out", str(path),
+        "--report", str(workdir / "clstm-report.json"), *CLSTM_SMOKE,
+    ])
+    assert rc == 0
+    return path
+
+
+def _drop_pair_coef(payload):
+    del payload["pairs"][0]["coef"]
+    return payload
+
+
+def _add_hyper_key(payload):
+    payload["hyper"]["momentum"] = 0.9
+    return payload
+
+
+def _drop(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+@pytest.mark.parametrize("kind, damage", [
+    ("svm", _drop_pair_coef),
+    ("svm", _drop("space")),
+    ("svm", lambda payload: [payload]),
+    ("clstm", _add_hyper_key),
+    ("clstm", _drop("freq")),
+], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
+        "clstm-unknown-hyper-key", "clstm-missing-freq"])
+def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
+                                              kind, damage):
+    source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
+    bad = tmp_path / "bad-model.json"
+    bad.write_text(json.dumps(damage(json.loads(source.read_text(encoding="utf-8")))),
+                   encoding="utf-8")
+    rc = main([
+        "predict", "--model-file", str(bad), "--corpus", str(workdir / "train.jsonl"),
+        "--embeddings", str(workdir / "emb.txt"), "--out", str(tmp_path / "pred.jsonl"),
+    ])
+    assert rc == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
 def test_evaluate_perfect_predictions(workdir, tmp_path, capsys):
     pred = tmp_path / "pred.jsonl"
     main([

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import conv_maps, make_instance, tok
 from oracles import conv1d_oracle, finite_diff_grads, lstm_oracle, relative_error
+from relclass import clstm
 from relclass.clstm import (
     PARAM_NAMES,
     AdamState,
@@ -355,6 +356,22 @@ def test_train_rejects_unlabeled_and_overlong_filters():
     wide = Hyperparams(num_filters=4, filter_width=100, rnn_units=4, epochs=1)
     with pytest.raises(ValueError):
         train(corpus, table, wide, freq_threshold=1)
+
+
+def test_prediction_runs_in_batches_of_batch_size(monkeypatch):
+    corpus = overfit_corpus()[:5]
+    model = train(corpus, make_embedding_table(), TINY, freq_threshold=1)  # batch_size 2
+    alone = np.vstack([model.predict_proba_many([inst]) for inst in corpus])
+    sizes = []
+
+    def counting_forward(batch, *args, **kwargs):
+        sizes.append(batch.shape[0])
+        return forward_batch(batch, *args, **kwargs)
+
+    monkeypatch.setattr(clstm, "forward_batch", counting_forward)
+    chunked = model.predict_proba_many(corpus)
+    assert sizes == [2, 2, 1]
+    assert np.abs(chunked - alone).max() <= 1e-12
 
 
 def test_clstm_model_file_roundtrip(overfit_model, tmp_path):

@@ -17,7 +17,6 @@ from relclass.features import (
     entity_lexical,
     extract_keys,
     fit_minmax,
-    levin_lookup,
     load_levin_table,
     pos_path,
     similarity_bucket,
@@ -78,9 +77,9 @@ def test_pos_path_example_sentence(example_instance):
 
 
 def test_levin_table_fixture(levin):
-    assert levin_lookup("improve", levin) == {45}
-    assert levin_lookup("combine", levin) == {22}
-    assert levin_lookup("zzz", levin) == frozenset()
+    assert levin.lookup("improve") == {45}
+    assert levin.lookup("combine") == {22}
+    assert levin.lookup("zzz") == frozenset()
 
 
 def test_levin_loader_truncates_subclasses(tmp_path):

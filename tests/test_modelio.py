@@ -1,0 +1,73 @@
+import os
+
+import numpy as np
+import pytest
+
+from relclass import clstm, svm
+from relclass.corpus import LABELS
+from relclass.modelio import save_json, write_atomic
+from relclass.synthetic import make_corpus
+
+CORPUS = make_corpus(n_per_class=5, seed=4)
+
+
+@pytest.fixture(scope="module", params=["svm", "clstm"])
+def model(request, syn_table, levin):
+    if request.param == "svm":
+        return svm.train_multiclass(CORPUS, syn_table, levin, freq_threshold=1)
+    hyper = clstm.Hyperparams(num_filters=6, filter_width=2, rnn_units=5, epochs=2,
+                              batch_size=8, seed=1)
+    return clstm.train(CORPUS, syn_table, hyper, freq_threshold=1)
+
+
+def test_shared_predict_methods_agree_with_predict_proba_many(model):
+    instances = CORPUS[::3]
+    probs = model.predict_proba_many(instances)
+    assert probs.shape == (len(instances), len(LABELS))
+    labels = [LABELS[int(np.argmax(row))] for row in probs]
+    assert model.predict_many(instances) == labels
+    for inst, row, label in zip(instances, probs, labels):
+        assert model.predict(inst) == label
+        dist = model.predict_proba(inst)
+        assert list(dist) == list(LABELS)
+        assert np.abs(np.array(list(dist.values())) - row).max() <= 1e-12
+
+
+def test_shared_predict_methods_on_empty_input(model):
+    assert model.predict_many([]) == []
+    assert model.predict_proba_many([]).shape == (0, len(LABELS))
+
+
+def test_write_atomic_replaces_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+    write_atomic(path, ["new ", "text\n"])
+    assert path.read_text(encoding="utf-8") == "new text\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "model.json"
+    save_json({"a": 1}, path)
+    before = path.read_bytes()
+
+    def chunks():
+        yield '{"a": 2,'
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError):
+        write_atomic(path, chunks())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_write_atomic_writes_through_links_and_devices(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_atomic(link, ["new\n"])
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "new\n"
+    write_atomic(os.devnull, ["discarded\n"])
+    assert not os.path.isfile(os.devnull)

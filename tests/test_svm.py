@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import qp_objective, qp_oracle
+from oracles import coupling_oracle, qp_objective, qp_oracle
 from relclass.corpus import RelationLabel
 from relclass.embeddings import cosine
 from relclass.features import FeatureVector
@@ -136,14 +136,14 @@ def test_coupling_recovers_named_distribution():
     r = np.zeros((3, 3))
     for i, j in itertools.permutations(range(3), 2):
         r[i, j] = p[i] / (p[i] + p[j])
-    q = pairwise_coupling(r)
+    q = pairwise_coupling(r[None])[0]
     assert np.abs(q - p).max() <= 1e-6
 
 
 def test_coupling_uniform_r_gives_uniform_p():
     r = np.full((6, 6), 0.5)
     np.fill_diagonal(r, 0.0)
-    assert pairwise_coupling(r) == pytest.approx(np.full(6, 1 / 6), abs=1e-9)
+    assert pairwise_coupling(r[None])[0] == pytest.approx(np.full(6, 1 / 6), abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,9 +157,27 @@ def test_coupling_output_is_distribution(raw, seed):
     for i, j in itertools.combinations(range(n), 2):
         r[i, j] = float(np.clip(p[i] / (p[i] + p[j]) + rng.normal(0, 0.05), 0.01, 0.99))
         r[j, i] = 1.0 - r[i, j]
-    q = pairwise_coupling(r)
+    q = pairwise_coupling(r[None])[0]
     assert abs(q.sum() - 1.0) <= 1e-9
     assert np.all(q >= -1e-12)
+
+
+def random_pairwise_stack(rng, n, k):
+    """n noisy complementary (k, k) matrices, not consistent with any p."""
+    r = np.zeros((n, k, k))
+    for i, j in itertools.combinations(range(k), 2):
+        r[:, i, j] = rng.uniform(0.02, 0.98, n)
+        r[:, j, i] = 1.0 - r[:, i, j]
+    return r
+
+
+def test_coupling_batch_matches_each_instance_alone():
+    r = random_pairwise_stack(np.random.default_rng(11), 40, 6)
+    q = pairwise_coupling(r)
+    assert q.shape == (40, 6)
+    for row, r_one in zip(q, r):
+        assert np.abs(row - pairwise_coupling(r_one[None])[0]).max() <= 1e-12
+        assert np.abs(row - coupling_oracle(r_one)).max() <= 1e-12
 
 
 def test_coupling_rejects_degenerate_r():
@@ -167,6 +185,23 @@ def test_coupling_rejects_degenerate_r():
     np.fill_diagonal(r, 0.0)
     r[0, 1] = 0.0
     r[1, 0] = 1.0
+    with pytest.raises(ValueError):
+        pairwise_coupling(r[None])
+
+
+def _not_complementary():
+    r = np.full((1, 3, 3), 0.5)
+    r[0, 0, 2] = 0.6
+    return r
+
+
+@pytest.mark.parametrize("r", [
+    _not_complementary(),
+    np.full((1, 1, 1), 0.5),  # a single class
+    np.full((3, 3), 0.5),  # one matrix, not a stack
+    np.full((1, 3, 4), 0.5),
+], ids=["not-complementary", "k1", "2d", "not-square"])
+def test_coupling_rejects_bad_stacks(r):
     with pytest.raises(ValueError):
         pairwise_coupling(r)
 
