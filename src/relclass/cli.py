@@ -176,6 +176,17 @@ def cmd_train(cfg: RunConfig) -> int:
         svm.save_svm_model(model, out)
         report["feature_space_size"] = len(model.space)
         report["binary_models"] = len(model.pair_models)
+        report["sv_rows"] = len(model.sv)
+        report["pairs"] = [
+            {
+                "first": pair.first.value,
+                "second": pair.second.value,
+                "n_iter": pair.svm.n_iter,
+                "converged": pair.svm.converged,
+                "support_vectors": len(pair.svm.sv),
+            }
+            for _, pair in sorted(model.pair_models.items())
+        ]
     else:
         clstm.save_clstm_model(model, out)
         report["hyper"] = asdict(model.hyper)

@@ -24,6 +24,8 @@ class EmbeddingFormatError(ValueError):
 class EmbeddingTable:
     """Immutable token -> vector map with a fixed dimensionality.
 
+    The vectors are the rows of one read-only (V, dim) float64 matrix, in
+    the order the mapping gives them; a dict maps each token to its row.
     ``name`` is a provenance label (defaults to the source file stem).
     """
 
@@ -35,40 +37,37 @@ class EmbeddingTable:
         if not vectors:
             raise EmbeddingFormatError("embedding table must be nonempty")
         self.name = name
-        store: dict[str, np.ndarray] = {}
-        dim = None
-        for token, vec in vectors.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1:
+        rows = [np.asarray(vec, dtype=np.float64) for vec in vectors.values()]
+        dim = rows[0].size
+        for token, row in zip(vectors, rows):
+            if row.ndim != 1:
                 raise EmbeddingFormatError(f"vector for {token!r} is not 1-d")
-            if dim is None:
-                dim = arr.shape[0]
-                if dim == 0:
-                    raise EmbeddingFormatError("embedding dimension must be positive")
-            elif arr.shape[0] != dim:
+            if row.size != dim:
                 raise EmbeddingFormatError(
-                    f"inconsistent dimension for {token!r}: {arr.shape[0]} != {dim}"
+                    f"inconsistent dimension for {token!r}: {row.size} != {dim}"
                 )
-            arr = arr.copy()
-            arr.flags.writeable = False
-            store[token] = arr
-        self._vectors = store
+        if dim == 0:
+            raise EmbeddingFormatError("embedding dimension must be positive")
+        self._matrix = np.vstack(rows)
+        self._matrix.flags.writeable = False
+        self._rows = {token: i for i, token in enumerate(vectors)}
         self.dim = dim
         self._zero = np.zeros(dim, dtype=np.float64)
         self._zero.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._rows)
 
     def __contains__(self, token: str) -> bool:
-        return token in self._vectors
+        return token in self._rows
 
     def tokens(self) -> list[str]:
-        return list(self._vectors)
+        return list(self._rows)
 
     def lookup(self, token: str) -> np.ndarray:
         """Vector for ``token``; the zero vector when out of vocabulary."""
-        return self._vectors.get(token, self._zero)
+        row = self._rows.get(token)
+        return self._zero if row is None else self._matrix[row]
 
     def phrase_vector(self, tokens: Sequence[TokenAnnotation]) -> np.ndarray:
         """Mean of the lemma vectors of ``tokens``.

@@ -7,6 +7,11 @@ bit. Every model file starts from the same header (``format``, ``version``,
 ``labels``, ``embedding``, ``freq``, ``freq_threshold``); each model kind adds
 its own fields. Files are written atomically: readers see the old file or the
 whole new one, never a partial write.
+
+Both kinds are at format version 2, in which an SVM file stores its support
+vectors once (top-level ``sv_bool``/``sv_dense``) and each pair only the
+indices of its rows in that block (``sv``) next to its ``coef``. Files of
+any other version are rejected; there is no reader for version 1.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .embeddings import EmbeddingTable
 
 log = logging.getLogger(__name__)
 
-VERSION = 1
+VERSION = 2
 
 
 class ModelFormatError(ValueError):

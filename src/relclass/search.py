@@ -150,9 +150,9 @@ def random_search(
 ) -> tuple[Hyperparams, list[TrialResult]]:
     """Best configuration by validation macro-F1 over n_trials random draws.
 
-    Each trial derives its RNG from (seed, trial index), so serial and
-    parallel execution produce the same log. ``epochs`` overrides the fixed
-    epoch count (smoke tests); ties break toward the earlier trial.
+    Each trial derives its RNG from (seed, trial index). ``epochs``
+    overrides the fixed epoch count (smoke tests); ties break toward the
+    earlier trial.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")

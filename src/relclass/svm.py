@@ -6,6 +6,11 @@ on cross-validated decision scores; at prediction time the 15 calibrated
 pairwise probabilities are coupled into a single distribution over the six
 classes (quadratic pairwise-coupling objective, fixed-point solve) and the
 argmax wins.
+
+As in LIBSVM, the model stores each support-vector row once, in one block
+shared by all pairs (``sv_bool``/``sv_dense`` in the version-2 model file);
+a pair keeps only the sorted indices of its rows in that block, with one
+dual coefficient per index. Prediction computes one kernel block against it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -61,11 +66,7 @@ class PackedFeatures:
         return self.dense.shape[0]
 
     def subset(self, idx: np.ndarray) -> "PackedFeatures":
-        return PackedFeatures(
-            bool_csr=self.bool_csr[idx],
-            bool_counts=self.bool_counts[idx],
-            dense=self.dense[idx],
-        )
+        return PackedFeatures(self.bool_csr[idx], self.bool_counts[idx], self.dense[idx])
 
     def bool_index_lists(self) -> list[list[int]]:
         csr = self.bool_csr
@@ -98,10 +99,11 @@ def packed_from_bool_lists(
     csr = sparse.csr_matrix(
         (np.ones(indices.size), indices, indptr), shape=(len(rows), space_size)
     )
+    dense = np.asarray(dense, dtype=np.float64)
+    if dense.ndim != 2 or len(dense) != len(rows):
+        raise ValueError(f"{len(rows)} boolean rows but a dense block of shape {dense.shape}")
     return PackedFeatures(
-        bool_csr=csr,
-        bool_counts=np.asarray(csr.sum(axis=1)).ravel(),
-        dense=np.asarray(dense, dtype=np.float64),
+        bool_csr=csr, bool_counts=np.asarray(csr.sum(axis=1)).ravel(), dense=dense
     )
 
 
@@ -239,18 +241,14 @@ def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, b: float, C: 
 
 @dataclass(frozen=True)
 class BinarySvmModel:
-    """One trained binary SVM: support vectors, dual coefficients a_i*y_i, bias."""
+    """One trained binary SVM: its support vectors as sorted row indices into
+    the model's shared SV block, dual coefficients a_i*y_i over them, bias."""
 
-    sv: PackedFeatures
-    coef: np.ndarray  # alpha_i * y_i, only rows with alpha > 0
+    sv: np.ndarray
+    coef: np.ndarray  # alpha_i * y_i, aligned with sv
     b: float
-    C: float
-    gamma: float
     n_iter: int
     converged: bool
-
-    def decision_packed(self, x: PackedFeatures) -> np.ndarray:
-        return kernel_matrix(x, self.sv, self.gamma) @ self.coef + self.b
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +405,11 @@ class PairModel:
 
 @dataclass(frozen=True)
 class SvmModel(modelio.Classifier):
-    """Trained one-vs-one SVM plus everything prediction needs."""
+    """Trained one-vs-one SVM plus everything prediction needs. ``sv`` holds
+    each pair's support vectors once, in training-row order."""
 
     pair_models: dict[tuple[int, int], PairModel]
+    sv: PackedFeatures
     space: FeatureSpace
     scaler: MinMaxScaler
     freq: FrequencyTable
@@ -433,11 +433,11 @@ class SvmModel(modelio.Classifier):
         """Coupled class distributions, one row per instance, LABELS order."""
         if not instances:
             return np.zeros((0, len(LABELS)))
-        packed = self._pack(instances)
+        K = kernel_matrix(self._pack(instances), self.sv, self.gamma)
         n, k = len(instances), len(LABELS)
         r = np.full((n, k, k), 0.5)
         for (i, j), pair in self.pair_models.items():
-            rij = np.asarray(pair.calibrator.predict(pair.svm.decision_packed(packed)))
+            rij = pair.calibrator.predict(K[:, pair.svm.sv] @ pair.svm.coef + pair.svm.b)
             rij = np.clip(rij, 1e-12, 1.0 - 1e-12)
             r[:, i, j] = rij
             r[:, j, i] = 1.0 - rij
@@ -518,15 +518,9 @@ def train_multiclass(
         K_sub = K[np.ix_(sub, sub)]
         alpha, b, n_iter, converged = smo_solve(K_sub, y, C, tol)
         sv_local = np.flatnonzero(alpha > 0)
-        binary = BinarySvmModel(
-            sv=packed.subset(sub[sv_local]),
-            coef=(alpha * y)[sv_local],
-            b=b,
-            C=C,
-            gamma=gamma,
-            n_iter=n_iter,
-            converged=converged,
-        )
+        sv_local = sv_local[np.argsort(sub[sv_local])]
+        # sv holds training rows until the union of all pairs' rows is known
+        binary = BinarySvmModel(sub[sv_local], (alpha * y)[sv_local], b, n_iter, converged)
         scores = _calibration_scores(K_sub, y, C, tol, seed_key=[seed, pair_no])
         calibrator = fit_sigmoid(scores, y.astype(int))
         return PairModel(LABELS[i], LABELS[j], binary, calibrator)
@@ -534,8 +528,14 @@ def train_multiclass(
     pairs = itertools.combinations(range(len(LABELS)), 2)
     results = {(i, j): train_pair(no, i, j) for no, (i, j) in enumerate(pairs)}
     pair_models = {pair: model for pair, model in results.items() if model is not None}
+    union = np.unique(np.concatenate([pair.svm.sv for pair in pair_models.values()]))
+    pair_models = {
+        key: replace(pair, svm=replace(pair.svm, sv=np.searchsorted(union, pair.svm.sv)))
+        for key, pair in pair_models.items()
+    }
     return SvmModel(
         pair_models=pair_models,
+        sv=packed.subset(union),
         space=space,
         scaler=scaler,
         freq=freq,
@@ -559,8 +559,7 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
             "A": pair.calibrator.A,
             "B": pair.calibrator.B,
             "coef": modelio.encode_array(pair.svm.coef),
-            "sv_dense": modelio.encode_array(pair.svm.sv.dense),
-            "sv_bool": pair.svm.sv.bool_index_lists(),
+            "sv": pair.svm.sv.tolist(),
             "n_iter": pair.svm.n_iter,
             "converged": pair.svm.converged,
         }
@@ -575,6 +574,8 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
             "min": modelio.encode_array(model.scaler.mins),
             "max": modelio.encode_array(model.scaler.maxs),
         },
+        "sv_bool": model.sv.bool_index_lists(),
+        "sv_dense": modelio.encode_array(model.sv.dense),
         "pairs": pairs,
     }
     modelio.save_model(model, SVM_FORMAT, fields, path)
@@ -586,30 +587,27 @@ def _build_svm_model(payload: dict, **common) -> SvmModel:
         modelio.decode_array(payload["scaler"]["min"]),
         modelio.decode_array(payload["scaler"]["max"]),
     )
+    sv = packed_from_bool_lists(
+        payload["sv_bool"], modelio.decode_array(payload["sv_dense"]), len(space)
+    )
     label_idx = {label.value: i for i, label in enumerate(LABELS)}
     pair_models = {}
     for entry in payload["pairs"]:
-        sv = packed_from_bool_lists(
-            entry["sv_bool"], modelio.decode_array(entry["sv_dense"]), len(space)
-        )
-        binary = BinarySvmModel(
-            sv=sv,
-            coef=modelio.decode_array(entry["coef"]),
-            b=entry["b"],
-            C=payload["C"],
-            gamma=payload["gamma"],
-            n_iter=entry["n_iter"],
-            converged=entry["converged"],
-        )
-        pair = PairModel(
+        name = f"pair {entry['first']}/{entry['second']}"
+        rows, coef = np.asarray(entry["sv"]), modelio.decode_array(entry["coef"])
+        if rows.dtype.kind != "i" or rows.shape != coef.shape:
+            raise ValueError(f"{name}: sv must be row indices, one per coef")
+        if rows[0] < 0 or rows[-1] >= len(sv) or np.any(np.diff(rows) <= 0):
+            raise ValueError(f"{name}: sv must be increasing rows of the {len(sv)}-row SV block")
+        pair_models[(label_idx[entry["first"]], label_idx[entry["second"]])] = PairModel(
             first=RelationLabel(entry["first"]),
             second=RelationLabel(entry["second"]),
-            svm=binary,
+            svm=BinarySvmModel(rows, coef, entry["b"], entry["n_iter"], entry["converged"]),
             calibrator=SigmoidCalibrator(A=entry["A"], B=entry["B"]),
         )
-        pair_models[(label_idx[entry["first"]], label_idx[entry["second"]])] = pair
     return SvmModel(
         pair_models=pair_models,
+        sv=sv,
         space=space,
         scaler=scaler,
         levin=LevinTable({lemma: ids for lemma, ids in payload["levin"].items()}),

@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 
 import pytest
 
 from relclass.cli import fixture_path, main
-from relclass.corpus import write_corpus
+from relclass.corpus import LABELS, write_corpus
 from relclass.embeddings import save_table
 from relclass.synthetic import make_corpus, make_embedding_table
 
@@ -41,6 +42,14 @@ def test_train_svm_writes_model_and_report(workdir):
     assert report["instances"] == 72
     assert sum(report["class_distribution"].values()) == 72
     assert report["feature_space_size"] > 0
+    pairs = report["pairs"]
+    assert [(p["first"], p["second"]) for p in pairs] == [
+        (a.value, b.value) for a, b in itertools.combinations(LABELS, 2)
+    ]
+    assert all(p["n_iter"] > 0 and p["converged"] is True for p in pairs)
+    # every stored row is a support vector of at least one pair
+    counts = [p["support_vectors"] for p in pairs]
+    assert max(counts) <= report["sv_rows"] <= sum(counts)
     assert report["timing"]["train_seconds"] > 0
 
 
@@ -150,6 +159,16 @@ def _drop_pair_coef(payload):
     return payload
 
 
+def _pair_sv_past_block(payload):
+    payload["pairs"][0]["sv"][-1] = payload["sv_dense"]["shape"][0]
+    return payload
+
+
+def _drop_pair_sv_index(payload):
+    del payload["pairs"][0]["sv"][-1]
+    return payload
+
+
 def _add_hyper_key(payload):
     payload["hyper"]["momentum"] = 0.9
     return payload
@@ -163,9 +182,13 @@ def _drop(key):
     ("svm", _drop_pair_coef),
     ("svm", _drop("space")),
     ("svm", lambda payload: [payload]),
+    ("svm", _pair_sv_past_block),
+    ("svm", _drop_pair_sv_index),
+    ("svm", lambda payload: {**payload, "version": 1}),
     ("clstm", _add_hyper_key),
     ("clstm", _drop("freq")),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
+        "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
         "clstm-unknown-hyper-key", "clstm-missing-freq"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):

@@ -22,6 +22,7 @@ from relclass.svm import (
     rbf_kernel,
     save_svm_model,
     smo_solve,
+    squared_distances,
     train_multiclass,
 )
 from relclass.synthetic import make_corpus
@@ -218,6 +219,34 @@ def test_multiclass_training_accuracy(svm_model):
     acc = sum(p == inst.label for p, inst in zip(pred, corpus)) / len(corpus)
     assert acc >= 0.99
     assert len(model.pair_models) == 15
+
+
+def test_sv_block_stores_each_support_vector_row_once(svm_model):
+    corpus, model = svm_model
+    referenced = np.concatenate([pair.svm.sv for pair in model.pair_models.values()])
+    assert np.array_equal(np.unique(referenced), np.arange(len(model.sv)))
+    for pair in model.pair_models.values():
+        assert np.all(np.diff(pair.svm.sv) > 0)
+    # match every stored row to the training row at distance 0: the matches
+    # strictly increase, so the block is in training-row order and holds no
+    # training row twice (the synthetic rows are pairwise distinct)
+    d2 = squared_distances(model.sv, model._pack(corpus))
+    match = np.argmin(d2, axis=1)
+    assert np.all(d2[np.arange(len(match)), match] < 1e-9)
+    assert np.all(np.diff(match) > 0)
+
+
+def test_pair_decisions_through_shared_block_match_own_rows(svm_model):
+    corpus, model = svm_model
+    x = model._pack(corpus[:60])
+    K = kernel_matrix(x, model.sv, model.gamma)
+    for pair in model.pair_models.values():
+        own = kernel_matrix(x, model.sv.subset(pair.svm.sv), model.gamma)
+        np.testing.assert_allclose(
+            K[:, pair.svm.sv] @ pair.svm.coef + pair.svm.b,
+            own @ pair.svm.coef + pair.svm.b,
+            rtol=0, atol=1e-12,
+        )
 
 
 def test_multiclass_probabilities_sum_to_one(svm_model):
