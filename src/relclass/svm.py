@@ -11,6 +11,10 @@ As in LIBSVM, the model stores each support-vector row once, in one block
 shared by all pairs (``sv_bool``/``sv_dense`` in the version-2 model file);
 a pair keeps only the sorted indices of its rows in that block, with one
 dual coefficient per index. Prediction computes one kernel block against it.
+
+Written on numpy alone: the boolean features of a row block are one float32
+0/1 matrix over the feature space, so the kernel's boolean inner products are
+a single exact matrix product.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import modelio
 from .corpus import LABELS, FrequencyTable, RelationInstance, RelationLabel, build_lemma_counts
@@ -56,24 +59,20 @@ class SvmTrainingError(ValueError):
 
 @dataclass(frozen=True)
 class PackedFeatures:
-    """Column-compressed boolean block plus the dense block, row per instance."""
+    """A block of rows, one per instance: ``bools`` is the (n, len(space))
+    float32 0/1 matrix of boolean features, ``dense`` the scaled dense block."""
 
-    bool_csr: sparse.csr_matrix
-    bool_counts: np.ndarray
+    bools: np.ndarray
     dense: np.ndarray
 
     def __len__(self) -> int:
         return self.dense.shape[0]
 
     def subset(self, idx: np.ndarray) -> "PackedFeatures":
-        return PackedFeatures(self.bool_csr[idx], self.bool_counts[idx], self.dense[idx])
+        return PackedFeatures(self.bools[idx], self.dense[idx])
 
     def bool_index_lists(self) -> list[list[int]]:
-        csr = self.bool_csr
-        return [
-            sorted(csr.indices[csr.indptr[i] : csr.indptr[i + 1]].tolist())
-            for i in range(csr.shape[0])
-        ]
+        return [np.flatnonzero(row).tolist() for row in self.bools]
 
 
 def pack_features(fvs: Sequence[FeatureVector], space_size: int | None = None) -> PackedFeatures:
@@ -91,27 +90,35 @@ def pack_features(fvs: Sequence[FeatureVector], space_size: int | None = None) -
 def packed_from_bool_lists(
     bool_lists: Sequence[Sequence[int]], dense: np.ndarray, space_size: int
 ) -> PackedFeatures:
-    """Rows given as sorted boolean column indices plus their dense blocks."""
-    rows = [np.asarray(row, dtype=np.int32) for row in bool_lists]
-    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum([row.size for row in rows])
-    indices = np.concatenate([np.zeros(0, dtype=np.int32), *rows])
-    csr = sparse.csr_matrix(
-        (np.ones(indices.size), indices, indptr), shape=(len(rows), space_size)
-    )
+    """Rows given as strictly increasing boolean column indices in
+    ``[0, space_size)`` plus their dense blocks."""
     dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 2 or len(dense) != len(rows):
-        raise ValueError(f"{len(rows)} boolean rows but a dense block of shape {dense.shape}")
-    return PackedFeatures(
-        bool_csr=csr, bool_counts=np.asarray(csr.sum(axis=1)).ravel(), dense=dense
-    )
+    if dense.ndim != 2 or len(dense) != len(bool_lists):
+        raise ValueError(f"{len(bool_lists)} boolean rows but a dense block of shape {dense.shape}")
+    bools = np.zeros((len(bool_lists), space_size), dtype=np.float32)
+    for i, row in enumerate(bool_lists):
+        cols = np.asarray(row)
+        if not cols.size:
+            continue
+        if (
+            cols.ndim != 1 or cols.dtype.kind != "i" or cols[0] < 0
+            or cols[-1] >= space_size or np.any(np.diff(cols) <= 0)
+        ):
+            raise ValueError(
+                f"boolean row {i}: columns must be strictly increasing within [0, {space_size})"
+            )
+        bools[i, cols] = 1.0
+    return PackedFeatures(bools=bools, dense=dense)
 
 
 def squared_distances(a: PackedFeatures, b: PackedFeatures) -> np.ndarray:
     """Pairwise squared Euclidean distances over the concatenated boolean+dense
     representation. Boolean part = symmetric-difference size."""
-    inner = (a.bool_csr @ b.bool_csr.T).toarray()
-    d2 = a.bool_counts[:, None] + b.bool_counts[None, :] - 2.0 * inner
+    # exact in float32: each entry is a sum of 0/1 products, far below 2**24
+    inner = a.bools @ b.bools.T
+    counts_a = a.bools.sum(axis=1, dtype=np.float64)
+    counts_b = b.bools.sum(axis=1, dtype=np.float64)
+    d2 = counts_a[:, None] + counts_b[None, :] - 2.0 * inner
     da = np.einsum("ij,ij->i", a.dense, a.dense)
     db = np.einsum("ij,ij->i", b.dense, b.dense)
     d2 += da[:, None] + db[None, :] - 2.0 * (a.dense @ b.dense.T)
@@ -120,17 +127,6 @@ def squared_distances(a: PackedFeatures, b: PackedFeatures) -> np.ndarray:
 
 def kernel_matrix(a: PackedFeatures, b: PackedFeatures, gamma: float) -> np.ndarray:
     return np.exp(-gamma * squared_distances(a, b))
-
-
-def rbf_kernel(x: FeatureVector, z: FeatureVector, gamma: float) -> float:
-    """exp(-gamma * ||x - z||^2) for a single feature-vector pair."""
-    if x.space_size != z.space_size or x.dense.shape != z.dense.shape:
-        raise ValueError("feature vectors come from different spaces")
-    shared = np.intersect1d(x.bool_indices, z.bool_indices, assume_unique=True).size
-    d2 = (x.bool_indices.size - shared) + (z.bool_indices.size - shared)
-    diff = x.dense - z.dense
-    d2 += float(diff @ diff)
-    return float(np.exp(-gamma * max(d2, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +215,6 @@ def _bias(alpha: np.ndarray, y: np.ndarray, G: np.ndarray, C: float) -> float:
     m = G[up].max() if up.any() else 0.0
     M = G[low].min() if low.any() else 0.0
     return float((m + M) / 2.0)
-
-
-def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ K @ ay)
-
-
-def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, b: float, C: float) -> float:
-    """Largest per-point KKT violation of a candidate dual solution."""
-    yf = y * (K @ (alpha * y) + b)
-    at_zero = alpha <= 0
-    at_c = alpha >= C
-    interior = ~at_zero & ~at_c
-    v = np.zeros_like(alpha)
-    v[at_zero] = np.maximum(0.0, 1.0 - yf[at_zero])
-    v[at_c] = np.maximum(0.0, yf[at_c] - 1.0)
-    v[interior] = np.abs(yf[interior] - 1.0)
-    return float(v.max())
 
 
 @dataclass(frozen=True)
@@ -590,6 +568,9 @@ def _build_svm_model(payload: dict, **common) -> SvmModel:
     sv = packed_from_bool_lists(
         payload["sv_bool"], modelio.decode_array(payload["sv_dense"]), len(space)
     )
+    width = 3 * common["table"].dim
+    if sv.dense.shape[1] != width or scaler.mins.shape != (width,):
+        raise ValueError(f"sv_dense and the scaler min/max must be {width} wide (3 x embedding dim)")
     label_idx = {label.value: i for i, label in enumerate(LABELS)}
     pair_models = {}
     for entry in payload["pairs"]:

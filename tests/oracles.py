@@ -53,6 +53,23 @@ def qp_objective(K: np.ndarray, y: np.ndarray, a: np.ndarray) -> float:
     return float(a.sum() - 0.5 * ay @ K @ ay)
 
 
+def kkt_violation(K: np.ndarray, y: np.ndarray, a: np.ndarray, b: float, C: float) -> float:
+    """Largest per-point KKT violation of a dual solution with bias b, where
+    f_i = sum_j a_j y_j K_ij + b: y_i f_i >= 1 at a_i = 0, y_i f_i <= 1 at
+    a_i = C and y_i f_i = 1 in between."""
+    worst = 0.0
+    for i in range(len(y)):
+        yf = y[i] * (sum(a[j] * y[j] * K[i, j] for j in range(len(y))) + b)
+        if a[i] <= 0.0:
+            v = max(0.0, 1.0 - yf)
+        elif a[i] >= C:
+            v = max(0.0, yf - 1.0)
+        else:
+            v = abs(yf - 1.0)
+        worst = max(worst, float(v))
+    return worst
+
+
 def _kkt_polish(K: np.ndarray, y: np.ndarray, a: np.ndarray, C: float) -> np.ndarray:
     """Refine by solving the equality-constrained QP on the free variables."""
     Q = K * np.outer(y, y)
@@ -109,6 +126,18 @@ def qp_oracle(K: np.ndarray, y: np.ndarray, C: float, max_iter: int = 200_000) -
             stall = 0
         a = a_new
     return _kkt_polish(K, y, a, C)
+
+
+# ---------------------------------------------------------------------------
+# RBF kernel over boolean + dense features
+
+def rbf_kernel(x_bools, x_dense, z_bools, z_dense, gamma: float) -> float:
+    """exp(-gamma * ||x - z||^2) for one pair of instances, each given as the
+    column indices of its boolean features and its dense vector. On 0/1
+    columns the squared distance is the size of the symmetric difference."""
+    d2 = len(set(int(c) for c in x_bools) ^ set(int(c) for c in z_bools))
+    d2 += sum((float(p) - float(q)) ** 2 for p, q in zip(x_dense, z_dense, strict=True))
+    return float(np.exp(-gamma * d2))
 
 
 # ---------------------------------------------------------------------------

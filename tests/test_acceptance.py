@@ -19,6 +19,7 @@ from oracles import (
     conv1d_oracle,
     f1_oracle,
     finite_diff_grads,
+    kkt_violation,
     lstm_oracle,
     qp_objective,
     qp_oracle,
@@ -45,8 +46,6 @@ from relclass.features import load_levin_table
 from relclass.search import SearchSpace, sample_config, stratified_split
 from relclass.svm import (
     kernel_matrix,
-    kkt_violation,
-    dual_objective,
     load_svm_model,
     packed_from_bool_lists,
     pairwise_coupling,
@@ -102,7 +101,7 @@ def test_c02_smo_matches_qp_oracle():
         K = kernel_matrix(packed, packed, gamma)
         alpha, b, _, converged = smo_solve(K, y, C)
         assert converged
-        ours = dual_objective(K, y, alpha)
+        ours = qp_objective(K, y, alpha)
         ref = qp_objective(K, y, qp_oracle(K, y, C, max_iter=20_000))
         worst_rel = max(worst_rel, abs(ours - ref) / max(abs(ref), 1e-12))
         worst_kkt = max(worst_kkt, kkt_violation(K, y, alpha, b, C))

@@ -2,12 +2,17 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from relclass.cli import fixture_path, main
 from relclass.corpus import LABELS, write_corpus
 from relclass.embeddings import save_table
+from relclass.modelio import decode_array, encode_array
 from relclass.synthetic import make_corpus, make_embedding_table
 
 CLSTM_SMOKE = ["--num-filters", "8", "--filter-width", "2", "--rnn-units", "8",
@@ -169,6 +174,26 @@ def _drop_pair_sv_index(payload):
     return payload
 
 
+def _first_bool_row(payload):
+    return next(row for row in payload["sv_bool"] if row)
+
+
+def _sv_bool_column_past_space(payload):
+    _first_bool_row(payload)[-1] = len(payload["space"])
+    return payload
+
+
+def _sv_bool_duplicate_column(payload):
+    row = _first_bool_row(payload)
+    row.append(row[-1])
+    return payload
+
+
+def _sv_dense_column_short(payload):
+    payload["sv_dense"] = encode_array(decode_array(payload["sv_dense"])[:, :-1])
+    return payload
+
+
 def _add_hyper_key(payload):
     payload["hyper"]["momentum"] = 0.9
     return payload
@@ -185,10 +210,14 @@ def _drop(key):
     ("svm", _pair_sv_past_block),
     ("svm", _drop_pair_sv_index),
     ("svm", lambda payload: {**payload, "version": 1}),
+    ("svm", _sv_bool_column_past_space),
+    ("svm", _sv_bool_duplicate_column),
+    ("svm", _sv_dense_column_short),
     ("clstm", _add_hyper_key),
     ("clstm", _drop("freq")),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
+        "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column", "svm-sv-dense-width",
         "clstm-unknown-hyper-key", "clstm-missing-freq"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):
@@ -203,6 +232,14 @@ def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_pat
     assert rc == 2
     assert str(bad) in capsys.readouterr().err
     assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, relclass.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_evaluate_perfect_predictions(workdir, tmp_path, capsys):

@@ -5,21 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coupling_oracle, qp_objective, qp_oracle
+from oracles import coupling_oracle, kkt_violation, qp_objective, qp_oracle, rbf_kernel
 from relclass.corpus import RelationLabel
 from relclass.embeddings import cosine
 from relclass.features import FeatureVector
 from relclass.svm import (
     SvmTrainingError,
-    dual_objective,
     fit_sigmoid,
     kernel_matrix,
-    kkt_violation,
     load_svm_model,
     pack_features,
     packed_from_bool_lists,
     pairwise_coupling,
-    rbf_kernel,
     save_svm_model,
     smo_solve,
     squared_distances,
@@ -58,8 +55,9 @@ def test_kernel_combines_boolean_and_dense():
 def test_rbf_kernel_gamma_zero_limit():
     u = FeatureVector(np.array([0, 1]), np.array([0.3, 0.9]), 4)
     v = FeatureVector(np.array([2]), np.array([0.0, 0.0]), 4)
-    assert rbf_kernel(u, v, gamma=0.0) == 1.0
-    assert rbf_kernel(u, v, gamma=1e-12) == pytest.approx(1.0, abs=1e-9)
+    assert rbf_kernel(u.bool_indices, u.dense, v.bool_indices, v.dense, gamma=0.0) == 1.0
+    assert rbf_kernel(u.bool_indices, u.dense, v.bool_indices, v.dense,
+                      gamma=1e-12) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_smo_eight_point_separable_matches_oracle():
@@ -69,7 +67,7 @@ def test_smo_eight_point_separable_matches_oracle():
     K, yv = dense_problem(X, y, gamma=0.5)
     alpha, b, _, converged = smo_solve(K, yv, C=1.0)
     assert converged
-    ours = dual_objective(K, yv, alpha)
+    ours = qp_objective(K, yv, alpha)
     ref = qp_objective(K, yv, qp_oracle(K, yv, 1.0))
     assert abs(ours - ref) / max(abs(ref), 1e-12) <= 1e-4
     assert kkt_violation(K, yv, alpha, b, 1.0) <= 1e-3
@@ -81,7 +79,7 @@ def test_smo_random_problems_match_oracle():
         K, y, C = random_problem(rng)
         alpha, b, _, converged = smo_solve(K, y, C)
         assert converged
-        ours = dual_objective(K, y, alpha)
+        ours = qp_objective(K, y, alpha)
         ref = qp_objective(K, y, qp_oracle(K, y, C))
         assert abs(ours - ref) / max(abs(ref), 1e-12) <= 1e-4
         assert kkt_violation(K, y, alpha, b, C) <= 1e-3
@@ -308,6 +306,13 @@ def test_packed_roundtrip_through_index_lists(svm_model):
                           kernel_matrix(rebuilt, rebuilt, 0.1))
 
 
+@pytest.mark.parametrize("row", [[2, 1], [1, 1], [-1, 2], [0, 3]],
+                         ids=["unsorted", "duplicate", "negative", "space-size"])
+def test_packed_rows_reject_bad_columns(row):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        packed_from_bool_lists([[0, 2], row], np.zeros((2, 1)), 3)
+
+
 def test_pack_features_consistency(svm_model, syn_table):
     corpus, model = svm_model
     from relclass.features import assemble
@@ -321,7 +326,8 @@ def test_pack_features_consistency(svm_model, syn_table):
     # pairwise kernel agrees with the single-pair path
     K = kernel_matrix(packed, packed, gamma=0.2)
     for i, j in itertools.combinations(range(4), 2):
-        assert K[i, j] == pytest.approx(rbf_kernel(fvs[i], fvs[j], 0.2), abs=1e-12)
+        ref = rbf_kernel(fvs[i].bool_indices, fvs[i].dense, fvs[j].bool_indices, fvs[j].dense, 0.2)
+        assert K[i, j] == pytest.approx(ref, abs=1e-12)
 
 
 def test_synthetic_keywords_are_separable(syn_table):
