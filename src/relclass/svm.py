@@ -144,48 +144,74 @@ def smo_solve(
     Maximizes sum(a) - 1/2 (a*y)' K (a*y) subject to 0 <= a <= C and
     y'a = 0, stopping when the maximal KKT violation m - M drops to tol.
     Returns (alpha, bias, iterations, converged).
+
+    Working-set selection and the stopping rule are those of LIBSVM's
+    ``Solver`` (Chang & Lin, ACM TIST 2011), with its gradient bookkeeping:
+    besides G = y - f the loop keeps two masked copies,
+    ``g_up = where(up, G, -inf)`` and ``g_low = where(low, G, inf)``, where
+    up = {k : y_k = +1, a_k < C or y_k = -1, a_k > 0} and low is its mirror.
+    Each step subtracts one update vector from all three in place, and only
+    i and j can change set membership, so only they are re-masked. i and j
+    are the first argmax of g_up and the first argmin of g_low; a set is
+    empty when its extreme is -inf (up) or +inf (low).
     """
     n = K.shape[0]
     y = np.asarray(y, dtype=np.float64)
     if K.shape != (n, n) or y.shape != (n,):
         raise ValueError("kernel/label shape mismatch")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and > 0, got {C!r}")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise SvmTrainingError("both classes must be present")
-    alpha = np.zeros(n)
-    G = y.copy()  # y - f with f = K (alpha*y) = 0 at the start
-    pos = y > 0
+    C = float(C)
+    pos = (y > 0).tolist()
+    sign = y.tolist()
+    alpha = [0.0] * n  # Python floats: scalar steps skip numpy's per-call cost
+    # rows G = y - f, g_up, g_low; f = K (alpha*y) = 0 at the start, where up
+    # holds the positives and low the negatives
+    W = np.empty((3, n))
+    G, g_up, g_low = W
+    G[:] = y
+    g_up[:] = np.where(y > 0, y, -np.inf)
+    g_low[:] = np.where(y > 0, np.inf, y)
+    # row i of K.T is K[:, i] whether or not K is symmetric; one copy per call
+    # makes every column read in the loop contiguous
+    Kc = np.ascontiguousarray(K.T)
+    diff = np.empty(n)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        up = np.where(pos, alpha < C, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < C)
-        if not up.any() or not low.any():
+        i = int(g_up.argmax())
+        j = int(g_low.argmin())
+        m, M = g_up.item(i), g_low.item(j)
+        if m == -math.inf or M == math.inf or m - M <= tol:
             converged = True
             break
-        i = int(np.argmax(np.where(up, G, -np.inf)))
-        j = int(np.argmin(np.where(low, G, np.inf)))
-        m, M = G[i], G[j]
-        if m - M <= tol:
-            converged = True
-            break
-        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
-        hi_i = C - alpha[i] if y[i] > 0 else alpha[i]
-        hi_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        eta = max(K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j), 1e-12)
+        hi_i = C - alpha[i] if pos[i] else alpha[i]
+        hi_j = alpha[j] if pos[j] else C - alpha[j]
         t = min((m - M) / eta, hi_i, hi_j)
         # snap exactly onto the box when the step is bound-limited
         if t == hi_i:
-            alpha[i] = C if y[i] > 0 else 0.0
+            alpha[i] = C if pos[i] else 0.0
         else:
-            alpha[i] += y[i] * t
+            alpha[i] += sign[i] * t
         if t == hi_j:
-            alpha[j] = 0.0 if y[j] > 0 else C
+            alpha[j] = 0.0 if pos[j] else C
         else:
-            alpha[j] -= y[j] * t
-        G -= t * (K[:, i] - K[:, j])
+            alpha[j] -= sign[j] * t
+        np.subtract(Kc[i], Kc[j], out=diff)
+        diff *= t
+        W -= diff
+        for k in (i, j):
+            a, g = alpha[k], G.item(k)
+            g_up[k] = g if (a < C if pos[k] else a > 0.0) else -math.inf
+            g_low[k] = g if (a > 0.0 if pos[k] else a < C) else math.inf
     else:
         it = max_iter
     if not converged:
         log.warning("SMO hit the iteration cap (%d) before reaching tol=%g", max_iter, tol)
+    alpha = np.array(alpha)
     _rebalance(alpha, y, C)
     b = _bias(alpha, y, G, C)
     return alpha, b, it, converged
@@ -462,6 +488,9 @@ def train_multiclass(
     Pairs with a missing class are skipped; their pairwise probability
     defaults to 0.5 at prediction time.
     """
+    for name, value in (("C", C), ("gamma", gamma)):
+        if not (math.isfinite(value) and value > 0):
+            raise SvmTrainingError(f"{name} must be finite and > 0, got {value!r}")
     labeled = [inst for inst in train if inst.label is not None]
     if len(labeled) != len(train):
         raise SvmTrainingError("training corpus contains unlabeled instances")

@@ -128,6 +128,76 @@ def qp_oracle(K: np.ndarray, y: np.ndarray, C: float, max_iter: int = 200_000) -
     return _kkt_polish(K, y, a, C)
 
 
+def smo_reference(
+    K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_iter: int = 100_000
+) -> tuple[np.ndarray, float, int, bool]:
+    """Maximal-violating-pair SMO that rebuilds the up/low masks and both
+    masked gradients from scratch every iteration: the package's solver
+    before it kept them up to date in place. The package's ``smo_solve``
+    must return exactly the same (alpha, bias, iterations, converged)."""
+    n = K.shape[0]
+    y = np.asarray(y, dtype=np.float64)
+    alpha = np.zeros(n)
+    G = y.copy()
+    pos = y > 0
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        up = np.where(pos, alpha < C, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < C)
+        if not up.any() or not low.any():
+            converged = True
+            break
+        i = int(np.argmax(np.where(up, G, -np.inf)))
+        j = int(np.argmin(np.where(low, G, np.inf)))
+        m, M = G[i], G[j]
+        if m - M <= tol:
+            converged = True
+            break
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        hi_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        hi_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min((m - M) / eta, hi_i, hi_j)
+        if t == hi_i:
+            alpha[i] = C if y[i] > 0 else 0.0
+        else:
+            alpha[i] += y[i] * t
+        if t == hi_j:
+            alpha[j] = 0.0 if y[j] > 0 else C
+        else:
+            alpha[j] -= y[j] * t
+        G -= t * (K[:, i] - K[:, j])
+    else:
+        it = max_iter
+    _reference_rebalance(alpha, y, C)
+    return alpha, _reference_bias(alpha, y, G, C), it, converged
+
+
+def _reference_rebalance(alpha: np.ndarray, y: np.ndarray, C: float) -> None:
+    s = float(np.dot(alpha, y))
+    if s == 0.0:
+        return
+    margin = np.minimum(alpha, C - alpha)
+    for idx in np.argsort(-margin):
+        if s == 0.0 or margin[idx] <= 0.0:
+            break
+        delta = float(np.clip(y[idx] * s, -margin[idx], margin[idx]))
+        alpha[idx] -= delta
+        s -= y[idx] * delta
+
+
+def _reference_bias(alpha: np.ndarray, y: np.ndarray, G: np.ndarray, C: float) -> float:
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        return float(G[free].mean())
+    pos = y > 0
+    up = np.where(pos, alpha < C, alpha > 0)
+    low = np.where(pos, alpha > 0, alpha < C)
+    m = G[up].max() if up.any() else 0.0
+    M = G[low].min() if low.any() else 0.0
+    return float((m + M) / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # RBF kernel over boolean + dense features
 

@@ -96,6 +96,21 @@ def test_train_rejects_unlabeled_corpus(workdir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--C", "0"), ("--C", "-1"), ("--C", "nan"), ("--C", "inf"),
+    ("--gamma", "0"), ("--gamma", "-1"),
+])
+def test_train_rejects_bad_svm_hyperparameter(workdir, tmp_path, capsys, flag, value):
+    out = tmp_path / "m.json"
+    rc = main([
+        "train", "--model", "svm", "--train", str(workdir / "train.jsonl"),
+        "--embeddings", str(workdir / "emb.txt"), "--out", str(out), flag, value,
+    ])
+    assert rc == 2
+    assert f"{flag[2:]} must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_bad_model_name(workdir, tmp_path):
     rc = main([
         "train", "--model", "svm", "--train", str(workdir / "missing.jsonl"),

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coupling_oracle, kkt_violation, qp_objective, qp_oracle, rbf_kernel
+from oracles import (
+    coupling_oracle,
+    kkt_violation,
+    qp_objective,
+    qp_oracle,
+    rbf_kernel,
+    smo_reference,
+)
 from relclass.corpus import RelationLabel
 from relclass.embeddings import cosine
 from relclass.features import FeatureVector
@@ -103,6 +110,49 @@ def test_smo_xor_all_support_vectors():
     assert np.all(alpha > 1e-8)
     dec = K @ (alpha * yv) + b
     assert np.all(np.sign(dec) == yv)
+
+
+def reference_problem(rng):
+    """A random dual with n in [2, 40]; about a third of them repeat rows, so
+    gradients tie, and about a quarter perturb K off symmetry."""
+    n = int(rng.integers(2, 41))
+    X = rng.normal(0.0, 1.0, (n, int(rng.integers(1, 6))))
+    if n >= 4 and rng.random() < 0.35:
+        X[rng.choice(n, n // 2, replace=False)] = X[rng.integers(0, n, n // 2)]
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    K, y = dense_problem(X, y, float(rng.uniform(0.05, 1.0)))
+    if rng.random() < 0.25:
+        K = K + rng.uniform(0.0, 0.05, K.shape)
+    return K, y, float(rng.choice([0.1, 1.0, 100.0])), int(rng.choice([1, 3, 50, 100_000]))
+
+
+def test_smo_matches_reference_bitwise():
+    rng = np.random.default_rng(2011)
+    for _ in range(200):
+        K, y, C, max_iter = reference_problem(rng)
+        alpha, b, n_iter, converged = smo_solve(K, y, C, max_iter=max_iter)
+        ref_alpha, ref_b, ref_iter, ref_converged = smo_reference(K, y, C, max_iter=max_iter)
+        assert np.array_equal(alpha, ref_alpha)
+        assert (b, n_iter, converged) == (ref_b, ref_iter, ref_converged)
+
+
+def test_smo_iteration_cap(caplog):
+    K, y, C = random_problem(np.random.default_rng(5))
+    with caplog.at_level("WARNING", logger="relclass.svm"):
+        alpha, _, n_iter, converged = smo_solve(K, y, C, max_iter=1)
+    assert not converged and n_iter == 1
+    assert any("iteration cap" in rec.getMessage() for rec in caplog.records
+               if rec.name == "relclass.svm")
+    assert np.all(alpha >= 0.0) and np.all(alpha <= C)
+    assert abs(float(alpha @ y)) <= 1e-9
+
+
+@pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf])
+def test_smo_rejects_bad_C(C):
+    K, y, _ = random_problem(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="C must be finite"):
+        smo_solve(K, y, C)
 
 
 def test_sigmoid_separated_scores():
