@@ -193,6 +193,8 @@ def cmd_train(cfg: RunConfig) -> int:
         report["l_max"] = model.l_max
         report["loss_history"] = list(model.loss_history)
         report["final_epoch_loss"] = model.loss_history[-1] if model.loss_history else None
+        live, total = model.windows
+        report["windows"] = {"live": live, "total": total}
     report["timing"] = {"train_seconds": time.perf_counter() - start}
     _write_json(report, cfg.report)
     print(f"model written to {out}")

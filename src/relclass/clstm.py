@@ -143,7 +143,8 @@ def init_params(
 # Activations are time-major: row t of an (m, B, .) array is window/step t
 # of every instance in the batch. The four gates are fused in the order
 # i, f, o, g (Appleyard et al., arXiv:1604.01946): one (4u, k) input
-# projection over all steps at once, one (4u, u) recurrent matmul per step.
+# projection over the live windows of all steps at once, one (4u, u)
+# recurrent matmul per step.
 
 GATES = "ifog"
 
@@ -162,12 +163,30 @@ def _window_slices(m: int, ws: int, st: int) -> list[slice]:
     return [slice(w, w + (m - 1) * st + 1, st) for w in range(ws)]
 
 
+def _live_windows(batch: np.ndarray, ws: int, st: int) -> np.ndarray:
+    """(m, B) mask of the windows of a (B, v, l_max) batch that read at least
+    one nonzero input column. The others are dead: all their inputs are 0."""
+    B, _, l_max = batch.shape
+    m = n_windows(l_max, ws, st)
+    nonzero = batch.any(axis=1).T
+    live = np.zeros((m, B), dtype=bool)
+    for cols in _window_slices(m, ws, st):
+        live |= nonzero[cols]
+    return live
+
+
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs, for one batch."""
+    """Everything the backward pass needs, for one batch.
 
-    inputs: np.ndarray  # (l_max, B, v) padded inputs, time-major
-    xs: np.ndarray  # (m, B, k) conv feature maps, post-ReLU
+    A window whose input columns are all zero is dead: its conv feature map
+    is exactly relu(conv_b), so only the live windows are stored.
+    """
+
+    live: np.ndarray  # (m, B) live-window mask, time-major
+    windows: np.ndarray  # (n_live, ws * v) live input windows, columns as in conv_w
+    x_live: np.ndarray  # (n_live, k) conv feature maps of the live windows, post-ReLU
+    x_dead: np.ndarray  # (k,) the feature map of every dead window, relu(conv_b)
     gates: np.ndarray  # (m, B, 4, u) gate activations, in the order of GATES
     cells: np.ndarray  # (m + 1, B, u) c_t, with c_0 = 0 first
     hiddens: np.ndarray  # (m + 1, B, u) h_t, with h_0 = 0 first
@@ -190,23 +209,27 @@ def forward_batch(
     """
     B, v, l_max = batch.shape
     u = hyper.rnn_units
-    m = n_windows(l_max, hyper.filter_width, hyper.stride)
-    inputs = np.ascontiguousarray(batch.transpose(2, 0, 1))
+    ws, st = hyper.filter_width, hyper.stride
+    live = _live_windows(batch, ws, st)
+    m = live.shape[0]
 
-    # conv: window j sums, over the filter's columns w, block w of conv_w
-    # times input column j*st + w; one matmul per w covers every window
-    conv_w = params["conv_w"]
-    xs = np.zeros((m * B, conv_w.shape[0]))
-    for w, cols in enumerate(_window_slices(m, hyper.filter_width, hyper.stride)):
-        xs += inputs[cols].reshape(m * B, v) @ conv_w[:, w * v : (w + 1) * v].T
-    xs += params["conv_b"]
-    np.maximum(xs, 0.0, out=xs)
+    # conv on the live windows only: gather each one's ws input columns into
+    # a row (im2col), so the conv is one matmul; a dead window gives relu(conv_b)
+    steps, rows = np.divmod(np.flatnonzero(live), B)
+    windows = batch[rows[:, None], :, steps[:, None] * st + np.arange(ws)].reshape(-1, ws * v)
+    x_live = windows @ params["conv_w"].T
+    x_live += params["conv_b"]
+    np.maximum(x_live, 0.0, out=x_live)
+    x_dead = np.maximum(params["conv_b"], 0.0)
 
+    # the (4u, k) input projection on the live rows; every dead row gets the
+    # same constant pre-activation
     w_x, w_h, bias = _fused(params)
-    gates = xs @ w_x.T
-    gates += bias
+    gates = np.empty((m * B, 4 * u))
+    flat_live = live.ravel()
+    gates[~flat_live] = x_dead @ w_x.T + bias
+    gates[flat_live] = x_live @ w_x.T + bias
     gates = gates.reshape(m, B, 4, u)
-    xs = xs.reshape(m, B, -1)
     cells = np.zeros((m + 1, B, u))
     hiddens = np.zeros((m + 1, B, u))
     for t in range(m):
@@ -231,7 +254,7 @@ def forward_batch(
         mask = np.ones((B, u))
     h_drop = hiddens[m] * mask
     probs = softmax(h_drop @ params["soft_w"].T + params["soft_b"])
-    return ForwardCache(inputs, xs, gates, cells, hiddens, mask, h_drop, probs)
+    return ForwardCache(live, windows, x_live, x_dead, gates, cells, hiddens, mask, h_drop, probs)
 
 
 def batch_loss(cache: ForwardCache, gold: np.ndarray, params: dict[str, np.ndarray], l2_scale: float) -> float:
@@ -248,8 +271,7 @@ def backward_batch(
     hyper: Hyperparams,
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of batch_loss for every trainable tensor."""
-    _, B, v = cache.inputs.shape
-    m, _, k = cache.xs.shape
+    m, B = cache.live.shape
     u = hyper.rnn_units
 
     dlogits = cache.probs.copy()
@@ -285,8 +307,13 @@ def backward_batch(
         dh = d.reshape(B, 4 * u) @ w_h
 
     da = da.reshape(m * B, 4 * u)
-    xs = cache.xs.reshape(m * B, k)
-    d_wx = da.T @ xs
+    flat_live = cache.live.ravel()
+    da_live = da[flat_live]
+    # every dead row has the same input x_dead, so their share of the input
+    # weights and of conv_b is one rank-1 term in the sum of their da
+    da_dead = da[~flat_live].sum(axis=0)
+    d_wx = da_live.T @ cache.x_live
+    d_wx += np.outer(da_dead, cache.x_dead)
     d_wh = da.T @ cache.hiddens[:-1].reshape(m * B, u)
     d_b = da.sum(axis=0)
     for n, gate in enumerate(GATES):
@@ -295,13 +322,11 @@ def backward_batch(
         grads["u_" + gate] = d_wh[rows]
         grads["b_" + gate] = d_b[rows]
 
-    dz = da @ w_x
-    dz *= xs > 0
-    slices = _window_slices(m, hyper.filter_width, hyper.stride)
-    grads["conv_w"] = np.concatenate(
-        [dz.T @ cache.inputs[cols].reshape(m * B, v) for cols in slices], axis=1
-    )
-    grads["conv_b"] = dz.sum(axis=0)
+    # a dead window's inputs are zero, so it adds nothing to the conv_w gradient
+    dz = da_live @ w_x
+    dz *= cache.x_live > 0
+    grads["conv_w"] = dz.T @ cache.windows
+    grads["conv_b"] = dz.sum(axis=0) + (da_dead @ w_x) * (cache.x_dead > 0)
     return {name: grads[name] for name in PARAM_NAMES}
 
 
@@ -332,16 +357,23 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update with bias correction."""
+    """One Adam update with bias correction, in place on params and state."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
     for name, g in grads.items():
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g**2
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        step = m / bc1
+        step *= lr
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        params[name] -= step
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +388,8 @@ class ClstmModel(modelio.Classifier):
     freq_threshold: int
     table: EmbeddingTable
     loss_history: tuple[float, ...] = field(default=(), compare=False)
+    # (live, total) conv windows over the padded training corpus
+    windows: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def _padded(self, inst: RelationInstance) -> np.ndarray:
         I = build_sequence(inst, self.table, self.freq, self.freq_threshold)
@@ -406,6 +440,7 @@ def train(
             f"filter width {hyper.filter_width} exceeds the longest sequence ({l_max})"
         )
     padded = np.stack([pad(seq, l_max) for seq in sequences])
+    live = _live_windows(padded, hyper.filter_width, hyper.stride)
     label_idx = {label: i for i, label in enumerate(LABELS)}
     gold = np.array([label_idx[inst.label] for inst in labeled], dtype=np.int64)
 
@@ -432,6 +467,7 @@ def train(
         freq_threshold=freq_threshold,
         table=table,
         loss_history=tuple(history),
+        windows=(int(live.sum()), live.size),
     )
 
 

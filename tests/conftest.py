@@ -21,6 +21,15 @@ def make_instance(tokens, e1, e2, label=RelationLabel.USAGE, reverse=False,
                             label=label, reverse=reverse, subtask=subtask)
 
 
+def feature_maps(cache):
+    """The (m, B, k) conv feature maps of a forward_batch cache: the stored
+    maps at the live windows, relu(conv_b) at every dead one."""
+    m, B = cache.live.shape
+    xs = np.broadcast_to(cache.x_dead, (m, B, cache.x_dead.size)).copy()
+    xs[cache.live] = cache.x_live
+    return xs
+
+
 def conv_maps(I_pad, filters, bias, stride):
     """The k x m conv feature maps of one padded instance, read from the
     forward_batch cache of a batch of one."""
@@ -29,7 +38,7 @@ def conv_maps(I_pad, filters, bias, stride):
     hyper = Hyperparams(num_filters=k, filter_width=flat // v, rnn_units=1, stride=stride)
     params = init_params(v, hyper, np.random.default_rng(0))
     params.update(conv_w=filters, conv_b=bias)
-    return forward_batch(I_pad[None], params, hyper).xs[:, 0].T
+    return feature_maps(forward_batch(I_pad[None], params, hyper))[:, 0].T
 
 
 # the bundled example sentence: "Combination methods are an effective way of

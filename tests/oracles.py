@@ -6,6 +6,8 @@ naive loops or generic solvers, deliberately sharing no code with the package.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -271,6 +273,220 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     return float(np.linalg.norm(a - b)) / max(na + nb, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# dense conv-LSTM reference
+#
+# The package's batched forward/backward pass as it was before it skipped
+# all-zero conv windows: every window of the padded input is convolved and
+# projected, with no live/dead split. Copied verbatim, with its own copies of
+# the helpers it calls; ``hyper`` is any object with the package's
+# Hyperparams attributes.
+
+PARAM_NAMES = (
+    "conv_w", "conv_b",
+    "w_i", "u_i", "b_i",
+    "w_f", "u_f", "b_f",
+    "w_o", "u_o", "b_o",
+    "w_g", "u_g", "b_g",
+    "soft_w", "soft_b",
+)
+
+GATES = "ifog"
+
+
+def n_windows(l_max: int, ws: int, st: int) -> int:
+    if ws > l_max:
+        raise ValueError(f"filter width {ws} exceeds padded length {l_max}")
+    return (l_max - ws) // st + 1
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _fused(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Input weights (4u, k), recurrent weights (4u, u) and biases (4u,)."""
+    return (
+        np.concatenate([params["w_" + g] for g in GATES]),
+        np.concatenate([params["u_" + g] for g in GATES]),
+        np.concatenate([params["b_" + g] for g in GATES]),
+    )
+
+
+def _window_slices(m: int, ws: int, st: int) -> list[slice]:
+    """Per filter column w, the time steps that feed column w of the m windows."""
+    return [slice(w, w + (m - 1) * st + 1, st) for w in range(ws)]
+
+
+@dataclass
+class ForwardCache:
+    """Everything the backward pass needs, for one batch."""
+
+    inputs: np.ndarray  # (l_max, B, v) padded inputs, time-major
+    xs: np.ndarray  # (m, B, k) conv feature maps, post-ReLU
+    gates: np.ndarray  # (m, B, 4, u) gate activations, in the order of GATES
+    cells: np.ndarray  # (m + 1, B, u) c_t, with c_0 = 0 first
+    hiddens: np.ndarray  # (m + 1, B, u) h_t, with h_0 = 0 first
+    mask: np.ndarray  # dropout mask incl. inverted scaling, (B, u)
+    h_drop: np.ndarray  # (B, u)
+    probs: np.ndarray  # (B, n_classes)
+
+
+def dense_forward_batch(
+    batch: np.ndarray,
+    params: dict[str, np.ndarray],
+    hyper,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> ForwardCache:
+    """Class distributions for a (B, v, l_max) batch of padded inputs.
+
+    At training time an inverted-scaling dropout mask is applied to the final
+    hidden state; inference never drops.
+    """
+    B, v, l_max = batch.shape
+    u = hyper.rnn_units
+    m = n_windows(l_max, hyper.filter_width, hyper.stride)
+    inputs = np.ascontiguousarray(batch.transpose(2, 0, 1))
+
+    # conv: window j sums, over the filter's columns w, block w of conv_w
+    # times input column j*st + w; one matmul per w covers every window
+    conv_w = params["conv_w"]
+    xs = np.zeros((m * B, conv_w.shape[0]))
+    for w, cols in enumerate(_window_slices(m, hyper.filter_width, hyper.stride)):
+        xs += inputs[cols].reshape(m * B, v) @ conv_w[:, w * v : (w + 1) * v].T
+    xs += params["conv_b"]
+    np.maximum(xs, 0.0, out=xs)
+
+    w_x, w_h, bias = _fused(params)
+    gates = xs @ w_x.T
+    gates += bias
+    gates = gates.reshape(m, B, 4, u)
+    xs = xs.reshape(m, B, -1)
+    cells = np.zeros((m + 1, B, u))
+    hiddens = np.zeros((m + 1, B, u))
+    for t in range(m):
+        a = gates[t]
+        a += (hiddens[t] @ w_h.T).reshape(B, 4, u)
+        # sigmoid as 0.5 * (1 + tanh(x / 2)): no overflow, no mask
+        sig = a[:, :3]
+        sig *= 0.5
+        np.tanh(a, out=a)
+        sig += 1.0
+        sig *= 0.5
+        i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        np.add(f * cells[t], i * g, out=cells[t + 1])
+        np.multiply(o, np.tanh(cells[t + 1]), out=hiddens[t + 1])
+
+    if training and hyper.dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("training-time dropout needs an RNG")
+        keep = 1.0 - hyper.dropout_rate
+        mask = (rng.random((B, u)) < keep) / keep
+    else:
+        mask = np.ones((B, u))
+    h_drop = hiddens[m] * mask
+    probs = softmax(h_drop @ params["soft_w"].T + params["soft_b"])
+    return ForwardCache(inputs, xs, gates, cells, hiddens, mask, h_drop, probs)
+
+
+def dense_backward_batch(
+    cache: ForwardCache,
+    gold: np.ndarray,
+    params: dict[str, np.ndarray],
+    hyper,
+) -> dict[str, np.ndarray]:
+    """Analytic gradients of batch_loss for every trainable tensor."""
+    _, B, v = cache.inputs.shape
+    m, _, k = cache.xs.shape
+    u = hyper.rnn_units
+
+    dlogits = cache.probs.copy()
+    dlogits[np.arange(B), gold] -= 1.0
+    dlogits /= B
+
+    grads = {
+        "soft_w": dlogits.T @ cache.h_drop + hyper.l2_scale * params["soft_w"],
+        "soft_b": dlogits.sum(axis=0),
+    }
+
+    w_x, w_h, _ = _fused(params)
+    gates, cells = cache.gates, cache.cells
+    # pre-activation gradients of all steps, (m, B, 4, u) like the gates
+    da = np.empty((m, B, 4, u))
+    dh = (dlogits @ params["soft_w"]) * cache.mask
+    dc = np.zeros((B, u))
+    for t in range(m - 1, -1, -1):
+        a = gates[t]
+        i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        tanh_c = np.tanh(cells[t + 1])
+        dc += dh * o * (1.0 - tanh_c * tanh_c)
+        d = da[t]
+        # activation derivatives: s(1 - s) for the sigmoid gates, 1 - g^2 for g
+        np.subtract(1.0, a, out=d)
+        d *= a
+        np.subtract(1.0, g * g, out=d[:, 3])
+        d[:, 0] *= dc * g
+        d[:, 1] *= dc * cells[t]
+        d[:, 2] *= dh * tanh_c
+        d[:, 3] *= dc * i
+        dc *= f
+        dh = d.reshape(B, 4 * u) @ w_h
+
+    da = da.reshape(m * B, 4 * u)
+    xs = cache.xs.reshape(m * B, k)
+    d_wx = da.T @ xs
+    d_wh = da.T @ cache.hiddens[:-1].reshape(m * B, u)
+    d_b = da.sum(axis=0)
+    for n, gate in enumerate(GATES):
+        rows = slice(n * u, (n + 1) * u)
+        grads["w_" + gate] = d_wx[rows]
+        grads["u_" + gate] = d_wh[rows]
+        grads["b_" + gate] = d_b[rows]
+
+    dz = da @ w_x
+    dz *= xs > 0
+    slices = _window_slices(m, hyper.filter_width, hyper.stride)
+    grads["conv_w"] = np.concatenate(
+        [dz.T @ cache.inputs[cols].reshape(m * B, v) for cols in slices], axis=1
+    )
+    grads["conv_b"] = dz.sum(axis=0)
+    return {name: grads[name] for name in PARAM_NAMES}
+
+
+def clstm_dense_reference(batch, gold, params, hyper, training=False, rng=None):
+    """(ForwardCache, gradients) of one batch from the dense reference."""
+    cache = dense_forward_batch(batch, params, hyper, training, rng)
+    return cache, dense_backward_batch(cache, gold, params, hyper)
+
+
+# ---------------------------------------------------------------------------
+# Adam reference: the package's update before it worked in place
+
+def adam_step_reference(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    state,
+    lr: float = 0.002,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """One Adam update with bias correction, allocating new moment arrays;
+    ``state`` is any object with ``m``, ``v`` (dicts of arrays) and ``t``."""
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    for name, g in grads.items():
+        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g**2
+        m_hat = state.m[name] / bc1
+        v_hat = state.v[name] / bc2
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,10 @@ def test_train_clstm_seed_reproducible(workdir, tmp_path):
         assert len(report["loss_history"]) == 2  # one loss per epoch
         assert all(math.isfinite(loss) for loss in report["loss_history"])
         assert report["loss_history"][-1] == report["final_epoch_loss"]
+        # filter width 2, stride 1: l_max - 1 windows per instance
+        total = report["instances"] * (report["l_max"] - 1)
+        assert report["windows"]["total"] == total
+        assert 0 < report["windows"]["live"] < total
     assert digests[0] == digests[1]
     assert histories[0] == histories[1]
 

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conv_maps, make_instance, tok
-from oracles import conv1d_oracle, finite_diff_grads, lstm_oracle, relative_error
+from conftest import conv_maps, feature_maps, make_instance, tok
+from oracles import (
+    adam_step_reference,
+    clstm_dense_reference,
+    conv1d_oracle,
+    finite_diff_grads,
+    lstm_oracle,
+    relative_error,
+)
 from relclass import clstm
 from relclass.clstm import (
     PARAM_NAMES,
@@ -172,7 +179,7 @@ def test_lstm_zero_parameters_give_zero_state():
               for name, p in init_params(2, hyper, np.random.default_rng(0)).items()}
     params["conv_b"] = np.ones(2)
     cache = forward_batch(np.ones((1, 2, 5)), params, hyper)
-    assert np.all(cache.xs > 0)
+    assert np.all(feature_maps(cache) > 0)
     assert np.array_equal(cache.hiddens, np.zeros((5, 1, 3)))
 
 
@@ -248,14 +255,8 @@ def test_perfect_prediction_loss_is_regularizer_only():
     assert batch_loss(cache, np.array([0, 0]), params, l2_scale=0.0) <= 1e-12
 
 
-def test_gradients_match_finite_differences():
-    params = tiny_params(seed=5)
-    hyper = TINY
-    batch = np.random.default_rng(99).normal(0, 1, (2, 3, 6))
-    gold = np.array([2, 5])
-
-    cache = forward_batch(batch, params, hyper)
-    grads = backward_batch(cache, gold, params, hyper)
+def assert_gradients_match_finite_differences(batch, gold, params, hyper):
+    grads = backward_batch(forward_batch(batch, params, hyper), gold, params, hyper)
 
     def loss_fn():
         return batch_loss(forward_batch(batch, params, hyper), gold, params, hyper.l2_scale)
@@ -263,6 +264,74 @@ def test_gradients_match_finite_differences():
     numeric = finite_diff_grads(loss_fn, params)
     for name in PARAM_NAMES:
         assert relative_error(grads[name], numeric[name]) < 1e-4, name
+
+
+def test_gradients_match_finite_differences():
+    batch = np.random.default_rng(99).normal(0, 1, (2, 3, 6))
+    assert_gradients_match_finite_differences(batch, np.array([2, 5]), tiny_params(seed=5), TINY)
+
+
+def test_gradients_match_finite_differences_on_padded_batch():
+    # right padding, one zero column mid-sequence and one all-zero instance,
+    # so the dead-window terms of the gradient are exercised; conv_b away
+    # from 0, so relu(conv_b) has no kink within the difference step
+    params = tiny_params(seed=5)
+    params["conv_b"] = np.array([0.3, -0.2, 0.1, -0.4])
+    batch = np.random.default_rng(99).normal(0, 1, (3, 3, 6))
+    batch[0, :, 4:] = 0.0
+    batch[1, :, 2] = 0.0
+    batch[2] = 0.0
+    live = forward_batch(batch, params, TINY).live
+    assert live.any() and not live.all()
+    assert_gradients_match_finite_differences(batch, np.array([2, 5, 0]), params, TINY)
+
+
+def _dense_reference_cases():
+    """(name, batch, hyper) triples: seeded batches with and without dead
+    windows, over filter widths 1-5 and strides 1-3."""
+    rng = np.random.default_rng(17)
+    v, B = 3, 4
+    for ws in range(1, 6):
+        for st in range(1, 4):
+            l_max = ws + int(rng.integers(2, 9))
+            hyper = Hyperparams(num_filters=5, filter_width=ws, rnn_units=4, stride=st,
+                                dropout_rate=0.3 if (ws + st) % 2 else 0.0, l2_scale=0.2)
+            ragged = rng.normal(size=(B, v, l_max))
+            for b, length in enumerate(rng.integers(1, l_max, size=B)):
+                ragged[b, :, length:] = 0.0
+            # instance 0 unpadded, but its window 1 (columns st to st + ws) dead
+            ragged[0] = rng.normal(size=(v, l_max))
+            ragged[0, :, st : st + ws] = 0.0
+            ragged[-1] = 0.0
+            yield f"ragged ws={ws} st={st}", ragged, hyper
+    hyper = Hyperparams(num_filters=5, filter_width=3, rnn_units=4, dropout_rate=0.3)
+    yield "no padding", rng.normal(size=(B, v, 9)), hyper
+    yield "all zero", np.zeros((B, v, 9)), hyper
+
+
+def test_live_windows_match_dense_reference():
+    rng = np.random.default_rng(23)
+    seen = set()
+    for name, batch, hyper in _dense_reference_cases():
+        params = init_params(batch.shape[1], hyper, rng)
+        # mixed signs, so relu(conv_b) has zero and positive entries
+        params["conv_b"] = rng.normal(size=hyper.num_filters)
+        params["conv_b"][:2] = [-0.5, 0.5]
+        gold = rng.integers(0, 6, size=batch.shape[0])
+        training = hyper.dropout_rate > 0.0
+        cache = forward_batch(batch, params, hyper, training, np.random.default_rng(1))
+        grads = backward_batch(cache, gold, params, hyper)
+        ref, ref_grads = clstm_dense_reference(batch, gold, params, hyper, training,
+                                               np.random.default_rng(1))
+        seen.add("all live" if cache.live.all() else "none live" if not cache.live.any()
+                 else "mixed")
+        assert relative_error(cache.probs, ref.probs) <= 1e-12, name
+        assert relative_error(cache.hiddens, ref.hiddens) <= 1e-12, name
+        assert relative_error(cache.cells, ref.cells) <= 1e-12, name
+        assert relative_error(feature_maps(cache), ref.xs) <= 1e-12, name
+        for param in PARAM_NAMES:
+            assert relative_error(grads[param], ref_grads[param]) <= 1e-12, (name, param)
+    assert seen == {"all live", "none live", "mixed"}
 
 
 def test_gradient_deterministic_under_fixed_dropout_seed():
@@ -296,6 +365,22 @@ def test_adam_first_step_magnitude_is_lr():
     adam_step(params, {"x": np.array([3.0, -0.2])}, state, lr=0.002)
     # bias-corrected first step moves every coordinate by ~lr * sign(g)
     assert np.abs(np.abs(params["x"]) - 0.002).max() <= 1e-6
+
+
+def test_adam_step_matches_reference_bitwise():
+    rng = np.random.default_rng(4)
+    params = tiny_params()
+    ref_params = {n: p.copy() for n, p in params.items()}
+    state = AdamState.zeros_like(params)
+    ref_state = AdamState.zeros_like(params)
+    for _ in range(20):
+        grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
+        adam_step(params, grads, state, lr=0.01)
+        adam_step_reference(ref_params, grads, ref_state, lr=0.01)
+    for name in PARAM_NAMES:
+        assert np.array_equal(params[name], ref_params[name]), name
+        assert np.array_equal(state.m[name], ref_state.m[name]), name
+        assert np.array_equal(state.v[name], ref_state.v[name]), name
 
 
 def test_adam_descends_quadratic():
