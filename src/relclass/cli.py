@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import clstm, search, svm
-from .corpus import LABELS, build_lemma_counts, parse_corpus
+from .corpus import LABELS, RelationLabel, build_lemma_counts, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .evaluation import confusion, cross_validate, f1_scores, format_report
 from .features import LevinTable, NAMESPACES, extract_keys, load_levin_table
@@ -245,22 +245,22 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     instances = parse_corpus(cfg.gold)
     if any(inst.label is None for inst in instances):
         raise ValueError("gold corpus contains unlabeled instances")
-    predicted: dict[str, str] = {}
+    predicted: dict[str, RelationLabel] = {}
     with open(cfg.predictions, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                predicted[record["id"]] = record["label"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                # an unknown label raises ValueError here, like malformed JSON
+                predicted[record["id"]] = RelationLabel(record["label"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{cfg.predictions}: line {lineno}: bad prediction: {exc}") from exc
     missing = [inst.id for inst in instances if inst.id not in predicted]
     if missing:
         raise ValueError(f"predictions missing for ids: {', '.join(missing[:5])}")
-    label_by_value = {label.value: label for label in LABELS}
     gold = [inst.label for inst in instances]
-    pred = [label_by_value[predicted[inst.id]] for inst in instances]
+    pred = [predicted[inst.id] for inst in instances]
     report = f1_scores(confusion(gold, pred))
     print(format_report(report))
     if cfg.out:

@@ -91,13 +91,14 @@ def build_sequence(
     return np.column_stack(cols)
 
 
-def pad(I: np.ndarray, l_max: int) -> np.ndarray:
-    """Right-pad with zero columns up to l_max."""
-    v, l_s = I.shape
-    if l_s > l_max:
-        raise ValueError(f"sequence length {l_s} exceeds l_max {l_max}")
-    out = np.zeros((v, l_max), dtype=np.float64)
-    out[:, :l_s] = I
+def pad(sequences: Sequence[np.ndarray], l_max: int) -> np.ndarray:
+    """One (B, v, l_max) batch of the (v, l_s) sequences, each right-padded
+    with zero columns up to l_max."""
+    out = np.zeros((len(sequences), sequences[0].shape[0], l_max))
+    for b, I in enumerate(sequences):
+        if I.shape[1] > l_max:
+            raise ValueError(f"sequence {b}: length {I.shape[1]} exceeds l_max {l_max}")
+        out[b, :, : I.shape[1]] = I
     return out
 
 
@@ -113,28 +114,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def param_shapes(v: int, hyper: Hyperparams) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter tensor for v-dim embeddings, in
+    PARAM_NAMES order: matrices are weights, vectors are biases."""
+    k, u, n = hyper.num_filters, hyper.rnn_units, len(LABELS)
+    return {
+        "conv_w": (k, v * hyper.filter_width), "conv_b": (k,),
+        "w_i": (u, k), "u_i": (u, u), "b_i": (u,),
+        "w_f": (u, k), "u_f": (u, u), "b_f": (u,),
+        "w_o": (u, k), "u_o": (u, u), "b_o": (u,),
+        "w_g": (u, k), "u_g": (u, u), "b_g": (u,),
+        "soft_w": (n, u), "soft_b": (n,),
+    }
+
+
 def init_params(
     v: int, hyper: Hyperparams, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
-    """Uniform [-0.1, 0.1] weights, zero biases, forget-gate bias 1.0."""
-    k, u = hyper.num_filters, hyper.rnn_units
-    ws = hyper.filter_width
-    n_classes = len(LABELS)
-
-    def w(*shape: int) -> np.ndarray:
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    params = {
-        "conv_w": w(k, v * ws),
-        "conv_b": np.zeros(k),
-        "w_i": w(u, k), "u_i": w(u, u), "b_i": np.zeros(u),
-        "w_f": w(u, k), "u_f": w(u, u), "b_f": np.ones(u),
-        "w_o": w(u, k), "u_o": w(u, u), "b_o": np.zeros(u),
-        "w_g": w(u, k), "u_g": w(u, u), "b_g": np.zeros(u),
-        "soft_w": w(n_classes, u),
-        "soft_b": np.zeros(n_classes),
+    """Uniform [-0.1, 0.1] weights, zero biases, forget-gate bias 1.0.
+    The weights are drawn one after another in PARAM_NAMES order."""
+    return {
+        name: rng.uniform(-0.1, 0.1, size=shape) if len(shape) == 2
+        else np.full(shape, 1.0 if name == "b_f" else 0.0)
+        for name, shape in param_shapes(v, hyper).items()
     }
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +394,8 @@ class ClstmModel(modelio.Classifier):
     # (live, total) conv windows over the padded training corpus
     windows: tuple[int, int] = field(default=(0, 0), compare=False)
 
-    def _padded(self, inst: RelationInstance) -> np.ndarray:
+    def _sequence(self, inst: RelationInstance) -> np.ndarray:
+        """build_sequence, cut to l_max columns if it is longer."""
         I = build_sequence(inst, self.table, self.freq, self.freq_threshold)
         if I.shape[1] > self.l_max:
             log.warning(
@@ -399,7 +403,7 @@ class ClstmModel(modelio.Classifier):
                 inst.id, I.shape[1], self.l_max,
             )
             I = I[:, : self.l_max]
-        return pad(I, self.l_max)
+        return I
 
     def predict_proba_many(self, instances: Sequence[RelationInstance]) -> np.ndarray:
         """Class distributions, one row per instance, LABELS order. Runs in
@@ -409,7 +413,7 @@ class ClstmModel(modelio.Classifier):
         step = self.hyper.batch_size
         return np.vstack([
             forward_batch(
-                np.stack([self._padded(inst) for inst in instances[start : start + step]]),
+                pad([self._sequence(inst) for inst in instances[start : start + step]], self.l_max),
                 self.params, self.hyper,
             ).probs
             for start in range(0, len(instances), step)
@@ -439,8 +443,13 @@ def train(
         raise ValueError(
             f"filter width {hyper.filter_width} exceeds the longest sequence ({l_max})"
         )
-    padded = np.stack([pad(seq, l_max) for seq in sequences])
-    live = _live_windows(padded, hyper.filter_width, hyper.stride)
+    # one batch is padded at a time, so memory does not grow with the corpus
+    n, bs = len(labeled), hyper.batch_size
+    ws, st = hyper.filter_width, hyper.stride
+    live = sum(
+        int(_live_windows(pad(sequences[start : start + bs], l_max), ws, st).sum())
+        for start in range(0, n, bs)
+    )
     label_idx = {label: i for i, label in enumerate(LABELS)}
     gold = np.array([label_idx[inst.label] for inst in labeled], dtype=np.int64)
 
@@ -448,13 +457,13 @@ def train(
     params = init_params(table.dim, hyper, rng)
     state = AdamState.zeros_like(params)
     history = []
-    n = len(labeled)
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
-            cache = forward_batch(padded[idx], params, hyper, training=True, rng=rng)
+        for start in range(0, n, bs):
+            idx = order[start : start + bs]
+            batch = pad([sequences[i] for i in idx], l_max)
+            cache = forward_batch(batch, params, hyper, training=True, rng=rng)
             epoch_losses.append(batch_loss(cache, gold[idx], params, hyper.l2_scale))
             grads = backward_batch(cache, gold[idx], params, hyper)
             adam_step(params, grads, state, lr=hyper.learning_rate)
@@ -467,7 +476,7 @@ def train(
         freq_threshold=freq_threshold,
         table=table,
         loss_history=tuple(history),
-        windows=(int(live.sum()), live.size),
+        windows=(live, n * n_windows(l_max, ws, st)),
     )
 
 
@@ -484,14 +493,18 @@ def save_clstm_model(model: ClstmModel, path: str | Path) -> None:
 
 
 def _build_clstm_model(payload: dict, **common) -> ClstmModel:
-    return ClstmModel(
-        params={
-            name: modelio.decode_array(payload["params"][name]).copy() for name in PARAM_NAMES
-        },
-        hyper=Hyperparams(**payload["hyper"]),
-        l_max=payload["l_max"],
-        **common,
-    )
+    hyper = Hyperparams(**payload["hyper"])
+    l_max = payload["l_max"]
+    if type(l_max) is not int or l_max < hyper.filter_width:
+        raise ValueError(f"l_max must be an integer >= filter_width, got {l_max!r}")
+    params = {}
+    for name, shape in param_shapes(common["table"].dim, hyper).items():
+        params[name] = modelio.decode_array(payload["params"][name]).copy()
+        if params[name].shape != shape:
+            raise ValueError(
+                f"{name} has shape {params[name].shape}, hyper and the table dim imply {shape}"
+            )
+    return ClstmModel(params=params, hyper=hyper, l_max=l_max, **common)
 
 
 def load_clstm_model(path: str | Path, table: EmbeddingTable) -> ClstmModel:

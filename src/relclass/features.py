@@ -1,4 +1,4 @@
-"""Lexical feature extraction and SVM feature-vector assembly.
+"""Lexical feature extraction for the SVM.
 
 An instance turns into a set of boolean feature keys (bag of words, POS tags,
 POS path, distance, verb classes, entity strings, embedding-similarity
@@ -247,12 +247,16 @@ class MinMaxScaler:
         self.maxs = maxs
 
     def apply(self, dense: np.ndarray) -> np.ndarray:
-        dense = np.asarray(dense, dtype=np.float64)
+        """The scaled block. A float64 array is scaled in place and returned
+        (a block-sized copy would raise the SVM's peak memory), so a caller
+        that still needs the raw values passes a copy."""
         span = self.maxs - self.mins
-        out = np.zeros_like(dense, dtype=np.float64)
         nz = span > 0
-        out[..., nz] = (dense[..., nz] - self.mins[nz]) / span[nz]
-        return np.clip(out, 0.0, 1.0)
+        out = np.asarray(dense, dtype=np.float64)
+        out -= self.mins
+        out /= np.where(nz, span, 1.0)
+        out[..., ~nz] = 0.0
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 def fit_minmax(train_dense: Sequence[np.ndarray] | np.ndarray) -> MinMaxScaler:
@@ -270,44 +274,4 @@ def dense_block(inst: RelationInstance, table: EmbeddingTable) -> np.ndarray:
             table.phrase_vector(inst.start_tokens),
             table.phrase_vector(inst.end_tokens),
         ]
-    )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse boolean column indices plus the scaled dense block."""
-
-    bool_indices: np.ndarray
-    dense: np.ndarray
-    space_size: int
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.bool_indices, dtype=np.int64)
-        dense = np.asarray(self.dense, dtype=np.float64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.space_size):
-            raise ValueError("boolean index out of range")
-        idx.flags.writeable = False
-        dense.flags.writeable = False
-        object.__setattr__(self, "bool_indices", idx)
-        object.__setattr__(self, "dense", dense)
-
-
-def assemble(
-    inst: RelationInstance,
-    space: FeatureSpace,
-    scaler: MinMaxScaler,
-    table: EmbeddingTable,
-    levin: LevinTable,
-    freq: FrequencyTable,
-    threshold: int = 5,
-) -> FeatureVector:
-    """Full feature vector against a frozen space and scaler.
-
-    Keys unseen at training time are dropped silently.
-    """
-    keys = extract_keys(inst, freq, table, levin, threshold)
-    return FeatureVector(
-        bool_indices=space.indices(keys),
-        dense=scaler.apply(dense_block(inst, table)),
-        space_size=len(space),
     )

@@ -35,10 +35,8 @@ from .evaluation import stratified_fold_indices
 from .features import (
     FeatureKey,
     FeatureSpace,
-    FeatureVector,
     LevinTable,
     MinMaxScaler,
-    assemble,
     build_feature_space,
     dense_block,
     extract_keys,
@@ -75,18 +73,6 @@ class PackedFeatures:
         return [np.flatnonzero(row).tolist() for row in self.bools]
 
 
-def pack_features(fvs: Sequence[FeatureVector], space_size: int | None = None) -> PackedFeatures:
-    if not fvs:
-        raise ValueError("nothing to pack")
-    if space_size is None:
-        space_size = fvs[0].space_size
-    if any(fv.space_size != space_size for fv in fvs):
-        raise ValueError("feature vectors come from different spaces")
-    return packed_from_bool_lists(
-        [fv.bool_indices for fv in fvs], np.vstack([fv.dense for fv in fvs]), space_size
-    )
-
-
 def packed_from_bool_lists(
     bool_lists: Sequence[Sequence[int]], dense: np.ndarray, space_size: int
 ) -> PackedFeatures:
@@ -109,6 +95,19 @@ def packed_from_bool_lists(
             )
         bools[i, cols] = 1.0
     return PackedFeatures(bools=bools, dense=dense)
+
+
+def pack_rows(
+    key_sets: Sequence[set[FeatureKey]],
+    dense: np.ndarray,
+    space: FeatureSpace,
+    scaler: MinMaxScaler,
+) -> PackedFeatures:
+    """The rows of a batch of instances, for training and prediction alike:
+    each key set's columns in ``space`` (keys unseen in training are
+    dropped) and the (n, 3 * dim) unscaled dense block, scaled in place."""
+    bool_lists = [space.indices(keys) for keys in key_sets]
+    return packed_from_bool_lists(bool_lists, scaler.apply(dense), len(space))
 
 
 def squared_distances(a: PackedFeatures, b: PackedFeatures) -> np.ndarray:
@@ -424,14 +423,12 @@ class SvmModel(modelio.Classifier):
     gamma: float
 
     def _pack(self, instances: Sequence[RelationInstance]) -> PackedFeatures:
-        fvs = [
-            assemble(
-                inst, self.space, self.scaler, self.table, self.levin,
-                self.freq, self.freq_threshold,
-            )
+        key_sets = [
+            extract_keys(inst, self.freq, self.table, self.levin, self.freq_threshold)
             for inst in instances
         ]
-        return pack_features(fvs, len(self.space))
+        dense = np.vstack([dense_block(inst, self.table) for inst in instances])
+        return pack_rows(key_sets, dense, self.space, self.scaler)
 
     def predict_proba_many(self, instances: Sequence[RelationInstance]) -> np.ndarray:
         """Coupled class distributions, one row per instance, LABELS order."""
@@ -504,11 +501,7 @@ def train_multiclass(
     space = build_feature_space(key_sets)
     dense = np.vstack([dense_block(inst, table) for inst in labeled])
     scaler = fit_minmax(dense)
-    fvs = [
-        FeatureVector(space.indices(keys), scaler.apply(row), len(space))
-        for keys, row in zip(key_sets, dense)
-    ]
-    packed = pack_features(fvs, len(space))
+    packed = pack_rows(key_sets, dense, space, scaler)
     K = kernel_matrix(packed, packed, gamma)
     label_idx = {label: i for i, label in enumerate(LABELS)}
     members = {i: [] for i in range(len(LABELS))}

@@ -218,6 +218,19 @@ def _add_hyper_key(payload):
     return payload
 
 
+def _conv_w_column_short(payload):
+    params = payload["params"]
+    params["conv_w"] = encode_array(decode_array(params["conv_w"])[:, :-1])
+    return payload
+
+
+def _set_hyper(key, value):
+    def damage(payload):
+        payload["hyper"][key] = value
+        return payload
+    return damage
+
+
 def _drop(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
@@ -234,10 +247,15 @@ def _drop(key):
     ("svm", _sv_dense_column_short),
     ("clstm", _add_hyper_key),
     ("clstm", _drop("freq")),
+    ("clstm", _conv_w_column_short),
+    ("clstm", _set_hyper("rnn_units", 5)),
+    ("clstm", lambda payload: {**payload, "l_max": 1}),
+    ("clstm", lambda payload: {**payload, "l_max": str(payload["l_max"])}),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
         "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column", "svm-sv-dense-width",
-        "clstm-unknown-hyper-key", "clstm-missing-freq"])
+        "clstm-unknown-hyper-key", "clstm-missing-freq", "clstm-conv-w-width",
+        "clstm-rnn-units-mismatch", "clstm-l-max-below-filter-width", "clstm-l-max-not-int"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
@@ -313,6 +331,22 @@ def test_evaluate_missing_id_errors(workdir, tmp_path, capsys):
                "--predictions", str(truncated)])
     assert rc == 2
     assert "missing" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_unknown_label(workdir, tmp_path, capsys):
+    pred = tmp_path / "pred.jsonl"
+    main([
+        "predict", "--model-file", str(workdir / "svm-model.json"),
+        "--corpus", str(workdir / "train.jsonl"),
+        "--embeddings", str(workdir / "emb.txt"), "--out", str(pred),
+    ])
+    lines = pred.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "label": "USEAGE"})
+    typo = tmp_path / "typo.jsonl"
+    typo.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["evaluate", "--gold", str(workdir / "train.jsonl"), "--predictions", str(typo)])
+    assert rc == 2
+    assert f"{typo}: line 2: bad prediction" in capsys.readouterr().err
 
 
 def test_search_writes_log_and_best(workdir, tmp_path):

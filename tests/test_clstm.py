@@ -103,21 +103,23 @@ def test_build_sequence_respects_reverse():
 
 
 def test_pad_appends_zero_columns():
-    I = np.ones((3, 5))
-    out = pad(I, 8)
-    assert out.shape == (3, 8)
-    assert np.array_equal(out[:, :5], I)
-    assert np.all(out[:, 5:] == 0.0)
+    I, J = np.ones((3, 5)), np.full((3, 2), 2.0)
+    out = pad([I, J], 8)
+    assert out.shape == (2, 3, 8)
+    assert np.array_equal(out[0, :, :5], I)
+    assert np.array_equal(out[1, :, :2], J)
+    assert np.all(out[0, :, 5:] == 0.0)
+    assert np.all(out[1, :, 2:] == 0.0)
 
 
 def test_pad_identity_at_l_max():
     I = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(pad(I, 3), I)
+    assert np.array_equal(pad([I, -I], 3), np.stack([I, -I]))
 
 
 def test_pad_rejects_overlong():
     with pytest.raises(ValueError):
-        pad(np.ones((2, 5)), 4)
+        pad([np.ones((2, 3)), np.ones((2, 5))], 4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,7 +127,7 @@ def test_pad_rejects_overlong():
 def test_pad_preserves_column_sums(v, l_s, extra):
     rng = np.random.default_rng(v * 100 + l_s * 10 + extra)
     I = rng.normal(size=(v, l_s))
-    out = pad(I, l_s + extra)
+    out = pad([I], l_s + extra)[0]
     assert np.allclose(out.sum(axis=0)[:l_s], I.sum(axis=0))
     assert np.all(out.sum(axis=0)[l_s:] == 0.0)
 
@@ -441,6 +443,21 @@ def test_train_rejects_unlabeled_and_overlong_filters():
     wide = Hyperparams(num_filters=4, filter_width=100, rnn_units=4, epochs=1)
     with pytest.raises(ValueError):
         train(corpus, table, wide, freq_threshold=1)
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_windows_count_the_padded_corpus(epochs):
+    corpus = make_corpus(n_per_class=4, seed=0)  # sequences of 5 to 8 columns
+    table = make_embedding_table()
+    hyper = Hyperparams(num_filters=4, filter_width=2, rnn_units=5, stride=2,
+                        batch_size=5, epochs=epochs, seed=1)
+    model = train(corpus, table, hyper, freq_threshold=1)
+    freq = build_lemma_counts(corpus)
+    padded = pad([build_sequence(inst, table, freq, 1) for inst in corpus], model.l_max)
+    m = n_windows(model.l_max, 2, 2)
+    live = sum(padded[b, :, 2 * j : 2 * j + 2].any() for b in range(len(corpus)) for j in range(m))
+    assert model.windows == (live, len(corpus) * m)
+    assert 0 < live < len(corpus) * m
 
 
 def test_prediction_runs_in_batches_of_batch_size(monkeypatch):

@@ -9,8 +9,6 @@ from relclass.embeddings import EmbeddingTable, load_table
 from relclass.features import (
     NAMESPACES,
     FeatureKey,
-    FeatureVector,
-    assemble,
     build_feature_space,
     context_lexical,
     dense_block,
@@ -23,6 +21,7 @@ from relclass.features import (
     similarity_features,
     similarity_value,
 )
+from relclass.svm import pack_rows
 
 # full boolean key set of the bundled example sentence, threshold 1
 EXAMPLE_KEYS = {
@@ -272,21 +271,13 @@ def test_dense_block_hand_scaled():
     assert np.array_equal(scaled, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
-def test_feature_vector_immutable_and_checked():
-    fv = FeatureVector(bool_indices=np.array([0, 2]), dense=np.array([0.5]), space_size=3)
-    with pytest.raises(ValueError):
-        fv.dense[0] = 1.0
-    with pytest.raises(ValueError):
-        FeatureVector(bool_indices=np.array([3]), dense=np.array([0.5]), space_size=3)
-
-
 def test_assemble_end_to_end(example_instance, fixture_embeddings_path, levin):
     table = load_table(fixture_embeddings_path)
     freq = build_lemma_counts([example_instance])
     keys = extract_keys(example_instance, freq, table, levin, threshold=1)
     space = build_feature_space([keys])
     scaler = fit_minmax([dense_block(example_instance, table)])
-    fv = assemble(example_instance, space, scaler, table, levin, freq, threshold=1)
-    assert fv.space_size == 24
-    assert fv.bool_indices.tolist() == list(range(24))
-    assert fv.dense.shape == (6,)
+    packed = pack_rows([keys], dense_block(example_instance, table)[None], space, scaler)
+    assert len(space) == 24
+    assert packed.bool_index_lists() == [list(range(24))]
+    assert packed.dense.shape == (1, 6)

@@ -13,15 +13,16 @@ from oracles import (
     rbf_kernel,
     smo_reference,
 )
+from relclass import svm
 from relclass.corpus import RelationLabel
 from relclass.embeddings import cosine
-from relclass.features import FeatureVector
+from relclass.features import dense_block, extract_keys
 from relclass.svm import (
     SvmTrainingError,
     fit_sigmoid,
     kernel_matrix,
     load_svm_model,
-    pack_features,
+    pack_rows,
     packed_from_bool_lists,
     pairwise_coupling,
     save_svm_model,
@@ -60,10 +61,10 @@ def test_kernel_combines_boolean_and_dense():
 
 
 def test_rbf_kernel_gamma_zero_limit():
-    u = FeatureVector(np.array([0, 1]), np.array([0.3, 0.9]), 4)
-    v = FeatureVector(np.array([2]), np.array([0.0, 0.0]), 4)
-    assert rbf_kernel(u.bool_indices, u.dense, v.bool_indices, v.dense, gamma=0.0) == 1.0
-    assert rbf_kernel(u.bool_indices, u.dense, v.bool_indices, v.dense,
+    u_bool, u_dense = np.array([0, 1]), np.array([0.3, 0.9])
+    v_bool, v_dense = np.array([2]), np.array([0.0, 0.0])
+    assert rbf_kernel(u_bool, u_dense, v_bool, v_dense, gamma=0.0) == 1.0
+    assert rbf_kernel(u_bool, u_dense, v_bool, v_dense,
                       gamma=1e-12) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -365,19 +366,39 @@ def test_packed_rows_reject_bad_columns(row):
 
 def test_pack_features_consistency(svm_model, syn_table):
     corpus, model = svm_model
-    from relclass.features import assemble
-    fvs = [
-        assemble(inst, model.space, model.scaler, syn_table, model.levin,
-                 model.freq, model.freq_threshold)
+    key_sets = [
+        extract_keys(inst, model.freq, syn_table, model.levin, model.freq_threshold)
         for inst in corpus[:4]
     ]
-    packed = pack_features(fvs)
-    assert packed.bool_index_lists() == [fv.bool_indices.tolist() for fv in fvs]
+    dense = np.vstack([dense_block(inst, syn_table) for inst in corpus[:4]])
+    # per-instance reference rows: columns looked up key by key, dense scaled row by row
+    cols = [sorted(model.space.index(k) for k in keys if k in model.space) for keys in key_sets]
+    rows = [model.scaler.apply(row.copy()) for row in dense]
+    packed = pack_rows(key_sets, dense, model.space, model.scaler)
+    assert packed.bool_index_lists() == cols
+    assert np.array_equal(packed.dense, np.vstack(rows))
     # pairwise kernel agrees with the single-pair path
     K = kernel_matrix(packed, packed, gamma=0.2)
     for i, j in itertools.combinations(range(4), 2):
-        ref = rbf_kernel(fvs[i].bool_indices, fvs[i].dense, fvs[j].bool_indices, fvs[j].dense, 0.2)
+        ref = rbf_kernel(np.array(cols[i]), rows[i], np.array(cols[j]), rows[j], 0.2)
         assert K[i, j] == pytest.approx(ref, abs=1e-12)
+
+
+def test_training_and_prediction_build_the_same_rows(monkeypatch, syn_table, levin):
+    corpus = make_corpus(n_per_class=5, seed=4)
+    built = []
+
+    def recording_pack_rows(*args):
+        built.append(pack_rows(*args))
+        return built[-1]
+
+    monkeypatch.setattr(svm, "pack_rows", recording_pack_rows)
+    model = train_multiclass(corpus, syn_table, levin, freq_threshold=1)
+    (trained,) = built
+    predicted = model._pack(corpus)
+    assert len(built) == 2
+    assert np.array_equal(trained.bools, predicted.bools)
+    assert np.array_equal(trained.dense, predicted.dense)
 
 
 def test_synthetic_keywords_are_separable(syn_table):
