@@ -12,7 +12,7 @@ can be checked against finite differences.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
 
@@ -64,6 +64,12 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in dataclass_fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass but never a setting; float fields take ints
+            what, accepted = ("an integer", int) if f.type == "int" else ("a number", (int, float))
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.num_filters < 1 or self.rnn_units < 1:
             raise ValueError("num_filters and rnn_units must be positive")
         if self.filter_width < 1 or self.stride < 1:

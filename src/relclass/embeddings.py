@@ -8,7 +8,6 @@ keyed by lemma. Out-of-vocabulary lemmas map to the zero vector.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,8 +23,9 @@ class EmbeddingFormatError(ValueError):
 class EmbeddingTable:
     """Immutable token -> vector map with a fixed dimensionality.
 
-    The vectors are the rows of one read-only (V, dim) float64 matrix, in
-    the order the mapping gives them; a dict maps each token to its row.
+    The vectors are the rows of one read-only (V + 1, dim) float64 matrix, in
+    the order the mapping gives them; a dict maps each token to its row. The
+    last row is zero: every out-of-vocabulary token maps to it (row -1).
     ``name`` is a provenance label (defaults to the source file stem).
     """
 
@@ -37,23 +37,16 @@ class EmbeddingTable:
         if not vectors:
             raise EmbeddingFormatError("embedding table must be nonempty")
         self.name = name
-        rows = [np.asarray(vec, dtype=np.float64) for vec in vectors.values()]
-        dim = rows[0].size
-        for token, row in zip(vectors, rows):
-            if row.ndim != 1:
-                raise EmbeddingFormatError(f"vector for {token!r} is not 1-d")
-            if row.size != dim:
-                raise EmbeddingFormatError(
-                    f"inconsistent dimension for {token!r}: {row.size} != {dim}"
-                )
-        if dim == 0:
-            raise EmbeddingFormatError("embedding dimension must be positive")
-        self._matrix = np.vstack(rows)
+        try:
+            rows = np.array(list(vectors.values()), dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"vectors are not one float matrix: {exc}") from exc
+        if rows.ndim != 2 or rows.shape[1] == 0:
+            raise EmbeddingFormatError(f"vectors must be nonempty and 1-d, not {rows.shape[1:]}")
+        self.dim = rows.shape[1]
+        self._matrix = np.concatenate([rows, np.zeros((1, self.dim))])
         self._matrix.flags.writeable = False
         self._rows = {token: i for i, token in enumerate(vectors)}
-        self.dim = dim
-        self._zero = np.zeros(dim, dtype=np.float64)
-        self._zero.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -66,8 +59,7 @@ class EmbeddingTable:
 
     def lookup(self, token: str) -> np.ndarray:
         """Vector for ``token``; the zero vector when out of vocabulary."""
-        row = self._rows.get(token)
-        return self._zero if row is None else self._matrix[row]
+        return self._matrix[self._rows.get(token, -1)]
 
     def phrase_vector(self, tokens: Sequence[TokenAnnotation]) -> np.ndarray:
         """Mean of the lemma vectors of ``tokens``.
@@ -75,12 +67,8 @@ class EmbeddingTable:
         Out-of-vocabulary lemmas contribute zero vectors but still count in
         the denominator. An empty token sequence yields the zero vector.
         """
-        if not tokens:
-            return self._zero.copy()
-        acc = np.zeros(self.dim, dtype=np.float64)
-        for tok in tokens:
-            acc += self.lookup(tok.lemma)
-        return acc / len(tokens)
+        rows = [self._rows.get(tok.lemma, -1) for tok in tokens]
+        return self._matrix[rows].sum(axis=0) / max(len(rows), 1)
 
     def context_vector(self, inst: RelationInstance) -> np.ndarray:
         """Mean lemma vector of the (unfiltered) context between the entities."""
@@ -96,20 +84,20 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def _parse_vector_line(line: str, lineno: int, path) -> tuple[str, list[float]]:
-    parts = line.split()
-    if len(parts) < 2:
-        raise EmbeddingFormatError(f"{path}: line {lineno}: expected token and vector")
-    token = parts[0]
-    try:
-        values = [float(p) for p in parts[1:]]
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"{path}: line {lineno}: bad float: {exc}") from exc
-    # a nan or inf makes the sum non-finite; huge finite values can too, so
-    # the exact test decides (the sum alone is the cheap pass over every line)
-    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-        raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite value for {token!r}")
-    return token, values
+def _raise_for_first_bad_line(path, lines: list[tuple[int, str]], rests: list[str]) -> None:
+    """Raise for the first line whose value fields (``rests``, one per line)
+    numpy cannot parse on their own, or whose width differs from the first
+    line's."""
+    width = None
+    for (lineno, _), rest in zip(lines, rests):
+        try:
+            n = np.loadtxt([rest], ndmin=1, comments=None).size
+        except ValueError as exc:
+            reason = str(exc).split(" at row ")[0]  # the row numpy names is always 0 here
+            raise EmbeddingFormatError(f"{path}: line {lineno}: bad float: {reason}") from exc
+        width = width or n
+        if n != width:
+            raise EmbeddingFormatError(f"{path}: line {lineno}: expected {width} values, got {n}")
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
@@ -117,10 +105,10 @@ def load_table(path: str | Path) -> EmbeddingTable:
 
     A first line of exactly two integer fields is treated as a
     ``<count> <dim>`` header and checked against the body; otherwise the
-    first line is already a vector line.
+    first line is already a vector line. The value fields of all lines are
+    parsed by one ``np.loadtxt`` call.
     """
     path = Path(path)
-    vectors: dict[str, list[float]] = {}
     declared: tuple[int, int] | None = None
     with open(path, encoding="utf-8") as fh:
         lines = [(i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
@@ -133,29 +121,32 @@ def load_table(path: str | Path) -> EmbeddingTable:
             lines = lines[1:]
         except ValueError:
             declared = None
-    width: int | None = None
+    body: dict[str, str] = {}  # token -> the unparsed value fields of its line
     for lineno, line in lines:
-        token, values = _parse_vector_line(line, lineno, path)
-        if token in vectors:
+        token, *rest = line.split(None, 1)
+        if not rest:
+            raise EmbeddingFormatError(f"{path}: line {lineno}: expected token and vector")
+        if token in body:
             raise EmbeddingFormatError(f"{path}: line {lineno}: duplicate token {token!r}")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise EmbeddingFormatError(
-                f"{path}: line {lineno}: expected {width} values, got {len(values)}"
-            )
-        vectors[token] = values
-    if not vectors:
+        body[token] = rest[0]
+    if not body:
         raise EmbeddingFormatError(f"{path}: no vectors")
-    table = EmbeddingTable(vectors, name=path.stem)
-    if declared is not None:
-        count, dim = declared
-        if count != len(table) or dim != table.dim:
-            raise EmbeddingFormatError(
-                f"{path}: header declares {count} x {dim}, "
-                f"file has {len(table)} x {table.dim}"
-            )
-    return table
+    rests = list(body.values())
+    try:
+        matrix = np.loadtxt(rests, ndmin=2, comments=None)
+    except ValueError:
+        _raise_for_first_bad_line(path, lines, rests)
+        raise
+    if not np.isfinite(matrix).all():
+        i = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+        token = list(body)[i]
+        raise EmbeddingFormatError(f"{path}: line {lines[i][0]}: non-finite value for {token!r}")
+    if declared not in (None, matrix.shape):
+        raise EmbeddingFormatError(
+            f"{path}: header declares {declared[0]} x {declared[1]}, "
+            f"file has {matrix.shape[0]} x {matrix.shape[1]}"
+        )
+    return EmbeddingTable(dict(zip(body, matrix)), name=path.stem)
 
 
 def save_table(table: EmbeddingTable, path: str | Path) -> None:

@@ -67,6 +67,8 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"expected a tensor object, got {type(obj).__name__}")
     if obj.get("dtype") != "<f8":
         raise ModelFormatError(f"unsupported tensor dtype: {obj.get('dtype')!r}")
     raw = base64.b64decode(obj["data"])

@@ -231,6 +231,18 @@ def _set_hyper(key, value):
     return damage
 
 
+def _rnn_units_as_float(payload):
+    payload["hyper"]["rnn_units"] = float(payload["hyper"]["rnn_units"])
+    return payload
+
+
+def _set_param(name, value):
+    def damage(payload):
+        payload["params"][name] = value
+        return payload
+    return damage
+
+
 def _drop(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
@@ -251,11 +263,17 @@ def _drop(key):
     ("clstm", _set_hyper("rnn_units", 5)),
     ("clstm", lambda payload: {**payload, "l_max": 1}),
     ("clstm", lambda payload: {**payload, "l_max": str(payload["l_max"])}),
+    ("svm", lambda payload: {**payload, "sv_dense": [1, 2]}),
+    ("clstm", _set_param("conv_b", None)),
+    ("clstm", _rnn_units_as_float),
+    ("clstm", _set_hyper("batch_size", True)),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
         "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column", "svm-sv-dense-width",
         "clstm-unknown-hyper-key", "clstm-missing-freq", "clstm-conv-w-width",
-        "clstm-rnn-units-mismatch", "clstm-l-max-below-filter-width", "clstm-l-max-not-int"])
+        "clstm-rnn-units-mismatch", "clstm-l-max-below-filter-width", "clstm-l-max-not-int",
+        "svm-sv-dense-not-object", "clstm-param-null", "clstm-rnn-units-float",
+        "clstm-batch-size-bool"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file

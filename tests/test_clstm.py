@@ -71,6 +71,20 @@ def test_hyperparams_validation():
         Hyperparams(stride=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rnn_units", 93.0), ("batch_size", True), ("epochs", "2"), ("seed", None),
+    ("dropout_rate", False), ("l2_scale", "0.5"), ("learning_rate", None),
+])
+def test_hyperparams_reject_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        Hyperparams(**{field: value})
+
+
+def test_hyperparams_accept_ints_for_floats():
+    hyper = Hyperparams(dropout_rate=0, l2_scale=1, learning_rate=1)
+    assert hyper.dropout_rate == 0 and hyper.l2_scale == 1
+
+
 def test_build_sequence_entity_only():
     table = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     inst = make_instance([tok("A", "a"), tok("B", "b")], e1=(0, 0), e2=(1, 1))

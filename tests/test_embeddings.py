@@ -36,11 +36,77 @@ def test_load_ragged_row_reports_line(tmp_path):
         load_table(path)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_load_non_finite_value_reports_line(tmp_path, bad):
     path = tmp_path / "v.txt"
     path.write_text(f"a 1.0 0.0\nb 0.5 {bad}\nc 0.0 1.0\n", encoding="utf-8")
     with pytest.raises(EmbeddingFormatError, match=r"v\.txt: line 2: non-finite"):
+        load_table(path)
+
+
+def test_load_bad_float_reports_line(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("a 1.0 0.0\nb 1.0 x\nc 0.0 1.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=r"v\.txt: line 2: bad float"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("row, got", [("1.0", 1), ("1.0 2.0 3.0", 3)], ids=["shorter", "longer"])
+def test_load_row_width_differs_from_first(tmp_path, row, got):
+    path = tmp_path / "v.txt"
+    path.write_text(f"a 1.0 0.0\nb 0.0 1.0\nc {row}\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=rf"v\.txt: line 3: expected 2 values, got {got}$"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("line", ["b", "b   "], ids=["bare", "trailing-space"])
+def test_load_token_without_vector(tmp_path, line):
+    path = tmp_path / "v.txt"
+    path.write_text(f"a 1.0 0.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=r"v\.txt: line 2: expected token and vector"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("3 2\na 1.0 0.0\nb 0.0 1.0\n", "header declares 3 x 2, file has 2 x 2"),
+    ("2 3\na 1.0 0.0\nb 0.0 1.0\n", "header declares 2 x 3, file has 2 x 2"),
+    ("2 2\n", "no vectors"),
+], ids=["count", "dim", "header-only"])
+def test_load_header_mismatch(tmp_path, text, match):
+    path = tmp_path / "v.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=match):
+        load_table(path)
+
+
+def test_load_one_dim_table(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("a 1.5\nb -2.0\n", encoding="utf-8")
+    table = load_table(path)
+    assert len(table) == 2 and table.dim == 1
+    assert np.array_equal(table.lookup("b"), [-2.0])
+
+
+def test_load_header_after_blank_lines(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("\n  \n2 2\na 1.0 0.0\n\nb 0.0 1.0\n", encoding="utf-8")
+    table = load_table(path)
+    assert table.tokens() == ["a", "b"] and table.dim == 2
+
+
+def test_load_value_spellings_match_python_float(tmp_path):
+    spellings = ["1e-3", "-0.0", "+1.5", ".5", "5.", "1E+2", "0.1", "-123.456e-7"]
+    path = tmp_path / "v.txt"
+    path.write_text("a " + " ".join(spellings) + "\n", encoding="utf-8")
+    expected = np.array([float(s) for s in spellings])
+    assert load_table(path).lookup("a").tobytes() == expected.tobytes()
+
+
+def test_load_rejects_underscore_in_number(tmp_path):
+    # Python's float() accepts "1_0"; the table format does not
+    path = tmp_path / "v.txt"
+    path.write_text("a 1.0 0.0\nb 1_0 0.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=r"v\.txt: line 2: bad float"):
         load_table(path)
 
 
@@ -78,6 +144,23 @@ def test_lookup_read_only(toy_table):
 def test_dim_mismatch_rejected():
     with pytest.raises(EmbeddingFormatError):
         EmbeddingTable({"a": [1.0, 0.0], "b": [1.0]})
+
+
+@pytest.mark.parametrize("vectors", [{"a": 1.0}, {"a": [[1.0, 2.0]]}, {"a": []}],
+                         ids=["scalar", "2-d", "empty"])
+def test_non_vector_values_rejected(vectors):
+    with pytest.raises(EmbeddingFormatError):
+        EmbeddingTable(vectors)
+
+
+def test_phrase_vector_is_the_sequential_mean():
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable({f"w{i}": rng.normal(size=50) for i in range(40)})
+    tokens = [tok(f"w{i}") for i in rng.integers(0, 45, size=25)]  # some OOV
+    acc = np.zeros(50)
+    for t in tokens:
+        acc += table.lookup(t.lemma)
+    assert table.phrase_vector(tokens).tobytes() == (acc / len(tokens)).tobytes()
 
 
 def test_phrase_vector_mean(toy_table):
