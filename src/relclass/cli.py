@@ -22,7 +22,7 @@ from .corpus import LABELS, RelationLabel, build_lemma_counts, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .evaluation import confusion, cross_validate, f1_scores, format_report
 from .features import LevinTable, NAMESPACES, extract_keys, load_levin_table
-from .modelio import ModelFormatError, argmax_labels, write_atomic
+from .modelio import ModelFormatError, argmax_labels, read_json, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -202,17 +202,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _load_any_model(path: str, table: EmbeddingTable):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: not a model file: {exc}") from exc
+    payload = read_json(path)
     kind = payload.get("format") if isinstance(payload, dict) else None
-    del payload  # the loader parses the file again; do not hold two copies
     if kind == svm.SVM_FORMAT:
-        return svm.load_svm_model(path, table)
+        return svm.load_svm_model(path, table, payload)
     if kind == clstm.CLSTM_FORMAT:
-        return clstm.load_clstm_model(path, table)
+        return clstm.load_clstm_model(path, table, payload)
     raise ModelFormatError(f"{path}: unknown model format {kind!r}")
 
 

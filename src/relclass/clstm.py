@@ -513,5 +513,9 @@ def _build_clstm_model(payload: dict, **common) -> ClstmModel:
     return ClstmModel(params=params, hyper=hyper, l_max=l_max, **common)
 
 
-def load_clstm_model(path: str | Path, table: EmbeddingTable) -> ClstmModel:
-    return modelio.load_model(path, CLSTM_FORMAT, table, _build_clstm_model)
+def load_clstm_model(
+    path: str | Path, table: EmbeddingTable, payload: dict | None = None
+) -> ClstmModel:
+    """The conv-LSTM model in ``path``; ``payload``, when given, is that
+    file's parsed JSON, so it is not read again."""
+    return modelio.load_model(path, CLSTM_FORMAT, table, _build_clstm_model, payload)

@@ -200,8 +200,8 @@ def parse_corpus(path: str | Path) -> list[RelationInstance]:
                 raise CorpusFormatError(f"{path}: line {lineno}: record must be a JSON object")
             try:
                 instances.append(instance_from_dict(record))
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+            except (CorpusFormatError, InstanceValidationError) as exc:
+                raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
     return instances
 
 

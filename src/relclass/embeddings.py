@@ -158,9 +158,4 @@ def save_table(table: EmbeddingTable, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         for token in sorted(table.tokens()):
-            vec = table.lookup(token)
-            fh.write(token)
-            for x in vec:
-                fh.write(" ")
-                fh.write(repr(float(x)))
-            fh.write("\n")
+            fh.write(" ".join([token, *map(repr, table.lookup(token).tolist())]) + "\n")

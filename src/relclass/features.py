@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -198,7 +199,8 @@ class FeatureSpace:
     """Frozen feature-key -> column-index map, built from training data."""
 
     def __init__(self, keys: Iterable[FeatureKey]):
-        ordered = sorted(set(keys))
+        # the dataclass order, without its per-comparison tuple building
+        ordered = sorted(set(keys), key=attrgetter("namespace", "value"))
         if not ordered:
             raise ValueError("feature space must be nonempty")
         self._index = {key: i for i, key in enumerate(ordered)}

@@ -107,12 +107,18 @@ def save_json(payload: dict, path: str | Path) -> None:
     write_atomic(path, (dumps_canonical(payload), "\n"))
 
 
-def load_json(path: str | Path, expected_format: str) -> dict:
+def read_json(path: str | Path) -> Any:
+    """The parsed JSON of a model file, of any format."""
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: not a model file: {exc}") from exc
+
+
+def check_format(payload: Any, path: str | Path, expected_format: str) -> dict:
+    """``payload`` itself, once it is a model file of ``expected_format`` at
+    the current version."""
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != expected_format:
         raise ModelFormatError(f"{path}: expected format {expected_format!r}, got {found!r}")
@@ -139,14 +145,16 @@ def load_model(
     model_format: str,
     table: EmbeddingTable,
     build: Callable[..., Any],
+    payload: Any = None,
 ) -> Any:
     """Read and check the shared header, then ``build(payload, freq=...,
     freq_threshold=..., table=...)`` the model from the file's own fields.
+    ``payload``, when given, is the file's already parsed JSON.
 
     A missing field or a value the model rejects raises ModelFormatError
     naming the file.
     """
-    payload = load_json(path, model_format)
+    payload = check_format(read_json(path) if payload is None else payload, path, model_format)
     try:
         if payload["labels"] != [label.value for label in LABELS]:
             raise ModelFormatError("unexpected label list")

@@ -12,9 +12,10 @@ shared by all pairs (``sv_bool``/``sv_dense`` in the version-2 model file);
 a pair keeps only the sorted indices of its rows in that block, with one
 dual coefficient per index. Prediction computes one kernel block against it.
 
-Written on numpy alone: the boolean features of a row block are one float32
-0/1 matrix over the feature space, so the kernel's boolean inner products are
-a single exact matrix product.
+Written on numpy alone. As in LIBSVM, a row keeps its boolean features as a
+sorted list of feature-space columns (all rows of a block in one CSR-style
+pair of arrays), so the kernel's boolean inner products are exact gathers
+over a row's few columns instead of a product of mostly-zero matrices.
 """
 
 from __future__ import annotations
@@ -57,44 +58,69 @@ class SvmTrainingError(ValueError):
 
 @dataclass(frozen=True)
 class PackedFeatures:
-    """A block of rows, one per instance: ``bools`` is the (n, len(space))
-    float32 0/1 matrix of boolean features, ``dense`` the scaled dense block."""
+    """A block of rows, one per instance. Row i's boolean features are the
+    strictly increasing feature-space columns ``cols[ptr[i]:ptr[i + 1]]``
+    (int64, CSR layout); ``dense`` is the (n, 3 * dim) scaled dense block."""
 
-    bools: np.ndarray
+    cols: np.ndarray
+    ptr: np.ndarray
     dense: np.ndarray
 
     def __len__(self) -> int:
         return self.dense.shape[0]
 
     def subset(self, idx: np.ndarray) -> "PackedFeatures":
-        return PackedFeatures(self.bools[idx], self.dense[idx])
+        """The rows at the integer indices ``idx``, in that order."""
+        lengths = np.diff(self.ptr)[idx]
+        ptr = _row_offsets(lengths)
+        # new entry k sits at old position k + (old start - new start) of its row
+        shift = np.repeat(self.ptr[idx] - ptr[:-1], lengths)
+        return PackedFeatures(self.cols[shift + np.arange(ptr[-1])], ptr, self.dense[idx])
 
     def bool_index_lists(self) -> list[list[int]]:
-        return [np.flatnonzero(row).tolist() for row in self.bools]
+        cols, bounds = self.cols.tolist(), self.ptr.tolist()
+        return [cols[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
+
+
+def _row_offsets(lengths: Sequence[int]) -> np.ndarray:
+    """CSR row pointer of rows with the given lengths: 0, then running sums."""
+    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
 
 
 def packed_from_bool_lists(
     bool_lists: Sequence[Sequence[int]], dense: np.ndarray, space_size: int
 ) -> PackedFeatures:
     """Rows given as strictly increasing boolean column indices in
-    ``[0, space_size)`` plus their dense blocks."""
+    ``[0, space_size)`` plus their dense blocks.
+
+    All rows are checked together; the error names the first row whose
+    entries are not integers, else the first row with a column out of range
+    or out of order.
+    """
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or len(dense) != len(bool_lists):
         raise ValueError(f"{len(bool_lists)} boolean rows but a dense block of shape {dense.shape}")
-    bools = np.zeros((len(bool_lists), space_size), dtype=np.float32)
-    for i, row in enumerate(bool_lists):
-        cols = np.asarray(row)
-        if not cols.size:
-            continue
-        if (
-            cols.ndim != 1 or cols.dtype.kind != "i" or cols[0] < 0
-            or cols[-1] >= space_size or np.any(np.diff(cols) <= 0)
-        ):
-            raise ValueError(
-                f"boolean row {i}: columns must be strictly increasing within [0, {space_size})"
-            )
-        bools[i, cols] = 1.0
-    return PackedFeatures(bools=bools, dense=dense)
+    rows = [np.asarray(row) for row in bool_lists]
+    for i, row in enumerate(rows):
+        if row.ndim != 1 or (row.size and row.dtype.kind != "i"):
+            raise _bad_row(i, space_size)
+    lengths = [row.size for row in rows]
+    # the int64 empty row fixes the dtype, also when every row is empty
+    cols = np.concatenate([np.empty(0, dtype=np.int64), *(row for row in rows if row.size)])
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    bad = (cols < 0) | (cols >= space_size)
+    bad[1:] |= (cols[1:] <= cols[:-1]) & (row_of[1:] == row_of[:-1])
+    if bad.any():
+        raise _bad_row(int(row_of[bad.argmax()]), space_size)
+    return PackedFeatures(cols=cols, ptr=_row_offsets(lengths), dense=dense)
+
+
+def _bad_row(i: int, space_size: int) -> ValueError:
+    return ValueError(
+        f"boolean row {i}: columns must be strictly increasing within [0, {space_size})"
+    )
 
 
 def pack_rows(
@@ -113,10 +139,18 @@ def pack_rows(
 def squared_distances(a: PackedFeatures, b: PackedFeatures) -> np.ndarray:
     """Pairwise squared Euclidean distances over the concatenated boolean+dense
     representation. Boolean part = symmetric-difference size."""
-    # exact in float32: each entry is a sum of 0/1 products, far below 2**24
-    inner = a.bools @ b.bools.T
-    counts_a = a.bools.sum(axis=1, dtype=np.float64)
-    counts_b = b.bools.sum(axis=1, dtype=np.float64)
+    # b's rows as a 0/1 (columns x len(b)) matrix; the boolean inner products
+    # of a's row i are the sum of its rows at row i's columns. Every entry is
+    # a small integer, so the float32 sums are exact in any order.
+    width = 1 + max(a.cols.max(initial=-1), b.cols.max(initial=-1))
+    b_onehot = np.zeros((width, len(b)), dtype=np.float32)
+    b_onehot[b.cols, np.repeat(np.arange(len(b)), np.diff(b.ptr))] = 1.0
+    inner = np.empty((len(a), len(b)), dtype=np.float32)
+    bounds = a.ptr.tolist()
+    for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+        b_onehot.take(a.cols[start:end], axis=0).sum(axis=0, out=inner[i])
+    counts_a = np.diff(a.ptr).astype(np.float64)
+    counts_b = np.diff(b.ptr).astype(np.float64)
     d2 = counts_a[:, None] + counts_b[None, :] - 2.0 * inner
     da = np.einsum("ij,ij->i", a.dense, a.dense)
     db = np.einsum("ij,ij->i", b.dense, b.dense)
@@ -463,9 +497,12 @@ def _calibration_scores(
     scores = np.zeros_like(y)
     folds = stratified_fold_indices(y.tolist(), n_folds, seed=seed_key)
     all_idx = np.arange(len(y))
+    # a fold's block of K.T is contiguous and its transpose is the fold's K, so
+    # smo_solve's own contiguous copy of K.T costs nothing
+    K_t = np.ascontiguousarray(K.T)
     for test_idx in folds:
         train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-        alpha, b, _, _ = smo_solve(K[np.ix_(train_idx, train_idx)], y[train_idx], C, tol)
+        alpha, b, _, _ = smo_solve(K_t[np.ix_(train_idx, train_idx)].T, y[train_idx], C, tol)
         scores[test_idx] = K[np.ix_(test_idx, train_idx)] @ (alpha * y[train_idx]) + b
     return scores
 
@@ -620,5 +657,9 @@ def _build_svm_model(payload: dict, **common) -> SvmModel:
     )
 
 
-def load_svm_model(path: str | Path, table: EmbeddingTable) -> SvmModel:
-    return modelio.load_model(path, SVM_FORMAT, table, _build_svm_model)
+def load_svm_model(
+    path: str | Path, table: EmbeddingTable, payload: dict | None = None
+) -> SvmModel:
+    """The SVM model in ``path``; ``payload``, when given, is that file's
+    parsed JSON, so it is not read again."""
+    return modelio.load_model(path, SVM_FORMAT, table, _build_svm_model, payload)

@@ -213,6 +213,59 @@ def rbf_kernel(x_bools, x_dense, z_bools, z_dense, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# dense boolean-block kernel reference
+#
+# The package's pairwise squared distances as they were when a row block kept
+# its boolean features as one dense float32 0/1 matrix, ``bools`` (rows x
+# feature-space size), beside the scaled ``dense`` block: the boolean inner
+# products are one matrix product. Copied verbatim; ``a`` and ``b`` are any
+# objects with those two attributes, such as ``DenseRows``.
+
+@dataclass(frozen=True)
+class DenseRows:
+    bools: np.ndarray
+    dense: np.ndarray
+
+
+def squared_distances_dense_reference(a, b) -> np.ndarray:
+    """Pairwise squared Euclidean distances over the concatenated boolean+dense
+    representation. Boolean part = symmetric-difference size."""
+    # exact in float32: each entry is a sum of 0/1 products, far below 2**24
+    inner = a.bools @ b.bools.T
+    counts_a = a.bools.sum(axis=1, dtype=np.float64)
+    counts_b = b.bools.sum(axis=1, dtype=np.float64)
+    d2 = counts_a[:, None] + counts_b[None, :] - 2.0 * inner
+    da = np.einsum("ij,ij->i", a.dense, a.dense)
+    db = np.einsum("ij,ij->i", b.dense, b.dense)
+    d2 += da[:, None] + db[None, :] - 2.0 * (a.dense @ b.dense.T)
+    return np.maximum(d2, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# embedding-table writer reference
+#
+# The package's text-format writer as it was when it wrote each value with
+# its own two calls. Copied verbatim; ``table`` is any object with the
+# package's EmbeddingTable ``__len__``, ``dim``, ``tokens`` and ``lookup``.
+
+def save_table_reference(table, path) -> None:
+    """Write a table in the text format, with header, byte-deterministically.
+
+    Tokens are written in sorted order and floats via ``repr``, so
+    ``load_table(save_table(t))`` reproduces every vector bit for bit.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table)} {table.dim}\n")
+        for token in sorted(table.tokens()):
+            vec = table.lookup(token)
+            fh.write(token)
+            for x in vec:
+                fh.write(" ")
+                fh.write(repr(float(x)))
+            fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
 # neural-network oracles
 
 def conv1d_oracle(I_pad: np.ndarray, filters: np.ndarray, bias: np.ndarray, st: int) -> np.ndarray:

@@ -367,6 +367,38 @@ def test_evaluate_rejects_unknown_label(workdir, tmp_path, capsys):
     assert f"{typo}: line 2: bad prediction" in capsys.readouterr().err
 
 
+def _span_overlap(record):
+    record["e2"] = record["e1"]
+
+
+def _lowercase_label(record):
+    record["label"] = record["label"].lower()
+
+
+def _subtask_2_1(record):
+    record["subtask"] = "2.1"
+
+
+def _uppercase_lemma(record):
+    record["tokens"][0]["lemma"] = "Y"
+
+
+@pytest.mark.parametrize(
+    "damage", [_span_overlap, _lowercase_label, _subtask_2_1, _uppercase_lemma],
+    ids=["bad-span", "unknown-label", "unknown-subtask", "uppercase-lemma"],
+)
+def test_invalid_corpus_record_names_file_and_line(tmp_path, capsys, damage):
+    good = fixture_path("example_corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    record = {**json.loads(good), "id": "damaged"}
+    damage(record)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["features", "--corpus", str(corpus),
+               "--embeddings", str(fixture_path("toy_embeddings.txt"))])
+    assert rc == 2
+    assert f"error: {corpus}: line 2: " in capsys.readouterr().err
+
+
 def test_search_writes_log_and_best(workdir, tmp_path):
     log_path = tmp_path / "trials.jsonl"
     best_path = tmp_path / "best.json"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tok
+from oracles import save_table_reference
 from relclass.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -232,3 +233,15 @@ def test_table_file_roundtrip(tmp_path_factory, vectors):
     again = tmp_path_factory.mktemp("emb") / "t2.txt"
     save_table(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_save_table_writes_the_reference_bytes(tmp_path):
+    # signed zero, the smallest subnormal, a repr-sensitive sum and a huge value
+    table = EmbeddingTable({"b": [-0.0, 5e-324, 0.1 + 0.2], "a": [1e300, -1.5, 0.0]}, name="t")
+    ours, reference = tmp_path / "ours.txt", tmp_path / "reference.txt"
+    save_table(table, ours)
+    save_table_reference(table, reference)
+    assert ours.read_bytes() == reference.read_bytes()
+    loaded = load_table(ours)
+    for token in ("a", "b"):
+        assert loaded.lookup(token).tobytes() == table.lookup(token).tobytes()

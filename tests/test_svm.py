@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    DenseRows,
     coupling_oracle,
     kkt_violation,
     qp_objective,
     qp_oracle,
     rbf_kernel,
     smo_reference,
+    squared_distances_dense_reference,
 )
 from relclass import svm
 from relclass.corpus import RelationLabel
@@ -357,10 +359,11 @@ def test_packed_roundtrip_through_index_lists(svm_model):
                           kernel_matrix(rebuilt, rebuilt, 0.1))
 
 
-@pytest.mark.parametrize("row", [[2, 1], [1, 1], [-1, 2], [0, 3]],
-                         ids=["unsorted", "duplicate", "negative", "space-size"])
+@pytest.mark.parametrize("row", [[2, 1], [1, 1], [-1, 2], [0, 3], [0.0], [True], [[1]], ["a"]],
+                         ids=["unsorted", "duplicate", "negative", "space-size",
+                              "float", "bool", "nested", "string"])
 def test_packed_rows_reject_bad_columns(row):
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match="boolean row 1: columns must be strictly increasing"):
         packed_from_bool_lists([[0, 2], row], np.zeros((2, 1)), 3)
 
 
@@ -384,6 +387,81 @@ def test_pack_features_consistency(svm_model, syn_table):
         assert K[i, j] == pytest.approx(ref, abs=1e-12)
 
 
+def _dense_rows(packed, space_size):
+    """The oracle's layout of a packed block: one float32 0/1 row per instance."""
+    bools = np.zeros((len(packed), space_size), dtype=np.float32)
+    for i, cols in enumerate(packed.bool_index_lists()):
+        bools[i, cols] = 1.0
+    return DenseRows(bools, packed.dense)
+
+
+def _kernel_case(seed):
+    """Two seeded blocks over one space, with crafted rows: empty in both,
+    identical across the blocks, disjoint across them, and the space's last
+    column in the first block only."""
+    rng = np.random.default_rng(seed)
+    space_size = int(rng.integers(2, 80))
+    width = 0 if seed % 3 == 0 else int(rng.integers(1, 6))
+
+    def block(n):
+        sizes = rng.integers(0, min(space_size - 1, 15) + 1, size=n)
+        rows = [np.sort(rng.choice(space_size - 1, size=k, replace=False)) for k in sizes]
+        return rows, rng.random((n, width))
+
+    a_rows, a_dense = block(int(rng.integers(5, 12)))
+    b_rows, b_dense = block(int(rng.integers(5, 12)))
+    a_rows[0] = b_rows[0] = np.array([], dtype=np.int64)
+    b_rows[1], b_dense[1] = a_rows[1].copy(), a_dense[1]
+    b_rows[2] = np.setdiff1d(np.arange(space_size - 1), a_rows[2])[:4]
+    a_rows[3] = np.append(a_rows[3], space_size - 1)
+    a = packed_from_bool_lists(a_rows, a_dense, space_size)
+    b = packed_from_bool_lists(b_rows, b_dense, space_size)
+    return a, b, space_size
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_kernel_matches_dense_reference(seed):
+    a, b, space_size = _kernel_case(seed)
+    dense_a, dense_b = _dense_rows(a, space_size), _dense_rows(b, space_size)
+    gamma = 0.3
+    # a with itself (training), then the two blocks both ways (prediction)
+    for x, z, ref_x, ref_z in ((a, a, dense_a, dense_a), (a, b, dense_a, dense_b),
+                               (b, a, dense_b, dense_a)):
+        d2 = squared_distances_dense_reference(ref_x, ref_z)
+        assert np.array_equal(squared_distances(x, z), d2)
+        assert np.array_equal(kernel_matrix(x, z, gamma), np.exp(-gamma * d2))
+
+
+def test_kernel_matches_dense_reference_on_model_rows(svm_model):
+    corpus, model = svm_model
+    x = model._pack(corpus)
+    dense_x, dense_sv = _dense_rows(x, len(model.space)), _dense_rows(model.sv, len(model.space))
+    for z, dense_z in ((x, dense_x), (model.sv, dense_sv)):
+        d2 = squared_distances_dense_reference(dense_x, dense_z)
+        assert np.array_equal(kernel_matrix(x, z, model.gamma), np.exp(-model.gamma * d2))
+
+
+def test_packed_rows_layout_and_subset():
+    rows = [[2], [0, 1], [], [1, 4]]
+    packed = packed_from_bool_lists(rows, np.arange(4.0)[:, None], 5)
+    assert packed.cols.dtype == np.int64 and packed.cols.tolist() == [2, 0, 1, 1, 4]
+    assert packed.ptr.tolist() == [0, 1, 3, 3, 5]
+    sub = packed.subset(np.array([3, 2, 0, 3]))
+    assert sub.bool_index_lists() == [[1, 4], [], [2], [1, 4]]
+    assert sub.dense[:, 0].tolist() == [3.0, 2.0, 0.0, 3.0]
+    empty = packed_from_bool_lists([[], []], np.zeros((2, 0)), 0)
+    assert empty.cols.dtype == np.int64 and empty.ptr.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([[0, 2], [], [2, 1], [5]], 2),
+    ([[2], [1], [0, 3]], 2),
+], ids=["first-of-two", "after-row-starts-below-the-last-row"])
+def test_packed_rows_name_the_first_bad_row(rows, bad):
+    with pytest.raises(ValueError, match=f"boolean row {bad}: "):
+        packed_from_bool_lists(rows, np.zeros((len(rows), 1)), 3)
+
+
 def test_training_and_prediction_build_the_same_rows(monkeypatch, syn_table, levin):
     corpus = make_corpus(n_per_class=5, seed=4)
     built = []
@@ -397,7 +475,8 @@ def test_training_and_prediction_build_the_same_rows(monkeypatch, syn_table, lev
     (trained,) = built
     predicted = model._pack(corpus)
     assert len(built) == 2
-    assert np.array_equal(trained.bools, predicted.bools)
+    assert np.array_equal(trained.cols, predicted.cols)
+    assert np.array_equal(trained.ptr, predicted.ptr)
     assert np.array_equal(trained.dense, predicted.dense)
 
 
