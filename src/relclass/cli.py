@@ -21,7 +21,7 @@ from . import clstm, search, svm
 from .corpus import LABELS, RelationLabel, build_lemma_counts, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .evaluation import confusion, cross_validate, f1_scores, format_report
-from .features import LevinTable, NAMESPACES, extract_keys, load_levin_table
+from .features import LevinTable, NAMESPACES, featurize, load_levin_table
 from .modelio import ModelFormatError, argmax_labels, read_json, write_atomic
 
 log = logging.getLogger(__name__)
@@ -287,12 +287,12 @@ def cmd_features(cfg: RunConfig) -> int:
     instances = parse_corpus(cfg.corpus)
     table, levin = _load_common(cfg)
     freq = build_lemma_counts(instances)
+    key_sets, _ = featurize(instances, freq, table, levin, cfg.freq_threshold)
     lines = []
-    for inst in instances:
-        keys = extract_keys(inst, freq, table, levin, cfg.freq_threshold)
+    for inst, keys in zip(instances, key_sets):
         grouped: dict[str, list[str]] = {ns: [] for ns in NAMESPACES}
-        for key in sorted(keys):
-            grouped[key.namespace].append(key.value)
+        for namespace, value in sorted(keys):
+            grouped[namespace].append(value)
         lines.append(json.dumps({"id": inst.id, "features": grouped},
                                 sort_keys=True, ensure_ascii=False))
     text = "\n".join(lines) + ("\n" if lines else "")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import RelationInstance, TokenAnnotation, extract_context
+from .corpus import TokenAnnotation
 
 
 class EmbeddingFormatError(ValueError):
@@ -69,10 +69,6 @@ class EmbeddingTable:
         """
         rows = [self._rows.get(tok.lemma, -1) for tok in tokens]
         return self._matrix[rows].sum(axis=0) / max(len(rows), 1)
-
-    def context_vector(self, inst: RelationInstance) -> np.ndarray:
-        """Mean lemma vector of the (unfiltered) context between the entities."""
-        return self.phrase_vector(extract_context(inst))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

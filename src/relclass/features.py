@@ -3,14 +3,13 @@
 An instance turns into a set of boolean feature keys (bag of words, POS tags,
 POS path, distance, verb classes, entity strings, embedding-similarity
 indicators) plus a dense block of three averaged embedding vectors
-[context | start entity | end entity], MinMax-scaled to [0,1].
+[context | start entity | end entity], MinMax-scaled to [0,1]. A key is a
+plain ``(namespace, value)`` string tuple; keys sort by namespace, then value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -40,20 +39,7 @@ NAMESPACES = (
 
 HEAD_NOUN_TAGS = frozenset({"NOUN", "PROPN"})
 
-SIM_BUCKETS = ("q0", "q25", "q50", "q75", "q100")
-
-
-@dataclass(frozen=True, order=True)
-class FeatureKey:
-    namespace: str
-    value: str
-
-    def __post_init__(self) -> None:
-        if self.namespace not in NAMESPACES:
-            raise ValueError(f"unknown feature namespace: {self.namespace!r}")
-        # pospath of an empty context is legitimately the empty string
-        if not self.value and self.namespace != "pospath":
-            raise ValueError(f"empty value in namespace {self.namespace!r}")
+Key = tuple[str, str]  # (namespace, value)
 
 
 class LevinTable:
@@ -108,25 +94,6 @@ def pos_path(context: Sequence[TokenAnnotation]) -> str:
     return "".join(tok.pos[0] for tok in context)
 
 
-def context_lexical(
-    inst: RelationInstance,
-    filtered_context: Sequence[TokenAnnotation],
-    levin: LevinTable,
-) -> set[FeatureKey]:
-    """Context features: bow/pos/lc from the filtered context, pospath/dist
-    from the full context (the path and its length describe the raw gap)."""
-    keys: set[FeatureKey] = set()
-    for tok in filtered_context:
-        keys.add(FeatureKey("bow", tok.lemma))
-        keys.add(FeatureKey("pos", tok.pos))
-        for class_id in levin.lookup(tok.lemma):
-            keys.add(FeatureKey("lc", str(class_id)))
-    full = extract_context(inst)
-    keys.add(FeatureKey("pospath", pos_path(full)))
-    keys.add(FeatureKey("dist", str(len(full))))
-    return keys
-
-
 def _surface(tokens: Sequence[TokenAnnotation]) -> str:
     return " ".join(tok.text for tok in tokens).lower()
 
@@ -136,17 +103,6 @@ def _entity_values(tokens: Sequence[TokenAnnotation]) -> set[str]:
     if len(tokens) > 1 and tokens[-1].pos in HEAD_NOUN_TAGS:
         values.add(tokens[-1].text.lower())
     return values
-
-
-def entity_lexical(inst: RelationInstance) -> set[FeatureKey]:
-    """Entity strings (lowercased surface, plus head noun of multi-token
-    nominals) under ents, and role-specific copies under startEnt/endEnt."""
-    start_vals = _entity_values(inst.start_tokens)
-    end_vals = _entity_values(inst.end_tokens)
-    keys = {FeatureKey("ents", v) for v in start_vals | end_vals}
-    keys |= {FeatureKey("startEnt", v) for v in start_vals}
-    keys |= {FeatureKey("endEnt", v) for v in end_vals}
-    return keys
 
 
 def similarity_value(c: float) -> str:
@@ -167,69 +123,101 @@ def similarity_bucket(c: float) -> str:
     return "q100"
 
 
-def similarity_features(inst: RelationInstance, table: EmbeddingTable) -> set[FeatureKey]:
-    """sim100 (truncated cosine of the entity phrase vectors) and its bucket."""
-    c = cosine(
-        table.phrase_vector(inst.e1_tokens),
-        table.phrase_vector(inst.e2_tokens),
-    )
-    return {
-        FeatureKey("sim100", similarity_value(c)),
-        FeatureKey("simb", similarity_bucket(c)),
-    }
-
-
-def extract_keys(
-    inst: RelationInstance,
+def featurize(
+    instances: Sequence[RelationInstance],
     freq: FrequencyTable,
     table: EmbeddingTable,
     levin: LevinTable,
     threshold: int = 5,
-) -> set[FeatureKey]:
-    """All boolean feature keys of one instance."""
-    filtered = filter_context(extract_context(inst), freq, threshold)
-    return (
-        context_lexical(inst, filtered, levin)
-        | entity_lexical(inst)
-        | similarity_features(inst, table)
-    )
+) -> tuple[list[set[Key]], np.ndarray]:
+    """The boolean key set of each instance and their (n, 3 * dim) unscaled
+    dense block, row i [context mean | start entity | end entity].
+
+    bow/pos/lc come from the frequency-filtered context, pospath/dist from
+    the full context (the path and its length describe the raw gap). The
+    entity strings (lowercased surface, plus the head noun of multi-token
+    nominals) go under ents and, by role, under startEnt/endEnt; sim100 is the
+    truncated cosine of the e1 and e2 phrase vectors and simb its bucket.
+    """
+    dim = table.dim
+    dense = np.empty((len(instances), 3 * dim))
+    key_sets = []
+    for inst, row in zip(instances, dense):
+        full = extract_context(inst)
+        keys = {("pospath", pos_path(full)), ("dist", str(len(full)))}
+        for tok in filter_context(full, freq, threshold):
+            keys.add(("bow", tok.lemma))
+            keys.add(("pos", tok.pos))
+            keys.update(("lc", str(class_id)) for class_id in levin.lookup(tok.lemma))
+        start_vals = _entity_values(inst.start_tokens)
+        end_vals = _entity_values(inst.end_tokens)
+        keys.update(("ents", v) for v in start_vals | end_vals)
+        keys.update(("startEnt", v) for v in start_vals)
+        keys.update(("endEnt", v) for v in end_vals)
+        e1 = table.phrase_vector(inst.e1_tokens)
+        e2 = table.phrase_vector(inst.e2_tokens)
+        c = cosine(e1, e2)
+        keys.add(("sim100", similarity_value(c)))
+        keys.add(("simb", similarity_bucket(c)))
+        key_sets.append(keys)
+        row[:dim] = table.phrase_vector(full)
+        row[dim:2 * dim], row[2 * dim:] = (e2, e1) if inst.reverse else (e1, e2)
+    return key_sets, dense
 
 
 class FeatureSpace:
-    """Frozen feature-key -> column-index map, built from training data."""
+    """Frozen feature-key -> column-index map: column i is the i-th of the
+    strictly increasing keys it is built from."""
 
-    def __init__(self, keys: Iterable[FeatureKey]):
-        # the dataclass order, without its per-comparison tuple building
-        ordered = sorted(set(keys), key=attrgetter("namespace", "value"))
-        if not ordered:
+    def __init__(self, keys: Sequence[Key]):
+        if not keys:
             raise ValueError("feature space must be nonempty")
-        self._index = {key: i for i, key in enumerate(ordered)}
-        self._keys = tuple(ordered)
+        self._keys = tuple(keys)
+        self._index = {key: i for i, key in enumerate(self._keys)}
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __contains__(self, key: FeatureKey) -> bool:
-        return key in self._index
-
-    def keys(self) -> tuple[FeatureKey, ...]:
+    def keys(self) -> tuple[Key, ...]:
         return self._keys
 
-    def index(self, key: FeatureKey) -> int:
-        return self._index[key]
-
-    def indices(self, keys: Iterable[FeatureKey]) -> np.ndarray:
+    def indices(self, keys: Iterable[Key]) -> np.ndarray:
         """Sorted column indices of the keys present in the space."""
         idx = sorted(self._index[k] for k in keys if k in self._index)
         return np.asarray(idx, dtype=np.int64)
 
 
-def build_feature_space(train_keys: Iterable[Iterable[FeatureKey]]) -> FeatureSpace:
+def build_feature_space(train_keys: Iterable[Iterable[Key]]) -> FeatureSpace:
     """Index the union of training key sets, sorted by (namespace, value)."""
-    all_keys: set[FeatureKey] = set()
+    all_keys: set[Key] = set()
     for keys in train_keys:
         all_keys.update(keys)
-    return FeatureSpace(all_keys)
+    return FeatureSpace(sorted(all_keys))
+
+
+def parse_feature_space(entries: Iterable) -> FeatureSpace:
+    """The feature space a model file lists, its entries in column order.
+
+    Each entry must be a ``[namespace, value]`` string pair with a known
+    namespace and a nonempty value (the pospath of an empty context is the
+    empty string), and each must sort after the one before it.
+    """
+    keys: list[Key] = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(part, str) for part in entry)):
+            raise ValueError(f"space entry {i}: expected a [namespace, value] string pair, "
+                             f"got {entry!r}")
+        key = namespace, value = tuple(entry)
+        if namespace not in NAMESPACES:
+            raise ValueError(f"space entry {i}: unknown feature namespace {namespace!r}")
+        if not value and namespace != "pospath":
+            raise ValueError(f"space entry {i}: empty value in namespace {namespace!r}")
+        if keys and key <= keys[-1]:
+            raise ValueError(f"space entry {i}: {list(key)} does not sort after "
+                             f"{list(keys[-1])}; entries must be strictly increasing")
+        keys.append(key)
+    return FeatureSpace(keys)
 
 
 class MinMaxScaler:
@@ -266,14 +254,3 @@ def fit_minmax(train_dense: Sequence[np.ndarray] | np.ndarray) -> MinMaxScaler:
     if stacked.ndim != 2 or stacked.shape[0] == 0:
         raise ValueError("need a nonempty 2-d stack of dense blocks")
     return MinMaxScaler(stacked.min(axis=0), stacked.max(axis=0))
-
-
-def dense_block(inst: RelationInstance, table: EmbeddingTable) -> np.ndarray:
-    """Unscaled dense block: [context mean | start entity | end entity]."""
-    return np.concatenate(
-        [
-            table.context_vector(inst),
-            table.phrase_vector(inst.start_tokens),
-            table.phrase_vector(inst.end_tokens),
-        ]
-    )

@@ -34,14 +34,14 @@ from .corpus import LABELS, FrequencyTable, RelationInstance, RelationLabel, bui
 from .embeddings import EmbeddingTable
 from .evaluation import stratified_fold_indices
 from .features import (
-    FeatureKey,
     FeatureSpace,
+    Key,
     LevinTable,
     MinMaxScaler,
     build_feature_space,
-    dense_block,
-    extract_keys,
+    featurize,
     fit_minmax,
+    parse_feature_space,
 )
 
 log = logging.getLogger(__name__)
@@ -124,7 +124,7 @@ def _bad_row(i: int, space_size: int) -> ValueError:
 
 
 def pack_rows(
-    key_sets: Sequence[set[FeatureKey]],
+    key_sets: Sequence[set[Key]],
     dense: np.ndarray,
     space: FeatureSpace,
     scaler: MinMaxScaler,
@@ -457,11 +457,9 @@ class SvmModel(modelio.Classifier):
     gamma: float
 
     def _pack(self, instances: Sequence[RelationInstance]) -> PackedFeatures:
-        key_sets = [
-            extract_keys(inst, self.freq, self.table, self.levin, self.freq_threshold)
-            for inst in instances
-        ]
-        dense = np.vstack([dense_block(inst, self.table) for inst in instances])
+        key_sets, dense = featurize(
+            instances, self.freq, self.table, self.levin, self.freq_threshold
+        )
         return pack_rows(key_sets, dense, self.space, self.scaler)
 
     def predict_proba_many(self, instances: Sequence[RelationInstance]) -> np.ndarray:
@@ -532,11 +530,8 @@ def train_multiclass(
     if len(present) < 2:
         raise SvmTrainingError("need at least two classes to train")
     freq = build_lemma_counts(labeled)
-    key_sets = [
-        extract_keys(inst, freq, table, levin, freq_threshold) for inst in labeled
-    ]
+    key_sets, dense = featurize(labeled, freq, table, levin, freq_threshold)
     space = build_feature_space(key_sets)
-    dense = np.vstack([dense_block(inst, table) for inst in labeled])
     scaler = fit_minmax(dense)
     packed = pack_rows(key_sets, dense, space, scaler)
     K = kernel_matrix(packed, packed, gamma)
@@ -606,7 +601,7 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
         "C": model.C,
         "gamma": model.gamma,
         "levin": {lemma: sorted(model.levin.lookup(lemma)) for lemma in sorted(model.levin.lemmas())},
-        "space": [[key.namespace, key.value] for key in model.space.keys()],
+        "space": [list(key) for key in model.space.keys()],
         "scaler": {
             "min": modelio.encode_array(model.scaler.mins),
             "max": modelio.encode_array(model.scaler.maxs),
@@ -619,7 +614,7 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
 
 
 def _build_svm_model(payload: dict, **common) -> SvmModel:
-    space = FeatureSpace(FeatureKey(ns, value) for ns, value in payload["space"])
+    space = parse_feature_space(payload["space"])
     scaler = MinMaxScaler(
         modelio.decode_array(payload["scaler"]["min"]),
         modelio.decode_array(payload["scaler"]["max"]),

@@ -213,6 +213,22 @@ def _sv_dense_column_short(payload):
     return payload
 
 
+def _swap_space_entries(payload):
+    space = payload["space"]
+    space[0], space[1] = space[1], space[0]
+    return payload
+
+
+def _repeat_space_entry(payload):
+    payload["space"].insert(1, payload["space"][0])
+    return payload
+
+
+def _unknown_space_namespace(payload):
+    payload["space"][-1][0] = "zzz"
+    return payload
+
+
 def _add_hyper_key(payload):
     payload["hyper"]["momentum"] = 0.9
     return payload
@@ -267,13 +283,17 @@ def _drop(key):
     ("clstm", _set_param("conv_b", None)),
     ("clstm", _rnn_units_as_float),
     ("clstm", _set_hyper("batch_size", True)),
+    ("svm", _swap_space_entries),
+    ("svm", _repeat_space_entry),
+    ("svm", _unknown_space_namespace),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
         "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column", "svm-sv-dense-width",
         "clstm-unknown-hyper-key", "clstm-missing-freq", "clstm-conv-w-width",
         "clstm-rnn-units-mismatch", "clstm-l-max-below-filter-width", "clstm-l-max-not-int",
         "svm-sv-dense-not-object", "clstm-param-null", "clstm-rnn-units-float",
-        "clstm-batch-size-bool"])
+        "clstm-batch-size-bool", "svm-space-unsorted", "svm-space-duplicate",
+        "svm-space-unknown-namespace"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file

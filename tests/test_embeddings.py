@@ -181,13 +181,6 @@ def test_phrase_vector_uses_lemma(toy_table):
     assert np.array_equal(toy_table.phrase_vector([tok("XYZ", "a")]), [1.0, 0.0])
 
 
-def test_context_vector(toy_table):
-    from conftest import make_instance
-    inst = make_instance([tok("x"), tok("A", "a"), tok("B", "b"), tok("y")],
-                         e1=(0, 0), e2=(3, 3))
-    assert np.array_equal(toy_table.context_vector(inst), [0.5, 0.5])
-
-
 def test_cosine_basics():
     assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
     assert cosine(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == pytest.approx(1.0)

@@ -4,45 +4,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance, tok
-from relclass.corpus import build_lemma_counts, extract_context, filter_context
+from relclass.corpus import RelationInstance, build_lemma_counts, extract_context
 from relclass.embeddings import EmbeddingTable, load_table
 from relclass.features import (
     NAMESPACES,
-    FeatureKey,
+    LevinTable,
     build_feature_space,
-    context_lexical,
-    dense_block,
-    entity_lexical,
-    extract_keys,
+    featurize,
     fit_minmax,
     load_levin_table,
+    parse_feature_space,
     pos_path,
     similarity_bucket,
-    similarity_features,
     similarity_value,
 )
 from relclass.svm import pack_rows
 
 # full boolean key set of the bundled example sentence, threshold 1
 EXAMPLE_KEYS = {
-    FeatureKey("bow", "an"), FeatureKey("bow", "be"), FeatureKey("bow", "effective"),
-    FeatureKey("bow", "improve"), FeatureKey("bow", "of"), FeatureKey("bow", "way"),
-    FeatureKey("pos", "ADJ"), FeatureKey("pos", "ADP"), FeatureKey("pos", "DET"),
-    FeatureKey("pos", "NOUN"), FeatureKey("pos", "VERB"),
-    FeatureKey("pospath", "VDANAV"),
-    FeatureKey("dist", "6"),
-    FeatureKey("lc", "45"),
-    FeatureKey("ents", "combination methods"), FeatureKey("ents", "methods"),
-    FeatureKey("ents", "system performance"), FeatureKey("ents", "performance"),
-    FeatureKey("startEnt", "combination methods"), FeatureKey("startEnt", "methods"),
-    FeatureKey("endEnt", "system performance"), FeatureKey("endEnt", "performance"),
-    FeatureKey("sim100", "0.43"),
-    FeatureKey("simb", "q50"),
+    ("bow", "an"), ("bow", "be"), ("bow", "effective"),
+    ("bow", "improve"), ("bow", "of"), ("bow", "way"),
+    ("pos", "ADJ"), ("pos", "ADP"), ("pos", "DET"), ("pos", "NOUN"), ("pos", "VERB"),
+    ("pospath", "VDANAV"),
+    ("dist", "6"),
+    ("lc", "45"),
+    ("ents", "combination methods"), ("ents", "methods"),
+    ("ents", "system performance"), ("ents", "performance"),
+    ("startEnt", "combination methods"), ("startEnt", "methods"),
+    ("endEnt", "system performance"), ("endEnt", "performance"),
+    ("sim100", "0.43"),
+    ("simb", "q50"),
 }
 
+# a and b orthogonal: two one-token entities on them have cosine 0
+AB_TABLE = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [2.0, 2.0]})
 
-def filtered(inst, threshold=1):
-    return filter_context(extract_context(inst), build_lemma_counts([inst]), threshold)
+
+def keys_of(inst, levin, table=AB_TABLE, threshold=1):
+    """featurize's key set of one instance, lemma counts from the instance itself."""
+    key_sets, _ = featurize([inst], build_lemma_counts([inst]), table, levin, threshold)
+    return key_sets[0]
+
+
+def only(keys, *namespaces):
+    return {key for key in keys if key[0] in namespaces}
+
+
+def reversed_copy(inst):
+    return RelationInstance(id=inst.id + "-r", tokens=inst.tokens, e1=inst.e1, e2=inst.e2,
+                            label=inst.label, reverse=True, subtask=inst.subtask)
 
 
 def test_namespace_inventory():
@@ -51,16 +61,29 @@ def test_namespace_inventory():
 
 
 def test_feature_key_validation():
-    with pytest.raises(ValueError):
-        FeatureKey("nope", "x")
-    with pytest.raises(ValueError):
-        FeatureKey("bow", "")
+    # keys are checked where they enter from a model file
+    with pytest.raises(ValueError, match="entry 1: unknown feature namespace 'nope'"):
+        parse_feature_space([["bow", "a"], ["nope", "x"]])
+    with pytest.raises(ValueError, match="entry 0: empty value in namespace 'bow'"):
+        parse_feature_space([["bow", ""]])
+    for entry in (["bow", 1], ["bow"], ["bow", "a", "b"], "bow", None):
+        with pytest.raises(ValueError, match="entry 0: expected a .namespace, value. string pair"):
+            parse_feature_space([entry])
+    with pytest.raises(ValueError, match="nonempty"):
+        parse_feature_space([])
     # the POS path of an empty context is the empty string
-    assert FeatureKey("pospath", "").value == ""
+    assert parse_feature_space([["pospath", ""]]).keys() == (("pospath", ""),)
 
 
 def test_feature_key_ordering():
-    assert FeatureKey("bow", "a") < FeatureKey("bow", "b") < FeatureKey("pos", "A")
+    assert ("bow", "a") < ("bow", "b") < ("pos", "A")
+    entries = [["bow", "a"], ["bow", "b"], ["pos", "A"]]
+    space = parse_feature_space(entries)
+    assert space.keys() == (("bow", "a"), ("bow", "b"), ("pos", "A"))
+    assert space.indices({("pos", "A"), ("bow", "a")}).tolist() == [0, 2]
+    for bad in ([entries[1], entries[0], entries[2]], [entries[0], entries[0], entries[2]]):
+        with pytest.raises(ValueError, match="entry 1: .* strictly increasing"):
+            parse_feature_space(bad)
 
 
 def test_pos_path_empty():
@@ -95,26 +118,33 @@ def test_levin_loader_rejects_bad_rows(tmp_path):
         load_levin_table(path)
 
 
-def test_context_lexical_example_sentence(example_instance, levin):
-    keys = context_lexical(example_instance, filtered(example_instance), levin)
-    assert keys == {k for k in EXAMPLE_KEYS
-                    if k.namespace in ("bow", "pos", "pospath", "dist", "lc")}
+@pytest.mark.parametrize("namespaces", [
+    ("bow", "pos", "pospath", "dist", "lc"),
+    ("ents", "startEnt", "endEnt"),
+    ("sim100", "simb"),
+    NAMESPACES,
+], ids=["context", "entity", "similarity", "all"])
+def test_featurize_example_sentence(example_instance, fixture_embeddings_path, levin,
+                                    namespaces):
+    keys = keys_of(example_instance, levin, load_table(fixture_embeddings_path))
+    assert only(keys, *namespaces) == only(EXAMPLE_KEYS, *namespaces)
 
 
 def test_context_lexical_single_noun(levin):
     inst = make_instance([tok("x"), tok("system", pos="NOUN"), tok("y")],
                          e1=(0, 0), e2=(2, 2))
-    keys = context_lexical(inst, filtered(inst), levin)
-    assert keys == {
-        FeatureKey("bow", "system"), FeatureKey("pos", "NOUN"),
-        FeatureKey("pospath", "N"), FeatureKey("dist", "1"),
+    assert only(keys_of(inst, levin), "bow", "pos", "pospath", "dist", "lc") == {
+        ("bow", "system"), ("pos", "NOUN"), ("pospath", "N"), ("dist", "1"),
     }
 
 
 def test_context_lexical_empty_context(levin):
     inst = make_instance([tok("a"), tok("b")], e1=(0, 0), e2=(1, 1))
-    keys = context_lexical(inst, (), levin)
-    assert keys == {FeatureKey("pospath", ""), FeatureKey("dist", "0")}
+    assert keys_of(inst, levin) == {
+        ("pospath", ""), ("dist", "0"),
+        ("ents", "a"), ("ents", "b"), ("startEnt", "a"), ("endEnt", "b"),
+        ("sim100", "0.00"), ("simb", "q25"),
+    }
 
 
 def test_dist_uses_unfiltered_context(levin):
@@ -122,50 +152,40 @@ def test_dist_uses_unfiltered_context(levin):
     # describe the full surface context
     inst = make_instance([tok("x"), tok("rare", pos="ADJ"), tok("y")],
                          e1=(0, 0), e2=(2, 2))
-    keys = context_lexical(inst, (), levin)
-    assert FeatureKey("dist", "1") in keys
-    assert FeatureKey("pospath", "A") in keys
-    assert not any(k.namespace in ("bow", "pos") for k in keys)
+    keys = keys_of(inst, levin, threshold=2)
+    assert ("dist", "1") in keys
+    assert ("pospath", "A") in keys
+    assert not only(keys, "bow", "pos")
 
 
-def test_entity_lexical_example_sentence(example_instance):
-    assert entity_lexical(example_instance) == {
-        k for k in EXAMPLE_KEYS if k.namespace in ("ents", "startEnt", "endEnt")
-    }
-
-
-def test_entity_lexical_single_token():
+def test_entity_lexical_single_token(levin):
     inst = make_instance([tok("parser", pos="NOUN"), tok("x"), tok("tool", pos="NOUN")],
                          e1=(0, 0), e2=(2, 2))
-    keys = entity_lexical(inst)
-    assert keys == {
-        FeatureKey("ents", "parser"), FeatureKey("ents", "tool"),
-        FeatureKey("startEnt", "parser"), FeatureKey("endEnt", "tool"),
+    assert only(keys_of(inst, levin), "ents", "startEnt", "endEnt") == {
+        ("ents", "parser"), ("ents", "tool"), ("startEnt", "parser"), ("endEnt", "tool"),
     }
 
 
-def test_entity_head_noun_requires_noun_tag():
+def test_entity_head_noun_requires_noun_tag(levin):
     inst = make_instance(
         [tok("deeply", pos="ADV"), tok("parsed", pos="VERB"), tok("x"),
          tok("tool", pos="NOUN")],
         e1=(0, 1), e2=(3, 3),
     )
-    keys = entity_lexical(inst)
+    keys = keys_of(inst, levin)
     # "deeply parsed" ends in a VERB, so no separate head-noun feature
-    assert FeatureKey("ents", "parsed") not in keys
-    assert FeatureKey("ents", "deeply parsed") in keys
+    assert ("ents", "parsed") not in keys
+    assert ("ents", "deeply parsed") in keys
 
 
-def test_entity_roles_respect_reverse(example_instance):
-    from relclass.corpus import RelationInstance
-    flipped = RelationInstance(
-        id="r", tokens=example_instance.tokens, e1=example_instance.e1,
-        e2=example_instance.e2, label=example_instance.label, reverse=True,
-        subtask=example_instance.subtask,
-    )
-    keys = entity_lexical(flipped)
-    assert FeatureKey("startEnt", "system performance") in keys
-    assert FeatureKey("endEnt", "combination methods") in keys
+def test_entity_roles_respect_reverse(example_instance, fixture_embeddings_path, levin):
+    table = load_table(fixture_embeddings_path)
+    keys = keys_of(reversed_copy(example_instance), levin, table)
+    assert ("startEnt", "system performance") in keys
+    assert ("endEnt", "combination methods") in keys
+    # only the roles move: the cosine of e1 and e2 is symmetric
+    assert keys - only(keys, "startEnt", "endEnt") == \
+        EXAMPLE_KEYS - only(EXAMPLE_KEYS, "startEnt", "endEnt")
 
 
 def test_similarity_value_truncates():
@@ -185,41 +205,24 @@ def test_similarity_bucket_boundaries():
     assert similarity_bucket(1.0) == "q100"
 
 
-def test_similarity_features_example_sentence(example_instance, fixture_embeddings_path):
-    table = load_table(fixture_embeddings_path)
-    assert similarity_features(example_instance, table) == {
-        FeatureKey("sim100", "0.43"), FeatureKey("simb", "q50"),
-    }
-
-
-def test_extract_keys_example_sentence(example_instance, fixture_embeddings_path, levin):
-    table = load_table(fixture_embeddings_path)
-    freq = build_lemma_counts([example_instance])
-    keys = extract_keys(example_instance, freq, table, levin, threshold=1)
-    assert keys == EXAMPLE_KEYS
-    assert len(keys) == 24
-
-
 def test_feature_space_basics():
-    keys = [{FeatureKey("bow", "a"), FeatureKey("bow", "b")},
-            {FeatureKey("bow", "b"), FeatureKey("pos", "N"), FeatureKey("dist", "1"),
-             FeatureKey("simb", "q0")}]
+    keys = [{("bow", "a"), ("bow", "b")},
+            {("bow", "b"), ("pos", "N"), ("dist", "1"), ("simb", "q0")}]
     space = build_feature_space(keys)
     assert len(space) == 5
-    assert [space.index(k) for k in space.keys()] == list(range(5))
-    assert space.keys() == tuple(sorted(space.keys()))
+    assert space.keys() == (("bow", "a"), ("bow", "b"), ("dist", "1"), ("pos", "N"),
+                            ("simb", "q0"))
+    assert space.indices(space.keys()).tolist() == list(range(5))
 
 
 def test_feature_space_indices_drop_unknown():
-    space = build_feature_space([[FeatureKey("bow", "a")]])
-    idx = space.indices({FeatureKey("bow", "a"), FeatureKey("bow", "zzz")})
+    space = build_feature_space([[("bow", "a")]])
+    idx = space.indices({("bow", "a"), ("bow", "zzz")})
     assert idx.tolist() == [0]
 
 
 def test_training_keys_all_indexed(example_instance, fixture_embeddings_path, levin):
-    table = load_table(fixture_embeddings_path)
-    freq = build_lemma_counts([example_instance])
-    keys = extract_keys(example_instance, freq, table, levin, threshold=1)
+    keys = keys_of(example_instance, levin, load_table(fixture_embeddings_path))
     space = build_feature_space([keys])
     assert len(space.indices(keys)) == len(keys)
 
@@ -250,34 +253,55 @@ def test_minmax_output_in_unit_interval(train, query):
 
 
 def test_dense_block_layout():
-    table = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [2.0, 2.0]})
     inst = make_instance([tok("A", "a"), tok("C", "c"), tok("B", "b")],
                          e1=(0, 0), e2=(2, 2))
-    block = dense_block(inst, table)
-    # [context mean | start entity | end entity]
-    assert np.array_equal(block, [2.0, 2.0, 1.0, 0.0, 0.0, 1.0])
+    freq = build_lemma_counts([inst])
+    _, dense = featurize([inst, reversed_copy(inst)], freq, AB_TABLE, LevinTable({}), 1)
+    # [context mean | start entity | end entity]; reverse swaps the roles
+    assert np.array_equal(dense, [[2.0, 2.0, 1.0, 0.0, 0.0, 1.0],
+                                  [2.0, 2.0, 0.0, 1.0, 1.0, 0.0]])
 
 
 def test_dense_block_hand_scaled():
-    table = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [2.0, 2.0]})
     first = make_instance([tok("A", "a"), tok("C", "c"), tok("B", "b")],
                           e1=(0, 0), e2=(2, 2), id="x")
     second = make_instance([tok("B", "b"), tok("A", "a"), tok("C", "c")],
                            e1=(0, 0), e2=(2, 2), id="y")
-    blocks = [dense_block(i, table) for i in (first, second)]
-    scaler = fit_minmax(blocks)
-    scaled = scaler.apply(blocks[0])
+    freq = build_lemma_counts([first, second])
+    _, dense = featurize([first, second], freq, AB_TABLE, LevinTable({}), 1)
+    scaler = fit_minmax(dense)
+    scaled = scaler.apply(dense[0])
     # col 0: train {2,1} -> 2 maps to 1; col 2: train {1,0} -> 1 maps to 1, etc.
     assert np.array_equal(scaled, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
+def test_featurize_batch_equals_single_instances(example_instance, fixture_embeddings_path,
+                                                 levin):
+    table = load_table(fixture_embeddings_path)
+    tokens = example_instance.tokens
+    batch = [
+        example_instance,
+        make_instance(tokens[:2], e1=(0, 0), e2=(1, 1), id="empty-context"),
+        reversed_copy(example_instance),
+        make_instance(tokens[2:8], e1=(0, 1), e2=(4, 5), id="short"),
+        make_instance([tok("x"), tok("Zzz"), *tokens[8:]], e1=(0, 0), e2=(2, 3), id="oov"),
+    ]
+    freq = build_lemma_counts(batch)
+    key_sets, dense = featurize(batch, freq, table, levin, 2)
+    alone = [featurize([inst], freq, table, levin, 2) for inst in batch]
+    assert key_sets == [keys[0] for keys, _ in alone]
+    assert dense.shape == (len(batch), 3 * table.dim)
+    assert dense.tobytes() == np.vstack([block for _, block in alone]).tobytes()
+    assert featurize([], freq, table, levin, 2)[1].shape == (0, 3 * table.dim)
+
+
 def test_assemble_end_to_end(example_instance, fixture_embeddings_path, levin):
     table = load_table(fixture_embeddings_path)
-    freq = build_lemma_counts([example_instance])
-    keys = extract_keys(example_instance, freq, table, levin, threshold=1)
-    space = build_feature_space([keys])
-    scaler = fit_minmax([dense_block(example_instance, table)])
-    packed = pack_rows([keys], dense_block(example_instance, table)[None], space, scaler)
+    key_sets, dense = featurize([example_instance], build_lemma_counts([example_instance]),
+                                table, levin, 1)
+    space = build_feature_space(key_sets)
+    scaler = fit_minmax(dense)
+    packed = pack_rows(key_sets, dense, space, scaler)
     assert len(space) == 24
     assert packed.bool_index_lists() == [list(range(24))]
     assert packed.dense.shape == (1, 6)

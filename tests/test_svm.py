@@ -18,7 +18,7 @@ from oracles import (
 from relclass import svm
 from relclass.corpus import RelationLabel
 from relclass.embeddings import cosine
-from relclass.features import dense_block, extract_keys
+from relclass.features import featurize
 from relclass.svm import (
     SvmTrainingError,
     fit_sigmoid,
@@ -369,13 +369,11 @@ def test_packed_rows_reject_bad_columns(row):
 
 def test_pack_features_consistency(svm_model, syn_table):
     corpus, model = svm_model
-    key_sets = [
-        extract_keys(inst, model.freq, syn_table, model.levin, model.freq_threshold)
-        for inst in corpus[:4]
-    ]
-    dense = np.vstack([dense_block(inst, syn_table) for inst in corpus[:4]])
+    key_sets, dense = featurize(corpus[:4], model.freq, syn_table, model.levin,
+                                model.freq_threshold)
     # per-instance reference rows: columns looked up key by key, dense scaled row by row
-    cols = [sorted(model.space.index(k) for k in keys if k in model.space) for keys in key_sets]
+    column = {key: i for i, key in enumerate(model.space.keys())}
+    cols = [sorted(column[k] for k in keys if k in column) for keys in key_sets]
     rows = [model.scaler.apply(row.copy()) for row in dense]
     packed = pack_rows(key_sets, dense, model.space, model.scaler)
     assert packed.bool_index_lists() == cols
