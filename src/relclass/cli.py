@@ -177,6 +177,7 @@ def cmd_train(cfg: RunConfig) -> int:
         report["feature_space_size"] = len(model.space)
         report["binary_models"] = len(model.pair_models)
         report["sv_rows"] = len(model.sv)
+        report["workers"] = model.fit_report["workers"]
         report["pairs"] = [
             {
                 "first": pair.first.value,
@@ -184,8 +185,11 @@ def cmd_train(cfg: RunConfig) -> int:
                 "n_iter": pair.svm.n_iter,
                 "converged": pair.svm.converged,
                 "support_vectors": len(pair.svm.sv),
+                "A": pair.calibrator.A,
+                "B": pair.calibrator.B,
+                **model.fit_report["pairs"][key],
             }
-            for _, pair in sorted(model.pair_models.items())
+            for key, pair in sorted(model.pair_models.items())
         ]
     else:
         clstm.save_clstm_model(model, out)

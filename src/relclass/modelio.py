@@ -21,7 +21,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +77,7 @@ def decode_array(obj: dict) -> np.ndarray:
     return arr
 
 
-def dumps_canonical(payload: dict) -> str:
+def dumps_canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
@@ -103,8 +103,18 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _canonical_fields(payload: dict) -> Iterator[str]:
+    """``dumps_canonical(payload) + "\n"`` in pieces, one top-level field at
+    a time, so the whole document never sits in memory as one string."""
+    yield "{"
+    for n, key in enumerate(sorted(payload)):
+        yield ("," if n else "") + dumps_canonical(key) + ":"
+        yield dumps_canonical(payload[key])
+    yield "}\n"
+
+
 def save_json(payload: dict, path: str | Path) -> None:
-    write_atomic(path, (dumps_canonical(payload), "\n"))
+    write_atomic(path, _canonical_fields(payload))
 
 
 def read_json(path: str | Path) -> Any:

@@ -16,14 +16,22 @@ Written on numpy alone. As in LIBSVM, a row keeps its boolean features as a
 sorted list of feature-space columns (all rows of a block in one CSR-style
 pair of arrays), so the kernel's boolean inner products are exact gathers
 over a row's few columns instead of a product of mostly-zero matrices.
+
+Once the training kernel exists the pair fits are independent; they run in
+forked worker processes, one per CPU in this process's affinity mask, which
+inherit the kernel instead of receiving a copy. Each fit is deterministic,
+so the model is the same whatever the number of workers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+import os
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -149,6 +157,7 @@ def squared_distances(a: PackedFeatures, b: PackedFeatures) -> np.ndarray:
     bounds = a.ptr.tolist()
     for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
         b_onehot.take(a.cols[start:end], axis=0).sum(axis=0, out=inner[i])
+    del b_onehot  # the largest buffer here (columns x len(b)); free it before the n x m ones
     counts_a = np.diff(a.ptr).astype(np.float64)
     counts_b = np.diff(b.ptr).astype(np.float64)
     d2 = counts_a[:, None] + counts_b[None, :] - 2.0 * inner
@@ -455,6 +464,10 @@ class SvmModel(modelio.Classifier):
     table: EmbeddingTable
     C: float
     gamma: float
+    # how training went, for the train report only: ``workers`` and, per
+    # trained pair, the calibration folds' diagnostics and the fit's wall
+    # time. Not saved, so a loaded model has none.
+    fit_report: dict = field(default_factory=dict, compare=False)
 
     def _pack(self, instances: Sequence[RelationInstance]) -> PackedFeatures:
         key_sets, dense = featurize(
@@ -483,16 +496,17 @@ def _calibration_scores(
     C: float,
     tol: float,
     seed_key: list[int],
-) -> np.ndarray:
-    """Decision scores for calibration, cross-validated when class counts allow."""
+) -> tuple[np.ndarray, list[tuple[int, bool]]] | None:
+    """Cross-validated decision scores for calibration, plus each fold fit's
+    (SMO iterations, converged); None when a class has fewer than two
+    points, so that no split into folds holds both classes in every fit."""
     n_pos = int((y > 0).sum())
     n_neg = int((y < 0).sum())
     n_folds = min(5, n_pos, n_neg)
     if n_folds < 2:
-        log.info("calibration: too few per-class points for folds, using training scores")
-        alpha, b, _, _ = smo_solve(K, y, C, tol)
-        return K @ (alpha * y) + b
+        return None
     scores = np.zeros_like(y)
+    fits = []
     folds = stratified_fold_indices(y.tolist(), n_folds, seed=seed_key)
     all_idx = np.arange(len(y))
     # a fold's block of K.T is contiguous and its transpose is the fold's K, so
@@ -500,9 +514,117 @@ def _calibration_scores(
     K_t = np.ascontiguousarray(K.T)
     for test_idx in folds:
         train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-        alpha, b, _, _ = smo_solve(K_t[np.ix_(train_idx, train_idx)].T, y[train_idx], C, tol)
+        alpha, b, n_iter, converged = smo_solve(
+            K_t[np.ix_(train_idx, train_idx)].T, y[train_idx], C, tol
+        )
         scores[test_idx] = K[np.ix_(test_idx, train_idx)] @ (alpha * y[train_idx]) + b
-    return scores
+        fits.append((n_iter, converged))
+    return scores, fits
+
+
+@dataclass(frozen=True)
+class PairInputs:
+    """What every class-pair fit of one training run reads: the training
+    kernel, each class's training rows (LABELS order) and the solver
+    settings. Pool workers inherit it through fork; it is never pickled."""
+
+    K: np.ndarray
+    members: list[list[int]]
+    C: float
+    tol: float
+    seed: int
+
+
+def fit_pair(inputs: PairInputs, task: tuple[int, int, int]) -> tuple[PairModel | None, dict]:
+    """Fit the SVM and calibrator of class pair ``(i, j)``, number ``pair_no``
+    in pair order, for ``task = (pair_no, i, j)``. Returns the pair model
+    (None when a class has no rows; its ``sv`` are still training rows) and
+    the fit's diagnostics for the train report."""
+    start = time.perf_counter()
+    pair_no, i, j = task
+    rows_i, rows_j = inputs.members[i], inputs.members[j]
+    if not rows_i or not rows_j:
+        log.info("pair (%s, %s) skipped: missing class", LABELS[i].value, LABELS[j].value)
+        return None, {}
+    C, tol = inputs.C, inputs.tol
+    sub = np.asarray(rows_i + rows_j, dtype=np.int64)
+    y = np.concatenate([np.ones(len(rows_i)), -np.ones(len(rows_j))])
+    K_sub = inputs.K[np.ix_(sub, sub)]
+    alpha, b, n_iter, converged = smo_solve(K_sub, y, C, tol)
+    sv_local = np.flatnonzero(alpha > 0)
+    sv_local = sv_local[np.argsort(sub[sv_local])]
+    binary = BinarySvmModel(sub[sv_local], (alpha * y)[sv_local], b, n_iter, converged)
+    calibration = _calibration_scores(K_sub, y, C, tol, seed_key=[inputs.seed, pair_no])
+    if calibration is None:
+        log.info("calibration: too few per-class points for folds, using training scores")
+        scores, fits = K_sub @ (alpha * y) + b, []
+    else:
+        scores, fits = calibration
+    calibrator = fit_sigmoid(scores, y.astype(int))
+    diagnostics = {
+        "folds": len(fits),
+        "fold_iters": sum(n for n, _ in fits),
+        "folds_converged": sum(ok for _, ok in fits),
+        "seconds": time.perf_counter() - start,
+    }
+    return PairModel(LABELS[i], LABELS[j], binary, calibrator), diagnostics
+
+
+_worker_inputs: PairInputs | None = None  # a pool worker's copy, set as it starts
+
+
+def _start_worker(inputs: PairInputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _fit_pair_in_worker(task: tuple[int, int, int]) -> tuple[PairModel | None, dict]:
+    return fit_pair(_worker_inputs, task)
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Processes to fit ``n_tasks`` class pairs with: one per CPU this process
+    may run on, at most one per task; 1 (fit in this process) where fork or
+    the CPU affinity mask is unavailable, or in a daemonic pool worker."""
+    # imported only to train: every CLI command imports this module, and
+    # prediction would pay its start-up time for nothing
+    import multiprocessing
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "sched_getaffinity")
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def _fit_pairs(
+    inputs: PairInputs, tasks: list[tuple[int, int, int]], workers: int
+) -> list[tuple[PairModel | None, dict]]:
+    """``fit_pair`` over ``tasks``, results in task order. With more than one
+    worker the tasks go, one at a time, to a pool of forked processes; the
+    pool is gone when this returns or raises, and a worker's exception is
+    re-raised here."""
+    if workers == 1:
+        return list(map(functools.partial(fit_pair, inputs), tasks))
+    import multiprocessing
+
+    # fork, so that the workers share the kernel instead of unpickling a copy;
+    # all of them start here, before the pool starts its own threads
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_start_worker, initargs=(inputs,)
+    )
+    try:
+        fits = pool.map(_fit_pair_in_worker, tasks, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    return fits
 
 
 def train_multiclass(
@@ -518,7 +640,9 @@ def train_multiclass(
     """Train all class-pair SVMs plus calibrators on a labeled corpus.
 
     Pairs with a missing class are skipped; their pairwise probability
-    defaults to 0.5 at prediction time.
+    defaults to 0.5 at prediction time. The pairs are fitted in
+    ``_worker_count`` processes, largest first; the model does not depend
+    on how many.
     """
     for name, value in (("C", C), ("gamma", gamma)):
         if not (math.isfinite(value) and value > 0):
@@ -536,30 +660,21 @@ def train_multiclass(
     packed = pack_rows(key_sets, dense, space, scaler)
     K = kernel_matrix(packed, packed, gamma)
     label_idx = {label: i for i, label in enumerate(LABELS)}
-    members = {i: [] for i in range(len(LABELS))}
+    members: list[list[int]] = [[] for _ in LABELS]
     for row, inst in enumerate(labeled):
         members[label_idx[inst.label]].append(row)
 
-    def train_pair(pair_no: int, i: int, j: int) -> PairModel | None:
-        rows_i, rows_j = members[i], members[j]
-        if not rows_i or not rows_j:
-            log.info("pair (%s, %s) skipped: missing class", LABELS[i].value, LABELS[j].value)
-            return None
-        sub = np.asarray(rows_i + rows_j, dtype=np.int64)
-        y = np.concatenate([np.ones(len(rows_i)), -np.ones(len(rows_j))])
-        K_sub = K[np.ix_(sub, sub)]
-        alpha, b, n_iter, converged = smo_solve(K_sub, y, C, tol)
-        sv_local = np.flatnonzero(alpha > 0)
-        sv_local = sv_local[np.argsort(sub[sv_local])]
-        # sv holds training rows until the union of all pairs' rows is known
-        binary = BinarySvmModel(sub[sv_local], (alpha * y)[sv_local], b, n_iter, converged)
-        scores = _calibration_scores(K_sub, y, C, tol, seed_key=[seed, pair_no])
-        calibrator = fit_sigmoid(scores, y.astype(int))
-        return PairModel(LABELS[i], LABELS[j], binary, calibrator)
-
-    pairs = itertools.combinations(range(len(LABELS)), 2)
-    results = {(i, j): train_pair(no, i, j) for no, (i, j) in enumerate(pairs)}
-    pair_models = {pair: model for pair, model in results.items() if model is not None}
+    pairs = list(itertools.combinations(range(len(LABELS)), 2))
+    # largest pair first, so that no big fit starts last while the other
+    # workers sit idle
+    tasks = sorted(
+        ((no, i, j) for no, (i, j) in enumerate(pairs)),
+        key=lambda task: -(len(members[task[1]]) + len(members[task[2]])),
+    )
+    workers = _worker_count(len(tasks))
+    fits = _fit_pairs(PairInputs(K, members, C, tol, seed), tasks, workers)
+    results = {(i, j): fit for (_, i, j), fit in zip(tasks, fits)}
+    pair_models = {pair: results[pair][0] for pair in pairs if results[pair][0] is not None}
     union = np.unique(np.concatenate([pair.svm.sv for pair in pair_models.values()]))
     pair_models = {
         key: replace(pair, svm=replace(pair.svm, sv=np.searchsorted(union, pair.svm.sv)))
@@ -576,6 +691,10 @@ def train_multiclass(
         table=table,
         C=C,
         gamma=gamma,
+        fit_report={
+            "workers": workers,
+            "pairs": {pair: results[pair][1] for pair in pair_models},
+        },
     )
 
 

@@ -1,11 +1,14 @@
 """Shared fixtures and small builders for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
+from relclass import svm
 from relclass.cli import fixture_path
 from relclass.clstm import Hyperparams, forward_batch, init_params
-from relclass.corpus import RelationInstance, RelationLabel, TokenAnnotation
+from relclass.corpus import LABELS, RelationInstance, RelationLabel, TokenAnnotation
 from relclass.embeddings import EmbeddingTable
 from relclass.features import load_levin_table
 from relclass.synthetic import make_corpus, make_embedding_table
@@ -39,6 +42,38 @@ def conv_maps(I_pad, filters, bias, stride):
     params = init_params(v, hyper, np.random.default_rng(0))
     params.update(conv_w=filters, conv_b=bias)
     return feature_maps(forward_batch(I_pad[None], params, hyper))[:, 0].T
+
+
+def force_cpus(monkeypatch, n):
+    """Make this process look as if it may run on n CPUs, so that SVM
+    training fits its class pairs in n forked workers (1: in this process)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def uneven_corpus():
+    """The synthetic corpus with 12, 11, ..., 7 instances of the classes in
+    LABELS order: the sizes of a full pair fit name its pair."""
+    kept = {label: 12 - k for k, label in enumerate(LABELS)}
+    corpus = []
+    for inst in make_corpus(n_per_class=12):
+        if kept[inst.label]:
+            kept[inst.label] -= 1
+            corpus.append(inst)
+    return corpus
+
+
+def failing_smo():
+    """An svm.smo_solve that raises SvmTrainingError on the full fit of the
+    uneven_corpus pair COMPARE/TOPIC (12 against 8 instances; a calibration
+    fold has fewer than 12 positives) and solves every other problem."""
+    solve = svm.smo_solve
+
+    def smo_solve(K, y, C, tol=1e-3, max_iter=100_000):
+        if (int((y > 0).sum()), int((y < 0).sum())) == (12, 8):
+            raise svm.SvmTrainingError("no solution for pair COMPARE/TOPIC")
+        return solve(K, y, C, tol, max_iter)
+
+    return smo_solve
 
 
 # the bundled example sentence: "Combination methods are an effective way of

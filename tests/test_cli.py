@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import failing_smo, force_cpus, uneven_corpus
+from relclass import svm
 from relclass.cli import fixture_path, main
 from relclass.corpus import LABELS, write_corpus
 from relclass.embeddings import save_table
@@ -56,6 +59,44 @@ def test_train_svm_writes_model_and_report(workdir):
     counts = [p["support_vectors"] for p in pairs]
     assert max(counts) <= report["sv_rows"] <= sum(counts)
     assert report["timing"]["train_seconds"] > 0
+    assert report["workers"] >= 1
+    for p in pairs:
+        # 12 instances a class: five calibration folds per pair
+        assert p["folds"] == p["folds_converged"] == 5 and p["fold_iters"] > 0
+        assert math.isfinite(p["A"]) and math.isfinite(p["B"]) and p["seconds"] > 0
+
+
+def _train_svm(workdir, corpus, out, *extra):
+    return main([
+        "train", "--model", "svm", "--train", str(corpus),
+        "--embeddings", str(workdir / "emb.txt"),
+        "--levin", str(fixture_path("levin_small.tsv")),
+        "--out", str(out), *extra,
+    ])
+
+
+def test_train_svm_model_file_does_not_depend_on_worker_count(workdir, tmp_path, monkeypatch):
+    for cpus in (1, 2):
+        force_cpus(monkeypatch, cpus)
+        report = tmp_path / f"{cpus}.report.json"
+        rc = _train_svm(workdir, workdir / "train.jsonl", tmp_path / f"{cpus}.json",
+                        "--report", str(report))
+        assert rc == 0
+        assert json.loads(report.read_text())["workers"] == cpus
+        # the fixture's model was trained with this machine's CPU count
+        assert (tmp_path / f"{cpus}.json").read_bytes() == (workdir / "svm-model.json").read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_exits_2_when_a_pair_fit_fails(workdir, tmp_path, monkeypatch, capsys, cpus):
+    write_corpus(uneven_corpus(), tmp_path / "uneven.jsonl")
+    force_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(svm, "smo_solve", failing_smo())
+    out = tmp_path / "m.json"
+    assert _train_svm(workdir, tmp_path / "uneven.jsonl", out) == 2
+    assert "error: no solution for pair COMPARE/TOPIC" in capsys.readouterr().err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_train_clstm_seed_reproducible(workdir, tmp_path):

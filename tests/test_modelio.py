@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -44,6 +45,20 @@ def test_write_atomic_replaces_file(tmp_path):
     write_atomic(path, ["new ", "text\n"])
     assert path.read_text(encoding="utf-8") == "new text\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"z": [1, 2.5, -0.0, 1e300], "a": {"y": None, "b": True}, "é": "ünïcode\n\"q\""},
+    {"only": {"shape": [2], "dtype": "<f8", "data": "AAAA"}},
+], ids=["empty", "mixed", "one-field"])
+def test_save_json_writes_the_canonical_document(tmp_path, payload):
+    # written one top-level field at a time, the bytes are those of one
+    # canonical dump of the whole document
+    path = tmp_path / "doc.json"
+    save_json(payload, path)
+    expected = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    assert path.read_bytes() == (expected + "\n").encode("utf-8")
 
 
 def test_failed_write_keeps_old_file_and_leaves_no_temporary(tmp_path):

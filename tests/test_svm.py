@@ -1,10 +1,12 @@
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import failing_smo, force_cpus, uneven_corpus
 from oracles import (
     DenseRows,
     coupling_oracle,
@@ -16,7 +18,7 @@ from oracles import (
     squared_distances_dense_reference,
 )
 from relclass import svm
-from relclass.corpus import RelationLabel
+from relclass.corpus import LABELS, RelationLabel
 from relclass.embeddings import cosine
 from relclass.features import featurize
 from relclass.svm import (
@@ -476,6 +478,78 @@ def test_training_and_prediction_build_the_same_rows(monkeypatch, syn_table, lev
     assert np.array_equal(trained.cols, predicted.cols)
     assert np.array_equal(trained.ptr, predicted.ptr)
     assert np.array_equal(trained.dense, predicted.dense)
+
+
+def _corpus_with_topic(n_topic):
+    """The 12-per-class synthetic corpus with only n_topic TOPIC instances."""
+    corpus = make_corpus(n_per_class=12)
+    topic = [inst for inst in corpus if inst.label is RelationLabel.TOPIC]
+    return [inst for inst in corpus if inst.label is not RelationLabel.TOPIC] + topic[:n_topic]
+
+
+# TOPIC missing: its five pairs are skipped, and their None crosses the pool.
+# One TOPIC instance: its pairs are too small for calibration folds.
+@pytest.mark.parametrize("n_topic, pairs", [(12, 15), (0, 10), (1, 15)],
+                         ids=["all-classes", "one-class-missing", "one-instance-class"])
+def test_model_file_does_not_depend_on_worker_count(
+    monkeypatch, tmp_path, syn_table, levin, n_topic, pairs
+):
+    corpus = _corpus_with_topic(n_topic)
+    written = []
+    for cpus in (1, 2):
+        force_cpus(monkeypatch, cpus)
+        model = train_multiclass(corpus, syn_table, levin, freq_threshold=1)
+        assert model.fit_report["workers"] == cpus
+        assert len(model.pair_models) == pairs
+        # each fit lands on its own pair, whatever order the workers ran them in
+        for (i, j), pair in model.pair_models.items():
+            assert (pair.first, pair.second) == (LABELS[i], LABELS[j])
+        save_svm_model(model, tmp_path / f"{cpus}.json")
+        written.append((tmp_path / f"{cpus}.json").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_one_instance_class_calibrates_on_training_scores(monkeypatch, syn_table, levin):
+    force_cpus(monkeypatch, 1)
+    model = train_multiclass(_corpus_with_topic(1), syn_table, levin, freq_threshold=1)
+    topic = LABELS.index(RelationLabel.TOPIC)
+    for pair, fit in model.fit_report["pairs"].items():
+        assert fit["folds"] == (0 if topic in pair else 5)
+
+
+def test_fit_report_counts_every_smo_fit(monkeypatch, syn_table, levin):
+    force_cpus(monkeypatch, 1)
+    fits = []
+
+    def recording_smo_solve(*args):
+        fits.append(smo_solve(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(svm, "smo_solve", recording_smo_solve)
+    model = train_multiclass(uneven_corpus(), syn_table, levin, freq_threshold=1)
+    report = model.fit_report
+    assert report["workers"] == 1 and set(report["pairs"]) == set(model.pair_models)
+    pair_iters = sum(pair.svm.n_iter for pair in model.pair_models.values())
+    assert pair_iters + sum(d["fold_iters"] for d in report["pairs"].values()) == sum(
+        n_iter for _, _, n_iter, _ in fits
+    )
+    assert len(fits) == 15 + sum(d["folds"] for d in report["pairs"].values())
+    for d in report["pairs"].values():
+        assert d["folds"] == d["folds_converged"] == 5 and d["seconds"] > 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_worker_outlives_training(monkeypatch, syn_table, levin, cpus):
+    force_cpus(monkeypatch, cpus)
+    train_multiclass(uneven_corpus(), syn_table, levin, freq_threshold=1)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(svm, "smo_solve", failing_smo())
+    with pytest.raises(SvmTrainingError) as failed:
+        train_multiclass(uneven_corpus(), syn_table, levin, freq_threshold=1)
+    # the worker's exception, re-raised here with its type and message
+    assert failed.type is SvmTrainingError
+    assert str(failed.value) == "no solution for pair COMPARE/TOPIC"
+    assert multiprocessing.active_children() == []
 
 
 def test_synthetic_keywords_are_separable(syn_table):
