@@ -1,13 +1,16 @@
 """Command-line entry point.
 
-Subcommands: train, predict, evaluate, search, features, crossval. Every value
-can come from a JSON config file (--config); explicit flags win. Exit codes:
-0 success, 2 usage or config error, 1 internal error.
+Subcommands: train, predict, evaluate, search, features, crossval. Each takes
+only the flags it reads (``COMMANDS``). Every value can also come from a JSON
+config file (--config), whose keys all commands share, each reading its own;
+explicit flags win. Exit codes: 0 success, 2 usage or config error, 1
+internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import sys
@@ -35,9 +38,19 @@ def fixture_path(name: str) -> Path:
     return Path(str(files("relclass") / "fixtures" / name))
 
 
+def _default(fn, name: str):
+    """The default that ``fn`` declares for its parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
+
+
+_HYPER = clstm.Hyperparams()  # the conv-LSTM settings' defaults
+
+
 @dataclass
 class RunConfig:
-    """Resolved settings of one command: flag > config file > default."""
+    """Resolved settings of one command: flag > config file > default. A
+    model or search setting defaults to what the library function that
+    reads it declares."""
 
     train: str | None = None
     corpus: str | None = None
@@ -51,21 +64,21 @@ class RunConfig:
     report: str | None = None
     trial_log: str | None = None
     seed: int = 0
-    k: int = 10
+    k: int = _default(cross_validate, "k")
     n_trials: int = 20
-    fraction: float = 0.1
-    freq_threshold: int = 5
-    C: float = 100.0
-    gamma: float = 0.001
-    num_filters: int = 384
-    filter_width: int = 3
-    rnn_units: int = 93
-    dropout: float = 0.23
-    l2: float = 0.79
-    batch_size: int = 128
-    epochs: int = 100
-    learning_rate: float = 0.002
-    stride: int = 1
+    fraction: float = _default(search.random_search, "fraction")
+    freq_threshold: int = _default(svm.train_multiclass, "freq_threshold")
+    C: float = _default(svm.train_multiclass, "C")
+    gamma: float = _default(svm.train_multiclass, "gamma")
+    num_filters: int = _HYPER.num_filters
+    filter_width: int = _HYPER.filter_width
+    rnn_units: int = _HYPER.rnn_units
+    dropout: float = _HYPER.dropout_rate
+    l2: float = _HYPER.l2_scale
+    batch_size: int = _HYPER.batch_size
+    epochs: int = _HYPER.epochs
+    learning_rate: float = _HYPER.learning_rate
+    stride: int = _HYPER.stride
 
 
 # per RunConfig annotation: what a config-file value must be, and the JSON
@@ -104,25 +117,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return merged
 
 
-def _load_common(cfg: RunConfig) -> tuple[EmbeddingTable, LevinTable]:
+def _load_embeddings(cfg: RunConfig) -> EmbeddingTable:
     if not cfg.embeddings:
         raise ValueError("an embedding table is required (--embeddings)")
-    table = load_table(cfg.embeddings)
-    levin = load_levin_table(cfg.levin) if cfg.levin else LevinTable({})
-    return table, levin
+    return load_table(cfg.embeddings)
+
+
+def _load_levin(cfg: RunConfig) -> LevinTable:
+    """The verb table; only SVM training and ``features`` read one."""
+    return load_levin_table(cfg.levin) if cfg.levin else LevinTable({})
 
 
 def _hyper_from(cfg: RunConfig) -> clstm.Hyperparams:
     return clstm.Hyperparams(
-        num_filters=cfg.num_filters,
-        filter_width=cfg.filter_width,
-        rnn_units=cfg.rnn_units,
-        dropout_rate=cfg.dropout,
-        l2_scale=cfg.l2,
-        stride=cfg.stride,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
+        num_filters=cfg.num_filters, filter_width=cfg.filter_width, rnn_units=cfg.rnn_units,
+        dropout_rate=cfg.dropout, l2_scale=cfg.l2, stride=cfg.stride,
+        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, epochs=cfg.epochs,
         seed=cfg.seed,
     )
 
@@ -135,15 +145,19 @@ def _write_json(payload: dict, path: str | None) -> None:
         print(text)
 
 
-def _train_model(cfg: RunConfig, instances, table: EmbeddingTable, levin: LevinTable):
-    """Train the model kind ``cfg.model`` names, with the configured settings."""
+def _trainer(cfg: RunConfig, table: EmbeddingTable):
+    """A function that trains the model kind ``cfg.model`` names on a corpus,
+    with the configured settings."""
     if cfg.model == "svm":
-        return svm.train_multiclass(
+        levin = _load_levin(cfg)
+        return lambda instances: svm.train_multiclass(
             instances, table, levin,
             C=cfg.C, gamma=cfg.gamma, freq_threshold=cfg.freq_threshold,
             seed=cfg.seed,
         )
-    return clstm.train(instances, table, _hyper_from(cfg), freq_threshold=cfg.freq_threshold)
+    hyper = _hyper_from(cfg)
+    return lambda instances: clstm.train(instances, table, hyper,
+                                         freq_threshold=cfg.freq_threshold)
 
 
 def _label_counts(instances) -> dict[str, int]:
@@ -160,7 +174,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if not cfg.train:
         raise ValueError("--train corpus is required")
     instances = parse_corpus(cfg.train)
-    table, levin = _load_common(cfg)
+    train = _trainer(cfg, _load_embeddings(cfg))
     out = cfg.out or f"{cfg.model}-model.json"
     start = time.perf_counter()
     report: dict = {
@@ -171,7 +185,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "model_file": out,
     }
-    model = _train_model(cfg, instances, table, levin)
+    model = train(instances)
     if cfg.model == "svm":
         svm.save_svm_model(model, out)
         report["feature_space_size"] = len(model.space)
@@ -218,8 +232,7 @@ def _load_any_model(path: str, table: EmbeddingTable):
 def cmd_predict(cfg: RunConfig) -> int:
     if not cfg.model_file or not cfg.corpus:
         raise ValueError("--model-file and --corpus are required")
-    table, _ = _load_common(cfg)
-    model = _load_any_model(cfg.model_file, table)
+    model = _load_any_model(cfg.model_file, _load_embeddings(cfg))
     instances = parse_corpus(cfg.corpus)
     out = cfg.out or "predictions.jsonl"
     probs = model.predict_proba_many(instances)
@@ -271,9 +284,8 @@ def cmd_search(cfg: RunConfig) -> int:
     if not cfg.train:
         raise ValueError("--train corpus is required")
     instances = parse_corpus(cfg.train)
-    table, _ = _load_common(cfg)
     best, results = search.random_search(
-        instances, table,
+        instances, _load_embeddings(cfg),
         n_trials=cfg.n_trials, seed=cfg.seed,
         fraction=cfg.fraction, freq_threshold=cfg.freq_threshold,
         epochs=cfg.epochs,
@@ -289,9 +301,9 @@ def cmd_features(cfg: RunConfig) -> int:
     if not cfg.corpus:
         raise ValueError("--corpus is required")
     instances = parse_corpus(cfg.corpus)
-    table, levin = _load_common(cfg)
-    freq = build_lemma_counts(instances)
-    key_sets, _ = featurize(instances, freq, table, levin, cfg.freq_threshold)
+    table, levin = _load_embeddings(cfg), _load_levin(cfg)
+    key_sets, _ = featurize(instances, build_lemma_counts(instances), table, levin,
+                            cfg.freq_threshold)
     lines = []
     for inst, keys in zip(instances, key_sets):
         grouped: dict[str, list[str]] = {ns: [] for ns in NAMESPACES}
@@ -313,12 +325,9 @@ def cmd_crossval(cfg: RunConfig) -> int:
     if not cfg.corpus:
         raise ValueError("--corpus is required")
     instances = parse_corpus(cfg.corpus)
-    table, levin = _load_common(cfg)
-
-    def train_fn(train_set):
-        return _train_model(cfg, train_set, table, levin).predict_many
-
-    result = cross_validate(instances, train_fn, k=cfg.k, seed=cfg.seed)
+    train = _trainer(cfg, _load_embeddings(cfg))
+    result = cross_validate(instances, lambda train_set: train(train_set).predict_many,
+                            k=cfg.k, seed=cfg.seed)
     for n, fold in enumerate(result.fold_reports, start=1):
         print(f"fold {n:2d}: macro-F1 {fold.macro_f1:.4f}  micro-F1 {fold.micro_f1:.4f}")
     print(f"mean   : macro-F1 {result.macro_mean:.4f} +- {result.macro_std:.4f}  "
@@ -328,6 +337,62 @@ def cmd_crossval(cfg: RunConfig) -> int:
     return 0
 
 
+# every flag, defined once: option -> add_argument keywords. The option's
+# name is its destination and config key (--model-file: model_file); a flag
+# left off the command line is None, so the config file or default applies.
+FLAGS: dict[str, dict] = {
+    "--config": {"help": "JSON config file; explicit flags win"},
+    "--out": {"help": "primary output path"},
+    "--seed": {"type": int},
+    "--embeddings": {"help": "embedding table file"},
+    "--levin": {"help": "verb-class TSV file (read by SVM training and features only)"},
+    "--model": {"choices": ["svm", "clstm"]},
+    "--train": {"help": "labeled training corpus (JSONL)"},
+    "--corpus": {"help": "input corpus (JSONL)"},
+    "--report": {"help": "JSON training-report path (default: stdout)"},
+    "--model-file": {"help": "model file written by `train`"},
+    "--gold": {"help": "labeled gold corpus"},
+    "--predictions": {"help": "predictions JSONL from `predict`"},
+    "--n-trials": {"type": int},
+    "--fraction": {"type": float, "help": "validation fraction"},
+    "--trial-log": {"help": "JSONL trial log path"},
+    "-k": {"type": int, "help": "number of folds"},
+    "--freq-threshold": {"type": int, "help": "minimum lemma count of a context word"},
+    "--C": {"type": float, "help": "SVM penalty"},
+    "--gamma": {"type": float, "help": "RBF width"},
+    "--num-filters": {"type": int},
+    "--filter-width": {"type": int},
+    "--rnn-units": {"type": int},
+    "--dropout": {"type": float},
+    "--l2": {"type": float},
+    "--batch-size": {"type": int},
+    "--epochs": {"type": int},
+    "--learning-rate": {"type": float},
+    "--stride": {"type": int},
+}
+
+# subcommand -> (handler, help, the flags it reads). train and crossval read
+# --freq-threshold, the SVM's C and gamma, and the conv-LSTM settings; predict
+# accepts --levin and never reads it, as an SVM model file holds its verb classes.
+MODEL_FLAGS = ("--freq-threshold --C --gamma --num-filters --filter-width --rnn-units "
+               "--dropout --l2 --batch-size --epochs --learning-rate --stride")
+COMMANDS = {
+    "train": (cmd_train, "train a model",
+              "--config --out --seed --embeddings --levin --model --train --report " + MODEL_FLAGS),
+    "predict": (cmd_predict, "predict with a trained model",
+                "--config --out --embeddings --levin --model-file --corpus"),
+    "evaluate": (cmd_evaluate, "score predictions against gold",
+                 "--config --out --gold --predictions"),
+    "search": (cmd_search, "random hyperparameter search",
+               "--config --out --seed --embeddings --freq-threshold --epochs --train --n-trials "
+               "--fraction --trial-log"),
+    "features": (cmd_features, "dump boolean feature keys",
+                 "--config --out --embeddings --levin --freq-threshold --corpus"),
+    "crossval": (cmd_crossval, "stratified k-fold cross-validation",
+                 "--config --out --seed --embeddings --levin --model --corpus -k " + MODEL_FLAGS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relclass",
@@ -335,60 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; explicit flags win")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--embeddings", help="embedding table file")
-    common.add_argument("--levin", help="verb-class TSV file")
-    common.add_argument("--out", help="primary output path")
-
-    hyper = argparse.ArgumentParser(add_help=False)
-    hyper.add_argument("--freq-threshold", dest="freq_threshold", type=int, default=None)
-    hyper.add_argument("--num-filters", dest="num_filters", type=int, default=None)
-    hyper.add_argument("--filter-width", dest="filter_width", type=int, default=None)
-    hyper.add_argument("--rnn-units", dest="rnn_units", type=int, default=None)
-    hyper.add_argument("--dropout", type=float, default=None)
-    hyper.add_argument("--l2", type=float, default=None)
-    hyper.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    hyper.add_argument("--epochs", type=int, default=None)
-    hyper.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    hyper.add_argument("--stride", type=int, default=None)
-    hyper.add_argument("--C", type=float, default=None, help="SVM penalty")
-    hyper.add_argument("--gamma", type=float, default=None, help="RBF width")
-
-    p = sub.add_parser("train", parents=[common, hyper], help="train a model")
-    p.add_argument("--model", choices=["svm", "clstm"])
-    p.add_argument("--train", help="labeled training corpus (JSONL)")
-    p.add_argument("--report", help="JSON training-report path (default: stdout)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", parents=[common], help="predict with a trained model")
-    p.add_argument("--model-file", dest="model_file")
-    p.add_argument("--corpus", help="corpus to label (JSONL)")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("evaluate", parents=[common], help="score predictions against gold")
-    p.add_argument("--gold", help="labeled gold corpus")
-    p.add_argument("--predictions", help="predictions JSONL from `predict`")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("search", parents=[common, hyper], help="random hyperparameter search")
-    p.add_argument("--train", help="labeled training corpus (JSONL)")
-    p.add_argument("--n-trials", dest="n_trials", type=int, default=None)
-    p.add_argument("--fraction", type=float, default=None, help="validation fraction")
-    p.add_argument("--trial-log", dest="trial_log", help="JSONL trial log path")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("features", parents=[common, hyper], help="dump boolean feature keys")
-    p.add_argument("--corpus", help="corpus to analyze (JSONL)")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("crossval", parents=[common, hyper], help="stratified k-fold cross-validation")
-    p.add_argument("--model", choices=["svm", "clstm"])
-    p.add_argument("--corpus", help="labeled corpus (JSONL)")
-    p.add_argument("-k", type=int, default=None, help="number of folds")
-    p.set_defaults(func=cmd_crossval)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

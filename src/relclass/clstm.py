@@ -86,7 +86,7 @@ def build_sequence(
     inst: RelationInstance,
     table: EmbeddingTable,
     freq: FrequencyTable,
-    threshold: int = 5,
+    threshold: int,
 ) -> np.ndarray:
     """Embedding matrix I of shape (v, l_s): start entity, filtered context
     words in order, end entity. Entity columns are token-average vectors."""

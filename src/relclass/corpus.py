@@ -140,7 +140,7 @@ def build_lemma_counts(instances: Iterable[RelationInstance]) -> FrequencyTable:
 def filter_context(
     context: Sequence[TokenAnnotation],
     freq: FrequencyTable,
-    threshold: int = 5,
+    threshold: int,
 ) -> tuple[TokenAnnotation, ...]:
     """Keep only context tokens whose lemma count reaches ``threshold``."""
     if threshold < 1:

@@ -51,9 +51,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._rows
-
     def tokens(self) -> list[str]:
         return list(self._rows)
 

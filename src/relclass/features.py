@@ -54,12 +54,6 @@ class LevinTable:
             store[lemma] = ids
         self._classes = store
 
-    def __len__(self) -> int:
-        return len(self._classes)
-
-    def __contains__(self, lemma: str) -> bool:
-        return lemma in self._classes
-
     def lemmas(self) -> list[str]:
         return list(self._classes)
 
@@ -128,7 +122,7 @@ def featurize(
     freq: FrequencyTable,
     table: EmbeddingTable,
     levin: LevinTable,
-    threshold: int = 5,
+    threshold: int,
 ) -> tuple[list[set[Key]], np.ndarray]:
     """The boolean key set of each instance and their (n, 3 * dim) unscaled
     dense block, row i [context mean | start entity | end entity].

@@ -308,14 +308,15 @@ class SigmoidCalibrator:
     B: float
 
     def predict(self, scores: np.ndarray | float) -> np.ndarray | float:
-        s = np.asarray(scores, dtype=np.float64)
-        fapb = self.A * s + self.B
-        out = np.where(
-            fapb >= 0,
-            np.exp(-np.clip(fapb, 0, None)) / (1.0 + np.exp(-np.clip(fapb, 0, None))),
-            1.0 / (1.0 + np.exp(np.clip(fapb, None, 0))),
-        )
+        out = _logistic(self.A * np.asarray(scores, dtype=np.float64) + self.B)
         return float(out) if np.isscalar(scores) else out
+
+
+def _logistic(fapb: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(fapb)), from exp(-|fapb|) alone so that nothing
+    overflows; ``_logistic(-fapb)`` is its complement."""
+    e = np.exp(-np.abs(fapb))
+    return np.where(fapb >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
 def _platt_objective(scores: np.ndarray, targets: np.ndarray, A: float, B: float) -> float:
@@ -352,14 +353,7 @@ def fit_sigmoid(scores: Sequence[float], labels: Sequence[int]) -> SigmoidCalibr
     sigma = 1e-12  # Hessian ridge
     for _ in range(100):
         fapb = A * s + B
-        pos = fapb >= 0
-        p = np.empty_like(fapb)
-        q = np.empty_like(fapb)
-        ep = np.exp(-np.abs(fapb))
-        p[pos] = ep[pos] / (1.0 + ep[pos])
-        q[pos] = 1.0 / (1.0 + ep[pos])
-        p[~pos] = 1.0 / (1.0 + ep[~pos])
-        q[~pos] = ep[~pos] / (1.0 + ep[~pos])
+        p, q = _logistic(fapb), _logistic(-fapb)
         d2 = p * q
         h11 = float(s @ (s * d2)) + sigma
         h22 = float(d2.sum()) + sigma
@@ -494,7 +488,6 @@ def _calibration_scores(
     K: np.ndarray,
     y: np.ndarray,
     C: float,
-    tol: float,
     seed_key: list[int],
 ) -> tuple[np.ndarray, list[tuple[int, bool]]] | None:
     """Cross-validated decision scores for calibration, plus each fold fit's
@@ -515,7 +508,7 @@ def _calibration_scores(
     for test_idx in folds:
         train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
         alpha, b, n_iter, converged = smo_solve(
-            K_t[np.ix_(train_idx, train_idx)].T, y[train_idx], C, tol
+            K_t[np.ix_(train_idx, train_idx)].T, y[train_idx], C
         )
         scores[test_idx] = K[np.ix_(test_idx, train_idx)] @ (alpha * y[train_idx]) + b
         fits.append((n_iter, converged))
@@ -531,7 +524,6 @@ class PairInputs:
     K: np.ndarray
     members: list[list[int]]
     C: float
-    tol: float
     seed: int
 
 
@@ -546,15 +538,14 @@ def fit_pair(inputs: PairInputs, task: tuple[int, int, int]) -> tuple[PairModel 
     if not rows_i or not rows_j:
         log.info("pair (%s, %s) skipped: missing class", LABELS[i].value, LABELS[j].value)
         return None, {}
-    C, tol = inputs.C, inputs.tol
     sub = np.asarray(rows_i + rows_j, dtype=np.int64)
     y = np.concatenate([np.ones(len(rows_i)), -np.ones(len(rows_j))])
     K_sub = inputs.K[np.ix_(sub, sub)]
-    alpha, b, n_iter, converged = smo_solve(K_sub, y, C, tol)
+    alpha, b, n_iter, converged = smo_solve(K_sub, y, inputs.C)
     sv_local = np.flatnonzero(alpha > 0)
     sv_local = sv_local[np.argsort(sub[sv_local])]
     binary = BinarySvmModel(sub[sv_local], (alpha * y)[sv_local], b, n_iter, converged)
-    calibration = _calibration_scores(K_sub, y, C, tol, seed_key=[inputs.seed, pair_no])
+    calibration = _calibration_scores(K_sub, y, inputs.C, seed_key=[inputs.seed, pair_no])
     if calibration is None:
         log.info("calibration: too few per-class points for folds, using training scores")
         scores, fits = K_sub @ (alpha * y) + b, []
@@ -634,7 +625,6 @@ def train_multiclass(
     C: float = 100.0,
     gamma: float = 0.001,
     freq_threshold: int = 5,
-    tol: float = 1e-3,
     seed: int = 0,
 ) -> SvmModel:
     """Train all class-pair SVMs plus calibrators on a labeled corpus.
@@ -672,7 +662,7 @@ def train_multiclass(
         key=lambda task: -(len(members[task[1]]) + len(members[task[2]])),
     )
     workers = _worker_count(len(tasks))
-    fits = _fit_pairs(PairInputs(K, members, C, tol, seed), tasks, workers)
+    fits = _fit_pairs(PairInputs(K, members, C, seed), tasks, workers)
     results = {(i, j): fit for (_, i, j), fit in zip(tasks, fits)}
     pair_models = {pair: results[pair][0] for pair in pairs if results[pair][0] is not None}
     union = np.unique(np.concatenate([pair.svm.sv for pair in pair_models.values()]))

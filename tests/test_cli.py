@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from conftest import failing_smo, force_cpus, uneven_corpus
-from relclass import svm
-from relclass.cli import fixture_path, main
+from relclass import cli, svm
+from relclass.cli import build_parser, fixture_path, main
 from relclass.corpus import LABELS, write_corpus
 from relclass.embeddings import save_table
 from relclass.modelio import decode_array, encode_array
@@ -621,3 +622,112 @@ def test_config_value_of_wrong_type_rejected(workdir, tmp_path, capsys, key, val
     assert rc == 2
     err = capsys.readouterr().err
     assert f"key {key!r} must be" in err and str(config) in err
+
+
+# the model flags that neither search nor features reads
+MODEL_ONLY = ("--C", "--gamma", "--num-filters", "--filter-width", "--rnn-units", "--dropout",
+              "--l2", "--batch-size", "--learning-rate", "--stride")
+UNREAD_FLAGS = (
+    [("predict", "--seed")]
+    + [("evaluate", flag) for flag in ("--seed", "--embeddings", "--levin")]
+    + [("search", flag) for flag in ("--levin", *MODEL_ONLY)]
+    + [("features", flag) for flag in ("--seed", "--epochs", *MODEL_ONLY)]
+)
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag in UNREAD_FLAGS])
+def test_command_rejects_a_flag_it_does_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "8"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+
+
+def test_each_command_accepts_exactly_its_flags():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    accepted = {
+        name: {option for action in parser._actions for option in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in commands.items()
+    }
+    model_flags = {"--freq-threshold", "--epochs", *MODEL_ONLY}
+    assert accepted == {
+        "train": {"--config", "--out", "--seed", "--embeddings", "--levin", "--model",
+                  "--train", "--report", *model_flags},
+        "predict": {"--config", "--out", "--embeddings", "--levin", "--model-file", "--corpus"},
+        "evaluate": {"--config", "--out", "--gold", "--predictions"},
+        "search": {"--config", "--out", "--seed", "--embeddings", "--freq-threshold",
+                   "--epochs", "--train", "--n-trials", "--fraction", "--trial-log"},
+        "features": {"--config", "--out", "--embeddings", "--levin", "--freq-threshold",
+                     "--corpus"},
+        "crossval": {"--config", "--out", "--seed", "--embeddings", "--levin", "--model",
+                     "--corpus", "-k", *model_flags},
+    }
+    assert sum(map(len, accepted.values())) == 66
+    assert len(UNREAD_FLAGS) == 27
+
+
+SMOKE = " ".join(CLSTM_SMOKE)
+# command lines, one format template per argument; --embeddings is appended
+NO_VERB_TABLE = {
+    "predict-svm": "predict --model-file {svm} --corpus {corpus} --levin {levin} "
+                   "--out {tmp}/pred.jsonl",
+    "predict-clstm": "predict --model-file {clstm} --corpus {corpus} --levin {levin} "
+                     "--out {tmp}/pred.jsonl",
+    "train-clstm": "train --model clstm --train {corpus} --levin {levin} --out {tmp}/m.json "
+                   "--report {tmp}/r.json " + SMOKE,
+    "crossval-clstm": "crossval --model clstm --corpus {corpus} --levin {levin} -k 2 " + SMOKE,
+    # search takes no --levin flag, but a config file shared with other commands may name one
+    "search": "search --train {corpus} --config {levin_config} --n-trials 1 --fraction 0.2 "
+              "--epochs 1 --freq-threshold 1 --out {tmp}/best.json",
+}
+VERB_TABLE = {
+    "train-svm": "train --model svm --train {corpus} --levin {levin} --out {tmp}/m.json",
+    "crossval-svm": "crossval --model svm --corpus {corpus} --levin {levin} -k 2",
+    "features": "features --corpus {corpus} --levin {levin}",
+}
+
+
+def _run_refusing_verb_table(workdir, clstm_model_file, tmp_path, monkeypatch, template):
+    """Exit code of ``template`` with a load_levin_table that raises."""
+    def refuse(path):
+        raise ValueError(f"verb table {path} opened")
+
+    monkeypatch.setattr(cli, "load_levin_table", refuse)
+    levin_config = tmp_path / "config.json"
+    levin_config.write_text(json.dumps({"levin": str(fixture_path("levin_small.tsv"))}),
+                            encoding="utf-8")
+    paths = {"corpus": workdir / "train.jsonl", "levin": fixture_path("levin_small.tsv"),
+             "svm": workdir / "svm-model.json", "clstm": clstm_model_file, "tmp": tmp_path,
+             "levin_config": levin_config}
+    return main([arg.format(**paths) for arg in template.split()]
+                + ["--embeddings", str(workdir / "emb.txt")])
+
+
+@pytest.mark.parametrize("case", sorted(NO_VERB_TABLE))
+def test_commands_that_need_no_verb_table_never_open_it(workdir, clstm_model_file, tmp_path,
+                                                        monkeypatch, case):
+    rc = _run_refusing_verb_table(workdir, clstm_model_file, tmp_path, monkeypatch,
+                                  NO_VERB_TABLE[case])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("case", sorted(VERB_TABLE))
+def test_svm_training_and_features_read_the_verb_table(workdir, clstm_model_file, tmp_path,
+                                                       monkeypatch, capsys, case):
+    rc = _run_refusing_verb_table(workdir, clstm_model_file, tmp_path, monkeypatch,
+                                  VERB_TABLE[case])
+    assert rc == 2
+    assert f"error: verb table {fixture_path('levin_small.tsv')} opened" in capsys.readouterr().err
+
+
+def test_config_key_of_another_command_is_accepted(workdir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"C": 10, "n_trials": 3, "model_file": "unused.json"}),
+                      encoding="utf-8")
+    rc = main(["features", "--corpus", str(fixture_path("example_corpus.jsonl")),
+               "--embeddings", str(fixture_path("toy_embeddings.txt")), "--config", str(config)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["id"] == "fixture-1"

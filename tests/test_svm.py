@@ -185,6 +185,37 @@ def test_sigmoid_requires_both_labels():
         fit_sigmoid(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_logistic_matches_the_two_branch_forms_it_replaced_bitwise():
+    # ~400k arguments A*s + B: the edges, a dense sweep, typical scores, and
+    # both signs of every magnitude from 1e-300 to 1e300
+    edges = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0, np.inf, -np.inf]
+    tiny_to_huge = np.logspace(-300, 300, 50_000)
+    f = np.concatenate([edges, np.linspace(-800.0, 800.0, 200_001),
+                        np.random.default_rng(0).normal(0.0, 20.0, 100_000),
+                        tiny_to_huge, -tiny_to_huge])
+    # the calibrator's former np.where over two clipped branches
+    clipped = np.where(
+        f >= 0,
+        np.exp(-np.clip(f, 0, None)) / (1.0 + np.exp(-np.clip(f, 0, None))),
+        1.0 / (1.0 + np.exp(np.clip(f, None, 0))),
+    )
+    # the Newton fit's former masked p and q
+    pos, ep = f >= 0, np.exp(-np.abs(f))
+    p, q = np.empty_like(f), np.empty_like(f)
+    p[pos], q[pos] = ep[pos] / (1.0 + ep[pos]), 1.0 / (1.0 + ep[pos])
+    p[~pos], q[~pos] = 1.0 / (1.0 + ep[~pos]), ep[~pos] / (1.0 + ep[~pos])
+    assert np.array_equal(_bits(clipped), _bits(p))
+    assert np.array_equal(_bits(svm._logistic(f)), _bits(p))
+    assert np.array_equal(_bits(svm._logistic(-f)), _bits(q))
+    calibrator = svm.SigmoidCalibrator(A=1.0, B=0.0)
+    assert np.array_equal(_bits(calibrator.predict(f)), _bits(p))
+    assert calibrator.predict(-800.0) == 1.0 and calibrator.predict(0.0) == 0.5
+
+
 def test_coupling_recovers_named_distribution():
     p = np.array([0.6, 0.3, 0.1])
     r = np.zeros((3, 3))
