@@ -4,7 +4,8 @@
 Trains the SVM and the conv-LSTM on a stratified split, prints per-class
 score tables for the held-out portion, then cross-validates the SVM. The
 corpus is separable by construction, so healthy code lands near-perfect
-scores; anything much below that points at a pipeline regression.
+scores; anything much below that points at a pipeline regression. The SVM's
+C and gamma and the lemma-frequency threshold are the library's defaults.
 """
 
 import argparse
@@ -17,6 +18,7 @@ from relclass.cli import fixture_path
 from relclass.clstm import Hyperparams, train
 from relclass.evaluation import confusion, cross_validate, f1_scores, format_report
 from relclass.features import load_levin_table
+from relclass.modelio import write_atomic
 from relclass.search import stratified_split
 from relclass.svm import train_multiclass
 from relclass.synthetic import make_corpus, make_embedding_table
@@ -30,10 +32,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="corpus and split seed")
     parser.add_argument("--fraction", type=float, default=0.2, help="held-out fraction")
     parser.add_argument("--folds", type=int, default=10, help="SVM cross-validation folds")
-    parser.add_argument("--C", type=float, default=100.0)
-    parser.add_argument("--gamma", type=float, default=0.001)
     parser.add_argument("--epochs", type=int, default=100, help="conv-LSTM epochs")
-    parser.add_argument("--freq-threshold", type=int, default=5)
     parser.add_argument("--out", help="also write all scores to this JSON file")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -46,17 +45,16 @@ def main(argv=None) -> int:
     log.info("%d instances, %d train / %d held out", len(corpus), len(train_set), len(held_out))
 
     start = time.perf_counter()
-    svm_model = train_multiclass(train_set, table, levin, C=args.C, gamma=args.gamma,
-                                 freq_threshold=args.freq_threshold)
+    svm_model = train_multiclass(train_set, table, levin)
     svm_report = f1_scores(confusion(gold, svm_model.predict_many(held_out)))
     log.info("SVM trained and scored in %.1fs", time.perf_counter() - start)
-    print(f"\n== SVM (C={args.C:g}, gamma={args.gamma:g}), held-out scores ==")
+    print(f"\n== SVM (C={svm_model.C:g}, gamma={svm_model.gamma:g}), held-out scores ==")
     print(format_report(svm_report))
 
     hyper = Hyperparams(num_filters=64, filter_width=3, rnn_units=32, dropout_rate=0.2,
                         l2_scale=0.0, epochs=args.epochs, seed=args.seed)
     start = time.perf_counter()
-    clstm_model = train(train_set, table, hyper, freq_threshold=args.freq_threshold)
+    clstm_model = train(train_set, table, hyper)
     clstm_report = f1_scores(confusion(gold, clstm_model.predict_many(held_out)))
     log.info("conv-LSTM trained and scored in %.1fs (final loss %.4f)",
              time.perf_counter() - start, clstm_model.loss_history[-1])
@@ -64,9 +62,7 @@ def main(argv=None) -> int:
     print(format_report(clstm_report))
 
     def svm_fold(fold_train):
-        model = train_multiclass(fold_train, table, levin, C=args.C, gamma=args.gamma,
-                                 freq_threshold=args.freq_threshold)
-        return model.predict_many
+        return train_multiclass(fold_train, table, levin).predict_many
 
     cv = cross_validate(corpus, svm_fold, k=args.folds, seed=args.seed)
     print(f"\n== SVM {args.folds}-fold cross-validation ==")
@@ -74,9 +70,9 @@ def main(argv=None) -> int:
     print(f"micro-F1 {cv.micro_mean:.4f} +/- {cv.micro_std:.4f}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"svm": svm_report.to_dict(), "clstm": clstm_report.to_dict(),
-                       "svm_crossval": cv.to_dict()}, fh, indent=2)
+        scores = {"svm": svm_report.to_dict(), "clstm": clstm_report.to_dict(),
+                  "svm_crossval": cv.to_dict()}
+        write_atomic(args.out, (json.dumps(scores, indent=2), "\n"))
         log.info("wrote %s", args.out)
     return 0
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import clstm, search, svm
-from .corpus import LABELS, RelationLabel, build_lemma_counts, parse_corpus
+from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, build_lemma_counts, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .evaluation import confusion, cross_validate, f1_scores, format_report
 from .features import LevinTable, NAMESPACES, featurize, load_levin_table
@@ -43,14 +43,12 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-_HYPER = clstm.Hyperparams()  # the conv-LSTM settings' defaults
-
-
 @dataclass
 class RunConfig:
     """Resolved settings of one command: flag > config file > default. A
-    model or search setting defaults to what the library function that
-    reads it declares."""
+    model or search setting defaults to its one definition in the library:
+    ``corpus.FREQ_THRESHOLD``, ``clstm.Hyperparams``, or the default that the
+    library function reading it declares."""
 
     train: str | None = None
     corpus: str | None = None
@@ -67,18 +65,18 @@ class RunConfig:
     k: int = _default(cross_validate, "k")
     n_trials: int = 20
     fraction: float = _default(search.random_search, "fraction")
-    freq_threshold: int = _default(svm.train_multiclass, "freq_threshold")
+    freq_threshold: int = FREQ_THRESHOLD
     C: float = _default(svm.train_multiclass, "C")
     gamma: float = _default(svm.train_multiclass, "gamma")
-    num_filters: int = _HYPER.num_filters
-    filter_width: int = _HYPER.filter_width
-    rnn_units: int = _HYPER.rnn_units
-    dropout: float = _HYPER.dropout_rate
-    l2: float = _HYPER.l2_scale
-    batch_size: int = _HYPER.batch_size
-    epochs: int = _HYPER.epochs
-    learning_rate: float = _HYPER.learning_rate
-    stride: int = _HYPER.stride
+    num_filters: int = clstm.Hyperparams.num_filters
+    filter_width: int = clstm.Hyperparams.filter_width
+    rnn_units: int = clstm.Hyperparams.rnn_units
+    dropout: float = clstm.Hyperparams.dropout_rate
+    l2: float = clstm.Hyperparams.l2_scale
+    batch_size: int = clstm.Hyperparams.batch_size
+    epochs: int = clstm.Hyperparams.epochs
+    learning_rate: float = clstm.Hyperparams.learning_rate
+    stride: int = clstm.Hyperparams.stride
 
 
 # per RunConfig annotation: what a config-file value must be, and the JSON

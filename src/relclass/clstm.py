@@ -20,6 +20,7 @@ import numpy as np
 
 from . import modelio
 from .corpus import (
+    FREQ_THRESHOLD,
     LABELS,
     FrequencyTable,
     RelationInstance,
@@ -361,12 +362,11 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
-    lr: float = 0.002,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    lr: float,
 ) -> None:
-    """One Adam update with bias correction, in place on params and state."""
+    """One Adam update with bias correction, in place on params and state,
+    with Kingma & Ba's moment decays and epsilon (arXiv:1412.6980)."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -430,7 +430,7 @@ def train(
     instances: Sequence[RelationInstance],
     table: EmbeddingTable,
     hyper: Hyperparams,
-    freq_threshold: int = 5,
+    freq_threshold: int = FREQ_THRESHOLD,
 ) -> ClstmModel:
     """Train on a labeled corpus; bitwise deterministic for a fixed seed.
 

@@ -137,14 +137,23 @@ def build_lemma_counts(instances: Iterable[RelationInstance]) -> FrequencyTable:
     return counts
 
 
+FREQ_THRESHOLD = 5  # the lemma-frequency threshold every trainer defaults to
+
+
+def check_freq_threshold(threshold: int) -> int:
+    """``threshold`` itself, once it is an integer >= 1 (never a bool)."""
+    if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
+        raise ValueError(f"freq_threshold must be an integer >= 1, got {threshold!r}")
+    return threshold
+
+
 def filter_context(
     context: Sequence[TokenAnnotation],
     freq: FrequencyTable,
     threshold: int,
 ) -> tuple[TokenAnnotation, ...]:
     """Keep only context tokens whose lemma count reaches ``threshold``."""
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    check_freq_threshold(threshold)
     return tuple(tok for tok in context if freq.get(tok.lemma, 0) >= threshold)
 
 

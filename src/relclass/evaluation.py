@@ -121,7 +121,7 @@ def stratified_fold_indices(
 
 
 def stratified_kfold(
-    instances: Sequence[RelationInstance], k: int = 10, seed: int = 0
+    instances: Sequence[RelationInstance], k: int, seed: int = 0
 ) -> list[tuple[list[RelationInstance], list[RelationInstance]]]:
     """k (train, test) partitions stratified by gold label."""
     labels = [inst.label for inst in instances]

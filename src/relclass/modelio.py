@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import LABELS, FrequencyTable, RelationInstance, RelationLabel
+from .corpus import LABELS, FrequencyTable, RelationInstance, RelationLabel, check_freq_threshold
 from .embeddings import EmbeddingTable
 
 log = logging.getLogger(__name__)
@@ -161,8 +161,9 @@ def load_model(
     freq_threshold=..., table=...)`` the model from the file's own fields.
     ``payload``, when given, is the file's already parsed JSON.
 
-    A missing field or a value the model rejects raises ModelFormatError
-    naming the file.
+    A missing field, a header ``freq`` count that is not an integer >= 0, a
+    ``freq_threshold`` that ``filter_context`` would reject or a value the
+    model rejects raises ModelFormatError naming the file.
     """
     payload = check_format(read_json(path) if payload is None else payload, path, model_format)
     try:
@@ -178,10 +179,15 @@ def load_model(
                 "embedding table name mismatch: model trained with %r, predicting with %r",
                 emb["name"], table.name,
             )
+        freq = payload["freq"]
+        if not isinstance(freq, dict) or not all(
+            type(count) is int and count >= 0 for count in freq.values()
+        ):
+            raise ModelFormatError("freq must map lemmas to non-negative integer counts")
         return build(
             payload,
-            freq=FrequencyTable(payload["freq"]),
-            freq_threshold=payload["freq_threshold"],
+            freq=FrequencyTable(freq),
+            freq_threshold=check_freq_threshold(payload["freq_threshold"]),
             table=table,
         )
     except (KeyError, TypeError, ValueError) as exc:

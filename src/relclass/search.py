@@ -18,7 +18,7 @@ import numpy as np
 
 from . import modelio
 from .clstm import Hyperparams, train
-from .corpus import RelationInstance
+from .corpus import FREQ_THRESHOLD, RelationInstance
 from .embeddings import EmbeddingTable
 from .evaluation import confusion, f1_scores
 
@@ -69,7 +69,7 @@ def _round_half_up(x: float) -> int:
 
 def stratified_split(
     instances: Sequence[RelationInstance],
-    fraction: float = 0.10,
+    fraction: float,
     seed: int = 0,
 ) -> tuple[list[RelationInstance], list[RelationInstance]]:
     """Split into (train, validation) preserving class proportions.
@@ -143,20 +143,19 @@ def random_search(
     table: EmbeddingTable,
     n_trials: int,
     seed: int = 0,
-    space: SearchSpace | None = None,
+    space: SearchSpace = SearchSpace(),
     fraction: float = 0.10,
-    freq_threshold: int = 5,
-    epochs: int | None = None,
+    freq_threshold: int = FREQ_THRESHOLD,
+    epochs: int = Hyperparams.epochs,
 ) -> tuple[Hyperparams, list[TrialResult]]:
-    """Best configuration by validation macro-F1 over n_trials random draws.
+    """Best configuration by validation macro-F1 over n_trials random draws,
+    each trained for ``epochs`` epochs.
 
-    Each trial derives its RNG from (seed, trial index). ``epochs``
-    overrides the fixed epoch count (smoke tests); ties break toward the
-    earlier trial.
+    Each trial derives its RNG from (seed, trial index); ties break toward
+    the earlier trial.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    space = space or SearchSpace()
     train_set, val_set = stratified_split(instances, fraction, seed)
     if not val_set:
         raise ValueError("validation split is empty; raise fraction or corpus size")
@@ -165,9 +164,7 @@ def random_search(
     for trial in range(n_trials):
         rng = np.random.default_rng([seed, trial])
         trial_seed = int(rng.integers(0, 2**31))
-        hyper = sample_config(space, rng, seed=trial_seed)
-        if epochs is not None:
-            hyper = replace(hyper, epochs=epochs)
+        hyper = replace(sample_config(space, rng, seed=trial_seed), epochs=epochs)
         start = time.perf_counter()
         model = train(train_set, table, hyper, freq_threshold)
         pred = model.predict_many(val_set)

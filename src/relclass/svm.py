@@ -29,6 +29,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -38,7 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from . import modelio
-from .corpus import LABELS, FrequencyTable, RelationInstance, RelationLabel, build_lemma_counts
+from .corpus import (FREQ_THRESHOLD, LABELS, FrequencyTable, RelationInstance, RelationLabel,
+                     build_lemma_counts)
 from .embeddings import EmbeddingTable
 from .evaluation import stratified_fold_indices
 from .features import (
@@ -59,6 +61,17 @@ SVM_FORMAT = "relclass-svm"
 
 class SvmTrainingError(ValueError):
     pass
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not a number here)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_positive(name: str, value: float) -> None:
+    """The check on C and gamma that training, SMO and model loading share."""
+    if not (_finite(value) and value > 0):
+        raise SvmTrainingError(f"{name} must be finite and > 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +191,14 @@ def smo_solve(
     K: np.ndarray,
     y: np.ndarray,
     C: float,
-    tol: float = 1e-3,
     max_iter: int = 100_000,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Maximal-violating-pair SMO on the SVM dual.
 
     Maximizes sum(a) - 1/2 (a*y)' K (a*y) subject to 0 <= a <= C and
-    y'a = 0, stopping when the maximal KKT violation m - M drops to tol.
-    Returns (alpha, bias, iterations, converged).
+    y'a = 0, stopping when the maximal KKT violation m - M drops to
+    LIBSVM's default tolerance, 1e-3. Returns (alpha, bias, iterations,
+    converged).
 
     Working-set selection and the stopping rule are those of LIBSVM's
     ``Solver`` (Chang & Lin, ACM TIST 2011), with its gradient bookkeeping:
@@ -201,11 +214,10 @@ def smo_solve(
     y = np.asarray(y, dtype=np.float64)
     if K.shape != (n, n) or y.shape != (n,):
         raise ValueError("kernel/label shape mismatch")
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and > 0, got {C!r}")
+    _check_positive("C", C)
     if not (np.any(y > 0) and np.any(y < 0)):
         raise SvmTrainingError("both classes must be present")
-    C = float(C)
+    C, tol = float(C), 1e-3
     pos = (y > 0).tolist()
     sign = y.tolist()
     alpha = [0.0] * n  # Python floats: scalar steps skip numpy's per-call cost
@@ -385,9 +397,7 @@ def fit_sigmoid(scores: Sequence[float], labels: Sequence[int]) -> SigmoidCalibr
 # ---------------------------------------------------------------------------
 # pairwise coupling
 
-def pairwise_coupling(
-    r: np.ndarray, tol: float = 1e-10, max_sweeps: int = 1000
-) -> np.ndarray:
+def pairwise_coupling(r: np.ndarray) -> np.ndarray:
     """Couple pairwise probabilities r[n, i, j] = P(i | i or j) of each of the
     n instances of an (n, k, k) stack into one distribution per instance.
 
@@ -395,8 +405,10 @@ def pairwise_coupling(
     simplex via the normalized fixed-point iteration on Q p = (p'Qp) e, with
     Q_ii = sum_{j!=i} r_ji^2 and Q_ij = -r_ji r_ij (Wu, Lin & Weng, JMLR 2004,
     method 2). All rows sweep together; a row stops updating once it has
-    converged. Returns the (n, k) distributions.
+    converged (residual below 1e-10), after at most 1000 sweeps. Returns the
+    (n, k) distributions.
     """
+    tol, max_sweeps = 1e-10, 1000
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 3 or r.shape[1] != r.shape[2] or r.shape[1] < 2:
         raise ValueError("r must be an (n, k, k) stack of square matrices with k >= 2")
@@ -624,7 +636,7 @@ def train_multiclass(
     levin: LevinTable,
     C: float = 100.0,
     gamma: float = 0.001,
-    freq_threshold: int = 5,
+    freq_threshold: int = FREQ_THRESHOLD,
     seed: int = 0,
 ) -> SvmModel:
     """Train all class-pair SVMs plus calibrators on a labeled corpus.
@@ -634,9 +646,8 @@ def train_multiclass(
     ``_worker_count`` processes, largest first; the model does not depend
     on how many.
     """
-    for name, value in (("C", C), ("gamma", gamma)):
-        if not (math.isfinite(value) and value > 0):
-            raise SvmTrainingError(f"{name} must be finite and > 0, got {value!r}")
+    _check_positive("C", C)
+    _check_positive("gamma", gamma)
     labeled = [inst for inst in train if inst.label is not None]
     if len(labeled) != len(train):
         raise SvmTrainingError("training corpus contains unlabeled instances")
@@ -734,18 +745,25 @@ def _build_svm_model(payload: dict, **common) -> SvmModel:
     width = 3 * common["table"].dim
     if sv.dense.shape[1] != width or scaler.mins.shape != (width,):
         raise ValueError(f"sv_dense and the scaler min/max must be {width} wide (3 x embedding dim)")
-    label_idx = {label.value: i for i, label in enumerate(LABELS)}
+    _check_positive("C", payload["C"])
+    _check_positive("gamma", payload["gamma"])
     pair_models = {}
     for entry in payload["pairs"]:
         name = f"pair {entry['first']}/{entry['second']}"
+        first, second = RelationLabel(entry["first"]), RelationLabel(entry["second"])
+        key = (LABELS.index(first), LABELS.index(second))
+        if first == second or key in pair_models or key[::-1] in pair_models:
+            raise ValueError(f"{name}: a pair must name two distinct labels and appear once")
+        if not all(_finite(entry[number]) for number in ("b", "A", "B")):
+            raise ValueError(f"{name}: b, A and B must be finite numbers")
         rows, coef = np.asarray(entry["sv"]), modelio.decode_array(entry["coef"])
         if rows.dtype.kind != "i" or rows.shape != coef.shape:
             raise ValueError(f"{name}: sv must be row indices, one per coef")
         if rows[0] < 0 or rows[-1] >= len(sv) or np.any(np.diff(rows) <= 0):
             raise ValueError(f"{name}: sv must be increasing rows of the {len(sv)}-row SV block")
-        pair_models[(label_idx[entry["first"]], label_idx[entry["second"]])] = PairModel(
-            first=RelationLabel(entry["first"]),
-            second=RelationLabel(entry["second"]),
+        pair_models[key] = PairModel(
+            first=first,
+            second=second,
             svm=BinarySvmModel(rows, coef, entry["b"], entry["n_iter"], entry["converged"]),
             calibrator=SigmoidCalibrator(A=entry["A"], B=entry["B"]),
         )

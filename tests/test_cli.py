@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import failing_smo, force_cpus, uneven_corpus
-from relclass import cli, svm
+from relclass import cli, clstm, corpus, evaluation, search, svm
 from relclass.cli import build_parser, fixture_path, main
 from relclass.corpus import LABELS, write_corpus
 from relclass.embeddings import save_table
@@ -305,6 +306,34 @@ def _drop(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
 
+def _set(key, value):
+    return lambda payload: {**payload, key: value}
+
+
+def _set_pair(key, value):
+    def damage(payload):
+        payload["pairs"][0][key] = value
+        return payload
+    return damage
+
+
+def _repeat_pair(payload):
+    payload["pairs"].append(payload["pairs"][0])
+    return payload
+
+
+def _pair_against_itself(payload):
+    payload["pairs"][0]["second"] = payload["pairs"][0]["first"]
+    return payload
+
+
+def _set_freq_count(value):
+    def damage(payload):
+        payload["freq"][min(payload["freq"])] = value
+        return payload
+    return damage
+
+
 @pytest.mark.parametrize("kind, damage", [
     ("svm", _drop_pair_coef),
     ("svm", _drop("space")),
@@ -328,6 +357,24 @@ def _drop(key):
     ("svm", _swap_space_entries),
     ("svm", _repeat_space_entry),
     ("svm", _unknown_space_namespace),
+    # settings the file carries, edited to values its trainer would refuse
+    ("svm", _set("C", 0)),
+    ("svm", _set("gamma", "x")),
+    ("svm", _set("gamma", -1)),
+    ("svm", _set("gamma", True)),
+    ("svm", _set_pair("b", "x")),
+    ("svm", _set_pair("A", "x")),
+    ("svm", _set_pair("B", math.inf)),
+    ("svm", _repeat_pair),
+    ("svm", _pair_against_itself),
+    ("svm", _set("freq_threshold", "5")),
+    ("svm", _set("freq_threshold", True)),
+    ("svm", _set("freq_threshold", 0)),
+    ("svm", _set_freq_count(-1)),
+    ("svm", _set_freq_count(1.5)),
+    ("clstm", _set("freq_threshold", "5")),
+    ("clstm", _set("freq_threshold", True)),
+    ("clstm", _set_freq_count(True)),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
         "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column", "svm-sv-dense-width",
@@ -335,7 +382,12 @@ def _drop(key):
         "clstm-rnn-units-mismatch", "clstm-l-max-below-filter-width", "clstm-l-max-not-int",
         "svm-sv-dense-not-object", "clstm-param-null", "clstm-rnn-units-float",
         "clstm-batch-size-bool", "svm-space-unsorted", "svm-space-duplicate",
-        "svm-space-unknown-namespace"])
+        "svm-space-unknown-namespace",
+        "svm-C-zero", "svm-gamma-string", "svm-gamma-negative", "svm-gamma-bool",
+        "svm-pair-b-string", "svm-pair-A-string", "svm-pair-B-inf", "svm-pair-repeated",
+        "svm-pair-against-itself", "svm-freq-threshold-string", "svm-freq-threshold-bool",
+        "svm-freq-threshold-zero", "svm-freq-count-negative", "svm-freq-count-float",
+        "clstm-freq-threshold-string", "clstm-freq-threshold-bool", "clstm-freq-count-bool"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
@@ -575,6 +627,36 @@ def test_crossval_seed_reproducible(workdir, tmp_path):
         assert rc == 0
         payloads.append(json.loads(out.read_text()))
     assert payloads[0] == payloads[1]
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_trainers_default_to_the_one_freq_threshold():
+    for trainer in (svm.train_multiclass, clstm.train, search.random_search):
+        assert _default(trainer, "freq_threshold") == corpus.FREQ_THRESHOLD
+
+
+# the outer function that calls each of these holds the setting's one default
+@pytest.mark.parametrize("fn, name", [
+    (search.stratified_split, "fraction"),
+    (evaluation.stratified_kfold, "k"),
+    (clstm.adam_step, "lr"),
+])
+def test_inner_function_declares_no_default(fn, name):
+    assert _default(fn, name) is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("command", ["train", "crossval", "search"])
+def test_unset_settings_take_the_library_defaults(command):
+    cfg = cli.resolve_config(build_parser().parse_args([command]))
+    assert cfg.freq_threshold == corpus.FREQ_THRESHOLD
+    assert cfg.C == _default(svm.train_multiclass, "C")
+    assert cfg.gamma == _default(svm.train_multiclass, "gamma")
+    assert cfg.k == _default(evaluation.cross_validate, "k")
+    assert cfg.fraction == _default(search.random_search, "fraction")
+    assert cfg.learning_rate == clstm.Hyperparams().learning_rate
 
 
 def test_config_file_merging(workdir, tmp_path):

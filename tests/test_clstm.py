@@ -369,7 +369,7 @@ def test_adam_zero_gradient_is_identity():
     params = tiny_params()
     before = {n: p.copy() for n, p in params.items()}
     state = AdamState.zeros_like(params)
-    adam_step(params, {n: np.zeros_like(p) for n, p in params.items()}, state)
+    adam_step(params, {n: np.zeros_like(p) for n, p in params.items()}, state, lr=0.002)
     assert state.t == 1
     for name in PARAM_NAMES:
         assert np.array_equal(params[name], before[name])
