@@ -20,7 +20,7 @@ from importlib.resources import files
 from pathlib import Path
 from typing import get_type_hints
 
-from . import clstm, search, svm
+from . import clstm, read, search, svm
 from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, build_lemma_counts, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .evaluation import confusion, cross_validate, f1_scores, format_report
@@ -79,15 +79,6 @@ class RunConfig:
     stride: int = clstm.Hyperparams.stride
 
 
-# per RunConfig annotation: what a config-file value must be, and the JSON
-# value types that qualify (true/false never do, though bool is an int)
-CONFIG_VALUE_TYPES = {
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
-    str | None: ("a string or null", (str, type(None))),
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file (if any) and the parsed flags into a RunConfig."""
     merged = RunConfig()
@@ -95,20 +86,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file {args.config}: invalid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ValueError(f"config file {args.config}: expected a JSON object")
-        for key, value in file_values.items():
-            if key not in hints:
-                raise ValueError(f"config file {args.config}: unknown key {key!r}")
-            what, accepted = CONFIG_VALUE_TYPES[hints[key]]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(
-                    f"config file {args.config}: key {key!r} must be {what}, got {value!r}"
-                )
-            setattr(merged, key, value)
+                for key, value in read.object(json.load(fh), "the document").items():
+                    if key not in hints:
+                        raise ValueError(f"unknown key {key!r}")
+                    # read as the RunConfig annotation says: int, float, or a path (str | None)
+                    if value is not None or hints[key] in (int, float):
+                        kind = {int: read.integer, float: read.number}.get(hints[key], read.string)
+                        kind(value, f"key {key!r}")
+                    setattr(merged, key, value)
+            except ValueError as exc:  # invalid JSON, too
+                raise ValueError(f"config file {args.config}: {exc}") from exc
     for key, value in vars(args).items():
         if key in hints and value is not None:
             setattr(merged, key, value)
@@ -219,7 +206,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _load_any_model(path: str, table: EmbeddingTable):
     payload = read_json(path)
-    kind = payload.get("format") if isinstance(payload, dict) else None
+    kind = payload.get("format")
     if kind == svm.SVM_FORMAT:
         return svm.load_svm_model(path, table, payload)
     if kind == clstm.CLSTM_FORMAT:
@@ -255,22 +242,29 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     instances = parse_corpus(cfg.gold)
     if any(inst.label is None for inst in instances):
         raise ValueError("gold corpus contains unlabeled instances")
-    predicted: dict[str, RelationLabel] = {}
+    gold_ids = {inst.id for inst in instances}
+    predicted: dict[str, tuple[int, RelationLabel]] = {}  # id -> (line, label)
     with open(cfg.predictions, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = read.object(json.loads(line), "a prediction")
+                pred_id = read.string(record["id"], "id")
+                if pred_id in predicted:
+                    raise ValueError(f"id {pred_id!r} is also on line {predicted[pred_id][0]}")
+                if pred_id not in gold_ids:
+                    raise ValueError(f"id {pred_id!r} is not in the gold corpus")
                 # an unknown label raises ValueError here, like malformed JSON
-                predicted[record["id"]] = RelationLabel(record["label"])
-            except (KeyError, TypeError, ValueError) as exc:
+                predicted[pred_id] = lineno, RelationLabel(read.string(record["label"], "label"))
+            except (KeyError, ValueError) as exc:
                 raise ValueError(f"{cfg.predictions}: line {lineno}: bad prediction: {exc}") from exc
     missing = [inst.id for inst in instances if inst.id not in predicted]
     if missing:
-        raise ValueError(f"predictions missing for ids: {', '.join(missing[:5])}")
+        raise ValueError(f"{cfg.predictions}: predictions missing for ids: "
+                         f"{', '.join(missing[:5])}")
     gold = [inst.label for inst in instances]
-    pred = [predicted[inst.id] for inst in instances]
+    pred = [predicted[inst.id][1] for inst in instances]
     report = f1_scores(confusion(gold, pred))
     print(format_report(report))
     if cfg.out:

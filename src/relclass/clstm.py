@@ -12,13 +12,13 @@ can be checked against finite differences.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import modelio
+from . import modelio, read
 from .corpus import (
     FREQ_THRESHOLD,
     LABELS,
@@ -49,8 +49,9 @@ PARAM_NAMES = (
 class Hyperparams:
     """Architecture and training settings.
 
-    Ranges are enforced by the search space, not here: tiny
-    out-of-range models are legitimate in tests.
+    Each value, from a caller or a model file, is read through its entry in
+    READERS. Search-space ranges are enforced by the search space, not here:
+    tiny out-of-range models are legitimate in tests.
     """
 
     num_filters: int = 384
@@ -64,23 +65,23 @@ class Hyperparams:
     epochs: int = 100
     seed: int = 0
 
+    # the reader and range of every field
+    READERS = {
+        "num_filters": (read.integer, 1),
+        "filter_width": (read.integer, 1),
+        "rnn_units": (read.integer, 1),
+        "dropout_rate": (read.number, ">= 0", "< 1"),
+        "l2_scale": (read.number, ">= 0"),
+        "stride": (read.integer, 1),
+        "learning_rate": (read.number,),
+        "batch_size": (read.integer, 1),
+        "epochs": (read.integer, 0),
+        "seed": (read.integer, 0),
+    }
+
     def __post_init__(self) -> None:
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass but never a setting; float fields take ints
-            what, accepted = ("an integer", int) if f.type == "int" else ("a number", (int, float))
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        if self.num_filters < 1 or self.rnn_units < 1:
-            raise ValueError("num_filters and rnn_units must be positive")
-        if self.filter_width < 1 or self.stride < 1:
-            raise ValueError("filter_width and stride must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.l2_scale < 0.0:
-            raise ValueError("l2_scale must be nonnegative")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        for name, (reader, *bounds) in self.READERS.items():
+            reader(getattr(self, name), name, *bounds)
 
 
 def build_sequence(
@@ -493,19 +494,21 @@ def save_clstm_model(model: ClstmModel, path: str | Path) -> None:
     fields = {
         "hyper": asdict(model.hyper),
         "l_max": model.l_max,
-        "params": {name: modelio.encode_array(model.params[name]) for name in PARAM_NAMES},
+        "params": {name: model.params[name] for name in PARAM_NAMES},
     }
     modelio.save_model(model, CLSTM_FORMAT, fields, path)
 
 
 def _build_clstm_model(payload: dict, **common) -> ClstmModel:
-    hyper = Hyperparams(**payload["hyper"])
-    l_max = payload["l_max"]
-    if type(l_max) is not int or l_max < hyper.filter_width:
-        raise ValueError(f"l_max must be an integer >= filter_width, got {l_max!r}")
+    hyper = read.object(payload["hyper"], "hyper")
+    if hyper.keys() != Hyperparams.READERS.keys():
+        raise ValueError(f"hyper must hold exactly the fields {', '.join(Hyperparams.READERS)}")
+    hyper = Hyperparams(**hyper)
+    l_max = read.integer(payload["l_max"], "l_max", hyper.filter_width)
+    stored = read.object(payload["params"], "params")
     params = {}
     for name, shape in param_shapes(common["table"].dim, hyper).items():
-        params[name] = modelio.decode_array(payload["params"][name]).copy()
+        params[name] = modelio.decode_array(stored[name], name).copy()
         if params[name].shape != shape:
             raise ValueError(
                 f"{name} has shape {params[name].shape}, hyper and the table dim imply {shape}"

@@ -19,6 +19,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import read
+
 
 class CorpusFormatError(ValueError):
     """Raised for corpus lines that cannot be parsed into an instance record."""
@@ -88,11 +90,6 @@ class RelationInstance:
     subtask: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "e1", (int(self.e1[0]), int(self.e1[1])))
-        object.__setattr__(self, "e2", (int(self.e2[0]), int(self.e2[1])))
-        if not self.id:
-            raise InstanceValidationError("instance id must be nonempty")
         if not self.tokens:
             raise InstanceValidationError(f"instance {self.id!r}: empty token sequence")
         if self.subtask not in SUBTASKS:
@@ -140,43 +137,40 @@ def build_lemma_counts(instances: Iterable[RelationInstance]) -> FrequencyTable:
 FREQ_THRESHOLD = 5  # the lemma-frequency threshold every trainer defaults to
 
 
-def check_freq_threshold(threshold: int) -> int:
-    """``threshold`` itself, once it is an integer >= 1 (never a bool)."""
-    if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
-        raise ValueError(f"freq_threshold must be an integer >= 1, got {threshold!r}")
-    return threshold
-
-
 def filter_context(
     context: Sequence[TokenAnnotation],
     freq: FrequencyTable,
     threshold: int,
 ) -> tuple[TokenAnnotation, ...]:
     """Keep only context tokens whose lemma count reaches ``threshold``."""
-    check_freq_threshold(threshold)
+    read.integer(threshold, "freq_threshold", 1)
     return tuple(tok for tok in context if freq.get(tok.lemma, 0) >= threshold)
 
 
 def instance_from_dict(record: dict) -> RelationInstance:
+    """The instance of one corpus record; ``label`` may be absent, which
+    reads as null."""
     try:
-        tokens = tuple(
-            TokenAnnotation(text=t["text"], lemma=t["lemma"], pos=t["pos"])
-            for t in record["tokens"]
-        )
-        raw_label = record["label"]
-        label = None if raw_label is None else RelationLabel(raw_label)
+        record = read.object(record, "record")
+        tokens = []
+        for t in read.array(record["tokens"], "tokens"):
+            t = read.object(t, "token")
+            tokens.append(TokenAnnotation(read.string(t["text"], "token text"),
+                                          read.string(t["lemma"], "token lemma"),
+                                          read.string(t["pos"], "token pos")))
+        label = record.get("label")
         return RelationInstance(
-            id=record["id"],
-            tokens=tokens,
-            e1=tuple(record["e1"]),
-            e2=tuple(record["e2"]),
-            label=label,
-            reverse=bool(record["reverse"]),
-            subtask=record["subtask"],
+            id=read.string(record["id"], "id"),
+            tokens=tuple(tokens),
+            e1=tuple(read.integer(i, "e1") for i in read.array(record["e1"], "e1", 2)),
+            e2=tuple(read.integer(i, "e2") for i in read.array(record["e2"], "e2", 2)),
+            label=None if label is None else RelationLabel(read.string(label, "label")),
+            reverse=read.boolean(record["reverse"], "reverse"),
+            subtask=read.string(record["subtask"], "subtask"),
         )
     except InstanceValidationError:
         raise
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, read.FieldError) as exc:
         raise CorpusFormatError(f"bad instance record: {exc}") from exc
     except ValueError as exc:  # unknown label string
         raise InstanceValidationError(f"instance {record.get('id')!r}: {exc}") from exc
@@ -202,13 +196,9 @@ def parse_corpus(path: str | Path) -> list[RelationInstance]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                instances.append(instance_from_dict(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"{path}: line {lineno}: record must be a JSON object")
-            try:
-                instances.append(instance_from_dict(record))
             except (CorpusFormatError, InstanceValidationError) as exc:
                 raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
     return instances

@@ -7,6 +7,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from . import read
 from .corpus import LABELS, RelationInstance, RelationLabel
 
 
@@ -101,8 +102,7 @@ def stratified_fold_indices(
     offset rotates between classes so fold sizes stay balanced. Per-class
     per-fold counts differ by at most 1.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    read.integer(k, "k", 2)
     if k > len(labels):
         raise ValueError(f"k={k} exceeds dataset size {len(labels)}")
     rng = np.random.default_rng(seed)

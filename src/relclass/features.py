@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import read
 from .corpus import (
     FrequencyTable,
     RelationInstance,
@@ -46,13 +47,7 @@ class LevinTable:
     """Verb lemma -> set of top-level verb class ids."""
 
     def __init__(self, classes: Mapping[str, Iterable[int]]):
-        store = {}
-        for lemma, ids in classes.items():
-            ids = frozenset(int(i) for i in ids)
-            if any(i <= 0 for i in ids):
-                raise ValueError(f"class ids must be positive: {lemma!r} -> {sorted(ids)}")
-            store[lemma] = ids
-        self._classes = store
+        self._classes = {lemma: frozenset(ids) for lemma, ids in classes.items()}
 
     def lemmas(self) -> list[str]:
         return list(self._classes)
@@ -64,7 +59,8 @@ class LevinTable:
 def load_levin_table(path: str | Path) -> LevinTable:
     """Load a TSV verb-class file: ``lemma<TAB>comma-separated class ids``.
 
-    Class ids like "45.4" are truncated to their top level (45) at load.
+    Class ids like "45.4" are truncated to their top level (45) at load; a
+    top-level id must be an integer >= 1.
     """
     classes: dict[str, set[int]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -74,12 +70,13 @@ def load_levin_table(path: str | Path) -> LevinTable:
                 continue
             try:
                 lemma, raw = line.split("\t", 1)
-                ids = {int(part.strip().split(".")[0]) for part in raw.split(",") if part.strip()}
+                ids = {read.integer(int(part.strip().split(".")[0]), "class id", 1)
+                       for part in raw.split(",") if part.strip()}
+                if not ids:
+                    raise ValueError("empty class list")
+                classes.setdefault(read.string(lemma, "lemma"), set()).update(ids)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad verb-class entry: {exc}") from exc
-            if not lemma or not ids:
-                raise ValueError(f"{path}: line {lineno}: empty lemma or class list")
-            classes.setdefault(lemma, set()).update(ids)
     return LevinTable(classes)
 
 
@@ -189,7 +186,7 @@ def build_feature_space(train_keys: Iterable[Iterable[Key]]) -> FeatureSpace:
     return FeatureSpace(sorted(all_keys))
 
 
-def parse_feature_space(entries: Iterable) -> FeatureSpace:
+def parse_feature_space(entries: list) -> FeatureSpace:
     """The feature space a model file lists, its entries in column order.
 
     Each entry must be a ``[namespace, value]`` string pair with a known
@@ -197,18 +194,15 @@ def parse_feature_space(entries: Iterable) -> FeatureSpace:
     empty string), and each must sort after the one before it.
     """
     keys: list[Key] = []
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(part, str) for part in entry)):
-            raise ValueError(f"space entry {i}: expected a [namespace, value] string pair, "
-                             f"got {entry!r}")
-        key = namespace, value = tuple(entry)
+    for i, entry in enumerate(read.array(entries, "space")):
+        name = f"space entry {i}"
+        namespace, value = read.array(entry, name, 2)
+        key = (read.string(namespace, f"{name} namespace"),
+               read.string(value, f"{name} value", empty=namespace == "pospath"))
         if namespace not in NAMESPACES:
-            raise ValueError(f"space entry {i}: unknown feature namespace {namespace!r}")
-        if not value and namespace != "pospath":
-            raise ValueError(f"space entry {i}: empty value in namespace {namespace!r}")
+            raise ValueError(f"{name}: unknown feature namespace {namespace!r}")
         if keys and key <= keys[-1]:
-            raise ValueError(f"space entry {i}: {list(key)} does not sort after "
+            raise ValueError(f"{name}: {list(key)} does not sort after "
                              f"{list(keys[-1])}; entries must be strictly increasing")
         keys.append(key)
     return FeatureSpace(keys)

@@ -17,6 +17,7 @@ any other version are rejected; there is no reader for version 1.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import logging
 import os
@@ -25,7 +26,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import LABELS, FrequencyTable, RelationInstance, RelationLabel, check_freq_threshold
+from . import read
+from .corpus import LABELS, FrequencyTable, RelationInstance, RelationLabel
 from .embeddings import EmbeddingTable
 
 log = logging.getLogger(__name__)
@@ -57,24 +59,20 @@ class Classifier:
         return self.predict_many([inst])[0]
 
 
-def encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    return {
-        "shape": list(arr.shape),
-        "dtype": "<f8",
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+# bytes of each base64 slice an array is written in: a multiple of 3, so the
+# slices' base64 joins up to the base64 of the whole array
+B64_SLICE = 3 << 16
 
 
-def decode_array(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"expected a tensor object, got {type(obj).__name__}")
-    if obj.get("dtype") != "<f8":
-        raise ModelFormatError(f"unsupported tensor dtype: {obj.get('dtype')!r}")
-    raw = base64.b64decode(obj["data"])
-    arr = np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
-    arr.flags.writeable = False
-    return arr
+def decode_array(obj: Any, name: str) -> np.ndarray:
+    """The read-only array of the tensor field ``name``, a view of its decoded bytes."""
+    obj = read.object(obj, name)
+    if obj["dtype"] != "<f8":
+        raise ValueError(f"{name}: unsupported tensor dtype {obj['dtype']!r}")
+    shape = [read.integer(n, f"{name} shape", 0)
+             for n in read.array(obj["shape"], f"{name} shape")]
+    raw = base64.b64decode(read.string(obj["data"], f"{name} data", empty=True), validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def dumps_canonical(payload: Any) -> str:
@@ -103,38 +101,44 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _canonical_fields(payload: dict) -> Iterator[str]:
-    """``dumps_canonical(payload) + "\n"`` in pieces, one top-level field at
-    a time, so the whole document never sits in memory as one string."""
-    yield "{"
-    for n, key in enumerate(sorted(payload)):
-        yield ("," if n else "") + dumps_canonical(key) + ":"
-        yield dumps_canonical(payload[key])
-    yield "}\n"
+def _canonical_chunks(value: Any) -> Iterator[str]:
+    """``dumps_canonical(value)`` in pieces, for a ``value`` that may hold
+    numpy arrays. Each array is written as a tensor object, ``{"data": base64
+    of its little-endian float64 bytes, "dtype": "<f8", "shape": [...]}``,
+    its base64 in slices; each part that holds no array is one ``json`` call."""
+    if isinstance(value, np.ndarray):
+        arr = np.ascontiguousarray(value, dtype="<f8")
+        raw = arr.reshape(-1).view(np.uint8)
+        yield '{"data":"'
+        for start in range(0, raw.size, B64_SLICE):
+            yield base64.b64encode(raw[start : start + B64_SLICE]).decode("ascii")
+        yield f'","dtype":"<f8","shape":{dumps_canonical(list(arr.shape))}}}'
+        return
+    try:
+        yield dumps_canonical(value)
+        return
+    except TypeError:  # it holds an array, which json cannot write: walk it
+        pass
+    is_object = hasattr(value, "items")
+    opening, closing = "{}" if is_object else "[]"
+    for n, key in enumerate(sorted(value) if is_object else range(len(value))):
+        yield ("," if n else opening) + (dumps_canonical(key) + ":" if is_object else "")
+        yield from _canonical_chunks(value[key])
+    yield closing
 
 
 def save_json(payload: dict, path: str | Path) -> None:
-    write_atomic(path, _canonical_fields(payload))
+    """Write ``payload``, which may hold numpy arrays, as one canonical JSON line."""
+    write_atomic(path, itertools.chain(_canonical_chunks(payload), ["\n"]))
 
 
-def read_json(path: str | Path) -> Any:
-    """The parsed JSON of a model file, of any format."""
+def read_json(path: str | Path) -> dict:
+    """The parsed JSON object of a model file, of any format."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            return read.object(json.load(fh), "the document")
+        except ValueError as exc:  # invalid JSON, too
             raise ModelFormatError(f"{path}: not a model file: {exc}") from exc
-
-
-def check_format(payload: Any, path: str | Path, expected_format: str) -> dict:
-    """``payload`` itself, once it is a model file of ``expected_format`` at
-    the current version."""
-    found = payload.get("format") if isinstance(payload, dict) else None
-    if found != expected_format:
-        raise ModelFormatError(f"{path}: expected format {expected_format!r}, got {found!r}")
-    if payload.get("version") != VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {payload.get('version')!r}")
-    return payload
 
 
 def save_model(model: Any, model_format: str, fields: dict, path: str | Path) -> None:
@@ -155,39 +159,41 @@ def load_model(
     model_format: str,
     table: EmbeddingTable,
     build: Callable[..., Any],
-    payload: Any = None,
+    payload: dict | None = None,
 ) -> Any:
-    """Read and check the shared header, then ``build(payload, freq=...,
+    """Read the shared header, then ``build(payload, freq=...,
     freq_threshold=..., table=...)`` the model from the file's own fields.
     ``payload``, when given, is the file's already parsed JSON.
 
-    A missing field, a header ``freq`` count that is not an integer >= 0, a
-    ``freq_threshold`` that ``filter_context`` would reject or a value the
-    model rejects raises ModelFormatError naming the file.
+    A missing field, one of the wrong kind or range (a ``freq`` count must be
+    an integer >= 0, ``freq_threshold`` one >= 1), a file of another format or
+    version, or a value the model rejects raises ModelFormatError naming the
+    file.
     """
-    payload = check_format(read_json(path) if payload is None else payload, path, model_format)
+    payload = read_json(path) if payload is None else payload
     try:
+        if payload.get("format") != model_format:
+            raise ValueError(f"expected format {model_format!r}, got {payload.get('format')!r}")
+        if read.integer(payload.get("version"), "version") != VERSION:
+            raise ValueError(f"unsupported version {payload['version']}")
         if payload["labels"] != [label.value for label in LABELS]:
-            raise ModelFormatError("unexpected label list")
-        emb = payload["embedding"]
-        if emb["dim"] != table.dim:
-            raise ModelFormatError(
-                f"model expects {emb['dim']}-dim embeddings, table has {table.dim}"
-            )
-        if emb["name"] and table.name and emb["name"] != table.name:
+            raise ValueError("unexpected label list")
+        emb = read.object(payload["embedding"], "embedding")
+        if read.integer(emb["dim"], "embedding dim") != table.dim:
+            raise ValueError(f"model expects {emb['dim']}-dim embeddings, table has {table.dim}")
+        name = read.string(emb["name"], "embedding name", empty=True)
+        if name and table.name and name != table.name:
             log.warning(
                 "embedding table name mismatch: model trained with %r, predicting with %r",
-                emb["name"], table.name,
+                name, table.name,
             )
-        freq = payload["freq"]
-        if not isinstance(freq, dict) or not all(
-            type(count) is int and count >= 0 for count in freq.values()
-        ):
-            raise ModelFormatError("freq must map lemmas to non-negative integer counts")
+        freq = read.object(payload["freq"], "freq")
+        for lemma, count in freq.items():
+            read.integer(count, f"freq count of {lemma!r}", 0)
         return build(
             payload,
             freq=FrequencyTable(freq),
-            freq_threshold=check_freq_threshold(payload["freq_threshold"]),
+            freq_threshold=read.integer(payload["freq_threshold"], "freq_threshold", 1),
             table=table,
         )
     except (KeyError, TypeError, ValueError) as exc:

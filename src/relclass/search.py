@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import modelio
+from . import modelio, read
 from .clstm import Hyperparams, train
 from .corpus import FREQ_THRESHOLD, RelationInstance
 from .embeddings import EmbeddingTable
@@ -81,8 +81,7 @@ def stratified_split(
     """
     if not instances:
         raise ValueError("nothing to split")
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"fraction must be in [0, 1), got {fraction}")
+    read.number(fraction, "fraction", ">= 0", "< 1")
     if any(inst.label is None for inst in instances):
         raise ValueError("stratified split needs labeled instances")
     if fraction == 0.0:
@@ -154,8 +153,7 @@ def random_search(
     Each trial derives its RNG from (seed, trial index); ties break toward
     the earlier trial.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    read.integer(n_trials, "n_trials", 1)
     train_set, val_set = stratified_split(instances, fraction, seed)
     if not val_set:
         raise ValueError("validation split is empty; raise fraction or corpus size")

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import hashlib
 import inspect
 import itertools
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import failing_smo, force_cpus, uneven_corpus
@@ -17,7 +19,7 @@ from relclass import cli, clstm, corpus, evaluation, search, svm
 from relclass.cli import build_parser, fixture_path, main
 from relclass.corpus import LABELS, write_corpus
 from relclass.embeddings import save_table
-from relclass.modelio import decode_array, encode_array
+from relclass.modelio import decode_array
 from relclass.synthetic import make_corpus, make_embedding_table
 
 CLSTM_SMOKE = ["--num-filters", "8", "--filter-width", "2", "--rnn-units", "8",
@@ -154,7 +156,7 @@ def test_train_rejects_bad_svm_hyperparameter(workdir, tmp_path, capsys, flag, v
         "--embeddings", str(workdir / "emb.txt"), "--out", str(out), flag, value,
     ])
     assert rc == 2
-    assert f"{flag[2:]} must be finite and > 0" in capsys.readouterr().err
+    assert f"{flag[2:]} must be a finite number > 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -251,8 +253,14 @@ def _sv_bool_duplicate_column(payload):
     return payload
 
 
+def _tensor_json(arr):
+    """The JSON object a model file stores ``arr`` as."""
+    data = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+    return {"data": data, "dtype": "<f8", "shape": list(arr.shape)}
+
+
 def _sv_dense_column_short(payload):
-    payload["sv_dense"] = encode_array(decode_array(payload["sv_dense"])[:, :-1])
+    payload["sv_dense"] = _tensor_json(decode_array(payload["sv_dense"], "sv_dense")[:, :-1])
     return payload
 
 
@@ -279,7 +287,7 @@ def _add_hyper_key(payload):
 
 def _conv_w_column_short(payload):
     params = payload["params"]
-    params["conv_w"] = encode_array(decode_array(params["conv_w"])[:, :-1])
+    params["conv_w"] = _tensor_json(decode_array(params["conv_w"], "conv_w")[:, :-1])
     return payload
 
 
@@ -334,6 +342,25 @@ def _set_freq_count(value):
     return damage
 
 
+def _set_levin_id(value):
+    def damage(payload):
+        payload["levin"][min(payload["levin"])][0] = value
+        return payload
+    return damage
+
+
+def _sv_bool_column_true(payload):
+    _first_bool_row(payload)[0] = True
+    return payload
+
+
+def _set_embedding_name(value):
+    def damage(payload):
+        payload["embedding"]["name"] = value
+        return payload
+    return damage
+
+
 @pytest.mark.parametrize("kind, damage", [
     ("svm", _drop_pair_coef),
     ("svm", _drop("space")),
@@ -375,6 +402,18 @@ def _set_freq_count(value):
     ("clstm", _set("freq_threshold", "5")),
     ("clstm", _set("freq_threshold", True)),
     ("clstm", _set_freq_count(True)),
+    # fields of the wrong kind or beyond int64
+    ("svm", _set("levin", "x")),
+    ("svm", _set_levin_id(True)),
+    ("svm", _set_levin_id(22.7)),
+    ("svm", _set("pairs", {})),
+    ("svm", _set("pairs", [])),
+    ("svm", _sv_bool_column_true),
+    ("svm", _set_pair("n_iter", "x")),
+    ("svm", _set_pair("converged", 5)),
+    ("svm", _set_embedding_name(5)),
+    ("clstm", _set_hyper("stride", 10**30)),
+    ("clstm", _set("l_max", 10**30)),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
         "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column", "svm-sv-dense-width",
@@ -387,7 +426,11 @@ def _set_freq_count(value):
         "svm-pair-b-string", "svm-pair-A-string", "svm-pair-B-inf", "svm-pair-repeated",
         "svm-pair-against-itself", "svm-freq-threshold-string", "svm-freq-threshold-bool",
         "svm-freq-threshold-zero", "svm-freq-count-negative", "svm-freq-count-float",
-        "clstm-freq-threshold-string", "clstm-freq-threshold-bool", "clstm-freq-count-bool"])
+        "clstm-freq-threshold-string", "clstm-freq-threshold-bool", "clstm-freq-count-bool",
+        "svm-levin-string", "svm-levin-id-bool", "svm-levin-id-float", "svm-pairs-object",
+        "svm-pairs-empty", "svm-sv-bool-column-bool", "svm-pair-n-iter-string",
+        "svm-pair-converged-number", "svm-embedding-name-number", "clstm-stride-huge",
+        "clstm-l-max-huge"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
@@ -481,6 +524,29 @@ def test_evaluate_rejects_unknown_label(workdir, tmp_path, capsys):
     assert f"{typo}: line 2: bad prediction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, problem", [
+    ({"label": "COMPARE"}, "is also on line 1"),
+    ({"id": "not-in-gold"}, "'not-in-gold' is not in the gold corpus"),
+], ids=["repeated-id", "unknown-id"])
+def test_evaluate_rejects_a_line_that_is_not_one_gold_prediction(workdir, tmp_path, capsys,
+                                                                   extra, problem):
+    # a perfect predictions file plus one more line, for an id it already
+    # holds or for one outside the gold corpus
+    pred = tmp_path / "pred.jsonl"
+    main([
+        "predict", "--model-file", str(workdir / "svm-model.json"),
+        "--corpus", str(workdir / "train.jsonl"),
+        "--embeddings", str(workdir / "emb.txt"), "--out", str(pred),
+    ])
+    lines = pred.read_text().splitlines()
+    lines.append(json.dumps({**json.loads(lines[0]), **extra}))
+    pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["evaluate", "--gold", str(workdir / "train.jsonl"), "--predictions", str(pred)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{pred}: line {len(lines)}: bad prediction: id " in err and problem in err
+
+
 def _span_overlap(record):
     record["e2"] = record["e1"]
 
@@ -497,9 +563,21 @@ def _uppercase_lemma(record):
     record["tokens"][0]["lemma"] = "Y"
 
 
+def _set_token(key, value):
+    return lambda record: record["tokens"][0].update({key: value})
+
+
+def _set_field(key, value):
+    return lambda record: record.update({key: value})
+
+
 @pytest.mark.parametrize(
-    "damage", [_span_overlap, _lowercase_label, _subtask_2_1, _uppercase_lemma],
-    ids=["bad-span", "unknown-label", "unknown-subtask", "uppercase-lemma"],
+    "damage", [_span_overlap, _lowercase_label, _subtask_2_1, _uppercase_lemma,
+               # fields of the wrong kind
+               _set_token("text", 5), _set_token("lemma", True), _set_field("e1", [0.5, 0]),
+               _set_field("reverse", "x"), _set_field("reverse", None), _set_field("id", 5)],
+    ids=["bad-span", "unknown-label", "unknown-subtask", "uppercase-lemma", "text-number",
+         "lemma-bool", "span-float", "reverse-string", "reverse-null", "id-number"],
 )
 def test_invalid_corpus_record_names_file_and_line(tmp_path, capsys, damage):
     good = fixture_path("example_corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]

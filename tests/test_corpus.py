@@ -190,6 +190,9 @@ def test_unlabeled_instance_roundtrip(example_instance):
     inst = instance_from_dict(record)
     assert inst.label is None
     assert instance_to_dict(inst)["label"] is None
+    # prediction input may leave the label out; it reads as null
+    del record["label"]
+    assert instance_from_dict(record) == inst
 
 
 def test_parse_reports_line_numbers(tmp_path, example_instance):

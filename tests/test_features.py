@@ -64,10 +64,13 @@ def test_feature_key_validation():
     # keys are checked where they enter from a model file
     with pytest.raises(ValueError, match="entry 1: unknown feature namespace 'nope'"):
         parse_feature_space([["bow", "a"], ["nope", "x"]])
-    with pytest.raises(ValueError, match="entry 0: empty value in namespace 'bow'"):
+    with pytest.raises(ValueError, match="entry 0 value must be a nonempty string, got ''"):
         parse_feature_space([["bow", ""]])
-    for entry in (["bow", 1], ["bow"], ["bow", "a", "b"], "bow", None):
-        with pytest.raises(ValueError, match="entry 0: expected a .namespace, value. string pair"):
+    for entry in (["bow"], ["bow", "a", "b"], "bow", None):
+        with pytest.raises(ValueError, match="entry 0 must be an array of 2 items"):
+            parse_feature_space([entry])
+    for entry, part in ((["bow", 1], "value"), ([1, "a"], "namespace")):
+        with pytest.raises(ValueError, match=f"entry 0 {part} must be a"):
             parse_feature_space([entry])
     with pytest.raises(ValueError, match="nonempty"):
         parse_feature_space([])
@@ -113,9 +116,10 @@ def test_levin_loader_truncates_subclasses(tmp_path):
 
 def test_levin_loader_rejects_bad_rows(tmp_path):
     path = tmp_path / "l.tsv"
-    path.write_text("improve\t0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_levin_table(path)
+    for row in ("0", "-1", "0.5", "x", "1e3", ""):
+        path.write_text(f"run\t26\nimprove\t{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"l\.tsv: line 2: bad verb-class entry"):
+            load_levin_table(path)
 
 
 @pytest.mark.parametrize("namespaces", [

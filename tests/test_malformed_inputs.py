@@ -1,0 +1,215 @@
+"""Generated malformed inputs, one field at a time.
+
+Each input format starts from a valid file: both model kinds saved by
+``train``, a corpus record, a config file, a predictions line, an
+embedding-table line and a verb-table line. Every sampled field of it is
+replaced by each of nine values, and the command that reads the file is run
+in-process. A run must exit 0, or exit 2 with a message naming the file (and
+the line, for line formats); it must never exit 1 or print a traceback. A
+value of another JSON kind than the field's, or a non-integer where an
+integer stood, must exit 2, except null in a field declared nullable.
+
+Models are read through ``predict`` on a one-instance corpus and config
+files through ``predict --config``; nothing here trains on a mutated input.
+"""
+
+import json
+import random
+from dataclasses import asdict, dataclass
+from typing import Callable
+
+import pytest
+
+from relclass.cli import RunConfig, fixture_path, main
+from relclass.corpus import write_corpus
+from relclass.embeddings import save_table
+from relclass.synthetic import make_corpus, make_embedding_table
+
+SUBSTITUTES = ["x", True, None, -1, 0, 0.5, [], {}, 10**30]
+SUBSTITUTE_IDS = ["string", "true", "null", "minus-one", "zero", "half", "array", "object",
+                  "ten-to-the-30"]
+# the seeded sample of field paths each run replaces, so that the whole test
+# takes about 5 s: of about 70 (SVM) and 120 (conv-LSTM) collapsed model-file
+# paths and of the 27 config keys; the smaller formats run every path
+MODEL_PATHS_SAMPLED = 20
+CONFIG_KEYS_SAMPLED = 12
+SEED = 16
+
+# fields that may be null: the corpus label, and every path setting of the
+# config file (a str | None annotation of RunConfig)
+NULLABLE = {("corpus", ("label",))} | {
+    ("config", (key,)) for key, value in asdict(RunConfig()).items() if value is None
+}
+
+
+def kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return "null" if value is None else type(value).__name__
+
+
+def must_fail(original, substitute) -> bool:
+    """Whether replacing ``original`` by ``substitute`` breaks the field's kind."""
+    if kind(original) != kind(substitute):
+        return True
+    return kind(original) == "number" and isinstance(original, int) and isinstance(substitute, float)
+
+
+def field_paths(doc, path=()):
+    """Every field path of a JSON document; list indices fold to the first item."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    else:
+        children = enumerate(doc[:1]) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def dumps_replaced(doc, path, substitute) -> str:
+    """The JSON text of ``doc`` with the field at ``path`` replaced."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    original, parent[path[-1]] = parent[path[-1]], substitute
+    try:
+        return json.dumps(doc)
+    finally:
+        parent[path[-1]] = original
+
+
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def as_text(substitute) -> str:
+    """A substitute as it stands in a text-line format."""
+    return substitute if isinstance(substitute, str) else json.dumps(substitute)
+
+
+@dataclass
+class Format:
+    """One input format: its fields, how a substitute is written into the
+    file, and the command that reads the file."""
+
+    paths: list
+    write: Callable  # (path, substitute, destination) -> None
+    command: Callable  # destination -> argv
+    must_fail: Callable  # (path, substitute) -> bool
+    line: int | None = None  # the line a line format's field stands on
+
+
+def json_format(name, doc, command, line=None, sample=None):
+    paths = list(field_paths(doc))
+    if sample is not None:
+        paths = sorted(random.Random(SEED).sample(paths, sample))
+
+    def write(path, substitute, dest):
+        dest.write_text(dumps_replaced(doc, path, substitute) + "\n", encoding="utf-8")
+
+    def fails(path, substitute):
+        if substitute is None and (name, path) in NULLABLE:
+            return False
+        original = doc
+        for key in path:
+            original = original[key]
+        return must_fail(original, substitute)
+
+    return Format(paths, write, command, fails, line)
+
+
+def text_line_format(lines, lineno, split, join, numeric_fields, command):
+    """A format of text lines: field ``i`` of line ``lineno``, as ``split``
+    cuts it, is replaced. ``numeric_fields`` maps a field that holds a
+    number to its type, int or float; any other field is free text."""
+    fields = split(lines[lineno - 1])
+
+    def write(i, substitute, dest):
+        changed = list(fields)
+        changed[i] = as_text(substitute)
+        out = list(lines)
+        out[lineno - 1] = join(changed)
+        dest.write_text("\n".join(out) + "\n", encoding="utf-8")
+
+    def fails(i, substitute):
+        allowed = {int: int, float: (int, float)}.get(numeric_fields.get(i), object)
+        return not isinstance(substitute, allowed) or (
+            i in numeric_fields and isinstance(substitute, bool))
+
+    return Format(list(range(len(fields))), write, command, fails, lineno)
+
+
+@pytest.fixture(scope="module")
+def formats(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    corpus = make_corpus(n_per_class=12)
+    write_corpus(corpus, root / "train.jsonl")
+    write_corpus(corpus[:1], root / "one.jsonl")
+    save_table(make_embedding_table(), root / "emb.txt")
+    levin, toy_table = fixture_path("levin_small.tsv"), fixture_path("toy_embeddings.txt")
+    example = fixture_path("example_corpus.jsonl")
+    train = ["train", "--train", str(root / "train.jsonl"), "--embeddings", str(root / "emb.txt")]
+    assert main([*train, "--model", "svm", "--levin", str(levin), "--out", str(root / "svm.json"),
+                 "--report", str(root / "svm-report.json")]) == 0
+    assert main([*train, "--model", "clstm", "--out", str(root / "clstm.json"),
+                 "--report", str(root / "clstm-report.json"), "--num-filters", "8",
+                 "--filter-width", "2", "--rnn-units", "8", "--epochs", "1",
+                 "--batch-size", "16", "--freq-threshold", "1"]) == 0
+    out = str(root / "out.txt")
+
+    def predict(model):
+        return ["predict", "--model-file", str(model), "--corpus", str(root / "one.jsonl"),
+                "--embeddings", str(root / "emb.txt"), "--out", out]
+
+    def features(corpus=example, table=toy_table, verbs=levin):
+        return ["features", "--corpus", str(corpus), "--embeddings", str(table),
+                "--levin", str(verbs), "--freq-threshold", "1", "--out", out]
+
+    config = {key: "unread.txt" if value is None else value
+              for key, value in asdict(RunConfig()).items()}
+    config["model"] = "svm"
+    return {
+        "svm": json_format("svm", read_json(root / "svm.json"), predict,
+                           sample=MODEL_PATHS_SAMPLED),
+        "clstm": json_format("clstm", read_json(root / "clstm.json"), predict,
+                             sample=MODEL_PATHS_SAMPLED),
+        "corpus": json_format("corpus", read_json(example), lambda dest: features(corpus=dest),
+                              line=1),
+        "config": json_format("config", config,
+                              lambda dest: [*predict(root / "svm.json"), "--config", str(dest)],
+                              sample=CONFIG_KEYS_SAMPLED),
+        "predictions": json_format("predictions", {"id": "fixture-1", "label": "RESULT"},
+                                   lambda dest: ["evaluate", "--gold", str(example),
+                                                 "--predictions", str(dest)], line=1),
+        "embeddings": text_line_format(toy_table.read_text(encoding="utf-8").splitlines(), 2,
+                                       str.split, " ".join, {1: float, 2: float},
+                                       lambda dest: features(table=dest)),
+        "verbs": text_line_format(levin.read_text(encoding="utf-8").splitlines(), 1,
+                                  lambda line: line.split("\t"), "\t".join, {1: int},
+                                  lambda dest: features(verbs=dest)),
+    }
+
+
+@pytest.mark.parametrize("substitute", SUBSTITUTES, ids=SUBSTITUTE_IDS)
+@pytest.mark.parametrize("name", ["svm", "clstm", "corpus", "config", "predictions",
+                                  "embeddings", "verbs"])
+def test_malformed_field_exits_0_or_2_naming_the_file(formats, tmp_path, capsys, monkeypatch,
+                                                      name, substitute):
+    monkeypatch.chdir(tmp_path)  # where a relative output path would land
+    fmt = formats[name]
+    dest = tmp_path / f"mutated-{name}"
+    problems = []
+    for path in fmt.paths:
+        fmt.write(path, substitute, dest)
+        rc = main(fmt.command(dest))
+        err = capsys.readouterr().err
+        where = f"{path} = {substitute!r}: exit {rc}"
+        if rc not in (0, 2) or "Traceback" in err:
+            problems.append(f"{where}, {err.strip()}")
+        elif rc == 2 and (str(dest) not in err or fmt.line and f"line {fmt.line}:" not in err):
+            problems.append(f"{where} without naming the file and line: {err.strip()}")
+        elif rc == 0 and fmt.must_fail(path, substitute):
+            problems.append(f"{where}, accepted a value of the wrong kind")
+    assert not problems, "\n".join(problems)

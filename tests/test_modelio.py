@@ -1,12 +1,14 @@
+import base64
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from relclass import clstm, svm
 from relclass.corpus import LABELS
-from relclass.modelio import save_json, write_atomic
+from relclass.modelio import decode_array, save_json, write_atomic
 from relclass.synthetic import make_corpus
 
 CORPUS = make_corpus(n_per_class=5, seed=4)
@@ -59,6 +61,25 @@ def test_save_json_writes_the_canonical_document(tmp_path, payload):
     save_json(payload, path)
     expected = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     assert path.read_bytes() == (expected + "\n").encode("utf-8")
+
+
+def test_save_json_streams_an_array_in_slices(tmp_path):
+    # an 8 MiB array (not a multiple of the slice size) is written as one
+    # tensor object without its base64 ever sitting in memory whole
+    arr = np.random.default_rng(0).random(1 << 20)
+    path = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        save_json({"t": arr, "n": 1}, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.nbytes
+    tensor = {"data": base64.b64encode(arr.tobytes()).decode("ascii"), "dtype": "<f8",
+              "shape": [arr.size]}
+    expected = json.dumps({"n": 1, "t": tensor}, separators=(",", ":"))
+    assert path.read_bytes() == (expected + "\n").encode("utf-8")
+    assert np.array_equal(decode_array(json.loads(path.read_text())["t"], "t"), arr)
 
 
 def test_failed_write_keeps_old_file_and_leaves_no_temporary(tmp_path):

@@ -156,7 +156,7 @@ def test_smo_iteration_cap(caplog):
 @pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf])
 def test_smo_rejects_bad_C(C):
     K, y, _ = random_problem(np.random.default_rng(3))
-    with pytest.raises(ValueError, match="C must be finite"):
+    with pytest.raises(ValueError, match="C must be a finite number > 0"):
         smo_solve(K, y, C)
 
 
