@@ -33,6 +33,9 @@ from .embeddings import EmbeddingTable
 log = logging.getLogger(__name__)
 
 CLSTM_FORMAT = "relclass-clstm"
+# The most columns a model may pad its inputs to (its l_max): every prediction
+# batch is (batch_size, v, l_max), and the paper's inputs are single sentences.
+L_MAX_LIMIT = 1024
 
 # parameter tensors in a fixed order (serialization, Adam state, grad checks)
 PARAM_NAMES = (
@@ -174,12 +177,12 @@ def _window_slices(m: int, ws: int, st: int) -> list[slice]:
     return [slice(w, w + (m - 1) * st + 1, st) for w in range(ws)]
 
 
-def _live_windows(batch: np.ndarray, ws: int, st: int) -> np.ndarray:
-    """(m, B) mask of the windows of a (B, v, l_max) batch that read at least
-    one nonzero input column. The others are dead: all their inputs are 0."""
-    B, _, l_max = batch.shape
+def _live_windows(nonzero: np.ndarray, ws: int, st: int) -> np.ndarray:
+    """(m, B) mask of the windows that read at least one nonzero input column,
+    from the (l_max, B) mask of the nonzero columns of a padded batch. The
+    other windows are dead: all their inputs are 0."""
+    l_max, B = nonzero.shape
     m = n_windows(l_max, ws, st)
-    nonzero = batch.any(axis=1).T
     live = np.zeros((m, B), dtype=bool)
     for cols in _window_slices(m, ws, st):
         live |= nonzero[cols]
@@ -188,7 +191,8 @@ def _live_windows(batch: np.ndarray, ws: int, st: int) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs, for one batch.
+    """Everything the backward pass needs, for one batch. One backward_batch
+    consumes it: that pass overwrites ``gates`` with the gate gradients.
 
     A window whose input columns are all zero is dead: its conv feature map
     is exactly relu(conv_b), so only the live windows are stored.
@@ -221,7 +225,7 @@ def forward_batch(
     B, v, l_max = batch.shape
     u = hyper.rnn_units
     ws, st = hyper.filter_width, hyper.stride
-    live = _live_windows(batch, ws, st)
+    live = _live_windows(batch.any(axis=1).T, ws, st)
     m = live.shape[0]
 
     # conv on the live windows only: gather each one's ws input columns into
@@ -281,7 +285,12 @@ def backward_batch(
     params: dict[str, np.ndarray],
     hyper: Hyperparams,
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of batch_loss for every trainable tensor."""
+    """Analytic gradients of batch_loss for every trainable tensor.
+
+    Consumes ``cache``: step t writes its gate gradients over
+    ``cache.gates[t]`` once it has copied those gates to a (B, 4u) buffer, so
+    the pass holds no second (m, B, 4, u) array.
+    """
     m, B = cache.live.shape
     u = hyper.rnn_units
 
@@ -295,14 +304,14 @@ def backward_batch(
     }
 
     w_x, w_h, _ = _fused(params)
-    gates, cells = cache.gates, cache.cells
-    # pre-activation gradients of all steps, (m, B, 4, u) like the gates
-    da = np.empty((m, B, 4, u))
+    # pre-activation gradients of all steps, (m, B, 4, u), in place of the gates
+    da, cells = cache.gates, cache.cells
+    a = np.empty((B, 4, u))
+    i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
     dh = (dlogits @ params["soft_w"]) * cache.mask
     dc = np.zeros((B, u))
     for t in range(m - 1, -1, -1):
-        a = gates[t]
-        i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        a[...] = da[t]
         tanh_c = np.tanh(cells[t + 1])
         dc += dh * o * (1.0 - tanh_c * tanh_c)
         d = da[t]
@@ -322,7 +331,7 @@ def backward_batch(
     da_live = da[flat_live]
     # every dead row has the same input x_dead, so their share of the input
     # weights and of conv_b is one rank-1 term in the sum of their da
-    da_dead = da[~flat_live].sum(axis=0)
+    da_dead = np.add.reduce(da, axis=0, where=~flat_live[:, None])
     d_wx = da_live.T @ cache.x_live
     d_wx += np.outer(da_dead, cache.x_dead)
     d_wh = da.T @ cache.hiddens[:-1].reshape(m * B, u)
@@ -450,13 +459,17 @@ def train(
         raise ValueError(
             f"filter width {hyper.filter_width} exceeds the longest sequence ({l_max})"
         )
-    # one batch is padded at a time, so memory does not grow with the corpus
+    if l_max > L_MAX_LIMIT:
+        raise ValueError(
+            f"the longest sequence has {l_max} columns, more than a model may pad to ({L_MAX_LIMIT})"
+        )
     n, bs = len(labeled), hyper.batch_size
     ws, st = hyper.filter_width, hyper.stride
-    live = sum(
-        int(_live_windows(pad(sequences[start : start + bs], l_max), ws, st).sum())
-        for start in range(0, n, bs)
-    )
+    # the live windows, counted from each sequence's nonzero columns: padding is zero
+    nonzero = np.zeros((l_max, n), dtype=bool)
+    for b, I in enumerate(sequences):
+        nonzero[: I.shape[1], b] = I.any(axis=0)
+    live = int(_live_windows(nonzero, ws, st).sum())
     label_idx = {label: i for i, label in enumerate(LABELS)}
     gold = np.array([label_idx[inst.label] for inst in labeled], dtype=np.int64)
 
@@ -469,11 +482,13 @@ def train(
         epoch_losses = []
         for start in range(0, n, bs):
             idx = order[start : start + bs]
-            batch = pad([sequences[i] for i in idx], l_max)
-            cache = forward_batch(batch, params, hyper, training=True, rng=rng)
+            # the padded batch lives only as long as forward_batch's call
+            cache = forward_batch(pad([sequences[i] for i in idx], l_max), params, hyper,
+                                  training=True, rng=rng)
             epoch_losses.append(batch_loss(cache, gold[idx], params, hyper.l2_scale))
-            grads = backward_batch(cache, gold[idx], params, hyper)
-            adam_step(params, grads, state, lr=hyper.learning_rate)
+            adam_step(params, backward_batch(cache, gold[idx], params, hyper), state,
+                      lr=hyper.learning_rate)
+            del cache  # one batch's working set: none of it outlives its step
         history.append(float(np.mean(epoch_losses)))
     return ClstmModel(
         params=params,
@@ -504,7 +519,7 @@ def _build_clstm_model(payload: dict, **common) -> ClstmModel:
     if hyper.keys() != Hyperparams.READERS.keys():
         raise ValueError(f"hyper must hold exactly the fields {', '.join(Hyperparams.READERS)}")
     hyper = Hyperparams(**hyper)
-    l_max = read.integer(payload["l_max"], "l_max", hyper.filter_width)
+    l_max = read.integer(payload["l_max"], "l_max", hyper.filter_width, L_MAX_LIMIT)
     stored = read.object(payload["params"], "params")
     params = {}
     for name, shape in param_shapes(common["table"].dim, hyper).items():

@@ -71,8 +71,11 @@ def decode_array(obj: Any, name: str) -> np.ndarray:
         raise ValueError(f"{name}: unsupported tensor dtype {obj['dtype']!r}")
     shape = [read.integer(n, f"{name} shape", 0)
              for n in read.array(obj["shape"], f"{name} shape")]
-    raw = base64.b64decode(read.string(obj["data"], f"{name} data", empty=True), validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    data = read.string(obj["data"], f"{name} data", empty=True)
+    try:
+        return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").reshape(shape)
+    except ValueError as exc:  # binascii.Error too: not base64, or not of this shape
+        raise read.FieldError(f"{name} data: {exc}") from exc
 
 
 def dumps_canonical(payload: Any) -> str:

@@ -22,11 +22,12 @@ def _fail(name: str, what: str, value):
     raise FieldError(f"{name} must be {what}, got {reprlib.repr(value)}")
 
 
-def integer(value, name: str, lo: int = INT64.start) -> int:
-    """``value`` once it is an integer within int64 and >= ``lo``."""
-    if isinstance(value, int) and not isinstance(value, bool) and lo <= value < INT64.stop:
+def integer(value, name: str, lo: int = INT64.start, hi: int = INT64.stop - 1) -> int:
+    """``value`` once it is an integer >= ``lo`` and <= ``hi``, by default the int64 range."""
+    if isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi:
         return value
-    _fail(name, "a 64-bit integer" + (f" >= {lo}" if lo > INT64.start else ""), value)
+    bounds = [f">= {lo}"] * (lo > INT64.start) + [f"<= {hi}"] * (hi < INT64.stop - 1)
+    _fail(name, " ".join(["a 64-bit integer", " and ".join(bounds)]).strip(), value)
 
 
 def number(value, name: str, *bounds: str) -> float:

@@ -354,6 +354,18 @@ def _sv_bool_column_true(payload):
     return payload
 
 
+def _insert_in_data(char, *keys):
+    """Put ``char`` into the middle of the base64 data of the tensor at ``keys``."""
+    def damage(payload):
+        tensor = payload
+        for key in keys:
+            tensor = tensor[key]
+        half = len(tensor["data"]) // 2
+        tensor["data"] = tensor["data"][:half] + char + tensor["data"][half:]
+        return payload
+    return damage
+
+
 def _set_embedding_name(value):
     def damage(payload):
         payload["embedding"]["name"] = value
@@ -414,6 +426,15 @@ def _set_embedding_name(value):
     ("svm", _set_embedding_name(5)),
     ("clstm", _set_hyper("stride", 10**30)),
     ("clstm", _set("l_max", 10**30)),
+    # an l_max past the format limit would size every prediction batch
+    ("clstm", _set("l_max", clstm.L_MAX_LIMIT + 1)),
+    ("clstm", _set("l_max", 10**6)),
+    ("clstm", _set("l_max", 2**31)),
+    ("clstm", _set("l_max", 2**50)),
+    # tensor data with a character outside the base64 alphabet
+    ("clstm", _insert_in_data(" ", "params", "conv_b")),
+    ("clstm", _insert_in_data("!", "params", "conv_b")),
+    ("svm", _insert_in_data(" ", "sv_dense")),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
         "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column", "svm-sv-dense-width",
@@ -430,7 +451,9 @@ def _set_embedding_name(value):
         "svm-levin-string", "svm-levin-id-bool", "svm-levin-id-float", "svm-pairs-object",
         "svm-pairs-empty", "svm-sv-bool-column-bool", "svm-pair-n-iter-string",
         "svm-pair-converged-number", "svm-embedding-name-number", "clstm-stride-huge",
-        "clstm-l-max-huge"])
+        "clstm-l-max-huge", "clstm-l-max-over-limit", "clstm-l-max-million",
+        "clstm-l-max-2-31", "clstm-l-max-2-50", "clstm-conv-b-data-space",
+        "clstm-conv-b-data-bang", "svm-sv-dense-data-space"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
@@ -444,6 +467,21 @@ def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_pat
     assert rc == 2
     assert str(bad) in capsys.readouterr().err
     assert not (tmp_path / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("damage, field", [
+    (_set("l_max", 2**31), "l_max must be a 64-bit integer >= 2 and <= 1024"),
+    (_insert_in_data("!", "params", "conv_b"), "conv_b data: "),
+], ids=["l-max", "conv-b-data"])
+def test_predict_names_the_field_of_a_bad_model_file(clstm_model_file, workdir, tmp_path,
+                                                     capsys, damage, field):
+    bad = tmp_path / "bad-model.json"
+    bad.write_text(json.dumps(damage(json.loads(clstm_model_file.read_text(encoding="utf-8")))),
+                   encoding="utf-8")
+    rc = main(["predict", "--model-file", str(bad), "--corpus", str(workdir / "train.jsonl"),
+               "--embeddings", str(workdir / "emb.txt"), "--out", str(tmp_path / "pred.jsonl")])
+    assert rc == 2
+    assert f"{bad}: {field}" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

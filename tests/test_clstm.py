@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -365,6 +367,30 @@ def test_gradient_deterministic_under_fixed_dropout_seed():
         assert np.array_equal(runs[0][name], runs[1][name])
 
 
+def test_backward_pass_peak_stays_below_the_gates():
+    # B=64, v=20, l_max=30, k=16, u=50, sequences of 3 to 29 columns: the
+    # gates are 28 x 64 x 4 x 50 floats (2.9 MB). The pass writes its gate
+    # gradients over them, so everything else it allocates stays smaller.
+    hyper = Hyperparams(num_filters=16, filter_width=3, rnn_units=50, dropout_rate=0.23,
+                        batch_size=64)
+    rng = np.random.default_rng(4)
+    params = init_params(20, hyper, rng)
+    batch = rng.normal(size=(64, 20, 30))
+    for b, length in enumerate(rng.integers(3, 30, size=64)):
+        batch[b, :, length:] = 0.0
+    cache = forward_batch(batch, params, hyper, training=True, rng=rng)
+    gates_bytes = cache.gates.nbytes
+    gold = rng.integers(0, 6, size=64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        backward_batch(cache, gold, params, hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < gates_bytes
+
+
 def test_adam_zero_gradient_is_identity():
     params = tiny_params()
     before = {n: p.copy() for n, p in params.items()}
@@ -472,6 +498,49 @@ def test_train_windows_count_the_padded_corpus(epochs):
     live = sum(padded[b, :, 2 * j : 2 * j + 2].any() for b in range(len(corpus)) for j in range(m))
     assert model.windows == (live, len(corpus) * m)
     assert 0 < live < len(corpus) * m
+
+
+def test_training_holds_one_batch_working_set(monkeypatch):
+    # no earlier batch or cache is alive when a forward pass starts, and the
+    # padded batch is freed before its own backward pass starts
+    batches, caches, backward_calls = [], [], []
+
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def watched_forward(batch, *args, **kwargs):
+        assert alive(batches + caches) == 0
+        batches.append(weakref.ref(batch))
+        cache = forward_batch(batch, *args, **kwargs)
+        caches.append(weakref.ref(cache))
+        return cache
+
+    def watched_backward(cache, *args, **kwargs):
+        assert alive(batches[-1:]) == 0
+        backward_calls.append(len(batches))
+        return backward_batch(cache, *args, **kwargs)
+
+    monkeypatch.setattr(clstm, "forward_batch", watched_forward)
+    monkeypatch.setattr(clstm, "backward_batch", watched_backward)
+    hyper = Hyperparams(num_filters=4, filter_width=2, rnn_units=5, batch_size=10, epochs=2,
+                        seed=1)
+    train(make_corpus(n_per_class=4, seed=0), make_embedding_table(), hyper, freq_threshold=1)
+    assert backward_calls == [1, 2, 3, 4, 5, 6]  # 24 instances: 3 batches per epoch
+
+
+def test_train_refuses_sequences_over_the_format_limit(monkeypatch, tmp_path):
+    corpus = make_corpus(n_per_class=4, seed=0)  # sequences of 5 to 8 columns
+    table = make_embedding_table()
+    hyper = Hyperparams(num_filters=4, filter_width=2, rnn_units=5, batch_size=10, epochs=1)
+    monkeypatch.setattr(clstm, "L_MAX_LIMIT", 7)
+    with pytest.raises(ValueError, match="more than a model may pad to"):
+        train(corpus, table, hyper, freq_threshold=1)
+    # a model at the limit is written and read back
+    monkeypatch.setattr(clstm, "L_MAX_LIMIT", 8)
+    model = train(corpus, table, hyper, freq_threshold=1)
+    assert model.l_max == 8
+    save_clstm_model(model, tmp_path / "clstm.json")
+    assert load_clstm_model(tmp_path / "clstm.json", table).l_max == 8
 
 
 def test_prediction_runs_in_batches_of_batch_size(monkeypatch):

@@ -82,6 +82,17 @@ def test_save_json_streams_an_array_in_slices(tmp_path):
     assert np.array_equal(decode_array(json.loads(path.read_text())["t"], "t"), arr)
 
 
+@pytest.mark.parametrize("data", [
+    "AAAA AAAAAAA=",  # not base64
+    "AAAAAAAAAAA!",
+    "AAAA",  # 3 bytes: not whole float64 values
+    base64.b64encode(bytes(16)).decode("ascii"),  # 2 values, not the 3 of the shape
+], ids=["space", "bang", "partial-value", "shape-mismatch"])
+def test_decode_array_names_the_field_of_bad_data(data):
+    with pytest.raises(ValueError, match="^conv_b data: "):
+        decode_array({"data": data, "dtype": "<f8", "shape": [3]}, "conv_b")
+
+
 def test_failed_write_keeps_old_file_and_leaves_no_temporary(tmp_path):
     path = tmp_path / "model.json"
     save_json({"a": 1}, path)
