@@ -198,6 +198,8 @@ def cmd_train(cfg: RunConfig) -> int:
         report["final_epoch_loss"] = model.loss_history[-1] if model.loss_history else None
         live, total = model.windows
         report["windows"] = {"live": live, "total": total}
+        report["workers"] = model.fit_report["workers"]
+        report["blas_threads"] = model.fit_report["blas_threads"]
     report["timing"] = {"train_seconds": time.perf_counter() - start}
     _write_json(report, cfg.report)
     print(f"model written to {out}")

@@ -12,13 +12,16 @@ can be checked against finite differences.
 from __future__ import annotations
 
 import logging
+import math
+import mmap
+import signal
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import modelio, read
+from . import modelio, parallel, read
 from .corpus import (
     FREQ_THRESHOLD,
     LABELS,
@@ -210,17 +213,25 @@ class ForwardCache:
     probs: np.ndarray  # (B, n_classes)
 
 
+def dropout_mask(hyper: Hyperparams, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """The (rows, u) inverted-scaling dropout mask of one training batch;
+    all ones, without drawing from ``rng``, when ``hyper.dropout_rate`` is 0."""
+    if hyper.dropout_rate == 0.0:
+        return np.ones((rows, hyper.rnn_units))
+    keep = 1.0 - hyper.dropout_rate
+    return (rng.random((rows, hyper.rnn_units)) < keep) / keep
+
+
 def forward_batch(
     batch: np.ndarray,
     params: dict[str, np.ndarray],
     hyper: Hyperparams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
+    mask: np.ndarray | None = None,
 ) -> ForwardCache:
     """Class distributions for a (B, v, l_max) batch of padded inputs.
 
-    At training time an inverted-scaling dropout mask is applied to the final
-    hidden state; inference never drops.
+    At training time ``mask``, a (B, u) dropout mask from ``dropout_mask``,
+    is applied to the final hidden state; inference (None) never drops.
     """
     B, v, l_max = batch.shape
     u = hyper.rnn_units
@@ -260,23 +271,24 @@ def forward_batch(
         np.add(f * cells[t], i * g, out=cells[t + 1])
         np.multiply(o, np.tanh(cells[t + 1]), out=hiddens[t + 1])
 
-    if training and hyper.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-time dropout needs an RNG")
-        keep = 1.0 - hyper.dropout_rate
-        mask = (rng.random((B, u)) < keep) / keep
-    else:
+    if mask is None:
         mask = np.ones((B, u))
     h_drop = hiddens[m] * mask
     probs = softmax(h_drop @ params["soft_w"].T + params["soft_b"])
     return ForwardCache(live, windows, x_live, x_dead, gates, cells, hiddens, mask, h_drop, probs)
 
 
+def _cross_entropy_sum(probs: np.ndarray, gold: np.ndarray) -> float:
+    return float(-np.log(probs[np.arange(gold.shape[0]), gold]).sum())
+
+
+def _l2_penalty(params: dict[str, np.ndarray], l2_scale: float) -> float:
+    return l2_scale * 0.5 * float(np.sum(params["soft_w"] ** 2))
+
+
 def batch_loss(cache: ForwardCache, gold: np.ndarray, params: dict[str, np.ndarray], l2_scale: float) -> float:
     """Mean cross-entropy plus the softmax-weight L2 penalty."""
-    B = gold.shape[0]
-    ce = -np.log(cache.probs[np.arange(B), gold]).mean()
-    return float(ce + l2_scale * 0.5 * float(np.sum(params["soft_w"] ** 2)))
+    return _cross_entropy_sum(cache.probs, gold) / gold.shape[0] + _l2_penalty(params, l2_scale)
 
 
 def backward_batch(
@@ -284,8 +296,12 @@ def backward_batch(
     gold: np.ndarray,
     params: dict[str, np.ndarray],
     hyper: Hyperparams,
+    batch_rows: int,
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of batch_loss for every trainable tensor.
+    """Analytic gradients of the cross-entropy term of batch_loss for every
+    trainable tensor, from the rows of ``cache``, which may be one shard of
+    a batch of ``batch_rows`` rows. The shards' gradients sum to the
+    batch's; the L2 term's, ``l2_scale * soft_w``, is left to the caller.
 
     Consumes ``cache``: step t writes its gate gradients over
     ``cache.gates[t]`` once it has copied those gates to a (B, 4u) buffer, so
@@ -296,10 +312,10 @@ def backward_batch(
 
     dlogits = cache.probs.copy()
     dlogits[np.arange(B), gold] -= 1.0
-    dlogits /= B
+    dlogits /= batch_rows
 
     grads = {
-        "soft_w": dlogits.T @ cache.h_drop + hyper.l2_scale * params["soft_w"],
+        "soft_w": dlogits.T @ cache.h_drop,
         "soft_b": dlogits.sum(axis=0),
     }
 
@@ -409,6 +425,10 @@ class ClstmModel(modelio.Classifier):
     loss_history: tuple[float, ...] = field(default=(), compare=False)
     # (live, total) conv windows over the padded training corpus
     windows: tuple[int, int] = field(default=(0, 0), compare=False)
+    # how training ran, for the train report only: ``workers``, the processes
+    # that ran the batch shards, and ``blas_threads``, the OpenBLAS thread
+    # count of the loop (None: the count could not be set); never saved
+    fit_report: dict = field(default_factory=dict, compare=False)
 
     def _sequence(self, inst: RelationInstance) -> np.ndarray:
         """build_sequence, cut to l_max columns if it is longer."""
@@ -436,6 +456,179 @@ class ClstmModel(modelio.Classifier):
         ])
 
 
+def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """One view of ``flat`` per tensor, laid out one after another in
+    ``shapes`` order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        views[name] = flat[start : start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return views
+
+
+class _TrainState:
+    """What the processes of one training run share. The parameters
+    (``flat``, viewed per tensor by ``params``) and the two shards' gradients
+    (``grads``, laid out like ``flat``) live in one anonymous shared mapping,
+    so the workers forked after this is made see every write without a copy.
+    Each half of the flat elements has its own Adam moments (``adam``),
+    which only the process that updates that half touches."""
+
+    def __init__(self, sequences: list[np.ndarray], gold: np.ndarray, l_max: int,
+                 hyper: Hyperparams, shapes: dict[str, tuple[int, ...]]):
+        self.sequences, self.gold, self.l_max, self.hyper = sequences, gold, l_max, hyper
+        size = sum(map(math.prod, shapes.values()))
+        shared = np.frombuffer(mmap.mmap(-1, 3 * size * 8), dtype=np.float64).reshape(3, size)
+        self.flat, self.grads = shared[0], shared[1:]
+        self.params = _flat_views(self.flat, shapes)
+        self.shard_grads = [_flat_views(grad, shapes) for grad in self.grads]
+        self.halves = [slice(0, size // 2), slice(size // 2, size)]
+        self.adam = [AdamState.zeros_like({"params": self.flat[half]}) for half in self.halves]
+        # per half, the elements of soft_w in it (they carry the L2 term),
+        # counted from the half's start
+        end = sum(math.prod(shapes[name]) for name in PARAM_NAMES[: PARAM_NAMES.index("soft_w") + 1])
+        start = end - math.prod(shapes["soft_w"])
+        self.soft_w = [slice(min(max(start, half.start), half.stop) - half.start,
+                             min(max(end, half.start), half.stop) - half.start)
+                       for half in self.halves]
+
+
+def _shard_gradient(state: _TrainState, shard: int, idx: np.ndarray, mask: np.ndarray,
+                    batch_rows: int) -> float:
+    """The forward and backward pass of shard ``shard``, the batch rows
+    ``idx`` with their dropout mask rows: writes the shard's share of the
+    batch gradient, L2 term left out, over ``state.grads[shard]`` and returns
+    the shard's summed cross-entropy."""
+    if not len(idx):  # the second shard of a one-row batch
+        state.grads[shard].fill(0.0)
+        return 0.0
+    gold = state.gold[idx]
+    # the padded shard lives only as long as forward_batch's call, and the
+    # cache only until this returns: one shard's working set at a time
+    cache = forward_batch(pad([state.sequences[i] for i in idx], state.l_max),
+                          state.params, state.hyper, mask)
+    ce = _cross_entropy_sum(cache.probs, gold)
+    grads = backward_batch(cache, gold, state.params, state.hyper, batch_rows)
+    for name, out in state.shard_grads[shard].items():
+        out[...] = grads[name]
+    return ce
+
+
+def _update(state: _TrainState, half: int) -> None:
+    """Half ``half`` of a batch's update, over its elements of the flat
+    buffers: the batch gradient is shard 0's plus shard 1's, plus the L2
+    term on soft_w, and one Adam step applies it to the parameters."""
+    cols, soft_w = state.halves[half], state.soft_w[half]
+    grad = state.grads[0, cols]
+    grad += state.grads[1, cols]
+    grad[soft_w] += state.hyper.l2_scale * state.flat[cols][soft_w]
+    adam_step({"params": state.flat[cols]}, {"params": grad}, state.adam[half],
+              lr=state.hyper.learning_rate)
+
+
+class _InProcessShard:
+    """Shard ``shard`` and update half ``shard`` of each batch, run in this
+    process when their results are asked for."""
+
+    def __init__(self, state: _TrainState, shard: int):
+        self.state, self.shard = state, shard
+
+    def submit(self, idx: np.ndarray, mask: np.ndarray, batch_rows: int) -> None:
+        self.task = (idx, mask, batch_rows)
+
+    def gradient(self) -> float:
+        return _shard_gradient(self.state, self.shard, *self.task)
+
+    def start_update(self) -> None:
+        pass
+
+    def finish_update(self) -> None:
+        _update(self.state, self.shard)
+
+    def close(self) -> None:
+        pass
+
+
+class _ShardWorker:
+    """Shard ``shard`` and update half ``shard`` of each batch, run in one
+    forked process that lives until ``close``. A task message carries only
+    the shard's row indices and mask rows; the gradient and the parameters
+    are exchanged through the shared state, and a worker's exception is
+    re-raised here. ``parent_ends`` collects the parent's pipe ends of every
+    worker started so far: each new worker closes the copies it inherits,
+    so that a worker reads end-of-file once this process closes its end."""
+
+    def __init__(self, state: _TrainState, shard: int, parent_ends: list):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_conn = ctx.Pipe()
+        parent_ends.append(self.conn)
+        self.proc = ctx.Process(target=_serve_shard, args=(state, shard, child_conn, parent_ends),
+                                daemon=True)
+        self.proc.start()
+        child_conn.close()
+
+    def submit(self, idx: np.ndarray, mask: np.ndarray, batch_rows: int) -> None:
+        self.conn.send((idx, mask, batch_rows))
+
+    def _reply(self):
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(
+                f"a conv-LSTM shard worker exited with code {self.proc.exitcode}"
+            ) from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def gradient(self) -> float:
+        return self._reply()
+
+    def start_update(self) -> None:
+        self.conn.send(None)
+
+    def finish_update(self) -> None:
+        self._reply()
+
+    def close(self) -> None:
+        """End the worker: it reads end-of-file, or fails to send its reply,
+        and is gone when this returns."""
+        self.conn.close()
+        self.proc.join()
+
+
+def _serve_shard(state: _TrainState, shard: int, conn, parent_ends: list) -> None:
+    """A shard worker: per batch, the shard's gradient once its task
+    arrives, then its half of the update once the parent says both shards
+    are done; each answered with its result or its exception, until the
+    parent closes the pipe. The process then exits by ``os._exit``, as every
+    multiprocessing fork worker does, so no ``finally`` of its callers runs
+    in it."""
+    for end in parent_ends:
+        end.close()
+    # an interrupt is the parent's to handle: it ends the worker by closing the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parallel.keep_freed_memory()
+
+    def reply(fn, *args) -> None:
+        try:
+            result = fn(state, shard, *args)
+        except Exception as exc:
+            result = exc
+        conn.send(result)
+
+    try:
+        while True:
+            reply(_shard_gradient, *conn.recv())
+            conn.recv()
+            reply(_update)
+    except (EOFError, OSError):  # the parent closed its end: training is over
+        pass
+
+
 def train(
     instances: Sequence[RelationInstance],
     table: EmbeddingTable,
@@ -446,6 +639,14 @@ def train(
 
     RNG order is fixed: parameter init, then per epoch one shuffle, then one
     dropout mask per batch.
+
+    Each batch is split into two fixed shards, its first ceil(B/2) rows and
+    the rest. Its gradient is shard 0's plus shard 1's, in that order, plus
+    the L2 term once. The parameters are one flat buffer, and Adam updates
+    each half of it in one pass. The loop runs with OpenBLAS at one thread;
+    with two or more CPUs, two forked workers then run the shards, each
+    with its half of the update, and otherwise this process runs all four
+    in turn. The model does not depend on which.
     """
     labeled = [inst for inst in instances if inst.label is not None]
     if not labeled:
@@ -474,24 +675,40 @@ def train(
     gold = np.array([label_idx[inst.label] for inst in labeled], dtype=np.int64)
 
     rng = np.random.default_rng(hyper.seed)
-    params = init_params(table.dim, hyper, rng)
-    state = AdamState.zeros_like(params)
+    state = _TrainState(sequences, gold, l_max, hyper, param_shapes(table.dim, hyper))
+    for name, value in init_params(table.dim, hyper, rng).items():
+        state.params[name][...] = value
     history = []
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            # the padded batch lives only as long as forward_batch's call
-            cache = forward_batch(pad([sequences[i] for i in idx], l_max), params, hyper,
-                                  training=True, rng=rng)
-            epoch_losses.append(batch_loss(cache, gold[idx], params, hyper.l2_scale))
-            adam_step(params, backward_batch(cache, gold[idx], params, hyper), state,
-                      lr=hyper.learning_rate)
-            del cache  # one batch's working set: none of it outlives its step
-        history.append(float(np.mean(epoch_losses)))
+    with parallel.one_blas_thread() as blas_threads:
+        workers = parallel.worker_count(min(2, n, bs)) if blas_threads and hyper.epochs else 1
+        runners, parent_ends = [], []
+        try:
+            for shard in (0, 1):
+                runners.append(_ShardWorker(state, shard, parent_ends) if workers > 1
+                               else _InProcessShard(state, shard))
+            for _ in range(hyper.epochs):
+                order = rng.permutation(n)
+                epoch_losses = []
+                for start in range(0, n, bs):
+                    idx = order[start : start + bs]
+                    rows = len(idx)
+                    half = (rows + 1) // 2
+                    mask = dropout_mask(hyper, rows, rng)
+                    runners[0].submit(idx[:half], mask[:half], rows)
+                    runners[1].submit(idx[half:], mask[half:], rows)
+                    ce = runners[0].gradient()
+                    ce += runners[1].gradient()
+                    epoch_losses.append(ce / rows + _l2_penalty(state.params, hyper.l2_scale))
+                    for runner in runners:
+                        runner.start_update()
+                    for runner in runners:
+                        runner.finish_update()
+                history.append(float(np.mean(epoch_losses)))
+        finally:
+            for runner in runners:
+                runner.close()
     return ClstmModel(
-        params=params,
+        params={name: p.copy() for name, p in state.params.items()},
         hyper=hyper,
         l_max=l_max,
         freq=freq,
@@ -499,6 +716,7 @@ def train(
         table=table,
         loss_history=tuple(history),
         windows=(live, n * n_windows(l_max, ws, st)),
+        fit_report={"workers": workers, "blas_threads": blas_threads},
     )
 
 

@@ -29,7 +29,6 @@ import functools
 import itertools
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import modelio, read
+from . import modelio, parallel, read
 from .corpus import (FREQ_THRESHOLD, LABELS, FrequencyTable, RelationInstance, RelationLabel,
                      build_lemma_counts)
 from .embeddings import EmbeddingTable
@@ -578,23 +577,6 @@ def _fit_pair_in_worker(task: tuple[int, int, int]) -> tuple[PairModel | None, d
     return fit_pair(_worker_inputs, task)
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Processes to fit ``n_tasks`` class pairs with: one per CPU this process
-    may run on, at most one per task; 1 (fit in this process) where fork or
-    the CPU affinity mask is unavailable, or in a daemonic pool worker."""
-    # imported only to train: every CLI command imports this module, and
-    # prediction would pay its start-up time for nothing
-    import multiprocessing
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or not hasattr(os, "sched_getaffinity")
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
-
-
 def _fit_pairs(
     inputs: PairInputs, tasks: list[tuple[int, int, int]], workers: int
 ) -> list[tuple[PairModel | None, dict]]:
@@ -636,8 +618,8 @@ def train_multiclass(
 
     Pairs with a missing class are skipped; their pairwise probability
     defaults to 0.5 at prediction time. The pairs are fitted in
-    ``_worker_count`` processes, largest first; the model does not depend
-    on how many.
+    ``parallel.worker_count`` processes, largest first; the model does not
+    depend on how many.
     """
     read.number(C, "C", "> 0")
     read.number(gamma, "gamma", "> 0")
@@ -665,7 +647,7 @@ def train_multiclass(
         ((no, i, j) for no, (i, j) in enumerate(pairs)),
         key=lambda task: -(len(members[task[1]]) + len(members[task[2]])),
     )
-    workers = _worker_count(len(tasks))
+    workers = parallel.worker_count(len(tasks))
     fits = _fit_pairs(PairInputs(K, members, C, seed), tasks, workers)
     results = {(i, j): fit for (_, i, j), fit in zip(tasks, fits)}
     pair_models = {pair: results[pair][0] for pair in pairs if results[pair][0] is not None}

@@ -138,7 +138,9 @@ def test_c04_gradient_check():
     batch = np.random.default_rng(99).normal(0.0, 1.0, (2, 3, 6))
     gold = np.array([2, 5])
     cache = forward_batch(batch, params, hyper)
-    grads = backward_batch(cache, gold, params, hyper)
+    # backward_batch gives the cross-entropy term; training adds the L2 term
+    grads = backward_batch(cache, gold, params, hyper, len(gold))
+    grads["soft_w"] += hyper.l2_scale * params["soft_w"]
 
     def loss_fn():
         return batch_loss(forward_batch(batch, params, hyper), gold, params, hyper.l2_scale)

@@ -124,6 +124,10 @@ def test_train_clstm_seed_reproducible(workdir, tmp_path):
         total = report["instances"] * (report["l_max"] - 1)
         assert report["windows"]["total"] == total
         assert 0 < report["windows"]["live"] < total
+        # one shard worker where OpenBLAS runs at one thread (blas_threads 1)
+        assert report["blas_threads"] in (1, None)
+        assert report["workers"] == (min(2, len(os.sched_getaffinity(0)))
+                                     if report["blas_threads"] else 1)
     assert digests[0] == digests[1]
     assert histories[0] == histories[1]
 

@@ -1,13 +1,16 @@
 import math
+import multiprocessing
+import os
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conv_maps, feature_maps, make_instance, tok
+from conftest import conv_maps, feature_maps, force_cpus, make_instance, tok
 from oracles import (
     adam_step_reference,
     clstm_dense_reference,
@@ -16,7 +19,7 @@ from oracles import (
     lstm_oracle,
     relative_error,
 )
-from relclass import clstm
+from relclass import clstm, parallel
 from relclass.clstm import (
     PARAM_NAMES,
     AdamState,
@@ -25,6 +28,7 @@ from relclass.clstm import (
     backward_batch,
     batch_loss,
     build_sequence,
+    dropout_mask,
     forward_batch,
     init_params,
     load_clstm_model,
@@ -34,7 +38,7 @@ from relclass.clstm import (
     softmax,
     train,
 )
-from relclass.corpus import RelationLabel, build_lemma_counts
+from relclass.corpus import LABELS, RelationLabel, build_lemma_counts
 from relclass.embeddings import EmbeddingTable
 from relclass.synthetic import make_corpus, make_embedding_table
 
@@ -223,9 +227,20 @@ def test_classify_dropout_zero_equals_inference():
     params = tiny_params()
     batch = np.random.default_rng(1).normal(size=(1, 3, 6))
     assert TINY.dropout_rate == 0.0
-    trained = forward_batch(batch, params, TINY, training=True,
-                            rng=np.random.default_rng(99)).probs
+    rng = np.random.default_rng(99)
+    mask = dropout_mask(TINY, 1, rng)
+    # no draw: the RNG order of training does not depend on the mask
+    assert rng.random() == np.random.default_rng(99).random()
+    trained = forward_batch(batch, params, TINY, mask).probs
     assert np.array_equal(trained, forward_batch(batch, params, TINY).probs)
+
+
+def test_dropout_mask_keeps_with_inverted_scaling():
+    hyper = Hyperparams(num_filters=4, filter_width=2, rnn_units=5, dropout_rate=0.25)
+    mask = dropout_mask(hyper, 400, np.random.default_rng(3))
+    assert mask.shape == (400, 5)
+    assert set(np.unique(mask)) == {0.0, 1.0 / 0.75}
+    assert abs((mask > 0).mean() - 0.75) < 0.05
 
 
 def test_init_params_shapes_and_forget_bias():
@@ -273,8 +288,16 @@ def test_perfect_prediction_loss_is_regularizer_only():
     assert batch_loss(cache, np.array([0, 0]), params, l2_scale=0.0) <= 1e-12
 
 
+def batch_gradient(cache, gold, params, hyper):
+    """The gradient of batch_loss as training composes it for a batch of one
+    shard: backward_batch's cross-entropy term plus the L2 term."""
+    grads = backward_batch(cache, gold, params, hyper, len(gold))
+    grads["soft_w"] += hyper.l2_scale * params["soft_w"]
+    return grads
+
+
 def assert_gradients_match_finite_differences(batch, gold, params, hyper):
-    grads = backward_batch(forward_batch(batch, params, hyper), gold, params, hyper)
+    grads = batch_gradient(forward_batch(batch, params, hyper), gold, params, hyper)
 
     def loss_fn():
         return batch_loss(forward_batch(batch, params, hyper), gold, params, hyper.l2_scale)
@@ -337,8 +360,10 @@ def test_live_windows_match_dense_reference():
         params["conv_b"][:2] = [-0.5, 0.5]
         gold = rng.integers(0, 6, size=batch.shape[0])
         training = hyper.dropout_rate > 0.0
-        cache = forward_batch(batch, params, hyper, training, np.random.default_rng(1))
-        grads = backward_batch(cache, gold, params, hyper)
+        # the mask the reference draws from the same seed
+        mask = dropout_mask(hyper, batch.shape[0], np.random.default_rng(1)) if training else None
+        cache = forward_batch(batch, params, hyper, mask)
+        grads = batch_gradient(cache, gold, params, hyper)
         ref, ref_grads = clstm_dense_reference(batch, gold, params, hyper, training,
                                                np.random.default_rng(1))
         seen.add("all live" if cache.live.all() else "none live" if not cache.live.any()
@@ -360,9 +385,9 @@ def test_gradient_deterministic_under_fixed_dropout_seed():
     gold = np.array([1, 4])
     runs = []
     for _ in range(2):
-        cache = forward_batch(batch, params, hyper, training=True,
-                              rng=np.random.default_rng(55))
-        runs.append(backward_batch(cache, gold, params, hyper))
+        mask = dropout_mask(hyper, 2, np.random.default_rng(55))
+        cache = forward_batch(batch, params, hyper, mask)
+        runs.append(backward_batch(cache, gold, params, hyper, 2))
     for name in PARAM_NAMES:
         assert np.array_equal(runs[0][name], runs[1][name])
 
@@ -378,13 +403,13 @@ def test_backward_pass_peak_stays_below_the_gates():
     batch = rng.normal(size=(64, 20, 30))
     for b, length in enumerate(rng.integers(3, 30, size=64)):
         batch[b, :, length:] = 0.0
-    cache = forward_batch(batch, params, hyper, training=True, rng=rng)
+    cache = forward_batch(batch, params, hyper, dropout_mask(hyper, 64, rng))
     gates_bytes = cache.gates.nbytes
     gold = rng.integers(0, 6, size=64)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        backward_batch(cache, gold, params, hyper)
+        backward_batch(cache, gold, params, hyper, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,8 +526,10 @@ def test_train_windows_count_the_padded_corpus(epochs):
 
 
 def test_training_holds_one_batch_working_set(monkeypatch):
-    # no earlier batch or cache is alive when a forward pass starts, and the
-    # padded batch is freed before its own backward pass starts
+    # both shards in this process: no earlier shard's batch or cache is alive
+    # when a forward pass starts, and the padded shard is freed before its
+    # own backward pass starts
+    force_cpus(monkeypatch, 1)
     batches, caches, backward_calls = [], [], []
 
     def alive(refs):
@@ -524,8 +551,11 @@ def test_training_holds_one_batch_working_set(monkeypatch):
     monkeypatch.setattr(clstm, "backward_batch", watched_backward)
     hyper = Hyperparams(num_filters=4, filter_width=2, rnn_units=5, batch_size=10, epochs=2,
                         seed=1)
-    train(make_corpus(n_per_class=4, seed=0), make_embedding_table(), hyper, freq_threshold=1)
-    assert backward_calls == [1, 2, 3, 4, 5, 6]  # 24 instances: 3 batches per epoch
+    model = train(make_corpus(n_per_class=4, seed=0), make_embedding_table(), hyper,
+                  freq_threshold=1)
+    assert model.fit_report["workers"] == 1
+    # 24 instances: 3 batches of two shards per epoch
+    assert backward_calls == list(range(1, 13))
 
 
 def test_train_refuses_sequences_over_the_format_limit(monkeypatch, tmp_path):
@@ -586,3 +616,184 @@ def test_model_truncates_overlong_inputs_with_warning(overfit_model, caplog):
         probs = overfit_model.predict_proba(long_inst)
     assert abs(sum(probs.values()) - 1.0) <= 1e-9
     assert any("truncat" in r.getMessage() for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# training in two shards per batch
+
+# whether this process's BLAS thread count can be set; without that, both
+# shards always run in this process
+OPENBLAS = parallel._openblas_thread_calls() is not None
+SHARDED = Hyperparams(num_filters=4, filter_width=2, rnn_units=5, dropout_rate=0.3,
+                      l2_scale=0.37, batch_size=7, epochs=2, seed=4)
+
+
+def _shard_state(rows, hyper):
+    """A _TrainState over ``rows`` random sequences of 2 to 6 columns of 3-d
+    vectors, padded to 6, with random labels and parameters, and its RNG."""
+    rng = np.random.default_rng(rows)
+    sequences = [rng.normal(size=(3, int(n))) for n in rng.integers(2, 7, size=rows)]
+    gold = rng.integers(0, 6, size=rows)
+    state = clstm._TrainState(sequences, gold, 6, hyper, clstm.param_shapes(3, hyper))
+    for name, value in init_params(3, hyper, rng).items():
+        state.params[name][...] = value
+    # away from 0, so relu(conv_b) has no kink within a difference step
+    state.params["conv_b"][...] = [0.3, -0.2, 0.1, -0.4]
+    return state, rng
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5, 6])
+def test_sharded_batch_gradient_matches_one_shard(rows):
+    # shard 0 is the first ceil(rows / 2) rows; with one row, shard 1 is empty
+    state, rng = _shard_state(rows, SHARDED)
+    before = {name: p.copy() for name, p in state.params.items()}
+    idx, mask, half = np.arange(rows), dropout_mask(SHARDED, rows, rng), (rows + 1) // 2
+    ce = clstm._shard_gradient(state, 0, idx[:half], mask[:half], rows)
+    ce += clstm._shard_gradient(state, 1, idx[half:], mask[half:], rows)
+    clstm._update(state, 0)
+    clstm._update(state, 1)
+    # the two halves of the update leave the batch gradient in shard 0's buffer
+    sharded = state.shard_grads[0]
+
+    batch = pad(state.sequences, 6)
+    cache = forward_batch(batch, before, SHARDED, mask)
+    loss = batch_loss(cache, state.gold, before, SHARDED.l2_scale)
+    assert abs(ce / rows + clstm._l2_penalty(before, SHARDED.l2_scale) - loss) <= 1e-12 * loss
+    whole = batch_gradient(cache, state.gold, before, SHARDED)
+    for name in PARAM_NAMES:
+        assert relative_error(sharded[name], whole[name]) <= 1e-12, name
+
+    # the update is one Adam step of that gradient, bit for bit
+    adam_state = AdamState.zeros_like(before)
+    stepped = {name: p.copy() for name, p in before.items()}
+    adam_step(stepped, {name: sharded[name] for name in PARAM_NAMES}, adam_state,
+              lr=SHARDED.learning_rate)
+    for name in PARAM_NAMES:
+        assert np.array_equal(state.params[name], stepped[name]), name
+
+    numeric = finite_diff_grads(
+        lambda: batch_loss(forward_batch(batch, before, SHARDED, mask), state.gold, before,
+                           SHARDED.l2_scale),
+        before,
+    )
+    for name in PARAM_NAMES:
+        assert relative_error(sharded[name], numeric[name]) < 1e-4, name
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sharded_training_matches_the_one_shard_loop(monkeypatch, batch_size, cpus):
+    # the loop the shards replace: each batch's forward and backward pass at
+    # once, its L2 term added, Adam per tensor
+    force_cpus(monkeypatch, cpus)
+    corpus, table = make_corpus(n_per_class=4, seed=0), make_embedding_table()
+    hyper = replace(SHARDED, batch_size=batch_size)
+    model = train(corpus, table, hyper, freq_threshold=1)
+
+    freq = build_lemma_counts(corpus)
+    sequences = [build_sequence(inst, table, freq, 1) for inst in corpus]
+    gold = np.array([LABELS.index(inst.label) for inst in corpus])
+    rng = np.random.default_rng(hyper.seed)
+    params = init_params(table.dim, hyper, rng)
+    state = AdamState.zeros_like(params)
+    history = []
+    for _ in range(hyper.epochs):
+        order, losses = rng.permutation(len(corpus)), []
+        for start in range(0, len(corpus), batch_size):
+            idx = order[start : start + batch_size]
+            mask = dropout_mask(hyper, len(idx), rng)
+            cache = forward_batch(pad([sequences[i] for i in idx], model.l_max), params, hyper,
+                                  mask)
+            losses.append(batch_loss(cache, gold[idx], params, hyper.l2_scale))
+            adam_step(params, batch_gradient(cache, gold[idx], params, hyper), state,
+                      lr=hyper.learning_rate)
+        history.append(float(np.mean(losses)))
+    assert np.allclose(model.loss_history, history, rtol=1e-12, atol=0.0)
+    for name in PARAM_NAMES:
+        assert relative_error(model.params[name], params[name]) <= 1e-12, name
+
+
+def test_model_file_does_not_depend_on_worker_count(monkeypatch, tmp_path):
+    corpus, table = make_corpus(n_per_class=4, seed=0), make_embedding_table()
+    written = []
+    for cpus in (1, 2):
+        force_cpus(monkeypatch, cpus)
+        model = train(corpus, table, SHARDED, freq_threshold=1)
+        assert model.fit_report == {"workers": cpus if OPENBLAS else 1,
+                                    "blas_threads": 1 if OPENBLAS else None}
+        save_clstm_model(model, tmp_path / f"{cpus}.json")
+        written.append((tmp_path / f"{cpus}.json").read_bytes())
+    assert written[0] == written[1]
+
+
+def _fail_in(monkeypatch, name, exc, in_worker):
+    """Make clstm.<name> raise ``exc`` in the shard workers, or, when not
+    ``in_worker``, in this process from its third call on; it runs as
+    before elsewhere."""
+    real, parent, calls = getattr(clstm, name), os.getpid(), []
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            if in_worker:
+                raise exc
+        else:
+            calls.append(1)
+            if not in_worker and len(calls) >= 3:
+                raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(clstm, name, failing)
+
+
+@pytest.mark.skipif(not OPENBLAS, reason="shards run in this process without OpenBLAS")
+@pytest.mark.parametrize("name", ["backward_batch", "adam_step"])
+def test_shard_worker_exception_is_raised_here(monkeypatch, name):
+    force_cpus(monkeypatch, 2)
+    _fail_in(monkeypatch, name, ValueError(f"{name} failed in the worker"), in_worker=True)
+    with pytest.raises(ValueError) as failed:
+        train(make_corpus(n_per_class=4, seed=0), make_embedding_table(), SHARDED,
+              freq_threshold=1)
+    # the worker's exception, re-raised here with its type and message
+    assert failed.type is ValueError
+    assert str(failed.value) == f"{name} failed in the worker"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_shard_worker_outlives_a_failed_train(monkeypatch, exc, cpus):
+    force_cpus(monkeypatch, cpus)
+    _fail_in(monkeypatch, "dropout_mask", exc(), in_worker=False)
+    with pytest.raises(exc):
+        train(make_corpus(n_per_class=4, seed=0), make_embedding_table(), SHARDED,
+              freq_threshold=1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not OPENBLAS, reason="the BLAS thread count cannot be set")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_training_runs_at_one_blas_thread_and_restores_the_count(monkeypatch, cpus):
+    force_cpus(monkeypatch, cpus)
+    get, set_ = parallel._openblas_thread_calls()
+    before = get()
+    real = clstm.forward_batch
+
+    def checked(*args, **kwargs):
+        # in a worker, the exception comes back to train's caller
+        if get() != 1:
+            raise RuntimeError(f"a shard ran at {get()} BLAS threads")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(clstm, "forward_batch", checked)
+    corpus, table = make_corpus(n_per_class=4, seed=0), make_embedding_table()
+    set_(2)
+    try:
+        outside = get()
+        assert train(corpus, table, SHARDED, freq_threshold=1).fit_report["workers"] == cpus
+        assert get() == outside
+        _fail_in(monkeypatch, "dropout_mask", RuntimeError("step failed"), in_worker=False)
+        with pytest.raises(RuntimeError, match="step failed"):
+            train(corpus, table, SHARDED, freq_threshold=1)
+        assert get() == outside
+    finally:
+        set_(before)
