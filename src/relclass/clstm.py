@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 import mmap
-import signal
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -468,22 +467,22 @@ def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[st
 
 class _TrainState:
     """What the processes of one training run share. The parameters
-    (``flat``, viewed per tensor by ``params``) and the two shards' gradients
-    (``grads``, laid out like ``flat``) live in one anonymous shared mapping,
-    so the workers forked after this is made see every write without a copy.
-    Each half of the flat elements has its own Adam moments (``adam``),
-    which only the process that updates that half touches."""
+    (``flat``, viewed per tensor by ``params``), the two shards' gradients
+    (``grads``, laid out like ``flat``) and Adam's moments (``m`` and ``v``,
+    laid out like ``flat``) live in one anonymous shared mapping, so the
+    workers forked after this is made see every write without a copy. Each
+    half of the flat elements gets its own Adam pass, so a batch's update is
+    two tasks, whichever process runs them."""
 
     def __init__(self, sequences: list[np.ndarray], gold: np.ndarray, l_max: int,
                  hyper: Hyperparams, shapes: dict[str, tuple[int, ...]]):
         self.sequences, self.gold, self.l_max, self.hyper = sequences, gold, l_max, hyper
         size = sum(map(math.prod, shapes.values()))
-        shared = np.frombuffer(mmap.mmap(-1, 3 * size * 8), dtype=np.float64).reshape(3, size)
-        self.flat, self.grads = shared[0], shared[1:]
+        shared = np.frombuffer(mmap.mmap(-1, 5 * size * 8), dtype=np.float64).reshape(5, size)
+        self.flat, self.grads, self.m, self.v = shared[0], shared[1:3], shared[3], shared[4]
         self.params = _flat_views(self.flat, shapes)
         self.shard_grads = [_flat_views(grad, shapes) for grad in self.grads]
         self.halves = [slice(0, size // 2), slice(size // 2, size)]
-        self.adam = [AdamState.zeros_like({"params": self.flat[half]}) for half in self.halves]
         # per half, the elements of soft_w in it (they carry the L2 term),
         # counted from the half's start
         end = sum(math.prod(shapes[name]) for name in PARAM_NAMES[: PARAM_NAMES.index("soft_w") + 1])
@@ -514,119 +513,18 @@ def _shard_gradient(state: _TrainState, shard: int, idx: np.ndarray, mask: np.nd
     return ce
 
 
-def _update(state: _TrainState, half: int) -> None:
-    """Half ``half`` of a batch's update, over its elements of the flat
-    buffers: the batch gradient is shard 0's plus shard 1's, plus the L2
-    term on soft_w, and one Adam step applies it to the parameters."""
+def _update(state: _TrainState, half: int, t: int) -> None:
+    """Half ``half`` of a batch's update, Adam step ``t`` (from 1), over its
+    elements of the flat buffers: the batch gradient is shard 0's plus
+    shard 1's, plus the L2 term on soft_w, and one Adam step applies it to
+    the parameters."""
     cols, soft_w = state.halves[half], state.soft_w[half]
     grad = state.grads[0, cols]
     grad += state.grads[1, cols]
     grad[soft_w] += state.hyper.l2_scale * state.flat[cols][soft_w]
-    adam_step({"params": state.flat[cols]}, {"params": grad}, state.adam[half],
-              lr=state.hyper.learning_rate)
-
-
-class _InProcessShard:
-    """Shard ``shard`` and update half ``shard`` of each batch, run in this
-    process when their results are asked for."""
-
-    def __init__(self, state: _TrainState, shard: int):
-        self.state, self.shard = state, shard
-
-    def submit(self, idx: np.ndarray, mask: np.ndarray, batch_rows: int) -> None:
-        self.task = (idx, mask, batch_rows)
-
-    def gradient(self) -> float:
-        return _shard_gradient(self.state, self.shard, *self.task)
-
-    def start_update(self) -> None:
-        pass
-
-    def finish_update(self) -> None:
-        _update(self.state, self.shard)
-
-    def close(self) -> None:
-        pass
-
-
-class _ShardWorker:
-    """Shard ``shard`` and update half ``shard`` of each batch, run in one
-    forked process that lives until ``close``. A task message carries only
-    the shard's row indices and mask rows; the gradient and the parameters
-    are exchanged through the shared state, and a worker's exception is
-    re-raised here. ``parent_ends`` collects the parent's pipe ends of every
-    worker started so far: each new worker closes the copies it inherits,
-    so that a worker reads end-of-file once this process closes its end."""
-
-    def __init__(self, state: _TrainState, shard: int, parent_ends: list):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child_conn = ctx.Pipe()
-        parent_ends.append(self.conn)
-        self.proc = ctx.Process(target=_serve_shard, args=(state, shard, child_conn, parent_ends),
-                                daemon=True)
-        self.proc.start()
-        child_conn.close()
-
-    def submit(self, idx: np.ndarray, mask: np.ndarray, batch_rows: int) -> None:
-        self.conn.send((idx, mask, batch_rows))
-
-    def _reply(self):
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            self.proc.join()
-            raise RuntimeError(
-                f"a conv-LSTM shard worker exited with code {self.proc.exitcode}"
-            ) from None
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
-
-    def gradient(self) -> float:
-        return self._reply()
-
-    def start_update(self) -> None:
-        self.conn.send(None)
-
-    def finish_update(self) -> None:
-        self._reply()
-
-    def close(self) -> None:
-        """End the worker: it reads end-of-file, or fails to send its reply,
-        and is gone when this returns."""
-        self.conn.close()
-        self.proc.join()
-
-
-def _serve_shard(state: _TrainState, shard: int, conn, parent_ends: list) -> None:
-    """A shard worker: per batch, the shard's gradient once its task
-    arrives, then its half of the update once the parent says both shards
-    are done; each answered with its result or its exception, until the
-    parent closes the pipe. The process then exits by ``os._exit``, as every
-    multiprocessing fork worker does, so no ``finally`` of its callers runs
-    in it."""
-    for end in parent_ends:
-        end.close()
-    # an interrupt is the parent's to handle: it ends the worker by closing the pipe
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parallel.keep_freed_memory()
-
-    def reply(fn, *args) -> None:
-        try:
-            result = fn(state, shard, *args)
-        except Exception as exc:
-            result = exc
-        conn.send(result)
-
-    try:
-        while True:
-            reply(_shard_gradient, *conn.recv())
-            conn.recv()
-            reply(_update)
-    except (EOFError, OSError):  # the parent closed its end: training is over
-        pass
+    # adam_step counts the step it takes
+    adam = AdamState({"params": state.m[cols]}, {"params": state.v[cols]}, t - 1)
+    adam_step({"params": state.flat[cols]}, {"params": grad}, adam, lr=state.hyper.learning_rate)
 
 
 def train(
@@ -644,9 +542,9 @@ def train(
     the rest. Its gradient is shard 0's plus shard 1's, in that order, plus
     the L2 term once. The parameters are one flat buffer, and Adam updates
     each half of it in one pass. The loop runs with OpenBLAS at one thread;
-    with two or more CPUs, two forked workers then run the shards, each
-    with its half of the update, and otherwise this process runs all four
-    in turn. The model does not depend on which.
+    with two or more CPUs, two ``parallel.forked`` workers then run the two
+    shards, and after them the two halves of the update, and otherwise this
+    process runs all four in turn. The model does not depend on which.
     """
     labeled = [inst for inst in instances if inst.label is not None]
     if not labeled:
@@ -681,11 +579,8 @@ def train(
     history = []
     with parallel.one_blas_thread() as blas_threads:
         workers = parallel.worker_count(min(2, n, bs)) if blas_threads and hyper.epochs else 1
-        runners, parent_ends = [], []
-        try:
-            for shard in (0, 1):
-                runners.append(_ShardWorker(state, shard, parent_ends) if workers > 1
-                               else _InProcessShard(state, shard))
+        with parallel.forked(workers, state) as run:
+            t = 0
             for _ in range(hyper.epochs):
                 order = rng.permutation(n)
                 epoch_losses = []
@@ -694,19 +589,13 @@ def train(
                     rows = len(idx)
                     half = (rows + 1) // 2
                     mask = dropout_mask(hyper, rows, rng)
-                    runners[0].submit(idx[:half], mask[:half], rows)
-                    runners[1].submit(idx[half:], mask[half:], rows)
-                    ce = runners[0].gradient()
-                    ce += runners[1].gradient()
-                    epoch_losses.append(ce / rows + _l2_penalty(state.params, hyper.l2_scale))
-                    for runner in runners:
-                        runner.start_update()
-                    for runner in runners:
-                        runner.finish_update()
+                    ce = run(_shard_gradient, [(0, idx[:half], mask[:half], rows),
+                                               (1, idx[half:], mask[half:], rows)])
+                    epoch_losses.append((ce[0] + ce[1]) / rows
+                                        + _l2_penalty(state.params, hyper.l2_scale))
+                    t += 1
+                    run(_update, [(0, t), (1, t)])
                 history.append(float(np.mean(epoch_losses)))
-        finally:
-            for runner in runners:
-                runner.close()
     return ClstmModel(
         params={name: p.copy() for name, p in state.params.items()},
         hyper=hyper,

@@ -1,11 +1,12 @@
 """Worker processes and BLAS threads for the two trainers.
 
-SVM training fits its class pairs in forked workers, and conv-LSTM training
-runs the second shard of every batch in one. ``worker_count`` is the rule both
-use for how many processes to run. ``one_blas_thread`` holds OpenBLAS at one
-thread while the conv-LSTM trains. Two processes then share the CPUs without
-oversubscribing them, and the dgemm summation order, and so the model file,
-does not depend on the CPU count.
+``forked`` is the one driver of worker processes: SVM training fits its
+class pairs through it, and conv-LSTM training runs both shards of every
+batch, and both halves of its update, in it. ``worker_count`` is the rule
+both use for how many processes to run. ``one_blas_thread`` holds OpenBLAS
+at one thread while the conv-LSTM trains. Two processes then share the CPUs
+without oversubscribing them, and the dgemm summation order, and so the
+model file, does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import ctypes
 import os
 import re
+import signal
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 # (prefix, suffix) of the thread-count symbols of the OpenBLAS builds numpy
 # links: its own wheels' scipy_openblas64_, and system builds with 32- or
@@ -96,3 +98,109 @@ def one_blas_thread() -> Iterator[int | None]:
         yield 1
     finally:
         set_(before)
+
+
+@contextmanager
+def forked(workers: int, state: Any) -> Iterator[Callable]:
+    """Yield ``run(fn, tasks)``, which returns ``[fn(state, *task) for task
+    in tasks]``, in task order.
+
+    With one worker, ``run`` calls ``fn`` in this process. Otherwise
+    ``workers`` forked processes, alive for the whole block, inherit
+    ``state`` instead of receiving a copy; each task goes, in order, to
+    whichever worker is idle, with ``fn`` and the task's arguments pickled.
+    A worker's exception is re-raised here with its type and message, and a
+    worker that dies raises RuntimeError with its exit code; either ends
+    the use of the block's workers. No worker outlives the block.
+    """
+    if workers == 1:
+        yield lambda fn, tasks: [fn(state, *task) for task in tasks]
+        return
+    # imported only to train: every CLI command imports the trainers, and
+    # prediction would pay its start-up time for nothing
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
+
+    def reply(w: int) -> Any:
+        try:
+            ok, value = conns[w].recv()
+        except (EOFError, OSError):  # the worker is gone
+            procs[w].join()
+            raise RuntimeError(f"a worker process exited with code {procs[w].exitcode}") from None
+        if not ok:
+            raise value
+        return value
+
+    def run(fn: Callable[..., Any], tasks: Sequence[tuple]) -> list:
+        results: list = [None] * len(tasks)
+        idle, busy = list(range(workers)), {}  # busy: pipe -> (worker, task number)
+
+        def collect() -> None:
+            for conn in wait(list(busy)):
+                w, n = busy.pop(conn)
+                results[n] = reply(w)
+                idle.append(w)
+
+        for n, task in enumerate(tasks):
+            if not idle:
+                collect()
+            w = idle.pop(0)
+            try:
+                conns[w].send((fn, task))
+            except OSError:  # the worker is gone
+                reply(w)
+            busy[conns[w]] = (w, n)
+        while busy:
+            collect()
+        return results
+
+    try:
+        for _ in range(workers):
+            conn, child_conn = ctx.Pipe()
+            conns.append(conn)
+            try:
+                proc = ctx.Process(target=_serve, args=(state, child_conn, conns), daemon=True)
+                proc.start()
+            finally:
+                child_conn.close()
+            procs.append(proc)
+        yield run
+    except BaseException:
+        # a busy worker would finish its task first
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        # an idle worker reads end-of-file and exits
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+
+
+def _serve(state: Any, conn, parent_conns: list) -> None:
+    """A ``forked`` worker: answers each ``(fn, task)`` with ``(True,
+    fn(state, *task))``, or ``(False, exception)``, until the parent closes
+    its end. ``parent_conns`` are the parent's ends of every worker started
+    so far, this one's included: closing the copies inherited here lets
+    each worker read end-of-file once the parent closes its end. The
+    process then exits by ``os._exit``, as every multiprocessing fork worker
+    does, so no ``finally`` of its callers runs in it."""
+    for end in parent_conns:
+        end.close()
+    # an interrupt is the parent's to handle: it ends the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    keep_freed_memory()
+    try:
+        while True:
+            fn, task = conn.recv()
+            try:
+                result = (True, fn(state, *task))
+            except Exception as exc:
+                result = (False, exc)
+            conn.send(result)
+    except (EOFError, OSError):  # the parent closed its end: the block is over
+        pass

@@ -17,15 +17,15 @@ sorted list of feature-space columns (all rows of a block in one CSR-style
 pair of arrays), so the kernel's boolean inner products are exact gathers
 over a row's few columns instead of a product of mostly-zero matrices.
 
-Once the training kernel exists the pair fits are independent; they run in
-forked worker processes, one per CPU in this process's affinity mask, which
-inherit the kernel instead of receiving a copy. Each fit is deterministic,
-so the model is the same whatever the number of workers.
+Once the training kernel exists the pair fits are independent; they run
+through ``parallel.forked``, in one forked worker process per CPU in this
+process's affinity mask, each taking the next pair when it is idle. The
+workers inherit the kernel instead of receiving a copy. Each fit is
+deterministic, so the model is the same whatever the number of workers.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -523,7 +523,8 @@ def _calibration_scores(
 class PairInputs:
     """What every class-pair fit of one training run reads: the training
     kernel, each class's training rows (LABELS order) and the solver
-    settings. Pool workers inherit it through fork; it is never pickled."""
+    settings. ``parallel.forked`` workers inherit it through fork; it is
+    never pickled."""
 
     K: np.ndarray
     members: list[list[int]]
@@ -531,13 +532,12 @@ class PairInputs:
     seed: int
 
 
-def fit_pair(inputs: PairInputs, task: tuple[int, int, int]) -> tuple[PairModel | None, dict]:
+def fit_pair(inputs: PairInputs, pair_no: int, i: int, j: int) -> tuple[PairModel | None, dict]:
     """Fit the SVM and calibrator of class pair ``(i, j)``, number ``pair_no``
-    in pair order, for ``task = (pair_no, i, j)``. Returns the pair model
-    (None when a class has no rows; its ``sv`` are still training rows) and
-    the fit's diagnostics for the train report."""
+    in pair order. Returns the pair model (None when a class has no rows;
+    its ``sv`` are still training rows) and the fit's diagnostics for the
+    train report."""
     start = time.perf_counter()
-    pair_no, i, j = task
     rows_i, rows_j = inputs.members[i], inputs.members[j]
     if not rows_i or not rows_j:
         log.info("pair (%s, %s) skipped: missing class", LABELS[i].value, LABELS[j].value)
@@ -565,46 +565,6 @@ def fit_pair(inputs: PairInputs, task: tuple[int, int, int]) -> tuple[PairModel 
     return PairModel(LABELS[i], LABELS[j], binary, calibrator), diagnostics
 
 
-_worker_inputs: PairInputs | None = None  # a pool worker's copy, set as it starts
-
-
-def _start_worker(inputs: PairInputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _fit_pair_in_worker(task: tuple[int, int, int]) -> tuple[PairModel | None, dict]:
-    return fit_pair(_worker_inputs, task)
-
-
-def _fit_pairs(
-    inputs: PairInputs, tasks: list[tuple[int, int, int]], workers: int
-) -> list[tuple[PairModel | None, dict]]:
-    """``fit_pair`` over ``tasks``, results in task order. With more than one
-    worker the tasks go, one at a time, to a pool of forked processes; the
-    pool is gone when this returns or raises, and a worker's exception is
-    re-raised here."""
-    if workers == 1:
-        return list(map(functools.partial(fit_pair, inputs), tasks))
-    import multiprocessing
-
-    # fork, so that the workers share the kernel instead of unpickling a copy;
-    # all of them start here, before the pool starts its own threads
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_start_worker, initargs=(inputs,)
-    )
-    try:
-        fits = pool.map(_fit_pair_in_worker, tasks, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
-    return fits
-
-
 def train_multiclass(
     train: Sequence[RelationInstance],
     table: EmbeddingTable,
@@ -618,8 +578,8 @@ def train_multiclass(
 
     Pairs with a missing class are skipped; their pairwise probability
     defaults to 0.5 at prediction time. The pairs are fitted in
-    ``parallel.worker_count`` processes, largest first; the model does not
-    depend on how many.
+    ``parallel.worker_count`` processes through ``parallel.forked``, largest
+    first; the model does not depend on how many.
     """
     read.number(C, "C", "> 0")
     read.number(gamma, "gamma", "> 0")
@@ -648,7 +608,8 @@ def train_multiclass(
         key=lambda task: -(len(members[task[1]]) + len(members[task[2]])),
     )
     workers = parallel.worker_count(len(tasks))
-    fits = _fit_pairs(PairInputs(K, members, C, seed), tasks, workers)
+    with parallel.forked(workers, PairInputs(K, members, C, seed)) as run:
+        fits = run(fit_pair, tasks)
     results = {(i, j): fit for (_, i, j), fit in zip(tasks, fits)}
     pair_models = {pair: results[pair][0] for pair in pairs if results[pair][0] is not None}
     union = np.unique(np.concatenate([pair.svm.sv for pair in pair_models.values()]))

@@ -45,8 +45,10 @@ def conv_maps(I_pad, filters, bias, stride):
 
 
 def force_cpus(monkeypatch, n):
-    """Make this process look as if it may run on n CPUs, so that SVM
-    training fits its class pairs in n forked workers (1: in this process)."""
+    """Make this process look as if it may run on n CPUs, so that both
+    trainers run ``parallel.forked`` with n workers: SVM training fits its
+    class pairs in n forked workers, conv-LSTM training its batch shards in
+    min(n, 2) where the BLAS thread count can be set (1: in this process)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 

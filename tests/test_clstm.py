@@ -650,8 +650,8 @@ def test_sharded_batch_gradient_matches_one_shard(rows):
     idx, mask, half = np.arange(rows), dropout_mask(SHARDED, rows, rng), (rows + 1) // 2
     ce = clstm._shard_gradient(state, 0, idx[:half], mask[:half], rows)
     ce += clstm._shard_gradient(state, 1, idx[half:], mask[half:], rows)
-    clstm._update(state, 0)
-    clstm._update(state, 1)
+    clstm._update(state, 0, 1)
+    clstm._update(state, 1, 1)
     # the two halves of the update leave the batch gradient in shard 0's buffer
     sharded = state.shard_grads[0]
 
