@@ -246,21 +246,20 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise ValueError("gold corpus contains unlabeled instances")
     gold_ids = {inst.id for inst in instances}
     predicted: dict[str, tuple[int, RelationLabel]] = {}  # id -> (line, label)
-    with open(cfg.predictions, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = read.object(json.loads(line), "a prediction")
-                pred_id = read.string(record["id"], "id")
-                if pred_id in predicted:
-                    raise ValueError(f"id {pred_id!r} is also on line {predicted[pred_id][0]}")
-                if pred_id not in gold_ids:
-                    raise ValueError(f"id {pred_id!r} is not in the gold corpus")
-                # an unknown label raises ValueError here, like malformed JSON
-                predicted[pred_id] = lineno, RelationLabel(read.string(record["label"], "label"))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{cfg.predictions}: line {lineno}: bad prediction: {exc}") from exc
+    for lineno, line in read.text_lines(cfg.predictions):
+        if not line.strip():
+            continue
+        try:
+            record = read.object(json.loads(line), "a prediction")
+            pred_id = read.string(record["id"], "id")
+            if pred_id in predicted:
+                raise ValueError(f"id {pred_id!r} is also on line {predicted[pred_id][0]}")
+            if pred_id not in gold_ids:
+                raise ValueError(f"id {pred_id!r} is not in the gold corpus")
+            # an unknown label raises ValueError here, like malformed JSON
+            predicted[pred_id] = lineno, RelationLabel(read.string(record["label"], "label"))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{cfg.predictions}: line {lineno}: bad prediction: {exc}") from exc
     missing = [inst.id for inst in instances if inst.id not in predicted]
     if missing:
         raise ValueError(f"{cfg.predictions}: predictions missing for ids: "

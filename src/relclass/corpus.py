@@ -191,16 +191,15 @@ def instance_to_dict(inst: RelationInstance) -> dict:
 def parse_corpus(path: str | Path) -> list[RelationInstance]:
     """Parse a JSON-lines corpus file; raises on the first malformed line."""
     instances = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                instances.append(instance_from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            except (CorpusFormatError, InstanceValidationError) as exc:
-                raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in read.text_lines(path, error=CorpusFormatError):
+        if not line.strip():
+            continue
+        try:
+            instances.append(instance_from_dict(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+        except (CorpusFormatError, InstanceValidationError) as exc:
+            raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
     return instances
 
 

@@ -4,16 +4,30 @@ The on-disk format is one token per line, token followed by its vector
 components, whitespace separated. An optional first line ``<count> <dim>``
 declares the table size. Lookup is exact and case-sensitive; tables here are
 keyed by lemma. Out-of-vocabulary lemmas map to the zero vector.
+
+The parsed matrix of the last table loaded is cached in one entry,
+``relclass/embedding-table.npz`` under ``$XDG_CACHE_HOME`` (when that is an
+absolute path) or ``~/.cache``, keyed by the SHA-256 of the file's bytes. A
+load whose bytes match reads the matrix from there instead of parsing it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import logging
+import os
+import zipfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import read
 from .corpus import TokenAnnotation
+
+log = logging.getLogger(__name__)
+
+CACHE_VERSION = 1  # of the cache entry's layout: digest, version, matrix
 
 
 class EmbeddingFormatError(ValueError):
@@ -24,8 +38,9 @@ class EmbeddingTable:
     """Immutable token -> vector map with a fixed dimensionality.
 
     The vectors are the rows of one read-only (V + 1, dim) float64 matrix, in
-    the order the mapping gives them; a dict maps each token to its row. The
-    last row is zero: every out-of-vocabulary token maps to it (row -1).
+    the order the mapping (or ``from_rows``) gives the tokens; a dict maps
+    each token to its row. The last row is zero: every out-of-vocabulary
+    token maps to it (row -1).
     ``name`` is a provenance label (defaults to the source file stem).
     """
 
@@ -36,17 +51,28 @@ class EmbeddingTable:
     ):
         if not vectors:
             raise EmbeddingFormatError("embedding table must be nonempty")
-        self.name = name
         try:
             rows = np.array(list(vectors.values()), dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(f"vectors are not one float matrix: {exc}") from exc
+        self._adopt(vectors, rows, name)
+
+    @classmethod
+    def from_rows(cls, tokens: Sequence[str], rows: np.ndarray, name: str = "") -> EmbeddingTable:
+        """The table whose ``tokens`` have the vectors ``rows``, a (V, dim)
+        float64 matrix, copied once into the table's own."""
+        table = cls.__new__(cls)
+        table._adopt(tokens, rows, name)
+        return table
+
+    def _adopt(self, tokens, rows: np.ndarray, name: str) -> None:
         if rows.ndim != 2 or rows.shape[1] == 0:
             raise EmbeddingFormatError(f"vectors must be nonempty and 1-d, not {rows.shape[1:]}")
+        self.name = name
         self.dim = rows.shape[1]
         self._matrix = np.concatenate([rows, np.zeros((1, self.dim))])
         self._matrix.flags.writeable = False
-        self._rows = {token: i for i, token in enumerate(vectors)}
+        self._rows = {token: i for i, token in enumerate(tokens)}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -93,20 +119,72 @@ def _raise_for_first_bad_line(path, lines: list[tuple[int, str]], rests: list[st
             raise EmbeddingFormatError(f"{path}: line {lineno}: expected {width} values, got {n}")
 
 
+def _cache_file() -> Path | None:
+    """Where the one cache entry lives; None when no absolute place is known."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser("~/.cache")
+    return Path(base, "relclass", "embedding-table.npz") if os.path.isabs(base) else None
+
+
+def _cached_matrix(digest: str, shape: tuple[int, int]) -> np.ndarray | None:
+    """The cached matrix of the table whose bytes hash to ``digest``, if the
+    entry holds it with this ``shape``; None on any other entry or none."""
+    path = _cache_file()
+    if path is None:
+        return None
+    try:
+        # opened here: np.load of a path leaves the file open when the zip is unreadable
+        with open(path, "rb") as fh:
+            entry = np.load(fh, allow_pickle=False)
+            if not isinstance(entry, np.lib.npyio.NpzFile):  # one bare .npy array
+                return None
+            with entry:
+                if (entry["digest"].tolist() != digest
+                        or entry["version"].tolist() != CACHE_VERSION):
+                    return None
+                matrix = entry["matrix"]  # the zip CRC check fails a corrupted one here
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        log.debug("embedding-table cache %s not read: %s", path, exc)
+        return None
+    return matrix if matrix.dtype == np.float64 and matrix.shape == shape else None
+
+
+def _store_matrix(digest: str, matrix: np.ndarray) -> None:
+    """Make ``matrix`` the cache entry: written next to it, then renamed over it."""
+    path = _cache_file()
+    if path is None:
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, digest=np.array(digest), version=np.array(CACHE_VERSION),
+                         matrix=matrix)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        log.debug("embedding-table cache %s not written: %s", path, exc)
+
+
 def load_table(path: str | Path) -> EmbeddingTable:
     """Load a text-format embedding table.
 
     A first line of exactly two integer fields is treated as a
     ``<count> <dim>`` header and checked against the body; otherwise the
-    first line is already a vector line. The value fields of all lines are
-    parsed by one ``np.loadtxt`` call.
+    first line is already a vector line. The file is read once; every line
+    check runs on each load. The value fields of all lines are parsed by one
+    ``np.loadtxt`` call, unless the cache holds the matrix of these bytes.
     """
     path = Path(path)
-    declared: tuple[int, int] | None = None
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    sha = hashlib.sha256()
+    lines = [(i, ln) for i, ln in read.text_lines(path, EmbeddingFormatError, sha) if ln.strip()]
+    digest = sha.hexdigest()
     if not lines:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
+    declared: tuple[int, int] | None = None
     first_parts = lines[0][1].split()
     if len(first_parts) == 2:
         try:
@@ -114,32 +192,38 @@ def load_table(path: str | Path) -> EmbeddingTable:
             lines = lines[1:]
         except ValueError:
             declared = None
-    body: dict[str, str] = {}  # token -> the unparsed value fields of its line
+    tokens: dict[str, None] = {}  # in line order, as a dict for the repeat check
     for lineno, line in lines:
         token, *rest = line.split(None, 1)
         if not rest:
             raise EmbeddingFormatError(f"{path}: line {lineno}: expected token and vector")
-        if token in body:
+        if token in tokens:
             raise EmbeddingFormatError(f"{path}: line {lineno}: duplicate token {token!r}")
-        body[token] = rest[0]
-    if not body:
+        tokens[token] = None
+    if not tokens:
         raise EmbeddingFormatError(f"{path}: no vectors")
-    rests = list(body.values())
-    try:
-        matrix = np.loadtxt(rests, ndmin=2, comments=None)
-    except ValueError:
-        _raise_for_first_bad_line(path, lines, rests)
-        raise
+    cached = _cached_matrix(digest, (len(lines), len(lines[0][1].split()) - 1))
+    if cached is not None:
+        matrix = cached
+    else:
+        rests = [line.split(None, 1)[1] for _, line in lines]  # the value fields of each line
+        try:
+            matrix = np.loadtxt(rests, ndmin=2, comments=None)
+        except ValueError:
+            _raise_for_first_bad_line(path, lines, rests)
+            raise
     if not np.isfinite(matrix).all():
         i = int(np.argmin(np.isfinite(matrix).all(axis=1)))
-        token = list(body)[i]
+        token = list(tokens)[i]
         raise EmbeddingFormatError(f"{path}: line {lines[i][0]}: non-finite value for {token!r}")
     if declared not in (None, matrix.shape):
         raise EmbeddingFormatError(
             f"{path}: header declares {declared[0]} x {declared[1]}, "
             f"file has {matrix.shape[0]} x {matrix.shape[1]}"
         )
-    return EmbeddingTable(dict(zip(body, matrix)), name=path.stem)
+    if cached is None:
+        _store_matrix(digest, matrix)
+    return EmbeddingTable.from_rows(list(tokens), matrix, name=path.stem)
 
 
 def save_table(table: EmbeddingTable, path: str | Path) -> None:

@@ -63,20 +63,19 @@ def load_levin_table(path: str | Path) -> LevinTable:
     top-level id must be an integer >= 1.
     """
     classes: dict[str, set[int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                lemma, raw = line.split("\t", 1)
-                ids = {read.integer(int(part.strip().split(".")[0]), "class id", 1)
-                       for part in raw.split(",") if part.strip()}
-                if not ids:
-                    raise ValueError("empty class list")
-                classes.setdefault(read.string(lemma, "lemma"), set()).update(ids)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad verb-class entry: {exc}") from exc
+    for lineno, line in read.text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        try:
+            lemma, raw = line.split("\t", 1)
+            ids = {read.integer(int(part.strip().split(".")[0]), "class id", 1)
+                   for part in raw.split(",") if part.strip()}
+            if not ids:
+                raise ValueError("empty class list")
+            classes.setdefault(read.string(lemma, "lemma"), set()).update(ids)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad verb-class entry: {exc}") from exc
     return LevinTable(classes)
 
 
@@ -231,10 +230,13 @@ class MinMaxScaler:
         span = self.maxs - self.mins
         nz = span > 0
         out = np.asarray(dense, dtype=np.float64)
+        # clamped first, so that no quotient can overflow: a value above its
+        # column's max maps to span / span = 1.0, one below its min to 0.0
+        np.clip(out, self.mins, self.maxs, out=out)
         out -= self.mins
         out /= np.where(nz, span, 1.0)
         out[..., ~nz] = 0.0
-        return np.clip(out, 0.0, 1.0, out=out)
+        return out
 
 
 def fit_minmax(train_dense: Sequence[np.ndarray] | np.ndarray) -> MinMaxScaler:

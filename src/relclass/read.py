@@ -4,8 +4,10 @@ Every field of every input format is read through one of these where it
 enters the program. A reader returns the value itself, never a converted
 copy, or raises FieldError naming the field; the caller adds the file and
 line. JSON's true/false are never numbers here, though Python's bool is an int.
+The line formats are split into lines by ``text_lines``.
 """
 
+import io
 import operator
 import reprlib
 import sys
@@ -16,6 +18,46 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operato
 
 class FieldError(ValueError):
     """A field of the wrong kind, or out of its range."""
+
+
+class _Digesting(io.RawIOBase):
+    """The binary file ``fh``, each byte read from it also added to ``digest``."""
+
+    def __init__(self, fh, digest):
+        self._fh, self._digest = fh, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(buf)
+        self._digest.update(memoryview(buf)[:n])
+        return n
+
+
+def text_lines(path, error: type[ValueError] = ValueError, digest=None):
+    """Yield ``(line number, line)`` for each line of the UTF-8 text file
+    ``path``, split as text-mode iteration splits them (at ``\\n``,
+    ``\\r\\n`` and ``\\r``, each read as ``\\n``). The file is read once;
+    ``digest``, a ``hashlib`` object, is updated with its bytes as they are
+    read. A byte that is not UTF-8 raises ``error`` naming the file and the
+    line it stands on."""
+    with open(path, "rb") as fh:
+        buffered = fh if digest is None else io.BufferedReader(_Digesting(fh, digest), 1 << 20)
+        text = io.TextIOWrapper(buffered, encoding="utf-8")
+        try:
+            yield from enumerate(text, start=1)
+        except UnicodeDecodeError:
+            fh.seek(0)  # the wrapper's offset is within its chunk: find the byte in the file
+            data = fh.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                before = data[:exc.start].decode("utf-8")
+                lineno = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+                raise error(f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not "
+                            f"UTF-8 ({exc.reason})") from None
+            raise
 
 
 def _fail(name: str, what: str, value):

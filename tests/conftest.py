@@ -14,6 +14,23 @@ from relclass.features import load_levin_table
 from relclass.synthetic import make_corpus, make_embedding_table
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _session_cache_home(tmp_path_factory):
+    """Point the embedding-table cache at a directory of this test session
+    before any fixture of a wider scope loads a table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache-home")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def _cache_home(tmp_path_factory, monkeypatch):
+    """Give every test its own, empty embedding-table cache (through
+    XDG_CACHE_HOME, which subprocesses inherit): no test reads or writes the
+    user's cache, and each starts cold."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache-home")))
+
+
 def tok(text, lemma=None, pos="NOUN"):
     return TokenAnnotation(text=text, lemma=lemma if lemma is not None else text.lower(), pos=pos)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from relclass.embeddings import EmbeddingTable, load_table
 from relclass.features import (
     NAMESPACES,
     LevinTable,
+    MinMaxScaler,
     build_feature_space,
     featurize,
     fit_minmax,
@@ -242,6 +245,15 @@ def test_minmax_constant_column_and_clamping():
     assert out[0] == 0.0        # constant training column
     assert out[1] == 0.0        # clamped below
     assert scaler.apply(np.array([1.0, 99.0]))[1] == 1.0
+
+
+def test_minmax_far_outside_a_tiny_span_does_not_overflow():
+    # (1.7e308 - 0) / 1e-300 overflows unless the value is clamped first
+    scaler = MinMaxScaler(np.array([0.0, 0.0, 2.0]), np.array([1e-300, 1e-300, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = scaler.apply(np.array([[1.7e308, -1.7e308, 1.7e308], [1e-300, 0.0, 2.0]]))
+    assert out.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,6 +11,8 @@ integer stood, must exit 2, except null in a field declared nullable.
 
 Models are read through ``predict`` on a one-instance corpus and config
 files through ``predict --config``; nothing here trains on a mutated input.
+A byte that is not UTF-8 in a file of a line format must exit 2 too, naming
+the file and the line the byte stands on.
 """
 
 import json
@@ -213,3 +215,48 @@ def test_malformed_field_exits_0_or_2_naming_the_file(formats, tmp_path, capsys,
         elif rc == 0 and fmt.must_fail(path, substitute):
             problems.append(f"{where}, accepted a value of the wrong kind")
     assert not problems, "\n".join(problems)
+
+
+@pytest.fixture(scope="module")
+def line_files(tmp_path_factory):
+    """A valid file of each line format, several lines long, with the
+    command that reads it (a function of the file's path)."""
+    root = tmp_path_factory.mktemp("lines")
+    gold = root / "gold.jsonl"
+    corpus = make_corpus(n_per_class=4)  # 10 KB, so its last line is past the first 8 KB
+    write_corpus(corpus, gold)
+    save_table(make_embedding_table(), root / "emb.txt")
+    levin, toy_table = fixture_path("levin_small.tsv"), fixture_path("toy_embeddings.txt")
+    predictions = "".join(json.dumps({"id": inst.id, "label": inst.label.value}) + "\n"
+                          for inst in corpus)
+    verbs = levin.read_text(encoding="utf-8") + "".join(f"verb{i}\t{i + 1}\n" for i in range(5))
+    out = str(root / "out.txt")
+
+    def features(corpus=gold, table=toy_table, verbs=levin):
+        return ["features", "--corpus", str(corpus), "--embeddings", str(table),
+                "--levin", str(verbs), "--freq-threshold", "1", "--out", out]
+
+    return {
+        "corpus": (gold.read_bytes(), lambda dest: features(corpus=dest)),
+        "predictions": (predictions.encode("utf-8"),
+                        lambda dest: ["evaluate", "--gold", str(gold), "--predictions", str(dest)]),
+        "embeddings": ((root / "emb.txt").read_bytes(), lambda dest: features(table=dest)),
+        "verbs": (verbs.encode("utf-8"), lambda dest: features(verbs=dest)),
+    }
+
+
+@pytest.mark.parametrize("name", ["corpus", "predictions", "embeddings", "verbs"])
+def test_non_utf8_byte_exits_2_naming_the_file_and_line(line_files, tmp_path, capsys, name):
+    data, command = line_files[name]
+    valid = tmp_path / "valid"
+    valid.write_bytes(data)
+    assert main(command(valid)) == 0
+    lines = data.splitlines(keepends=True)
+    lineno = len(lines)  # the last line: in the corpus and the table, past the first 8 KB
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    dest = tmp_path / f"non-utf8-{name}"
+    dest.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(command(dest)) == 2
+    err = capsys.readouterr().err
+    assert f"{dest}: line {lineno}: byte 0xff is not UTF-8" in err, err
