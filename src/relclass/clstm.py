@@ -3,7 +3,8 @@
 Pipeline per instance: embedding columns [start entity | filtered context |
 end entity] -> right zero-padding to the corpus maximum length -> 1-D
 convolution (ReLU) -> the column sequence of feature maps -> LSTM -> dropout
--> softmax over the six classes. Trained with mini-batch cross-entropy and
+-> softmax over the six classes, with a batch's columns held as ids into one
+bank of their vectors (``Batch``). Trained with mini-batch cross-entropy and
 Adam; the embedding table is read-only throughout. All arithmetic is float64
 and every forward/backward step is an explicit numpy expression, so gradients
 can be checked against finite differences.
@@ -35,8 +36,8 @@ from .embeddings import EmbeddingTable
 log = logging.getLogger(__name__)
 
 CLSTM_FORMAT = "relclass-clstm"
-# The most columns a model may pad its inputs to (its l_max): every prediction
-# batch is (batch_size, v, l_max), and the paper's inputs are single sentences.
+# The most columns a model may pad its inputs to (its l_max): the LSTM steps
+# over every window of every batch, and the paper's inputs are single sentences.
 L_MAX_LIMIT = 1024
 
 # parameter tensors in a fixed order (serialization, Adam state, grad checks)
@@ -91,28 +92,78 @@ class Hyperparams:
 
 def build_sequence(
     inst: RelationInstance,
+    freq: FrequencyTable,
+    threshold: int,
+) -> list:
+    """The columns of the embedding matrix I of ``inst``, each as the key of
+    its vector: the start entity's tokens (a tuple, whose vector is the
+    token average), the lemma of each filtered context word in order, the
+    end entity's tokens."""
+    context = filter_context(extract_context(inst), freq, threshold)
+    return [inst.start_tokens, *(tok.lemma for tok in context), inst.end_tokens]
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """B padded input sequences as column ids into one bank of vectors.
+
+    ``bank`` is an (n_cols + 1, v) matrix whose last row is zero and whose
+    other rows are not; ``ids`` is (B, l_max), row b the bank rows of
+    instance b's columns in order, then the zero row's id as padding. It
+    stands for the (B, v, l_max) batch ``bank[ids].transpose(0, 2, 1)``.
+    """
+
+    ids: np.ndarray
+    bank: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(B, v, l_max), the shape of the padded batch this stands for."""
+        return self.ids.shape[0], self.bank.shape[1], self.ids.shape[1]
+
+
+def build_batch(
+    instances: Sequence[RelationInstance],
     table: EmbeddingTable,
     freq: FrequencyTable,
     threshold: int,
-) -> np.ndarray:
-    """Embedding matrix I of shape (v, l_s): start entity, filtered context
-    words in order, end entity. Entity columns are token-average vectors."""
-    cols = [table.phrase_vector(inst.start_tokens)]
-    for tok in filter_context(extract_context(inst), freq, threshold):
-        cols.append(table.lookup(tok.lemma))
-    cols.append(table.phrase_vector(inst.end_tokens))
-    return np.column_stack(cols)
+    l_max: int | None = None,
+) -> Batch:
+    """The Batch of the sequences of ``instances`` (see build_sequence).
 
-
-def pad(sequences: Sequence[np.ndarray], l_max: int) -> np.ndarray:
-    """One (B, v, l_max) batch of the (v, l_s) sequences, each right-padded
-    with zero columns up to l_max."""
-    out = np.zeros((len(sequences), sequences[0].shape[0], l_max))
-    for b, I in enumerate(sequences):
-        if I.shape[1] > l_max:
-            raise ValueError(f"sequence {b}: length {I.shape[1]} exceeds l_max {l_max}")
-        out[b, :, : I.shape[1]] = I
-    return out
+    The bank holds each distinct column vector once. A column whose vector
+    is zero (an out-of-vocabulary lemma, an entity of them) gets the zero
+    row's id, as padding does, so a window is live exactly when one of its
+    ids is not the zero row's. Without ``l_max`` (training) the batch is as
+    long as the longest sequence, which may not be longer than L_MAX_LIMIT;
+    with it (prediction), a longer sequence is cut to ``l_max`` columns
+    with a warning.
+    """
+    sequences = [build_sequence(inst, freq, threshold) for inst in instances]
+    if l_max is None:
+        l_max = max(map(len, sequences))
+        if l_max > L_MAX_LIMIT:
+            raise ValueError(
+                f"the longest sequence has {l_max} columns, more than a model may pad to ({L_MAX_LIMIT})"
+            )
+    keys: dict = {}  # column key -> its row in ``vectors``
+    raw = np.full((len(sequences), l_max), -1)  # -1: padding
+    for b, (inst, seq) in enumerate(zip(instances, sequences)):
+        if len(seq) > l_max:
+            log.warning(
+                "instance %s: sequence length %d exceeds training maximum %d, truncating",
+                inst.id, len(seq), l_max,
+            )
+            seq = seq[:l_max]
+        raw[b, : len(seq)] = [keys.setdefault(key, len(keys)) for key in seq]
+    vectors = np.array([table.lookup(key) if isinstance(key, str) else table.phrase_vector(key)
+                        for key in keys])
+    nonzero = vectors.any(axis=1)
+    n_cols = int(nonzero.sum())
+    # the bank row of each key, the zero row for a zero vector, and (last) of padding
+    row = np.full(len(keys) + 1, n_cols)
+    row[:-1][nonzero] = np.arange(n_cols)
+    return Batch(row[raw], np.concatenate([vectors[nonzero], np.zeros((1, table.dim))]))
 
 
 def n_windows(l_max: int, ws: int, st: int) -> int:
@@ -179,10 +230,11 @@ def _window_slices(m: int, ws: int, st: int) -> list[slice]:
     return [slice(w, w + (m - 1) * st + 1, st) for w in range(ws)]
 
 
-def _live_windows(nonzero: np.ndarray, ws: int, st: int) -> np.ndarray:
-    """(m, B) mask of the windows that read at least one nonzero input column,
-    from the (l_max, B) mask of the nonzero columns of a padded batch. The
-    other windows are dead: all their inputs are 0."""
+def _live_windows(batch: Batch, ws: int, st: int) -> np.ndarray:
+    """(m, B) mask of the windows of ``batch`` that read at least one nonzero
+    column, one whose id is not the bank's zero row. The other windows are
+    dead: all their inputs are 0."""
+    nonzero = (batch.ids != len(batch.bank) - 1).T
     l_max, B = nonzero.shape
     m = n_windows(l_max, ws, st)
     live = np.zeros((m, B), dtype=bool)
@@ -201,7 +253,8 @@ class ForwardCache:
     """
 
     live: np.ndarray  # (m, B) live-window mask, time-major
-    windows: np.ndarray  # (n_live, ws * v) live input windows, columns as in conv_w
+    cols: np.ndarray  # (n_cols, v) the distinct column vectors of the live windows
+    inv: np.ndarray  # (n_live, ws) each live window's columns, as rows of ``cols``
     x_live: np.ndarray  # (n_live, k) conv feature maps of the live windows, post-ReLU
     x_dead: np.ndarray  # (k,) the feature map of every dead window, relu(conv_b)
     gates: np.ndarray  # (m, B, 4, u) gate activations, in the order of GATES
@@ -222,27 +275,37 @@ def dropout_mask(hyper: Hyperparams, rows: int, rng: np.random.Generator) -> np.
 
 
 def forward_batch(
-    batch: np.ndarray,
+    batch: Batch,
     params: dict[str, np.ndarray],
     hyper: Hyperparams,
     mask: np.ndarray | None = None,
-) -> ForwardCache:
-    """Class distributions for a (B, v, l_max) batch of padded inputs.
+) -> ForwardCache | np.ndarray:
+    """Class distributions for a Batch of B padded inputs.
 
     At training time ``mask``, a (B, u) dropout mask from ``dropout_mask``,
-    is applied to the final hidden state; inference (None) never drops.
+    is applied to the final hidden state, and the ForwardCache of the batch
+    is returned. Inference (None) never drops and returns only the
+    (B, n_classes) probabilities: the LSTM keeps no state but its last.
     """
     B, v, l_max = batch.shape
-    u = hyper.rnn_units
+    u, k = hyper.rnn_units, hyper.num_filters
     ws, st = hyper.filter_width, hyper.stride
-    live = _live_windows(batch.any(axis=1).T, ws, st)
+    live = _live_windows(batch, ws, st)
     m = live.shape[0]
 
-    # conv on the live windows only: gather each one's ws input columns into
-    # a row (im2col), so the conv is one matmul; a dead window gives relu(conv_b)
+    # conv on the live windows only: one matmul over their distinct columns
+    # gives proj[c, f, w], filter f's weights for window column w times
+    # column c, and a window's feature map sums its ws columns' terms. A dead
+    # window gives relu(conv_b).
     steps, rows = np.divmod(np.flatnonzero(live), B)
-    windows = batch[rows[:, None], :, steps[:, None] * st + np.arange(ws)].reshape(-1, ws * v)
-    x_live = windows @ params["conv_w"].T
+    uniq, inv = np.unique(batch.ids[rows[:, None], steps[:, None] * st + np.arange(ws)],
+                          return_inverse=True)
+    inv = inv.reshape(-1, ws)
+    cols = batch.bank[uniq]
+    proj = (cols @ params["conv_w"].reshape(k * ws, v).T).reshape(-1, k, ws)
+    x_live = proj[inv[:, 0], :, 0]
+    for w in range(1, ws):
+        x_live += proj[inv[:, w], :, w]
     x_live += params["conv_b"]
     np.maximum(x_live, 0.0, out=x_live)
     x_dead = np.maximum(params["conv_b"], 0.0)
@@ -255,11 +318,13 @@ def forward_batch(
     gates[~flat_live] = x_dead @ w_x.T + bias
     gates[flat_live] = x_live @ w_x.T + bias
     gates = gates.reshape(m, B, 4, u)
-    cells = np.zeros((m + 1, B, u))
-    hiddens = np.zeros((m + 1, B, u))
+    # training keeps the state of every step, inference only the current one
+    cells = np.zeros((m + 1 if mask is not None else 1, B, u))
+    hiddens = np.zeros_like(cells)
     for t in range(m):
+        now, new = (t, t + 1) if mask is not None else (0, 0)
         a = gates[t]
-        a += (hiddens[t] @ w_h.T).reshape(B, 4, u)
+        a += (hiddens[now] @ w_h.T).reshape(B, 4, u)
         # sigmoid as 0.5 * (1 + tanh(x / 2)): no overflow, no mask
         sig = a[:, :3]
         sig *= 0.5
@@ -267,14 +332,15 @@ def forward_batch(
         sig += 1.0
         sig *= 0.5
         i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-        np.add(f * cells[t], i * g, out=cells[t + 1])
-        np.multiply(o, np.tanh(cells[t + 1]), out=hiddens[t + 1])
-
+        np.add(f * cells[now], i * g, out=cells[new])
+        np.multiply(o, np.tanh(cells[new]), out=hiddens[new])
     if mask is None:
-        mask = np.ones((B, u))
+        return softmax(hiddens[0] @ params["soft_w"].T + params["soft_b"])
+
     h_drop = hiddens[m] * mask
     probs = softmax(h_drop @ params["soft_w"].T + params["soft_b"])
-    return ForwardCache(live, windows, x_live, x_dead, gates, cells, hiddens, mask, h_drop, probs)
+    return ForwardCache(live, cols, inv, x_live, x_dead, gates, cells, hiddens, mask, h_drop,
+                        probs)
 
 
 def _cross_entropy_sum(probs: np.ndarray, gold: np.ndarray) -> float:
@@ -357,10 +423,19 @@ def backward_batch(
         grads["u_" + gate] = d_wh[rows]
         grads["b_" + gate] = d_b[rows]
 
-    # a dead window's inputs are zero, so it adds nothing to the conv_w gradient
+    # a dead window's inputs are zero, so it adds nothing to the conv_w
+    # gradient. Its block w sums dz times column w over the live windows:
+    # dz summed per distinct column (sorted by it, one sum per run of equal
+    # ids), then one matmul with those columns
     dz = da_live @ w_x
     dz *= cache.x_live > 0
-    grads["conv_w"] = dz.T @ cache.windows
+    v = cache.cols.shape[1]
+    d_conv = grads["conv_w"] = np.empty_like(params["conv_w"])
+    for w in range(cache.inv.shape[1]):
+        order = np.argsort(cache.inv[:, w], kind="stable")
+        col = cache.inv[order, w]
+        runs = np.flatnonzero(np.diff(col, prepend=-1))
+        d_conv[:, w * v : (w + 1) * v] = np.add.reduceat(dz[order], runs).T @ cache.cols[col[runs]]
     grads["conv_b"] = dz.sum(axis=0) + (da_dead @ w_x) * (cache.x_dead > 0)
     return {name: grads[name] for name in PARAM_NAMES}
 
@@ -368,46 +443,29 @@ def backward_batch(
 # ---------------------------------------------------------------------------
 # Adam
 
-@dataclass
-class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(p) for name, p in params.items()},
-            v={name: np.zeros_like(p) for name, p in params.items()},
-            t=0,
-        )
-
-
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
+    param: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
     lr: float,
 ) -> None:
-    """One Adam update with bias correction, in place on params and state,
-    with Kingma & Ba's moment decays and epsilon (arXiv:1412.6980)."""
+    """Adam's step ``t`` (from 1) with bias correction, in place on ``param``
+    and its moments ``m`` and ``v``, with Kingma & Ba's moment decays and
+    epsilon (arXiv:1412.6980)."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
-    for name, g in grads.items():
-        m, v = state.m[name], state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g**2
-        step = m / bc1
-        step *= lr
-        denom = v / bc2
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
-        params[name] -= step
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad**2
+    step = m / (1.0 - beta1**t)
+    step *= lr
+    denom = v / (1.0 - beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    param -= step
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +487,17 @@ class ClstmModel(modelio.Classifier):
     # count of the loop (None: the count could not be set); never saved
     fit_report: dict = field(default_factory=dict, compare=False)
 
-    def _sequence(self, inst: RelationInstance) -> np.ndarray:
-        """build_sequence, cut to l_max columns if it is longer."""
-        I = build_sequence(inst, self.table, self.freq, self.freq_threshold)
-        if I.shape[1] > self.l_max:
-            log.warning(
-                "instance %s: sequence length %d exceeds training maximum %d, truncating",
-                inst.id, I.shape[1], self.l_max,
-            )
-            I = I[:, : self.l_max]
-        return I
-
     def predict_proba_many(self, instances: Sequence[RelationInstance]) -> np.ndarray:
-        """Class distributions, one row per instance, LABELS order. Runs in
-        batches of ``hyper.batch_size``, so memory does not grow with the corpus."""
+        """Class distributions, one row per instance, LABELS order. One bank
+        serves all instances; the network runs in batches of
+        ``hyper.batch_size`` of them, so its memory does not grow with the corpus."""
         if not instances:
             return np.zeros((0, len(LABELS)))
+        batch = build_batch(instances, self.table, self.freq, self.freq_threshold, self.l_max)
         step = self.hyper.batch_size
         return np.vstack([
-            forward_batch(
-                pad([self._sequence(inst) for inst in instances[start : start + step]], self.l_max),
-                self.params, self.hyper,
-            ).probs
+            forward_batch(Batch(batch.ids[start : start + step], batch.bank),
+                          self.params, self.hyper)
             for start in range(0, len(instances), step)
         ])
 
@@ -466,7 +513,9 @@ def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[st
 
 
 class _TrainState:
-    """What the processes of one training run share. The parameters
+    """What the processes of one training run share: the training corpus as
+    one Batch (``corpus``), its labels and the settings, which the forked
+    workers inherit and only read. The parameters
     (``flat``, viewed per tensor by ``params``), the two shards' gradients
     (``grads``, laid out like ``flat``) and Adam's moments (``m`` and ``v``,
     laid out like ``flat``) live in one anonymous shared mapping, so the
@@ -474,9 +523,9 @@ class _TrainState:
     half of the flat elements gets its own Adam pass, so a batch's update is
     two tasks, whichever process runs them."""
 
-    def __init__(self, sequences: list[np.ndarray], gold: np.ndarray, l_max: int,
-                 hyper: Hyperparams, shapes: dict[str, tuple[int, ...]]):
-        self.sequences, self.gold, self.l_max, self.hyper = sequences, gold, l_max, hyper
+    def __init__(self, corpus: Batch, gold: np.ndarray, hyper: Hyperparams,
+                 shapes: dict[str, tuple[int, ...]]):
+        self.corpus, self.gold, self.hyper = corpus, gold, hyper
         size = sum(map(math.prod, shapes.values()))
         shared = np.frombuffer(mmap.mmap(-1, 5 * size * 8), dtype=np.float64).reshape(5, size)
         self.flat, self.grads, self.m, self.v = shared[0], shared[1:3], shared[3], shared[4]
@@ -502,9 +551,9 @@ def _shard_gradient(state: _TrainState, shard: int, idx: np.ndarray, mask: np.nd
         state.grads[shard].fill(0.0)
         return 0.0
     gold = state.gold[idx]
-    # the padded shard lives only as long as forward_batch's call, and the
+    # the shard's ids live only as long as forward_batch's call, and the
     # cache only until this returns: one shard's working set at a time
-    cache = forward_batch(pad([state.sequences[i] for i in idx], state.l_max),
+    cache = forward_batch(Batch(state.corpus.ids[idx], state.corpus.bank),
                           state.params, state.hyper, mask)
     ce = _cross_entropy_sum(cache.probs, gold)
     grads = backward_batch(cache, gold, state.params, state.hyper, batch_rows)
@@ -522,9 +571,18 @@ def _update(state: _TrainState, half: int, t: int) -> None:
     grad = state.grads[0, cols]
     grad += state.grads[1, cols]
     grad[soft_w] += state.hyper.l2_scale * state.flat[cols][soft_w]
-    # adam_step counts the step it takes
-    adam = AdamState({"params": state.m[cols]}, {"params": state.v[cols]}, t - 1)
-    adam_step({"params": state.flat[cols]}, {"params": grad}, adam, lr=state.hyper.learning_rate)
+    adam_step(state.flat[cols], grad, state.m[cols], state.v[cols], t, state.hyper.learning_rate)
+
+
+def _split(live: np.ndarray) -> list[np.ndarray]:
+    """The positions of a batch's rows in its two shards, from each row's
+    live-window count ``live``: over the rows by descending count, shard 0
+    takes the 1st, 4th, 5th, 8th, 9th, ... and shard 1 the others, so each
+    has half the rows (ceil or floor) and nearly half the live windows. Each
+    shard keeps its rows in batch order."""
+    order = np.argsort(-live, kind="stable")
+    first = np.arange(len(live)) % 4 % 3 == 0
+    return [np.sort(order[first]), np.sort(order[~first])]
 
 
 def train(
@@ -538,13 +596,15 @@ def train(
     RNG order is fixed: parameter init, then per epoch one shuffle, then one
     dropout mask per batch.
 
-    Each batch is split into two fixed shards, its first ceil(B/2) rows and
-    the rest. Its gradient is shard 0's plus shard 1's, in that order, plus
-    the L2 term once. The parameters are one flat buffer, and Adam updates
-    each half of it in one pass. The loop runs with OpenBLAS at one thread;
-    with two or more CPUs, two ``parallel.forked`` workers then run the two
-    shards, and after them the two halves of the update, and otherwise this
-    process runs all four in turn. The model does not depend on which.
+    Each batch is split into two shards of half its rows (ceil or floor)
+    with nearly equal live windows (``_split``), which depend only on the
+    batch's rows. Its gradient is shard 0's plus shard 1's, in that order,
+    plus the L2 term once. The parameters are one flat buffer, and Adam
+    updates each half of it in one pass. The loop runs with OpenBLAS at one
+    thread; with two or more CPUs, two ``parallel.forked`` workers then run
+    the two shards, and after them the two halves of the update, and
+    otherwise this process runs all four in turn. The model does not depend
+    on which.
     """
     labeled = [inst for inst in instances if inst.label is not None]
     if not labeled:
@@ -552,28 +612,20 @@ def train(
     if len(labeled) != len(instances):
         raise ValueError("training corpus contains unlabeled instances")
     freq = build_lemma_counts(labeled)
-    sequences = [build_sequence(inst, table, freq, freq_threshold) for inst in labeled]
-    l_max = max(seq.shape[1] for seq in sequences)
+    corpus = build_batch(labeled, table, freq, freq_threshold)
+    l_max = corpus.shape[2]
     if hyper.filter_width > l_max:
         raise ValueError(
             f"filter width {hyper.filter_width} exceeds the longest sequence ({l_max})"
         )
-    if l_max > L_MAX_LIMIT:
-        raise ValueError(
-            f"the longest sequence has {l_max} columns, more than a model may pad to ({L_MAX_LIMIT})"
-        )
     n, bs = len(labeled), hyper.batch_size
     ws, st = hyper.filter_width, hyper.stride
-    # the live windows, counted from each sequence's nonzero columns: padding is zero
-    nonzero = np.zeros((l_max, n), dtype=bool)
-    for b, I in enumerate(sequences):
-        nonzero[: I.shape[1], b] = I.any(axis=0)
-    live = int(_live_windows(nonzero, ws, st).sum())
+    row_live = _live_windows(corpus, ws, st).sum(axis=0)  # each instance's live windows
     label_idx = {label: i for i, label in enumerate(LABELS)}
     gold = np.array([label_idx[inst.label] for inst in labeled], dtype=np.int64)
 
     rng = np.random.default_rng(hyper.seed)
-    state = _TrainState(sequences, gold, l_max, hyper, param_shapes(table.dim, hyper))
+    state = _TrainState(corpus, gold, hyper, param_shapes(table.dim, hyper))
     for name, value in init_params(table.dim, hyper, rng).items():
         state.params[name][...] = value
     history = []
@@ -587,10 +639,9 @@ def train(
                 for start in range(0, n, bs):
                     idx = order[start : start + bs]
                     rows = len(idx)
-                    half = (rows + 1) // 2
                     mask = dropout_mask(hyper, rows, rng)
-                    ce = run(_shard_gradient, [(0, idx[:half], mask[:half], rows),
-                                               (1, idx[half:], mask[half:], rows)])
+                    ce = run(_shard_gradient, [(shard, idx[pos], mask[pos], rows) for shard, pos
+                                               in enumerate(_split(row_live[idx]))])
                     epoch_losses.append((ce[0] + ce[1]) / rows
                                         + _l2_penalty(state.params, hyper.l2_scale))
                     t += 1
@@ -604,7 +655,7 @@ def train(
         freq_threshold=freq_threshold,
         table=table,
         loss_history=tuple(history),
-        windows=(live, n * n_windows(l_max, ws, st)),
+        windows=(int(row_live.sum()), n * n_windows(l_max, ws, st)),
         fit_report={"workers": workers, "blas_threads": blas_threads},
     )
 

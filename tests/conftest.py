@@ -7,7 +7,7 @@ import pytest
 
 from relclass import svm
 from relclass.cli import fixture_path
-from relclass.clstm import Hyperparams, forward_batch, init_params
+from relclass.clstm import Batch, Hyperparams, forward_batch, init_params
 from relclass.corpus import LABELS, RelationInstance, RelationLabel, TokenAnnotation
 from relclass.embeddings import EmbeddingTable
 from relclass.features import load_levin_table
@@ -41,6 +41,20 @@ def make_instance(tokens, e1, e2, label=RelationLabel.USAGE, reverse=False,
                             label=label, reverse=reverse, subtask=subtask)
 
 
+def as_batch(dense):
+    """The clstm.Batch that stands for the (B, v, l_max) padded batch
+    ``dense``: its distinct nonzero columns in the bank, then the zero row."""
+    B, v, l_max = dense.shape
+    cols = dense.transpose(0, 2, 1).reshape(B * l_max, v)
+    nonzero = cols.any(axis=1)
+    distinct, inv = np.unique(cols[nonzero], axis=0, return_inverse=True)
+    ids = np.full(B * l_max, len(distinct))
+    ids[nonzero] = inv.ravel()
+    batch = Batch(ids.reshape(B, l_max), np.concatenate([distinct, np.zeros((1, v))]))
+    assert np.array_equal(batch.bank[batch.ids].transpose(0, 2, 1), dense)
+    return batch
+
+
 def feature_maps(cache):
     """The (m, B, k) conv feature maps of a forward_batch cache: the stored
     maps at the live windows, relu(conv_b) at every dead one."""
@@ -52,13 +66,14 @@ def feature_maps(cache):
 
 def conv_maps(I_pad, filters, bias, stride):
     """The k x m conv feature maps of one padded instance, read from the
-    forward_batch cache of a batch of one."""
+    forward_batch cache of a batch of one (a training call without dropout)."""
     v = I_pad.shape[0]
     k, flat = filters.shape
     hyper = Hyperparams(num_filters=k, filter_width=flat // v, rnn_units=1, stride=stride)
     params = init_params(v, hyper, np.random.default_rng(0))
     params.update(conv_w=filters, conv_b=bias)
-    return feature_maps(forward_batch(I_pad[None], params, hyper))[:, 0].T
+    cache = forward_batch(as_batch(I_pad[None]), params, hyper, np.ones((1, 1)))
+    return feature_maps(cache)[:, 0].T
 
 
 def force_cpus(monkeypatch, n):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import conv_maps, make_instance, tok
+from conftest import as_batch, conv_maps, make_instance, tok
 from oracles import (
     conv1d_oracle,
     f1_oracle,
@@ -27,7 +27,6 @@ from oracles import (
 )
 from relclass.clstm import (
     PARAM_NAMES,
-    AdamState,
     Hyperparams,
     adam_step,
     backward_batch,
@@ -135,15 +134,16 @@ def test_c04_gradient_check():
     hyper = Hyperparams(num_filters=4, filter_width=2, rnn_units=5, dropout_rate=0.0,
                         l2_scale=0.37, stride=1, batch_size=2, epochs=1, seed=123)
     params = init_params(3, hyper, np.random.default_rng(5))
-    batch = np.random.default_rng(99).normal(0.0, 1.0, (2, 3, 6))
+    batch = as_batch(np.random.default_rng(99).normal(0.0, 1.0, (2, 3, 6)))
     gold = np.array([2, 5])
-    cache = forward_batch(batch, params, hyper)
+    ones = np.ones((2, 5))
+    cache = forward_batch(batch, params, hyper, ones)
     # backward_batch gives the cross-entropy term; training adds the L2 term
     grads = backward_batch(cache, gold, params, hyper, len(gold))
     grads["soft_w"] += hyper.l2_scale * params["soft_w"]
 
     def loss_fn():
-        return batch_loss(forward_batch(batch, params, hyper), gold, params, hyper.l2_scale)
+        return batch_loss(forward_batch(batch, params, hyper, ones), gold, params, hyper.l2_scale)
 
     numeric = finite_diff_grads(loss_fn, params)
     elapsed = time.perf_counter() - start
@@ -171,11 +171,13 @@ def test_c05_conv_and_lstm_oracles():
     params = init_params(2, hyper, rng)
     batch = rng.normal(size=(1, 2, 7))
     xs = conv1d_oracle(batch[0], params["conv_w"], params["conv_b"], 1).T
-    h = forward_batch(batch, params, hyper).hiddens[-1, 0]
+    ones = np.ones((1, 3))
+    h = forward_batch(as_batch(batch), params, hyper, ones).hiddens[-1, 0]
     assert relative_error(h, lstm_oracle(xs, params)) <= 1e-12
 
     zero = {name: np.zeros_like(p) for name, p in params.items()}
-    assert np.array_equal(forward_batch(batch, zero, hyper).hiddens[-1, 0], np.zeros(3))
+    assert np.array_equal(forward_batch(as_batch(batch), zero, hyper, ones).hiddens[-1, 0],
+                          np.zeros(3))
 
 
 def test_c06_loss_and_optimizer_analytics():
@@ -183,16 +185,15 @@ def test_c06_loss_and_optimizer_analytics():
     hyper = Hyperparams(num_filters=2, filter_width=2, rnn_units=3, l2_scale=0.0)
     zero = {name: np.zeros_like(p)
             for name, p in init_params(2, hyper, np.random.default_rng(0)).items()}
-    batch = np.random.default_rng(1).normal(size=(4, 2, 5))
-    cache = forward_batch(batch, zero, hyper)
+    batch = as_batch(np.random.default_rng(1).normal(size=(4, 2, 5)))
+    cache = forward_batch(batch, zero, hyper, np.ones((4, 3)))
     loss = batch_loss(cache, np.array([0, 1, 3, 5]), zero, l2_scale=0.0)
     assert abs(loss - math.log(6)) <= 1e-6
 
     # Adam first-step magnitude for a constant gradient
-    params = {"x": np.zeros(3)}
-    state = AdamState.zeros_like(params)
-    adam_step(params, {"x": np.array([4.0, -1.0, 0.5])}, state, lr=0.002)
-    assert np.abs(np.abs(params["x"]) - 0.002).max() <= 1e-6
+    x = np.zeros(3)
+    adam_step(x, np.array([4.0, -1.0, 0.5]), np.zeros(3), np.zeros(3), 1, lr=0.002)
+    assert np.abs(np.abs(x) - 0.002).max() <= 1e-6
 
     # bitwise-identical seeded training
     corpus = [i for i in make_corpus(n_per_class=10, seed=21)

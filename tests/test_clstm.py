@@ -4,17 +4,19 @@ import os
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conv_maps, feature_maps, force_cpus, make_instance, tok
+from conftest import as_batch, conv_maps, feature_maps, force_cpus, make_instance, tok
 from oracles import (
     adam_step_reference,
     clstm_dense_reference,
     conv1d_oracle,
+    dense_forward_batch,
     finite_diff_grads,
     lstm_oracle,
     relative_error,
@@ -22,18 +24,18 @@ from oracles import (
 from relclass import clstm, parallel
 from relclass.clstm import (
     PARAM_NAMES,
-    AdamState,
+    Batch,
     Hyperparams,
     adam_step,
     backward_batch,
     batch_loss,
+    build_batch,
     build_sequence,
     dropout_mask,
     forward_batch,
     init_params,
     load_clstm_model,
     n_windows,
-    pad,
     save_clstm_model,
     softmax,
     train,
@@ -91,10 +93,17 @@ def test_hyperparams_accept_ints_for_floats():
     assert hyper.dropout_rate == 0 and hyper.l2_scale == 1
 
 
+def dense(batch):
+    """The (B, v, l_max) padded batch that ``batch`` stands for."""
+    return batch.bank[batch.ids].transpose(0, 2, 1)
+
+
 def test_build_sequence_entity_only():
     table = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     inst = make_instance([tok("A", "a"), tok("B", "b")], e1=(0, 0), e2=(1, 1))
-    I = build_sequence(inst, table, build_lemma_counts([inst]), threshold=1)
+    freq = build_lemma_counts([inst])
+    assert build_sequence(inst, freq, threshold=1) == [inst.start_tokens, inst.end_tokens]
+    I = dense(build_batch([inst], table, freq, threshold=1))[0]
     assert I.shape == (2, 2)
     assert np.array_equal(I[:, 0], [1.0, 0.0])
     assert np.array_equal(I[:, 1], [0.0, 1.0])
@@ -104,7 +113,7 @@ def test_build_sequence_example_sentence(example_instance, fixture_embeddings_pa
     from relclass.embeddings import load_table
     table = load_table(fixture_embeddings_path)
     freq = build_lemma_counts([example_instance])
-    I = build_sequence(example_instance, table, freq, threshold=1)
+    I = dense(build_batch([example_instance], table, freq, threshold=1))[0]
     # 2 entity columns + 6 context columns
     assert I.shape == (2, 8)
 
@@ -118,38 +127,91 @@ def test_build_sequence_respects_reverse():
     rev = RelationInstance(id="r", tokens=toks, e1=(0, 0), e2=(2, 2),
                            label=None, reverse=True, subtask="1.1")
     freq = build_lemma_counts([fwd])
-    assert np.array_equal(build_sequence(fwd, table, freq, 1)[:, 0], [1.0, 0.0])
-    assert np.array_equal(build_sequence(rev, table, freq, 1)[:, 0], [0.0, 1.0])
+    assert np.array_equal(dense(build_batch([fwd], table, freq, 1))[0, :, 0], [1.0, 0.0])
+    assert np.array_equal(dense(build_batch([rev], table, freq, 1))[0, :, 0], [0.0, 1.0])
 
 
-def test_pad_appends_zero_columns():
-    I, J = np.ones((3, 5)), np.full((3, 2), 2.0)
-    out = pad([I, J], 8)
-    assert out.shape == (2, 3, 8)
-    assert np.array_equal(out[0, :, :5], I)
-    assert np.array_equal(out[1, :, :2], J)
-    assert np.all(out[0, :, 5:] == 0.0)
-    assert np.all(out[1, :, 2:] == 0.0)
+# a table of 2-d vectors and instances over it: "z" is a zero vector in the
+# table, "q" and "r" are out of vocabulary
+ID_TABLE = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [0.5, -2.0],
+                           "z": [0.0, 0.0]}, name="ids")
 
 
-def test_pad_identity_at_l_max():
-    I = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(pad([I, -I], 3), np.stack([I, -I]))
+def id_instance(lemmas, i=0, e1=1, e2=1):
+    """An instance whose first ``e1`` lemmas are the start entity, last
+    ``e2`` the end entity and the rest its context."""
+    return make_instance([tok(f"{lemma}{n}", lemma) for n, lemma in enumerate(lemmas)],
+                         e1=(0, e1 - 1), e2=(len(lemmas) - e2, len(lemmas) - 1), id=f"i-{i}")
 
 
-def test_pad_rejects_overlong():
-    with pytest.raises(ValueError):
-        pad([np.ones((2, 3)), np.ones((2, 5))], 4)
+def test_build_batch_points_padding_and_zero_columns_at_the_zero_row():
+    insts = [id_instance("a b q c a".split(), 0), id_instance("c b z b a".split(), 1),
+             id_instance("q r".split(), 2), id_instance("c a".split(), 3)]
+    batch = build_batch(insts, ID_TABLE, build_lemma_counts(insts), 1)
+    zero = len(batch.bank) - 1
+    assert batch.shape == (4, 2, 5)
+    assert np.array_equal(batch.bank[zero], [0.0, 0.0])
+    assert batch.bank[:zero].any(axis=1).all()
+    # each nonzero column key once: the start entities "a0" and "c0", the end
+    # entities "a4" (in two instances) and "a1", the context lemmas "b" and "c"
+    assert len(batch.bank) == 7
+    ids = batch.ids
+    assert ids[0, 2] == zero  # "q" is out of vocabulary
+    assert ids[0, 1] == ids[1, 1] == ids[1, 3]  # "b"
+    assert ids[0, 4] == ids[1, 4]
+    assert ids[1, 2] == zero  # "z" is zero in the table
+    assert list(ids[3, 2:]) == [zero] * 3  # padding
+    assert list(ids[2]) == [zero] * 5  # both entities out of vocabulary
+    assert np.array_equal(dense(batch)[0], np.array([[1, 0], [0, 1], [0, 0], [0.5, -2], [1, 0]]).T)
+
+
+def test_build_batch_entity_columns_are_token_averages():
+    insts = [id_instance("a c b a".split(), e1=2, e2=2), id_instance("a c q".split(), 1, e1=2)]
+    batch = build_batch(insts, ID_TABLE, build_lemma_counts(insts), 1)
+    I = dense(batch)
+    assert np.array_equal(I[0, :, 0], ID_TABLE.phrase_vector(insts[0].start_tokens))
+    assert np.array_equal(I[0, :, 1], ID_TABLE.phrase_vector(insts[0].end_tokens))
+    # the same tokens, once in the bank
+    assert batch.ids[0, 0] == batch.ids[1, 0]
+    # "q" alone is an all-OOV entity
+    assert batch.ids[1, 1] == len(batch.bank) - 1
+
+
+def test_build_batch_refuses_a_sequence_over_the_limit_in_training(monkeypatch):
+    insts = [id_instance("a b c a b".split()), id_instance("a b".split(), 1)]
+    monkeypatch.setattr(clstm, "L_MAX_LIMIT", 4)
+    with pytest.raises(ValueError, match="more than a model may pad to"):
+        build_batch(insts, ID_TABLE, build_lemma_counts(insts), 1)
+    monkeypatch.setattr(clstm, "L_MAX_LIMIT", 5)
+    assert build_batch(insts, ID_TABLE, build_lemma_counts(insts), 1).shape == (2, 2, 5)
+
+
+def test_build_batch_truncates_over_l_max_with_warning_in_prediction(caplog):
+    insts = [id_instance("a b c a b".split()), id_instance("a b".split(), 1)]
+    freq = build_lemma_counts(insts)
+    whole = build_batch(insts, ID_TABLE, freq, 1)
+    import logging
+    with caplog.at_level(logging.WARNING, logger="relclass.clstm"):
+        cut = build_batch(insts, ID_TABLE, freq, 1, l_max=3)
+    assert [r.getMessage() for r in caplog.records] == [
+        "instance i-0: sequence length 5 exceeds training maximum 3, truncating"]
+    assert cut.shape == (2, 2, 3)
+    assert np.array_equal(dense(cut), dense(whole)[:, :, :3])
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 4))
-def test_pad_preserves_column_sums(v, l_s, extra):
-    rng = np.random.default_rng(v * 100 + l_s * 10 + extra)
-    I = rng.normal(size=(v, l_s))
-    out = pad([I], l_s + extra)[0]
-    assert np.allclose(out.sum(axis=0)[:l_s], I.sum(axis=0))
-    assert np.all(out.sum(axis=0)[l_s:] == 0.0)
+@given(st.lists(st.lists(st.sampled_from("abczqr"), min_size=2, max_size=7), min_size=1,
+                max_size=4))
+def test_build_batch_stands_for_the_padded_sequences(lemma_lists):
+    insts = [id_instance(lemmas, i) for i, lemmas in enumerate(lemma_lists)]
+    batch = build_batch(insts, ID_TABLE, build_lemma_counts(insts), 1)
+    l_max = max(map(len, lemma_lists))
+    out = dense(batch)
+    assert out.shape == (len(insts), 2, l_max)
+    for b, lemmas in enumerate(lemma_lists):
+        expected = np.column_stack([ID_TABLE.lookup(lemma) for lemma in lemmas])
+        assert np.array_equal(out[b, :, : len(lemmas)], expected)
+        assert np.all(out[b, :, len(lemmas) :] == 0.0)
 
 
 def test_n_windows():
@@ -188,7 +250,7 @@ def test_lstm_matches_unrolled_oracle():
     hyper = Hyperparams(num_filters=2, filter_width=2, rnn_units=3)
     params = init_params(2, hyper, rng)
     batch = rng.normal(size=(1, 2, 6))
-    cache = forward_batch(batch, params, hyper)
+    cache = forward_batch(as_batch(batch), params, hyper, np.ones((1, 3)))
     xs = conv1d_oracle(batch[0], params["conv_w"], params["conv_b"], 1).T
     assert len(xs) == 5 and np.any(xs > 0)
     ref = lstm_oracle(xs, params)
@@ -200,7 +262,7 @@ def test_lstm_zero_parameters_give_zero_state():
     params = {name: np.zeros_like(p) if name[:2] in ("w_", "u_", "b_") else p
               for name, p in init_params(2, hyper, np.random.default_rng(0)).items()}
     params["conv_b"] = np.ones(2)
-    cache = forward_batch(np.ones((1, 2, 5)), params, hyper)
+    cache = forward_batch(as_batch(np.ones((1, 2, 5))), params, hyper, np.ones((1, 3)))
     assert np.all(feature_maps(cache) > 0)
     assert np.array_equal(cache.hiddens, np.zeros((5, 1, 3)))
 
@@ -218,21 +280,21 @@ def test_classify_zero_weights_uniform():
     params = tiny_params()
     params["soft_w"] = np.zeros((6, 5))
     params["soft_b"] = np.zeros(6)
-    batch = np.random.default_rng(0).normal(size=(1, 3, 6))
-    probs = forward_batch(batch, params, TINY).probs[0]
+    batch = as_batch(np.random.default_rng(0).normal(size=(1, 3, 6)))
+    probs = forward_batch(batch, params, TINY)[0]
     assert probs == pytest.approx(np.full(6, 1 / 6))
 
 
 def test_classify_dropout_zero_equals_inference():
     params = tiny_params()
-    batch = np.random.default_rng(1).normal(size=(1, 3, 6))
+    batch = as_batch(np.random.default_rng(1).normal(size=(1, 3, 6)))
     assert TINY.dropout_rate == 0.0
     rng = np.random.default_rng(99)
     mask = dropout_mask(TINY, 1, rng)
     # no draw: the RNG order of training does not depend on the mask
     assert rng.random() == np.random.default_rng(99).random()
     trained = forward_batch(batch, params, TINY, mask).probs
-    assert np.array_equal(trained, forward_batch(batch, params, TINY).probs)
+    assert np.array_equal(trained, forward_batch(batch, params, TINY))
 
 
 def test_dropout_mask_keeps_with_inverted_scaling():
@@ -259,16 +321,16 @@ def test_batch_loss_uniform_is_log6():
     hyper = Hyperparams(num_filters=2, filter_width=2, rnn_units=3, l2_scale=0.0)
     params = {name: np.zeros_like(p)
               for name, p in init_params(2, hyper, np.random.default_rng(0)).items()}
-    batch = np.random.default_rng(1).normal(size=(3, 2, 4))
-    cache = forward_batch(batch, params, hyper)
+    batch = as_batch(np.random.default_rng(1).normal(size=(3, 2, 4)))
+    cache = forward_batch(batch, params, hyper, np.ones((3, 3)))
     loss = batch_loss(cache, np.array([0, 3, 5]), params, l2_scale=0.0)
     assert abs(loss - math.log(6)) <= 1e-6
 
 
 def test_batch_loss_l2_term_scales_linearly():
     params = tiny_params()
-    batch = np.random.default_rng(1).normal(size=(2, 3, 6))
-    cache = forward_batch(batch, params, TINY)
+    batch = as_batch(np.random.default_rng(1).normal(size=(2, 3, 6)))
+    cache = forward_batch(batch, params, TINY, np.ones((2, 5)))
     gold = np.array([2, 5])
     base = batch_loss(cache, gold, params, l2_scale=0.0)
     reg1 = batch_loss(cache, gold, params, l2_scale=0.37) - base
@@ -283,8 +345,8 @@ def test_perfect_prediction_loss_is_regularizer_only():
     params = init_params(2, hyper, np.random.default_rng(0))
     params["soft_w"] = np.zeros((6, 3))
     params["soft_b"] = np.array([50.0, 0, 0, 0, 0, 0])
-    batch = np.random.default_rng(1).normal(size=(2, 2, 4))
-    cache = forward_batch(batch, params, hyper)
+    batch = as_batch(np.random.default_rng(1).normal(size=(2, 2, 4)))
+    cache = forward_batch(batch, params, hyper, np.ones((2, 3)))
     assert batch_loss(cache, np.array([0, 0]), params, l2_scale=0.0) <= 1e-12
 
 
@@ -297,10 +359,11 @@ def batch_gradient(cache, gold, params, hyper):
 
 
 def assert_gradients_match_finite_differences(batch, gold, params, hyper):
-    grads = batch_gradient(forward_batch(batch, params, hyper), gold, params, hyper)
+    batch, ones = as_batch(batch), np.ones((len(gold), hyper.rnn_units))
+    grads = batch_gradient(forward_batch(batch, params, hyper, ones), gold, params, hyper)
 
     def loss_fn():
-        return batch_loss(forward_batch(batch, params, hyper), gold, params, hyper.l2_scale)
+        return batch_loss(forward_batch(batch, params, hyper, ones), gold, params, hyper.l2_scale)
 
     numeric = finite_diff_grads(loss_fn, params)
     for name in PARAM_NAMES:
@@ -322,7 +385,7 @@ def test_gradients_match_finite_differences_on_padded_batch():
     batch[0, :, 4:] = 0.0
     batch[1, :, 2] = 0.0
     batch[2] = 0.0
-    live = forward_batch(batch, params, TINY).live
+    live = forward_batch(as_batch(batch), params, TINY, np.ones((3, 5))).live
     assert live.any() and not live.all()
     assert_gradients_match_finite_differences(batch, np.array([2, 5, 0]), params, TINY)
 
@@ -360,9 +423,9 @@ def test_live_windows_match_dense_reference():
         params["conv_b"][:2] = [-0.5, 0.5]
         gold = rng.integers(0, 6, size=batch.shape[0])
         training = hyper.dropout_rate > 0.0
-        # the mask the reference draws from the same seed
-        mask = dropout_mask(hyper, batch.shape[0], np.random.default_rng(1)) if training else None
-        cache = forward_batch(batch, params, hyper, mask)
+        # the mask the reference draws from the same seed; all ones without dropout
+        mask = dropout_mask(hyper, batch.shape[0], np.random.default_rng(1))
+        cache = forward_batch(as_batch(batch), params, hyper, mask)
         grads = batch_gradient(cache, gold, params, hyper)
         ref, ref_grads = clstm_dense_reference(batch, gold, params, hyper, training,
                                                np.random.default_rng(1))
@@ -377,11 +440,86 @@ def test_live_windows_match_dense_reference():
     assert seen == {"all live", "none live", "mixed"}
 
 
+# a 4-d table for the id path: "z" is zero in it, "q" and "r" are out of
+# vocabulary
+ID_PATH_TABLE = EmbeddingTable(
+    dict(zip("abcdz", np.random.default_rng(31).normal(size=(5, 4)) * [[1], [1], [1], [1], [0]])),
+    name="id-path",
+)
+ID_PATH_INSTANCES = [
+    id_instance("a b q c d a".split(), 0),  # an OOV column inside the sequence
+    id_instance("b z c a".split(), 1),  # a zero column inside the sequence
+    id_instance("q a b r".split(), 2),  # both entities out of vocabulary
+    id_instance("c b b b d".split(), 3),  # the same column twice in one window
+    id_instance("d a".split(), 4),  # entity columns only, then padding
+    id_instance("q r".split(), 5),  # nothing but zero columns
+    id_instance("a b c".split(), 6, e1=2, e2=1),  # a two-token entity
+]
+
+
+@pytest.mark.parametrize("ws, st", [(1, 1), (1, 2), (2, 1), (3, 1), (2, 2), (3, 3)])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_id_batches_match_the_dense_reference(ws, st, dropout):
+    insts = ID_PATH_INSTANCES
+    batch = build_batch(insts, ID_PATH_TABLE, build_lemma_counts(insts), 1)
+    hyper = Hyperparams(num_filters=5, filter_width=ws, rnn_units=4, stride=st,
+                        dropout_rate=dropout, l2_scale=0.2)
+    rng = np.random.default_rng(ws * 10 + st)
+    params = init_params(4, hyper, rng)
+    params["conv_b"] = rng.normal(size=5)
+    params["conv_b"][:2] = [-0.5, 0.5]
+    gold = rng.integers(0, 6, size=len(insts))
+    mask = dropout_mask(hyper, len(insts), np.random.default_rng(1))
+    cache = forward_batch(batch, params, hyper, mask)
+    grads = batch_gradient(cache, gold, params, hyper)
+    ref, ref_grads = clstm_dense_reference(dense(batch), gold, params, hyper, dropout > 0,
+                                           np.random.default_rng(1))
+    assert cache.live.any() and not cache.live.all()
+    assert not cache.live[:, 5].any()  # the row of zero columns is dead
+    assert relative_error(cache.probs, ref.probs) <= 1e-12
+    assert relative_error(cache.hiddens, ref.hiddens) <= 1e-12
+    assert relative_error(cache.cells, ref.cells) <= 1e-12
+    assert relative_error(feature_maps(cache), ref.xs) <= 1e-12
+    for param in PARAM_NAMES:
+        assert relative_error(grads[param], ref_grads[param]) <= 1e-12, param
+    # inference keeps no history and returns the probabilities of no dropout
+    probs = forward_batch(batch, params, hyper)
+    no_drop = clstm_dense_reference(dense(batch), gold, params, hyper)[0].probs
+    assert relative_error(probs, no_drop) <= 1e-12
+
+
+def test_id_batch_gradients_match_finite_differences():
+    insts = ID_PATH_INSTANCES
+    batch = build_batch(insts, ID_PATH_TABLE, build_lemma_counts(insts), 1)
+    hyper = replace(TINY, filter_width=2)
+    params = init_params(4, hyper, np.random.default_rng(6))
+    params["conv_b"] = np.array([0.3, -0.2, 0.1, -0.4])
+    gold = np.arange(len(insts)) % 6
+    ones = np.ones((len(insts), hyper.rnn_units))
+    grads = batch_gradient(forward_batch(batch, params, hyper, ones), gold, params, hyper)
+    numeric = finite_diff_grads(
+        lambda: batch_loss(forward_batch(batch, params, hyper, ones), gold, params, hyper.l2_scale),
+        params,
+    )
+    for name in PARAM_NAMES:
+        assert relative_error(grads[name], numeric[name]) < 1e-4, name
+
+
+def test_predict_proba_many_matches_the_dense_reference():
+    corpus, table = make_corpus(n_per_class=4, seed=0), make_embedding_table()
+    hyper = Hyperparams(num_filters=6, filter_width=3, rnn_units=5, batch_size=5, epochs=2,
+                        seed=2)
+    model = train(corpus[::2], table, hyper, freq_threshold=1)
+    padded = dense(build_batch(corpus, table, model.freq, 1, model.l_max))
+    ref = dense_forward_batch(padded, model.params, hyper).probs
+    assert np.abs(model.predict_proba_many(corpus) - ref).max() <= 1e-12
+
+
 def test_gradient_deterministic_under_fixed_dropout_seed():
     hyper = Hyperparams(num_filters=4, filter_width=2, rnn_units=5,
                         dropout_rate=0.4, l2_scale=0.0, batch_size=2)
     params = tiny_params()
-    batch = np.random.default_rng(7).normal(size=(2, 3, 6))
+    batch = as_batch(np.random.default_rng(7).normal(size=(2, 3, 6)))
     gold = np.array([1, 4])
     runs = []
     for _ in range(2):
@@ -403,7 +541,7 @@ def test_backward_pass_peak_stays_below_the_gates():
     batch = rng.normal(size=(64, 20, 30))
     for b, length in enumerate(rng.integers(3, 30, size=64)):
         batch[b, :, length:] = 0.0
-    cache = forward_batch(batch, params, hyper, dropout_mask(hyper, 64, rng))
+    cache = forward_batch(as_batch(batch), params, hyper, dropout_mask(hyper, 64, rng))
     gates_bytes = cache.gates.nbytes
     gold = rng.integers(0, 6, size=64)
     tracemalloc.start()
@@ -416,20 +554,31 @@ def test_backward_pass_peak_stays_below_the_gates():
     assert peak - before < gates_bytes
 
 
+def zero_moments(params):
+    """Adam's first and second moments of ``params`` before the first step."""
+    return ({name: np.zeros_like(p) for name, p in params.items()},
+            {name: np.zeros_like(p) for name, p in params.items()})
+
+
+def adam_all(params, grads, m, v, t, lr):
+    """Adam step ``t`` on every tensor of ``params``."""
+    for name, grad in grads.items():
+        adam_step(params[name], grad, m[name], v[name], t, lr=lr)
+
+
 def test_adam_zero_gradient_is_identity():
     params = tiny_params()
     before = {n: p.copy() for n, p in params.items()}
-    state = AdamState.zeros_like(params)
-    adam_step(params, {n: np.zeros_like(p) for n, p in params.items()}, state, lr=0.002)
-    assert state.t == 1
+    m, v = zero_moments(params)
+    adam_all(params, {n: np.zeros_like(p) for n, p in params.items()}, m, v, 1, lr=0.002)
     for name in PARAM_NAMES:
+        assert not m[name].any() and not v[name].any()
         assert np.array_equal(params[name], before[name])
 
 
 def test_adam_first_step_magnitude_is_lr():
     params = {"x": np.array([0.0, 0.0])}
-    state = AdamState.zeros_like(params)
-    adam_step(params, {"x": np.array([3.0, -0.2])}, state, lr=0.002)
+    adam_all(params, {"x": np.array([3.0, -0.2])}, *zero_moments(params), 1, lr=0.002)
     # bias-corrected first step moves every coordinate by ~lr * sign(g)
     assert np.abs(np.abs(params["x"]) - 0.002).max() <= 1e-6
 
@@ -438,23 +587,23 @@ def test_adam_step_matches_reference_bitwise():
     rng = np.random.default_rng(4)
     params = tiny_params()
     ref_params = {n: p.copy() for n, p in params.items()}
-    state = AdamState.zeros_like(params)
-    ref_state = AdamState.zeros_like(params)
-    for _ in range(20):
+    m, v = zero_moments(params)
+    ref_state = SimpleNamespace(m=zero_moments(params)[0], v=zero_moments(params)[1], t=0)
+    for t in range(1, 21):
         grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
-        adam_step(params, grads, state, lr=0.01)
+        adam_all(params, grads, m, v, t, lr=0.01)
         adam_step_reference(ref_params, grads, ref_state, lr=0.01)
     for name in PARAM_NAMES:
         assert np.array_equal(params[name], ref_params[name]), name
-        assert np.array_equal(state.m[name], ref_state.m[name]), name
-        assert np.array_equal(state.v[name], ref_state.v[name]), name
+        assert np.array_equal(m[name], ref_state.m[name]), name
+        assert np.array_equal(v[name], ref_state.v[name]), name
 
 
 def test_adam_descends_quadratic():
     params = {"x": np.array([1.0])}
-    state = AdamState.zeros_like(params)
-    for _ in range(50):
-        adam_step(params, {"x": 2.0 * params["x"]}, state, lr=0.1)
+    m, v = zero_moments(params)
+    for t in range(1, 51):
+        adam_all(params, {"x": 2.0 * params["x"]}, m, v, t, lr=0.1)
     assert abs(params["x"][0]) < 1.0
 
 
@@ -518,7 +667,8 @@ def test_train_windows_count_the_padded_corpus(epochs):
                         batch_size=5, epochs=epochs, seed=1)
     model = train(corpus, table, hyper, freq_threshold=1)
     freq = build_lemma_counts(corpus)
-    padded = pad([build_sequence(inst, table, freq, 1) for inst in corpus], model.l_max)
+    padded = dense(build_batch(corpus, table, freq, 1))
+    assert padded.shape[2] == model.l_max
     m = n_windows(model.l_max, 2, 2)
     live = sum(padded[b, :, 2 * j : 2 * j + 2].any() for b in range(len(corpus)) for j in range(m))
     assert model.windows == (live, len(corpus) * m)
@@ -527,7 +677,7 @@ def test_train_windows_count_the_padded_corpus(epochs):
 
 def test_training_holds_one_batch_working_set(monkeypatch):
     # both shards in this process: no earlier shard's batch or cache is alive
-    # when a forward pass starts, and the padded shard is freed before its
+    # when a forward pass starts, and the shard's batch is freed before its
     # own backward pass starts
     force_cpus(monkeypatch, 1)
     batches, caches, backward_calls = [], [], []
@@ -632,9 +782,11 @@ def _shard_state(rows, hyper):
     """A _TrainState over ``rows`` random sequences of 2 to 6 columns of 3-d
     vectors, padded to 6, with random labels and parameters, and its RNG."""
     rng = np.random.default_rng(rows)
-    sequences = [rng.normal(size=(3, int(n))) for n in rng.integers(2, 7, size=rows)]
+    padded = np.zeros((rows, 3, 6))
+    for b, n in enumerate(rng.integers(2, 7, size=rows)):
+        padded[b, :, :n] = rng.normal(size=(3, n))
     gold = rng.integers(0, 6, size=rows)
-    state = clstm._TrainState(sequences, gold, 6, hyper, clstm.param_shapes(3, hyper))
+    state = clstm._TrainState(as_batch(padded), gold, hyper, clstm.param_shapes(3, hyper))
     for name, value in init_params(3, hyper, rng).items():
         state.params[name][...] = value
     # away from 0, so relu(conv_b) has no kink within a difference step
@@ -655,7 +807,7 @@ def test_sharded_batch_gradient_matches_one_shard(rows):
     # the two halves of the update leave the batch gradient in shard 0's buffer
     sharded = state.shard_grads[0]
 
-    batch = pad(state.sequences, 6)
+    batch = state.corpus
     cache = forward_batch(batch, before, SHARDED, mask)
     loss = batch_loss(cache, state.gold, before, SHARDED.l2_scale)
     assert abs(ce / rows + clstm._l2_penalty(before, SHARDED.l2_scale) - loss) <= 1e-12 * loss
@@ -664,10 +816,9 @@ def test_sharded_batch_gradient_matches_one_shard(rows):
         assert relative_error(sharded[name], whole[name]) <= 1e-12, name
 
     # the update is one Adam step of that gradient, bit for bit
-    adam_state = AdamState.zeros_like(before)
     stepped = {name: p.copy() for name, p in before.items()}
-    adam_step(stepped, {name: sharded[name] for name in PARAM_NAMES}, adam_state,
-              lr=SHARDED.learning_rate)
+    adam_all(stepped, {name: sharded[name] for name in PARAM_NAMES}, *zero_moments(before), 1,
+             lr=SHARDED.learning_rate)
     for name in PARAM_NAMES:
         assert np.array_equal(state.params[name], stepped[name]), name
 
@@ -678,6 +829,26 @@ def test_sharded_batch_gradient_matches_one_shard(rows):
     )
     for name in PARAM_NAMES:
         assert relative_error(sharded[name], numeric[name]) < 1e-4, name
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=20))
+def test_split_balances_live_windows_over_half_the_rows(live):
+    live = np.array(live)
+    shards = clstm._split(live)
+    assert sorted(len(s) for s in shards) == [len(live) // 2, (len(live) + 1) // 2]
+    assert sorted(np.concatenate(shards).tolist()) == list(range(len(live)))
+    assert all(np.array_equal(s, np.sort(s)) for s in shards)
+    assert abs(live[shards[0]].sum() - live[shards[1]].sum()) <= live.max()
+
+
+def test_split_of_a_skewed_batch():
+    # the first ceil(B/2) rows hold 31 live windows against 3; by descending
+    # count (ties in batch order), shard 0 takes the 1st, 4th and 5th rows
+    live = np.array([10, 10, 10, 1, 1, 1, 1])
+    shards = clstm._split(live)
+    assert [s.tolist() for s in shards] == [[0, 3, 4], [1, 2, 5, 6]]
+    assert [live[s].sum() for s in shards] == [12, 22]
 
 
 @pytest.mark.parametrize("batch_size", [1, 7])
@@ -691,22 +862,22 @@ def test_sharded_training_matches_the_one_shard_loop(monkeypatch, batch_size, cp
     model = train(corpus, table, hyper, freq_threshold=1)
 
     freq = build_lemma_counts(corpus)
-    sequences = [build_sequence(inst, table, freq, 1) for inst in corpus]
+    whole = build_batch(corpus, table, freq, 1)
     gold = np.array([LABELS.index(inst.label) for inst in corpus])
     rng = np.random.default_rng(hyper.seed)
     params = init_params(table.dim, hyper, rng)
-    state = AdamState.zeros_like(params)
-    history = []
+    m, v = zero_moments(params)
+    history, t = [], 0
     for _ in range(hyper.epochs):
         order, losses = rng.permutation(len(corpus)), []
         for start in range(0, len(corpus), batch_size):
             idx = order[start : start + batch_size]
             mask = dropout_mask(hyper, len(idx), rng)
-            cache = forward_batch(pad([sequences[i] for i in idx], model.l_max), params, hyper,
-                                  mask)
+            cache = forward_batch(Batch(whole.ids[idx], whole.bank), params, hyper, mask)
             losses.append(batch_loss(cache, gold[idx], params, hyper.l2_scale))
-            adam_step(params, batch_gradient(cache, gold[idx], params, hyper), state,
-                      lr=hyper.learning_rate)
+            t += 1
+            adam_all(params, batch_gradient(cache, gold[idx], params, hyper), m, v, t,
+                     lr=hyper.learning_rate)
         history.append(float(np.mean(losses)))
     assert np.allclose(model.loss_history, history, rtol=1e-12, atol=0.0)
     for name in PARAM_NAMES:
