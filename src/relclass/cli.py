@@ -15,16 +15,15 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from importlib.resources import files
 from pathlib import Path
-from typing import get_type_hints
 
 from . import clstm, read, search, svm
 from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, build_lemma_counts, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .evaluation import confusion, cross_validate, f1_scores, format_report
-from .features import LevinTable, NAMESPACES, featurize, load_levin_table
+from .features import NAMESPACES, featurize, load_levin_table
 from .modelio import ModelFormatError, argmax_labels, read_json, write_atomic
 
 log = logging.getLogger(__name__)
@@ -43,77 +42,82 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings of one command: flag > config file > default. A
-    model or search setting defaults to its one definition in the library:
-    ``corpus.FREQ_THRESHOLD``, ``clstm.Hyperparams``, or the default that the
-    library function reading it declares."""
+# every setting, defined once: option -> (kind, default, help). The option's
+# name is its destination and config key (--model-file: model_file); its kind
+# (int, float or str) reads the flag and the config-file value alike, and
+# only a str setting may be null in the config file. A flag left off the
+# command line is None, so the config file or the default applies. A model
+# or search setting defaults to its one definition in the library:
+# ``corpus.FREQ_THRESHOLD``, ``clstm.Hyperparams``, or the default that the
+# library function reading it declares.
+SETTINGS: dict[str, tuple[type, object, str | None]] = {
+    "--train": (str, None, "labeled training corpus (JSONL)"),
+    "--corpus": (str, None, "input corpus (JSONL)"),
+    "--gold": (str, None, "labeled gold corpus"),
+    "--predictions": (str, None, "predictions JSONL from `predict`"),
+    "--model": (str, None, None),
+    "--model-file": (str, None, "model file written by `train`"),
+    "--embeddings": (str, None, "embedding table file"),
+    "--levin": (str, None, "verb-class TSV file (read by SVM training and features only)"),
+    "--out": (str, None, "primary output path"),
+    "--report": (str, None, "JSON training-report path (default: stdout)"),
+    "--trial-log": (str, None, "JSONL trial log path"),
+    "--seed": (int, 0, None),
+    "-k": (int, _default(cross_validate, "k"), "number of folds"),
+    "--n-trials": (int, 20, None),
+    "--fraction": (float, _default(search.random_search, "fraction"), "validation fraction"),
+    "--freq-threshold": (int, FREQ_THRESHOLD, "minimum lemma count of a context word"),
+    "--C": (float, _default(svm.train_multiclass, "C"), "SVM penalty"),
+    "--gamma": (float, _default(svm.train_multiclass, "gamma"), "RBF width"),
+    "--num-filters": (int, clstm.Hyperparams.num_filters, None),
+    "--filter-width": (int, clstm.Hyperparams.filter_width, None),
+    "--rnn-units": (int, clstm.Hyperparams.rnn_units, None),
+    "--dropout": (float, clstm.Hyperparams.dropout_rate, None),
+    "--l2": (float, clstm.Hyperparams.l2_scale, None),
+    "--batch-size": (int, clstm.Hyperparams.batch_size, None),
+    "--epochs": (int, clstm.Hyperparams.epochs, None),
+    "--learning-rate": (float, clstm.Hyperparams.learning_rate, None),
+    "--stride": (int, clstm.Hyperparams.stride, None),
+}
+# the config-file reader of each kind
+_READERS = {int: read.integer, float: read.number, str: read.string}
 
-    train: str | None = None
-    corpus: str | None = None
-    gold: str | None = None
-    predictions: str | None = None
-    model: str | None = None
-    model_file: str | None = None
-    embeddings: str | None = None
-    levin: str | None = None
-    out: str | None = None
-    report: str | None = None
-    trial_log: str | None = None
-    seed: int = 0
-    k: int = _default(cross_validate, "k")
-    n_trials: int = 20
-    fraction: float = _default(search.random_search, "fraction")
-    freq_threshold: int = FREQ_THRESHOLD
-    C: float = _default(svm.train_multiclass, "C")
-    gamma: float = _default(svm.train_multiclass, "gamma")
-    num_filters: int = clstm.Hyperparams.num_filters
-    filter_width: int = clstm.Hyperparams.filter_width
-    rnn_units: int = clstm.Hyperparams.rnn_units
-    dropout: float = clstm.Hyperparams.dropout_rate
-    l2: float = clstm.Hyperparams.l2_scale
-    batch_size: int = clstm.Hyperparams.batch_size
-    epochs: int = clstm.Hyperparams.epochs
-    learning_rate: float = clstm.Hyperparams.learning_rate
-    stride: int = clstm.Hyperparams.stride
 
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the config file (if any) and the parsed flags into a RunConfig."""
-    merged = RunConfig()
-    hints = get_type_hints(RunConfig)  # field name -> annotation
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings of one command, each from its flag, else the config file
+    (if any), else its default."""
+    settings = {flag.lstrip("-").replace("-", "_"): setting for flag, setting in SETTINGS.items()}
+    merged = {key: default for key, (_, default, _) in settings.items()}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             try:
                 for key, value in read.object(json.load(fh), "the document").items():
-                    if key not in hints:
+                    if key not in settings:
                         raise ValueError(f"unknown key {key!r}")
-                    # read as the RunConfig annotation says: int, float, or a path (str | None)
-                    if value is not None or hints[key] in (int, float):
-                        kind = {int: read.integer, float: read.number}.get(hints[key], read.string)
-                        kind(value, f"key {key!r}")
-                    setattr(merged, key, value)
+                    kind = settings[key][0]
+                    if value is not None or kind is not str:
+                        _READERS[kind](value, f"key {key!r}")
+                    merged[key] = value
             except ValueError as exc:  # invalid JSON, too
                 raise ValueError(f"config file {args.config}: {exc}") from exc
     for key, value in vars(args).items():
-        if key in hints and value is not None:
-            setattr(merged, key, value)
-    return merged
+        if key in merged and value is not None:
+            merged[key] = value
+    return argparse.Namespace(**merged)
 
 
-def _load_embeddings(cfg: RunConfig) -> EmbeddingTable:
+def _load_embeddings(cfg: argparse.Namespace) -> EmbeddingTable:
     if not cfg.embeddings:
         raise ValueError("an embedding table is required (--embeddings)")
     return load_table(cfg.embeddings)
 
 
-def _load_levin(cfg: RunConfig) -> LevinTable:
+def _load_levin(cfg: argparse.Namespace) -> dict[str, frozenset[int]]:
     """The verb table; only SVM training and ``features`` read one."""
-    return load_levin_table(cfg.levin) if cfg.levin else LevinTable({})
+    return load_levin_table(cfg.levin) if cfg.levin else {}
 
 
-def _hyper_from(cfg: RunConfig) -> clstm.Hyperparams:
+def _hyper_from(cfg: argparse.Namespace) -> clstm.Hyperparams:
     return clstm.Hyperparams(
         num_filters=cfg.num_filters, filter_width=cfg.filter_width, rnn_units=cfg.rnn_units,
         dropout_rate=cfg.dropout, l2_scale=cfg.l2, stride=cfg.stride,
@@ -130,7 +134,7 @@ def _write_json(payload: dict, path: str | None) -> None:
         print(text)
 
 
-def _trainer(cfg: RunConfig, table: EmbeddingTable):
+def _trainer(cfg: argparse.Namespace, table: EmbeddingTable):
     """A function that trains the model kind ``cfg.model`` names on a corpus,
     with the configured settings."""
     if cfg.model == "svm":
@@ -153,7 +157,7 @@ def _label_counts(instances) -> dict[str, int]:
     return counts
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: argparse.Namespace) -> int:
     if cfg.model not in ("svm", "clstm"):
         raise ValueError("--model must be svm or clstm")
     if not cfg.train:
@@ -216,7 +220,7 @@ def _load_any_model(path: str, table: EmbeddingTable):
     raise ModelFormatError(f"{path}: unknown model format {kind!r}")
 
 
-def cmd_predict(cfg: RunConfig) -> int:
+def cmd_predict(cfg: argparse.Namespace) -> int:
     if not cfg.model_file or not cfg.corpus:
         raise ValueError("--model-file and --corpus are required")
     model = _load_any_model(cfg.model_file, _load_embeddings(cfg))
@@ -238,7 +242,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: argparse.Namespace) -> int:
     if not cfg.gold or not cfg.predictions:
         raise ValueError("--gold and --predictions are required")
     instances = parse_corpus(cfg.gold)
@@ -273,7 +277,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_search(cfg: RunConfig) -> int:
+def cmd_search(cfg: argparse.Namespace) -> int:
     if not cfg.train:
         raise ValueError("--train corpus is required")
     instances = parse_corpus(cfg.train)
@@ -290,7 +294,7 @@ def cmd_search(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_features(cfg: RunConfig) -> int:
+def cmd_features(cfg: argparse.Namespace) -> int:
     if not cfg.corpus:
         raise ValueError("--corpus is required")
     instances = parse_corpus(cfg.corpus)
@@ -312,7 +316,7 @@ def cmd_features(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_crossval(cfg: RunConfig) -> int:
+def cmd_crossval(cfg: argparse.Namespace) -> int:
     if cfg.model not in ("svm", "clstm"):
         raise ValueError("--model must be svm or clstm")
     if not cfg.corpus:
@@ -330,59 +334,26 @@ def cmd_crossval(cfg: RunConfig) -> int:
     return 0
 
 
-# every flag, defined once: option -> add_argument keywords. The option's
-# name is its destination and config key (--model-file: model_file); a flag
-# left off the command line is None, so the config file or default applies.
-FLAGS: dict[str, dict] = {
-    "--config": {"help": "JSON config file; explicit flags win"},
-    "--out": {"help": "primary output path"},
-    "--seed": {"type": int},
-    "--embeddings": {"help": "embedding table file"},
-    "--levin": {"help": "verb-class TSV file (read by SVM training and features only)"},
-    "--model": {"choices": ["svm", "clstm"]},
-    "--train": {"help": "labeled training corpus (JSONL)"},
-    "--corpus": {"help": "input corpus (JSONL)"},
-    "--report": {"help": "JSON training-report path (default: stdout)"},
-    "--model-file": {"help": "model file written by `train`"},
-    "--gold": {"help": "labeled gold corpus"},
-    "--predictions": {"help": "predictions JSONL from `predict`"},
-    "--n-trials": {"type": int},
-    "--fraction": {"type": float, "help": "validation fraction"},
-    "--trial-log": {"help": "JSONL trial log path"},
-    "-k": {"type": int, "help": "number of folds"},
-    "--freq-threshold": {"type": int, "help": "minimum lemma count of a context word"},
-    "--C": {"type": float, "help": "SVM penalty"},
-    "--gamma": {"type": float, "help": "RBF width"},
-    "--num-filters": {"type": int},
-    "--filter-width": {"type": int},
-    "--rnn-units": {"type": int},
-    "--dropout": {"type": float},
-    "--l2": {"type": float},
-    "--batch-size": {"type": int},
-    "--epochs": {"type": int},
-    "--learning-rate": {"type": float},
-    "--stride": {"type": int},
-}
-
-# subcommand -> (handler, help, the flags it reads). train and crossval read
+# subcommand -> (handler, help, the flags it reads besides --config, which
+# every command takes). train and crossval read
 # --freq-threshold, the SVM's C and gamma, and the conv-LSTM settings; predict
 # accepts --levin and never reads it, as an SVM model file holds its verb classes.
 MODEL_FLAGS = ("--freq-threshold --C --gamma --num-filters --filter-width --rnn-units "
                "--dropout --l2 --batch-size --epochs --learning-rate --stride")
 COMMANDS = {
     "train": (cmd_train, "train a model",
-              "--config --out --seed --embeddings --levin --model --train --report " + MODEL_FLAGS),
+              "--out --seed --embeddings --levin --model --train --report " + MODEL_FLAGS),
     "predict": (cmd_predict, "predict with a trained model",
-                "--config --out --embeddings --levin --model-file --corpus"),
+                "--out --embeddings --levin --model-file --corpus"),
     "evaluate": (cmd_evaluate, "score predictions against gold",
-                 "--config --out --gold --predictions"),
+                 "--out --gold --predictions"),
     "search": (cmd_search, "random hyperparameter search",
-               "--config --out --seed --embeddings --freq-threshold --epochs --train --n-trials "
+               "--out --seed --embeddings --freq-threshold --epochs --train --n-trials "
                "--fraction --trial-log"),
     "features": (cmd_features, "dump boolean feature keys",
-                 "--config --out --embeddings --levin --freq-threshold --corpus"),
+                 "--out --embeddings --levin --freq-threshold --corpus"),
     "crossval": (cmd_crossval, "stratified k-fold cross-validation",
-                 "--config --out --seed --embeddings --levin --model --corpus -k " + MODEL_FLAGS),
+                 "--out --seed --embeddings --levin --model --corpus -k " + MODEL_FLAGS),
 }
 
 
@@ -395,8 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; explicit flags win")
         for flag in flags.split():
-            p.add_argument(flag, **FLAGS[flag])
+            kind, _, flag_help = SETTINGS[flag]
+            p.add_argument(flag, type=kind, help=flag_help,
+                           choices=["svm", "clstm"] if flag == "--model" else None)
         p.set_defaults(func=func)
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,21 +43,9 @@ HEAD_NOUN_TAGS = frozenset({"NOUN", "PROPN"})
 Key = tuple[str, str]  # (namespace, value)
 
 
-class LevinTable:
-    """Verb lemma -> set of top-level verb class ids."""
-
-    def __init__(self, classes: Mapping[str, Iterable[int]]):
-        self._classes = {lemma: frozenset(ids) for lemma, ids in classes.items()}
-
-    def lemmas(self) -> list[str]:
-        return list(self._classes)
-
-    def lookup(self, lemma: str) -> frozenset[int]:
-        return self._classes.get(lemma, frozenset())
-
-
-def load_levin_table(path: str | Path) -> LevinTable:
-    """Load a TSV verb-class file: ``lemma<TAB>comma-separated class ids``.
+def load_levin_table(path: str | Path) -> dict[str, frozenset[int]]:
+    """Load a TSV verb-class file, ``lemma<TAB>comma-separated class ids``,
+    as verb lemma -> set of top-level class ids.
 
     Class ids like "45.4" are truncated to their top level (45) at load; a
     top-level id must be an integer >= 1.
@@ -76,7 +64,7 @@ def load_levin_table(path: str | Path) -> LevinTable:
             classes.setdefault(read.string(lemma, "lemma"), set()).update(ids)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: bad verb-class entry: {exc}") from exc
-    return LevinTable(classes)
+    return {lemma: frozenset(ids) for lemma, ids in classes.items()}
 
 
 def pos_path(context: Sequence[TokenAnnotation]) -> str:
@@ -117,7 +105,7 @@ def featurize(
     instances: Sequence[RelationInstance],
     freq: FrequencyTable,
     table: EmbeddingTable,
-    levin: LevinTable,
+    levin: dict[str, frozenset[int]],
     threshold: int,
 ) -> tuple[list[set[Key]], np.ndarray]:
     """The boolean key set of each instance and their (n, 3 * dim) unscaled
@@ -138,7 +126,7 @@ def featurize(
         for tok in filter_context(full, freq, threshold):
             keys.add(("bow", tok.lemma))
             keys.add(("pos", tok.pos))
-            keys.update(("lc", str(class_id)) for class_id in levin.lookup(tok.lemma))
+            keys.update(("lc", str(class_id)) for class_id in levin.get(tok.lemma, ()))
         start_vals = _entity_values(inst.start_tokens)
         end_vals = _entity_values(inst.end_tokens)
         keys.update(("ents", v) for v in start_vals | end_vals)

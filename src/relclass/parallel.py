@@ -23,8 +23,6 @@ from typing import Any, Callable, Iterator, Sequence
 # links: its own wheels' scipy_openblas64_, and system builds with 32- or
 # 64-bit integers
 _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", ""), ("openblas", "64_"))
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def worker_count(n_tasks: int) -> int:
@@ -66,20 +64,6 @@ def _openblas_thread_calls():
             set_.argtypes, set_.restype = [ctypes.c_int], None
             return get, set_
     return None
-
-
-def keep_freed_memory() -> None:
-    """Make glibc's malloc in this process keep the memory it frees for
-    reuse: it neither trims the heap nor maps large blocks (up to 32 MiB,
-    its limit) one by one. A process that allocates and frees the same
-    large arrays over and over then stops faulting their pages in anew each
-    time. Process-wide and permanent: only for worker processes that exit
-    when their job ends. Elsewhere than glibc, nothing changes."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 @contextmanager
@@ -193,7 +177,6 @@ def _serve(state: Any, conn, parent_conns: list) -> None:
         end.close()
     # an interrupt is the parent's to handle: it ends the workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    keep_freed_memory()
     try:
         while True:
             fn, task = conn.recv()

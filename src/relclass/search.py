@@ -41,15 +41,6 @@ class SearchSpace:
             if lo > hi:
                 raise ValueError(f"{name}: min {lo} exceeds max {hi}")
 
-    def contains(self, hyper: Hyperparams) -> bool:
-        return (
-            self.num_filters[0] <= hyper.num_filters <= self.num_filters[1]
-            and self.filter_width[0] <= hyper.filter_width <= self.filter_width[1]
-            and self.rnn_units[0] <= hyper.rnn_units <= self.rnn_units[1]
-            and self.dropout_rate[0] <= hyper.dropout_rate <= self.dropout_rate[1]
-            and self.l2_scale[0] <= hyper.l2_scale <= self.l2_scale[1]
-        )
-
 
 @dataclass(frozen=True)
 class TrialResult:

@@ -44,7 +44,6 @@ from .evaluation import stratified_fold_indices
 from .features import (
     FeatureSpace,
     Key,
-    LevinTable,
     MinMaxScaler,
     build_feature_space,
     featurize,
@@ -77,35 +76,26 @@ class PackedFeatures:
     def __len__(self) -> int:
         return self.dense.shape[0]
 
-    def subset(self, idx: np.ndarray) -> "PackedFeatures":
-        """The rows at the integer indices ``idx``, in that order."""
-        lengths = np.diff(self.ptr)[idx]
-        ptr = _row_offsets(lengths)
-        # new entry k sits at old position k + (old start - new start) of its row
-        shift = np.repeat(self.ptr[idx] - ptr[:-1], lengths)
-        return PackedFeatures(self.cols[shift + np.arange(ptr[-1])], ptr, self.dense[idx])
-
     def bool_index_lists(self) -> list[list[int]]:
         cols, bounds = self.cols.tolist(), self.ptr.tolist()
         return [cols[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
-
-
-def _row_offsets(lengths: Sequence[int]) -> np.ndarray:
-    """CSR row pointer of rows with the given lengths: 0, then running sums."""
-    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ptr[1:])
-    return ptr
 
 
 def packed_from_bool_lists(
     bool_lists: Sequence[Sequence[int]], dense: np.ndarray, space_size: int
 ) -> PackedFeatures:
     """Rows given as strictly increasing boolean column indices in
-    ``[0, space_size)`` plus their dense blocks.
+    ``[0, space_size)`` plus their dense blocks: the one builder of every
+    block of rows (``pack_rows``, the model's SV block, the model loader).
 
     All rows are checked together; the error names the first row whose
     entries are not integers, else the first row with a column out of range
-    or out of order.
+    or out of order. ``pack_rows`` and the SV block pass int64 arrays and the
+    loader reads each column as an integer; the per-row integer check is for
+    direct callers, such as tests that pass Python lists. Without it numpy
+    would silently cast a bool row to 0/1 and turn every column into a float
+    for a float row, and a string row would fail with numpy's own error,
+    which names no row.
     """
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or len(dense) != len(bool_lists):
@@ -122,7 +112,9 @@ def packed_from_bool_lists(
     bad[1:] |= (cols[1:] <= cols[:-1]) & (row_of[1:] == row_of[:-1])
     if bad.any():
         raise _bad_row(int(row_of[bad.argmax()]), space_size)
-    return PackedFeatures(cols=cols, ptr=_row_offsets(lengths), dense=dense)
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)  # CSR row pointer: 0, then running sums
+    np.cumsum(lengths, out=ptr[1:])
+    return PackedFeatures(cols=cols, ptr=ptr, dense=dense)
 
 
 def _bad_row(i: int, space_size: int) -> ValueError:
@@ -458,7 +450,7 @@ class SvmModel(modelio.Classifier):
     scaler: MinMaxScaler
     freq: FrequencyTable
     freq_threshold: int
-    levin: LevinTable
+    levin: dict[str, frozenset[int]]
     table: EmbeddingTable
     C: float
     gamma: float
@@ -568,7 +560,7 @@ def fit_pair(inputs: PairInputs, pair_no: int, i: int, j: int) -> tuple[PairMode
 def train_multiclass(
     train: Sequence[RelationInstance],
     table: EmbeddingTable,
-    levin: LevinTable,
+    levin: dict[str, frozenset[int]],
     C: float = 100.0,
     gamma: float = 0.001,
     freq_threshold: int = FREQ_THRESHOLD,
@@ -619,7 +611,8 @@ def train_multiclass(
     }
     return SvmModel(
         pair_models=pair_models,
-        sv=packed.subset(union),
+        sv=packed_from_bool_lists([space.indices(key_sets[i]) for i in union],
+                                  packed.dense[union], len(space)),
         space=space,
         scaler=scaler,
         freq=freq,
@@ -656,7 +649,7 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
     fields = {
         "C": model.C,
         "gamma": model.gamma,
-        "levin": {lemma: sorted(model.levin.lookup(lemma)) for lemma in sorted(model.levin.lemmas())},
+        "levin": {lemma: sorted(ids) for lemma, ids in sorted(model.levin.items())},
         "space": [list(key) for key in model.space.keys()],
         "scaler": {
             "min": model.scaler.mins,
@@ -682,8 +675,8 @@ def _build_svm_model(payload: dict, **common) -> SvmModel:
     width = 3 * common["table"].dim
     if sv.dense.shape[1] != width or scaler.mins.shape != (width,):
         raise ValueError(f"sv_dense and the scaler min/max must be {width} wide (3 x embedding dim)")
-    levin = {lemma: [read.integer(i, f"levin class of {lemma!r}", 1)
-                     for i in read.array(ids, f"levin classes of {lemma!r}")]
+    levin = {lemma: frozenset(read.integer(i, f"levin class of {lemma!r}", 1)
+                              for i in read.array(ids, f"levin classes of {lemma!r}"))
              for lemma, ids in read.object(payload["levin"], "levin").items()}
     pairs = read.array(payload["pairs"], "pairs")
     if not pairs:
@@ -714,7 +707,7 @@ def _build_svm_model(payload: dict, **common) -> SvmModel:
         sv=sv,
         space=space,
         scaler=scaler,
-        levin=LevinTable(levin),
+        levin=levin,
         C=read.number(payload["C"], "C", "> 0"),
         gamma=read.number(payload["gamma"], "gamma", "> 0"),
         **common,

@@ -1,5 +1,6 @@
 """Shared fixtures and small builders for the test suite."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -82,6 +83,13 @@ def force_cpus(monkeypatch, n):
     class pairs in n forked workers, conv-LSTM training its batch shards in
     min(n, 2) where the BLAS thread count can be set (1: in this process)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def in_space(space, hyper) -> bool:
+    """Whether each searched hyperparameter of ``hyper`` lies in its
+    inclusive range of ``space``."""
+    return all(lo <= getattr(hyper, name) <= hi
+               for name, (lo, hi) in dataclasses.asdict(space).items())
 
 
 def uneven_corpus():

@@ -779,6 +779,37 @@ def test_unset_settings_take_the_library_defaults(command):
     assert cfg.learning_rate == clstm.Hyperparams().learning_rate
 
 
+def test_config_settings_keep_their_keys_kinds_and_defaults():
+    # in order: tests/test_malformed_inputs.py samples config keys by seeded position
+    hyper = clstm.Hyperparams
+    expected = [
+        *((key, str, None) for key in ("train", "corpus", "gold", "predictions", "model",
+                                       "model_file", "embeddings", "levin", "out", "report",
+                                       "trial_log")),
+        ("seed", int, 0),
+        ("k", int, _default(evaluation.cross_validate, "k")),
+        ("n_trials", int, 20),
+        ("fraction", float, _default(search.random_search, "fraction")),
+        ("freq_threshold", int, corpus.FREQ_THRESHOLD),
+        ("C", float, _default(svm.train_multiclass, "C")),
+        ("gamma", float, _default(svm.train_multiclass, "gamma")),
+        ("num_filters", int, hyper.num_filters),
+        ("filter_width", int, hyper.filter_width),
+        ("rnn_units", int, hyper.rnn_units),
+        ("dropout", float, hyper.dropout_rate),
+        ("l2", float, hyper.l2_scale),
+        ("batch_size", int, hyper.batch_size),
+        ("epochs", int, hyper.epochs),
+        ("learning_rate", float, hyper.learning_rate),
+        ("stride", int, hyper.stride),
+    ]
+    defaults = vars(cli.resolve_config(argparse.Namespace()))
+    kinds = [kind for kind, _, _ in cli.SETTINGS.values()]
+    settings = [(key, kind, default) for (key, default), kind in zip(defaults.items(), kinds)]
+    assert settings == expected
+    assert len(expected) == 27
+
+
 def test_config_file_merging(workdir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -10,7 +10,6 @@ from relclass.corpus import RelationInstance, build_lemma_counts, extract_contex
 from relclass.embeddings import EmbeddingTable, load_table
 from relclass.features import (
     NAMESPACES,
-    LevinTable,
     MinMaxScaler,
     build_feature_space,
     featurize,
@@ -105,16 +104,16 @@ def test_pos_path_example_sentence(example_instance):
 
 
 def test_levin_table_fixture(levin):
-    assert levin.lookup("improve") == {45}
-    assert levin.lookup("combine") == {22}
-    assert levin.lookup("zzz") == frozenset()
+    assert levin["improve"] == {45}
+    assert levin["combine"] == {22}
+    assert "zzz" not in levin
 
 
 def test_levin_loader_truncates_subclasses(tmp_path):
     path = tmp_path / "l.tsv"
     path.write_text("run\t51.3.2\nrun\t26\n", encoding="utf-8")
     table = load_levin_table(path)
-    assert table.lookup("run") == {51, 26}
+    assert table["run"] == {51, 26}
 
 
 def test_levin_loader_rejects_bad_rows(tmp_path):
@@ -272,7 +271,7 @@ def test_dense_block_layout():
     inst = make_instance([tok("A", "a"), tok("C", "c"), tok("B", "b")],
                          e1=(0, 0), e2=(2, 2))
     freq = build_lemma_counts([inst])
-    _, dense = featurize([inst, reversed_copy(inst)], freq, AB_TABLE, LevinTable({}), 1)
+    _, dense = featurize([inst, reversed_copy(inst)], freq, AB_TABLE, {}, 1)
     # [context mean | start entity | end entity]; reverse swaps the roles
     assert np.array_equal(dense, [[2.0, 2.0, 1.0, 0.0, 0.0, 1.0],
                                   [2.0, 2.0, 0.0, 1.0, 1.0, 0.0]])
@@ -284,7 +283,7 @@ def test_dense_block_hand_scaled():
     second = make_instance([tok("B", "b"), tok("A", "a"), tok("C", "c")],
                            e1=(0, 0), e2=(2, 2), id="y")
     freq = build_lemma_counts([first, second])
-    _, dense = featurize([first, second], freq, AB_TABLE, LevinTable({}), 1)
+    _, dense = featurize([first, second], freq, AB_TABLE, {}, 1)
     scaler = fit_minmax(dense)
     scaled = scaler.apply(dense[0])
     # col 0: train {2,1} -> 2 maps to 1; col 2: train {1,0} -> 1 maps to 1, etc.

@@ -15,14 +15,15 @@ A byte that is not UTF-8 in a file of a line format must exit 2 too, naming
 the file and the line the byte stands on.
 """
 
+import argparse
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import pytest
 
-from relclass.cli import RunConfig, fixture_path, main
+from relclass.cli import fixture_path, main, resolve_config
 from relclass.corpus import write_corpus
 from relclass.embeddings import save_table
 from relclass.synthetic import make_corpus, make_embedding_table
@@ -37,10 +38,12 @@ MODEL_PATHS_SAMPLED = 20
 CONFIG_KEYS_SAMPLED = 12
 SEED = 16
 
-# fields that may be null: the corpus label, and every path setting of the
-# config file (a str | None annotation of RunConfig)
+# every config key and its default, in order
+CONFIG_DEFAULTS = vars(resolve_config(argparse.Namespace()))
+# fields that may be null: the corpus label, and every config setting whose
+# default is null (a path or the model kind)
 NULLABLE = {("corpus", ("label",))} | {
-    ("config", (key,)) for key, value in asdict(RunConfig()).items() if value is None
+    ("config", (key,)) for key, value in CONFIG_DEFAULTS.items() if value is None
 }
 
 
@@ -170,7 +173,7 @@ def formats(tmp_path_factory):
                 "--levin", str(verbs), "--freq-threshold", "1", "--out", out]
 
     config = {key: "unread.txt" if value is None else value
-              for key, value in asdict(RunConfig()).items()}
+              for key, value in CONFIG_DEFAULTS.items()}
     config["model"] = "svm"
     return {
         "svm": json_format("svm", read_json(root / "svm.json"), predict,

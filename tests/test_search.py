@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, tok
+from conftest import in_space, make_instance, tok
 from relclass.clstm import Hyperparams
 from relclass.corpus import LABELS
 from relclass.search import (
@@ -42,13 +42,13 @@ def test_space_defaults_and_validation():
 def test_selected_config_is_in_default_space():
     selected = Hyperparams(num_filters=384, filter_width=3, rnn_units=93,
                            dropout_rate=0.23, l2_scale=0.79)
-    assert SearchSpace().contains(selected)
+    assert in_space(SearchSpace(), selected)
 
 
 def test_space_rejects_out_of_range_config():
-    assert not SearchSpace().contains(Hyperparams(num_filters=501))
-    assert not SearchSpace().contains(Hyperparams(filter_width=6))
-    assert not SearchSpace().contains(Hyperparams(rnn_units=8))
+    assert not in_space(SearchSpace(), Hyperparams(num_filters=501))
+    assert not in_space(SearchSpace(), Hyperparams(filter_width=6))
+    assert not in_space(SearchSpace(), Hyperparams(rnn_units=8))
 
 
 def test_split_fraction_zero_keeps_everything():
@@ -137,7 +137,7 @@ def test_sample_config_covers_space():
     widths = set()
     for t in range(1000):
         hyper = sample_config(space, rng, seed=t)
-        assert space.contains(hyper)
+        assert in_space(space, hyper)
         widths.add(hyper.filter_width)
     assert widths == {2, 3, 4, 5}
 
@@ -155,7 +155,7 @@ def small_search():
 def test_random_search_result_shape(small_search):
     _, _, space, best, results = small_search
     assert len(results) == 3
-    assert all(space.contains(r.hyper) for r in results)
+    assert all(in_space(space, r.hyper) for r in results)
     assert all(r.hyper.epochs == 3 for r in results)
     assert all(r.wall_time > 0 for r in results)
     best_macro = max(r.macro_f1 for r in results)

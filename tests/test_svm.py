@@ -324,8 +324,11 @@ def test_pair_decisions_through_shared_block_match_own_rows(svm_model):
     corpus, model = svm_model
     x = model._pack(corpus[:60])
     K = kernel_matrix(x, model.sv, model.gamma)
+    sv_rows = model.sv.bool_index_lists()
     for pair in model.pair_models.values():
-        own = kernel_matrix(x, model.sv.subset(pair.svm.sv), model.gamma)
+        own_rows = packed_from_bool_lists([sv_rows[i] for i in pair.svm.sv],
+                                          model.sv.dense[pair.svm.sv], len(model.space))
+        own = kernel_matrix(x, own_rows, model.gamma)
         np.testing.assert_allclose(
             K[:, pair.svm.sv] @ pair.svm.coef + pair.svm.b,
             own @ pair.svm.coef + pair.svm.b,
@@ -472,14 +475,11 @@ def test_kernel_matches_dense_reference_on_model_rows(svm_model):
         assert np.array_equal(kernel_matrix(x, z, model.gamma), np.exp(-model.gamma * d2))
 
 
-def test_packed_rows_layout_and_subset():
+def test_packed_rows_layout():
     rows = [[2], [0, 1], [], [1, 4]]
     packed = packed_from_bool_lists(rows, np.arange(4.0)[:, None], 5)
     assert packed.cols.dtype == np.int64 and packed.cols.tolist() == [2, 0, 1, 1, 4]
     assert packed.ptr.tolist() == [0, 1, 3, 3, 5]
-    sub = packed.subset(np.array([3, 2, 0, 3]))
-    assert sub.bool_index_lists() == [[1, 4], [], [2], [1, 4]]
-    assert sub.dense[:, 0].tolist() == [3.0, 2.0, 0.0, 3.0]
     empty = packed_from_bool_lists([[], []], np.zeros((2, 0)), 0)
     assert empty.cols.dtype == np.int64 and empty.ptr.tolist() == [0, 0, 0]
 
