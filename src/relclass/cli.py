@@ -185,8 +185,6 @@ def cmd_train(cfg: argparse.Namespace) -> int:
             {
                 "first": pair.first.value,
                 "second": pair.second.value,
-                "n_iter": pair.svm.n_iter,
-                "converged": pair.svm.converged,
                 "support_vectors": len(pair.svm.sv),
                 "A": pair.calibrator.A,
                 "B": pair.calibrator.B,

@@ -156,8 +156,8 @@ def build_batch(
             )
             seq = seq[:l_max]
         raw[b, : len(seq)] = [keys.setdefault(key, len(keys)) for key in seq]
-    vectors = np.array([table.lookup(key) if isinstance(key, str) else table.phrase_vector(key)
-                        for key in keys])
+    vectors = np.array([table.lookup(key) if isinstance(key, str)
+                        else table.phrase_vector([tok.lemma for tok in key]) for key in keys])
     nonzero = vectors.any(axis=1)
     n_cols = int(nonzero.sum())
     # the bank row of each key, the zero row for a zero vector, and (last) of padding

@@ -18,12 +18,11 @@ import logging
 import os
 import zipfile
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import read
-from .corpus import TokenAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -37,37 +36,21 @@ class EmbeddingFormatError(ValueError):
 class EmbeddingTable:
     """Immutable token -> vector map with a fixed dimensionality.
 
-    The vectors are the rows of one read-only (V + 1, dim) float64 matrix, in
-    the order the mapping (or ``from_rows``) gives the tokens; a dict maps
-    each token to its row. The last row is zero: every out-of-vocabulary
-    token maps to it (row -1).
-    ``name`` is a provenance label (defaults to the source file stem).
+    The vectors are one read-only (V + 1, dim) float64 matrix: ``rows``, one
+    per token of ``tokens``, copied once, then a zero row, which every
+    out-of-vocabulary token maps to (row -1). ``name`` is a provenance label
+    (``load_table`` gives the file stem).
     """
 
-    def __init__(
-        self,
-        vectors: Mapping[str, np.ndarray] | Mapping[str, Sequence[float]],
-        name: str = "",
-    ):
-        if not vectors:
-            raise EmbeddingFormatError("embedding table must be nonempty")
+    def __init__(self, tokens: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]],
+                 name: str = ""):
         try:
-            rows = np.array(list(vectors.values()), dtype=np.float64)
+            rows = np.asarray(rows, dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(f"vectors are not one float matrix: {exc}") from exc
-        self._adopt(vectors, rows, name)
-
-    @classmethod
-    def from_rows(cls, tokens: Sequence[str], rows: np.ndarray, name: str = "") -> EmbeddingTable:
-        """The table whose ``tokens`` have the vectors ``rows``, a (V, dim)
-        float64 matrix, copied once into the table's own."""
-        table = cls.__new__(cls)
-        table._adopt(tokens, rows, name)
-        return table
-
-    def _adopt(self, tokens, rows: np.ndarray, name: str) -> None:
-        if rows.ndim != 2 or rows.shape[1] == 0:
-            raise EmbeddingFormatError(f"vectors must be nonempty and 1-d, not {rows.shape[1:]}")
+        if not len(tokens) or rows.ndim != 2 or rows.shape[1] == 0 or len(rows) != len(tokens):
+            raise EmbeddingFormatError(f"embedding table must be nonempty, one nonempty 1-d vector "
+                                       f"per token: {len(tokens)} tokens, vectors {rows.shape}")
         self.name = name
         self.dim = rows.shape[1]
         self._matrix = np.concatenate([rows, np.zeros((1, self.dim))])
@@ -84,13 +67,13 @@ class EmbeddingTable:
         """Vector for ``token``; the zero vector when out of vocabulary."""
         return self._matrix[self._rows.get(token, -1)]
 
-    def phrase_vector(self, tokens: Sequence[TokenAnnotation]) -> np.ndarray:
-        """Mean of the lemma vectors of ``tokens``.
+    def phrase_vector(self, lemmas: Sequence[str]) -> np.ndarray:
+        """Mean of the vectors of ``lemmas``.
 
         Out-of-vocabulary lemmas contribute zero vectors but still count in
-        the denominator. An empty token sequence yields the zero vector.
+        the denominator. An empty sequence yields the zero vector.
         """
-        rows = [self._rows.get(tok.lemma, -1) for tok in tokens]
+        rows = [self._rows.get(lemma, -1) for lemma in lemmas]
         return self._matrix[rows].sum(axis=0) / max(len(rows), 1)
 
 
@@ -223,7 +206,7 @@ def load_table(path: str | Path) -> EmbeddingTable:
         )
     if cached is None:
         _store_matrix(digest, matrix)
-    return EmbeddingTable.from_rows(list(tokens), matrix, name=path.stem)
+    return EmbeddingTable(list(tokens), matrix, name=path.stem)
 
 
 def save_table(table: EmbeddingTable, path: str | Path) -> None:

@@ -101,6 +101,21 @@ def similarity_bucket(c: float) -> str:
     return "q100"
 
 
+def dense_lemmas(instances: Sequence[RelationInstance]) -> list[tuple[list[str], ...]]:
+    """Each instance's full-context, start-entity and end-entity lemma lists."""
+    return [tuple([tok.lemma for tok in part]
+                  for part in (extract_context(inst), inst.start_tokens, inst.end_tokens))
+            for inst in instances]
+
+
+def dense_block(rows: Sequence[Sequence[Sequence[str]]], table: EmbeddingTable) -> np.ndarray:
+    """The (n, 3 * dim) unscaled dense block of rows given as lemma lists
+    (``dense_lemmas``), row i [context mean | start entity | end entity]: the
+    one builder of every dense row, of training, query and support vector."""
+    dense = np.array([[table.phrase_vector(part) for part in lemmas] for lemmas in rows])
+    return dense.reshape(len(rows), 3 * table.dim)
+
+
 def featurize(
     instances: Sequence[RelationInstance],
     freq: FrequencyTable,
@@ -109,16 +124,16 @@ def featurize(
     threshold: int,
 ) -> tuple[list[set[Key]], np.ndarray]:
     """The boolean key set of each instance and their (n, 3 * dim) unscaled
-    dense block, row i [context mean | start entity | end entity].
+    dense block (``dense_block``).
 
     bow/pos/lc come from the frequency-filtered context, pospath/dist from
     the full context (the path and its length describe the raw gap). The
     entity strings (lowercased surface, plus the head noun of multi-token
     nominals) go under ents and, by role, under startEnt/endEnt; sim100 is the
-    truncated cosine of the e1 and e2 phrase vectors and simb its bucket.
+    truncated cosine of the two entity vectors and simb its bucket.
     """
     dim = table.dim
-    dense = np.empty((len(instances), 3 * dim))
+    dense = dense_block(dense_lemmas(instances), table)
     key_sets = []
     for inst, row in zip(instances, dense):
         full = extract_context(inst)
@@ -132,14 +147,10 @@ def featurize(
         keys.update(("ents", v) for v in start_vals | end_vals)
         keys.update(("startEnt", v) for v in start_vals)
         keys.update(("endEnt", v) for v in end_vals)
-        e1 = table.phrase_vector(inst.e1_tokens)
-        e2 = table.phrase_vector(inst.e2_tokens)
-        c = cosine(e1, e2)
+        c = cosine(row[dim:2 * dim], row[2 * dim:])
         keys.add(("sim100", similarity_value(c)))
         keys.add(("simb", similarity_bucket(c)))
         key_sets.append(keys)
-        row[:dim] = table.phrase_vector(full)
-        row[dim:2 * dim], row[2 * dim:] = (e2, e1) if inst.reverse else (e1, e2)
     return key_sets, dense
 
 

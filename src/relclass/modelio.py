@@ -8,10 +8,9 @@ bit. Every model file starts from the same header (``format``, ``version``,
 its own fields. Files are written atomically: readers see the old file or the
 whole new one, never a partial write.
 
-Both kinds are at format version 2, in which an SVM file stores its support
-vectors once (top-level ``sv_bool``/``sv_dense``) and each pair only the
-indices of its rows in that block (``sv``) next to its ``coef``. Files of
-any other version are rejected; there is no reader for version 1.
+Each format has one version (``VERSIONS``): 3 for SVM files, whose support
+vectors are stored as lemma lists (``svm``), 2 for conv-LSTM files. Files of
+any other version are rejected; there is no reader for older versions.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from .embeddings import EmbeddingTable
 
 log = logging.getLogger(__name__)
 
-VERSION = 2
+# the one version of each model format that is written and read
+VERSIONS = {"relclass-svm": 3, "relclass-clstm": 2}
 
 
 class ModelFormatError(ValueError):
@@ -148,7 +148,7 @@ def save_model(model: Any, model_format: str, fields: dict, path: str | Path) ->
     """Write the shared header of ``model`` plus its own ``fields``."""
     header = {
         "format": model_format,
-        "version": VERSION,
+        "version": VERSIONS[model_format],
         "labels": [label.value for label in LABELS],
         "embedding": {"name": model.table.name, "dim": model.table.dim},
         "freq": dict(sorted(model.freq.items())),
@@ -177,8 +177,8 @@ def load_model(
     try:
         if payload.get("format") != model_format:
             raise ValueError(f"expected format {model_format!r}, got {payload.get('format')!r}")
-        if read.integer(payload.get("version"), "version") != VERSION:
-            raise ValueError(f"unsupported version {payload['version']}")
+        if read.integer(payload.get("version"), "version") != VERSIONS[model_format]:
+            raise ValueError(f"unsupported version {payload['version']} of {model_format}")
         if payload["labels"] != [label.value for label in LABELS]:
             raise ValueError("unexpected label list")
         emb = read.object(payload["embedding"], "embedding")

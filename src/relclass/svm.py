@@ -8,9 +8,11 @@ classes (quadratic pairwise-coupling objective, fixed-point solve) and the
 argmax wins.
 
 As in LIBSVM, the model stores each support-vector row once, in one block
-shared by all pairs (``sv_bool``/``sv_dense`` in the version-2 model file);
-a pair keeps only the sorted indices of its rows in that block, with one
-dual coefficient per index. Prediction computes one kernel block against it.
+shared by all pairs; a pair keeps only the sorted indices of its rows in
+that block, with one dual coefficient per index. Prediction computes one
+kernel block against it. The model file stores a row's dense part as its
+lemma lists, rebuilt at load by ``features.dense_block`` and checked
+against the SHA-256 of the trained rows.
 
 Written on numpy alone. As in LIBSVM, a row keeps its boolean features as a
 sorted list of feature-space columns (all rows of a block in one CSR-style
@@ -26,6 +28,7 @@ deterministic, so the model is the same whatever the number of workers.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
 import math
@@ -46,6 +49,8 @@ from .features import (
     Key,
     MinMaxScaler,
     build_feature_space,
+    dense_block,
+    dense_lemmas,
     featurize,
     fit_minmax,
     parse_feature_space,
@@ -289,8 +294,6 @@ class BinarySvmModel:
     sv: np.ndarray
     coef: np.ndarray  # alpha_i * y_i, aligned with sv
     b: float
-    n_iter: int
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +306,8 @@ class SigmoidCalibrator:
     A: float
     B: float
 
-    def predict(self, scores: np.ndarray | float) -> np.ndarray | float:
-        out = _logistic(self.A * np.asarray(scores, dtype=np.float64) + self.B)
-        return float(out) if np.isscalar(scores) else out
+    def predict(self, scores: np.ndarray) -> np.ndarray:
+        return _logistic(self.A * np.asarray(scores, dtype=np.float64) + self.B)
 
 
 def _logistic(fapb: np.ndarray) -> np.ndarray:
@@ -442,10 +444,12 @@ class PairModel:
 @dataclass(frozen=True)
 class SvmModel(modelio.Classifier):
     """Trained one-vs-one SVM plus everything prediction needs. ``sv`` holds
-    each pair's support vectors once, in training-row order."""
+    each pair's support vectors once, in training-row order (``sv_lemmas``:
+    the lemma lists of their dense rows)."""
 
     pair_models: dict[tuple[int, int], PairModel]
     sv: PackedFeatures
+    sv_lemmas: list[tuple[list[str], ...]]
     space: FeatureSpace
     scaler: MinMaxScaler
     freq: FrequencyTable
@@ -455,8 +459,8 @@ class SvmModel(modelio.Classifier):
     C: float
     gamma: float
     # how training went, for the train report only: ``workers`` and, per
-    # trained pair, the calibration folds' diagnostics and the fit's wall
-    # time. Not saved, so a loaded model has none.
+    # trained pair, ``fit_pair``'s diagnostics. Not saved, so a loaded model
+    # has none.
     fit_report: dict = field(default_factory=dict, compare=False)
 
     def _pack(self, instances: Sequence[RelationInstance]) -> PackedFeatures:
@@ -540,7 +544,7 @@ def fit_pair(inputs: PairInputs, pair_no: int, i: int, j: int) -> tuple[PairMode
     alpha, b, n_iter, converged = smo_solve(K_sub, y, inputs.C)
     sv_local = np.flatnonzero(alpha > 0)
     sv_local = sv_local[np.argsort(sub[sv_local])]
-    binary = BinarySvmModel(sub[sv_local], (alpha * y)[sv_local], b, n_iter, converged)
+    binary = BinarySvmModel(sub[sv_local], (alpha * y)[sv_local], b)
     calibration = _calibration_scores(K_sub, y, inputs.C, seed_key=[inputs.seed, pair_no])
     if calibration is None:
         log.info("calibration: too few per-class points for folds, using training scores")
@@ -549,6 +553,8 @@ def fit_pair(inputs: PairInputs, pair_no: int, i: int, j: int) -> tuple[PairMode
         scores, fits = calibration
     calibrator = fit_sigmoid(scores, y.astype(int))
     diagnostics = {
+        "n_iter": n_iter,
+        "converged": converged,
         "folds": len(fits),
         "fold_iters": sum(n for n, _ in fits),
         "folds_converged": sum(ok for _, ok in fits),
@@ -611,8 +617,9 @@ def train_multiclass(
     }
     return SvmModel(
         pair_models=pair_models,
-        sv=packed_from_bool_lists([space.indices(key_sets[i]) for i in union],
+        sv=packed_from_bool_lists([packed.cols[packed.ptr[i]:packed.ptr[i + 1]] for i in union],
                                   packed.dense[union], len(space)),
+        sv_lemmas=dense_lemmas([labeled[i] for i in union]),
         space=space,
         scaler=scaler,
         freq=freq,
@@ -641,8 +648,6 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
             "B": pair.calibrator.B,
             "coef": pair.svm.coef,
             "sv": pair.svm.sv.tolist(),
-            "n_iter": pair.svm.n_iter,
-            "converged": pair.svm.converged,
         }
         for _, pair in sorted(model.pair_models.items())
     ]
@@ -656,25 +661,35 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
             "max": model.scaler.maxs,
         },
         "sv_bool": model.sv.bool_index_lists(),
-        "sv_dense": model.sv.dense,
+        "sv_lemmas": model.sv_lemmas,
+        "sv_digest": _digest(model.sv.dense),
         "pairs": pairs,
     }
     modelio.save_model(model, SVM_FORMAT, fields, path)
 
 
+def _digest(dense: np.ndarray) -> str:
+    """SHA-256 of a dense block's little-endian float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(dense, dtype="<f8")).hexdigest()
+
+
 def _build_svm_model(payload: dict, **common) -> SvmModel:
+    table = common["table"]
     space = parse_feature_space(payload["space"])
     scaler = read.object(payload["scaler"], "scaler")
     scaler = MinMaxScaler(modelio.decode_array(scaler["min"], "scaler min"),
                           modelio.decode_array(scaler["max"], "scaler max"))
     bool_rows = [[read.integer(col, "sv_bool column") for col in read.array(row, "sv_bool row")]
                  for row in read.array(payload["sv_bool"], "sv_bool")]
-    sv = packed_from_bool_lists(
-        bool_rows, modelio.decode_array(payload["sv_dense"], "sv_dense"), len(space)
-    )
-    width = 3 * common["table"].dim
-    if sv.dense.shape[1] != width or scaler.mins.shape != (width,):
-        raise ValueError(f"sv_dense and the scaler min/max must be {width} wide (3 x embedding dim)")
+    sv_lemmas = [tuple([read.string(lemma, "sv_lemmas lemma", empty=True)
+                        for lemma in read.array(part, "sv_lemmas list")]
+                       for part in read.array(row, "sv_lemmas row", 3))
+                 for row in read.array(payload["sv_lemmas"], "sv_lemmas")]
+    sv = packed_from_bool_lists(bool_rows, scaler.apply(dense_block(sv_lemmas, table)),
+                                len(space))
+    if _digest(sv.dense) != read.string(payload["sv_digest"], "sv_digest"):
+        raise ValueError(f"sv_digest: the support vectors rebuilt from embedding table "
+                         f"{table.name!r} are not the trained ones (another table?)")
     levin = {lemma: frozenset(read.integer(i, f"levin class of {lemma!r}", 1)
                               for i in read.array(ids, f"levin classes of {lemma!r}"))
              for lemma, ids in read.object(payload["levin"], "levin").items()}
@@ -698,13 +713,12 @@ def _build_svm_model(payload: dict, **common) -> SvmModel:
             raise ValueError(f"{name}: sv must be row indices, one per coef")
         if np.any(rows >= len(sv)) or np.any(np.diff(rows) <= 0):
             raise ValueError(f"{name}: sv must be increasing rows of the {len(sv)}-row SV block")
-        n_iter = read.integer(entry["n_iter"], f"{name} n_iter", 0)
-        binary = BinarySvmModel(rows, coef, b, n_iter,
-                                read.boolean(entry["converged"], f"{name} converged"))
-        pair_models[key] = PairModel(first, second, binary, SigmoidCalibrator(A=A, B=B))
+        pair_models[key] = PairModel(first, second, BinarySvmModel(rows, coef, b),
+                                     SigmoidCalibrator(A=A, B=B))
     return SvmModel(
         pair_models=pair_models,
         sv=sv,
+        sv_lemmas=sv_lemmas,
         space=space,
         scaler=scaler,
         levin=levin,

@@ -38,20 +38,14 @@ def make_embedding_table(seed: int = 13) -> EmbeddingTable:
     """Keywords get orthogonal directions on the first axes; everything else
     lives in the remaining dimensions with small random components."""
     rng = np.random.default_rng(seed)
-    vectors: dict[str, np.ndarray] = {}
-    for i, label in enumerate(LABELS):
-        vec = np.zeros(EMBED_DIM)
-        vec[i] = 4.0
-        vectors[KEYWORDS[label]] = vec
-    for lemma, _ in FILLERS:
-        vec = np.zeros(EMBED_DIM)
-        vec[len(LABELS) :] = rng.normal(0.0, 0.3, EMBED_DIM - len(LABELS))
-        vectors[lemma] = vec
-    for lemma in ENTITIES:
-        vec = np.zeros(EMBED_DIM)
-        vec[len(LABELS) :] = rng.normal(0.0, 0.5, EMBED_DIM - len(LABELS))
-        vectors[lemma] = vec
-    return EmbeddingTable(vectors, name="synthetic-50d")
+    tokens = [KEYWORDS[label] for label in LABELS]
+    rows = [4.0 * np.eye(EMBED_DIM)[i] for i in range(len(LABELS))]
+    for lemmas, scale in (([lemma for lemma, _ in FILLERS], 0.3), (ENTITIES, 0.5)):
+        for lemma in lemmas:
+            tokens.append(lemma)
+            rows.append(np.concatenate([np.zeros(len(LABELS)),
+                                        rng.normal(0.0, scale, EMBED_DIM - len(LABELS))]))
+    return EmbeddingTable(tokens, rows, name="synthetic-50d")
 
 
 def make_corpus(

@@ -143,7 +143,7 @@ def example_instance():
 
 @pytest.fixture
 def toy_table():
-    return EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0]}, name="toy")
+    return EmbeddingTable(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], name="toy")
 
 
 @pytest.fixture(scope="session")

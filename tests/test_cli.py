@@ -18,7 +18,7 @@ from conftest import failing_smo, force_cpus, uneven_corpus
 from relclass import cli, clstm, corpus, evaluation, search, svm
 from relclass.cli import build_parser, fixture_path, main
 from relclass.corpus import LABELS, write_corpus
-from relclass.embeddings import save_table
+from relclass.embeddings import EmbeddingTable, load_table, save_table
 from relclass.modelio import decode_array
 from relclass.synthetic import make_corpus, make_embedding_table
 
@@ -233,7 +233,7 @@ def _drop_pair_coef(payload):
 
 
 def _pair_sv_past_block(payload):
-    payload["pairs"][0]["sv"][-1] = payload["sv_dense"]["shape"][0]
+    payload["pairs"][0]["sv"][-1] = len(payload["sv_bool"])
     return payload
 
 
@@ -263,8 +263,18 @@ def _tensor_json(arr):
     return {"data": data, "dtype": "<f8", "shape": list(arr.shape)}
 
 
-def _sv_dense_column_short(payload):
-    payload["sv_dense"] = _tensor_json(decode_array(payload["sv_dense"], "sv_dense")[:, :-1])
+def _sv_lemmas_row_of_two_lists(payload):
+    payload["sv_lemmas"][0].pop()
+    return payload
+
+
+def _sv_lemma_number(payload):
+    next(part for row in payload["sv_lemmas"] for part in row if part)[0] = 5
+    return payload
+
+
+def _drop_sv_lemmas_row(payload):
+    payload["sv_lemmas"].pop()
     return payload
 
 
@@ -386,14 +396,14 @@ def _set_embedding_name(value):
     ("svm", lambda payload: {**payload, "version": 1}),
     ("svm", _sv_bool_column_past_space),
     ("svm", _sv_bool_duplicate_column),
-    ("svm", _sv_dense_column_short),
+    ("svm", _drop_sv_lemmas_row),
     ("clstm", _add_hyper_key),
     ("clstm", _drop("freq")),
     ("clstm", _conv_w_column_short),
     ("clstm", _set_hyper("rnn_units", 5)),
     ("clstm", lambda payload: {**payload, "l_max": 1}),
     ("clstm", lambda payload: {**payload, "l_max": str(payload["l_max"])}),
-    ("svm", lambda payload: {**payload, "sv_dense": [1, 2]}),
+    ("svm", _set("sv_lemmas", {})),
     ("clstm", _set_param("conv_b", None)),
     ("clstm", _rnn_units_as_float),
     ("clstm", _set_hyper("batch_size", True)),
@@ -425,8 +435,6 @@ def _set_embedding_name(value):
     ("svm", _set("pairs", {})),
     ("svm", _set("pairs", [])),
     ("svm", _sv_bool_column_true),
-    ("svm", _set_pair("n_iter", "x")),
-    ("svm", _set_pair("converged", 5)),
     ("svm", _set_embedding_name(5)),
     ("clstm", _set_hyper("stride", 10**30)),
     ("clstm", _set("l_max", 10**30)),
@@ -438,13 +446,18 @@ def _set_embedding_name(value):
     # tensor data with a character outside the base64 alphabet
     ("clstm", _insert_in_data(" ", "params", "conv_b")),
     ("clstm", _insert_in_data("!", "params", "conv_b")),
-    ("svm", _insert_in_data(" ", "sv_dense")),
+    ("svm", _sv_lemma_number),
+    # a row of the SV block that is not three lemma lists, or whose rebuilt
+    # dense part is not the trained one
+    ("svm", _sv_lemmas_row_of_two_lists),
+    ("svm", _set("sv_digest", "0" * 64)),
 ], ids=["svm-missing-coef", "svm-missing-space", "svm-not-an-object",
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
-        "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column", "svm-sv-dense-width",
+        "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column",
+        "svm-sv-lemmas-row-count",
         "clstm-unknown-hyper-key", "clstm-missing-freq", "clstm-conv-w-width",
         "clstm-rnn-units-mismatch", "clstm-l-max-below-filter-width", "clstm-l-max-not-int",
-        "svm-sv-dense-not-object", "clstm-param-null", "clstm-rnn-units-float",
+        "svm-sv-lemmas-not-array", "clstm-param-null", "clstm-rnn-units-float",
         "clstm-batch-size-bool", "svm-space-unsorted", "svm-space-duplicate",
         "svm-space-unknown-namespace",
         "svm-C-zero", "svm-gamma-string", "svm-gamma-negative", "svm-gamma-bool",
@@ -453,11 +466,12 @@ def _set_embedding_name(value):
         "svm-freq-threshold-zero", "svm-freq-count-negative", "svm-freq-count-float",
         "clstm-freq-threshold-string", "clstm-freq-threshold-bool", "clstm-freq-count-bool",
         "svm-levin-string", "svm-levin-id-bool", "svm-levin-id-float", "svm-pairs-object",
-        "svm-pairs-empty", "svm-sv-bool-column-bool", "svm-pair-n-iter-string",
-        "svm-pair-converged-number", "svm-embedding-name-number", "clstm-stride-huge",
+        "svm-pairs-empty", "svm-sv-bool-column-bool", "svm-embedding-name-number",
+        "clstm-stride-huge",
         "clstm-l-max-huge", "clstm-l-max-over-limit", "clstm-l-max-million",
         "clstm-l-max-2-31", "clstm-l-max-2-50", "clstm-conv-b-data-space",
-        "clstm-conv-b-data-bang", "svm-sv-dense-data-space"])
+        "clstm-conv-b-data-bang", "svm-sv-lemmas-lemma-number",
+        "svm-sv-lemmas-row-two-lists", "svm-sv-digest-wrong"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
                                               kind, damage):
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
@@ -486,6 +500,52 @@ def test_predict_names_the_field_of_a_bad_model_file(clstm_model_file, workdir, 
                "--embeddings", str(workdir / "emb.txt"), "--out", str(tmp_path / "pred.jsonl")])
     assert rc == 2
     assert f"{bad}: {field}" in capsys.readouterr().err
+
+
+def _predict(model_file, workdir, out, table=None):
+    return main(["predict", "--model-file", str(model_file),
+                 "--corpus", str(workdir / "train.jsonl"),
+                 "--embeddings", str(table or workdir / "emb.txt"), "--out", str(out)])
+
+
+def test_predict_rejects_a_table_that_changes_a_support_vector(workdir, tmp_path, capsys):
+    model = workdir / "svm-model.json"
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    # the start entity of the first SV row is one lemma, so its vector is
+    # that row's start-entity block; move one of its components to the
+    # middle of the column's training range, where clipping cannot hide it
+    (lemma,) = payload["sv_lemmas"][0][1]
+    table = load_table(workdir / "emb.txt")
+    tokens = table.tokens()
+    rows = np.array([table.lookup(token) for token in tokens])
+    component = len(LABELS)  # an entity's vector is nonzero from here on
+    column = table.dim + component
+    lo, hi = (decode_array(payload["scaler"][end], end)[column] for end in ("min", "max"))
+    row = tokens.index(lemma)
+    middle = (lo + hi) / 2
+    assert lo < middle < hi and middle != rows[row, component]
+    rows[row, component] = middle
+    changed = tmp_path / "changed-table.txt"
+    save_table(EmbeddingTable(tokens, rows), changed)
+    capsys.readouterr()
+    assert _predict(model, workdir, tmp_path / "pred.jsonl", changed) == 2
+    err = capsys.readouterr().err
+    assert f"{model}: sv_digest: " in err and "embedding table 'changed-table'" in err, err
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_version_2_is_read_for_conv_lstm_files_only(workdir, clstm_model_file, tmp_path,
+                                                     capsys):
+    assert json.loads(clstm_model_file.read_text(encoding="utf-8"))["version"] == 2
+    assert _predict(clstm_model_file, workdir, tmp_path / "clstm-pred.jsonl") == 0
+    svm_v2 = tmp_path / "svm-v2.json"
+    payload = json.loads((workdir / "svm-model.json").read_text(encoding="utf-8"))
+    assert payload["version"] == 3
+    svm_v2.write_text(json.dumps({**payload, "version": 2}), encoding="utf-8")
+    capsys.readouterr()
+    assert _predict(svm_v2, workdir, tmp_path / "svm-pred.jsonl") == 2
+    assert f"{svm_v2}: unsupported version 2 of relclass-svm" in capsys.readouterr().err
+    assert not (tmp_path / "svm-pred.jsonl").exists()
 
 
 def test_cli_import_loads_no_scipy():

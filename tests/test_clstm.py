@@ -99,7 +99,7 @@ def dense(batch):
 
 
 def test_build_sequence_entity_only():
-    table = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    table = EmbeddingTable(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
     inst = make_instance([tok("A", "a"), tok("B", "b")], e1=(0, 0), e2=(1, 1))
     freq = build_lemma_counts([inst])
     assert build_sequence(inst, freq, threshold=1) == [inst.start_tokens, inst.end_tokens]
@@ -119,7 +119,7 @@ def test_build_sequence_example_sentence(example_instance, fixture_embeddings_pa
 
 
 def test_build_sequence_respects_reverse():
-    table = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    table = EmbeddingTable(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
     from relclass.corpus import RelationInstance
     toks = (tok("A", "a"), tok("x"), tok("B", "b"))
     fwd = RelationInstance(id="f", tokens=toks, e1=(0, 0), e2=(2, 2),
@@ -133,8 +133,8 @@ def test_build_sequence_respects_reverse():
 
 # a table of 2-d vectors and instances over it: "z" is a zero vector in the
 # table, "q" and "r" are out of vocabulary
-ID_TABLE = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [0.5, -2.0],
-                           "z": [0.0, 0.0]}, name="ids")
+ID_TABLE = EmbeddingTable(["a", "b", "c", "z"], [[1.0, 0.0], [0.0, 1.0], [0.5, -2.0], [0.0, 0.0]],
+                          name="ids")
 
 
 def id_instance(lemmas, i=0, e1=1, e2=1):
@@ -169,8 +169,9 @@ def test_build_batch_entity_columns_are_token_averages():
     insts = [id_instance("a c b a".split(), e1=2, e2=2), id_instance("a c q".split(), 1, e1=2)]
     batch = build_batch(insts, ID_TABLE, build_lemma_counts(insts), 1)
     I = dense(batch)
-    assert np.array_equal(I[0, :, 0], ID_TABLE.phrase_vector(insts[0].start_tokens))
-    assert np.array_equal(I[0, :, 1], ID_TABLE.phrase_vector(insts[0].end_tokens))
+    for column, entity in ((0, insts[0].start_tokens), (1, insts[0].end_tokens)):
+        assert np.array_equal(I[0, :, column],
+                              ID_TABLE.phrase_vector([t.lemma for t in entity]))
     # the same tokens, once in the bank
     assert batch.ids[0, 0] == batch.ids[1, 0]
     # "q" alone is an all-OOV entity
@@ -443,7 +444,7 @@ def test_live_windows_match_dense_reference():
 # a 4-d table for the id path: "z" is zero in it, "q" and "r" are out of
 # vocabulary
 ID_PATH_TABLE = EmbeddingTable(
-    dict(zip("abcdz", np.random.default_rng(31).normal(size=(5, 4)) * [[1], [1], [1], [1], [0]])),
+    list("abcdz"), np.random.default_rng(31).normal(size=(5, 4)) * [[1], [1], [1], [1], [0]],
     name="id-path",
 )
 ID_PATH_INSTANCES = [

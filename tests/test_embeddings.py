@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tok
+from conftest import make_instance, tok
 from oracles import save_table_reference
 from relclass.embeddings import (
     EmbeddingFormatError,
@@ -12,6 +12,7 @@ from relclass.embeddings import (
     load_table,
     save_table,
 )
+from relclass.features import dense_block, dense_lemmas
 
 
 def test_load_two_rows(tmp_path):
@@ -144,33 +145,41 @@ def test_lookup_read_only(toy_table):
 
 def test_dim_mismatch_rejected():
     with pytest.raises(EmbeddingFormatError):
-        EmbeddingTable({"a": [1.0, 0.0], "b": [1.0]})
+        EmbeddingTable(["a", "b"], [[1.0, 0.0], [1.0]])
 
 
 @pytest.mark.parametrize("vectors", [{"a": 1.0}, {"a": [[1.0, 2.0]]}, {"a": []}],
                          ids=["scalar", "2-d", "empty"])
 def test_non_vector_values_rejected(vectors):
     with pytest.raises(EmbeddingFormatError):
-        EmbeddingTable(vectors)
+        EmbeddingTable(list(vectors), list(vectors.values()))
+
+
+@pytest.mark.parametrize("tokens, rows",
+                         [([], []), (["a"], [[1.0], [2.0]]), (["a", "b"], [[1.0]])],
+                         ids=["empty", "more-rows", "more-tokens"])
+def test_one_row_per_token_required(tokens, rows):
+    with pytest.raises(EmbeddingFormatError):
+        EmbeddingTable(tokens, rows)
 
 
 def test_phrase_vector_is_the_sequential_mean():
     rng = np.random.default_rng(0)
-    table = EmbeddingTable({f"w{i}": rng.normal(size=50) for i in range(40)})
-    tokens = [tok(f"w{i}") for i in rng.integers(0, 45, size=25)]  # some OOV
+    table = EmbeddingTable([f"w{i}" for i in range(40)], rng.normal(size=(40, 50)))
+    lemmas = [f"w{i}" for i in rng.integers(0, 45, size=25)]  # some OOV
     acc = np.zeros(50)
-    for t in tokens:
-        acc += table.lookup(t.lemma)
-    assert table.phrase_vector(tokens).tobytes() == (acc / len(tokens)).tobytes()
+    for lemma in lemmas:
+        acc += table.lookup(lemma)
+    assert table.phrase_vector(lemmas).tobytes() == (acc / len(lemmas)).tobytes()
 
 
 def test_phrase_vector_mean(toy_table):
-    assert np.array_equal(toy_table.phrase_vector([tok("a"), tok("b")]), [0.5, 0.5])
+    assert np.array_equal(toy_table.phrase_vector(["a", "b"]), [0.5, 0.5])
 
 
 def test_phrase_vector_oov_counts_in_mean(toy_table):
     # the zero OOV vector stays in the denominator: ((1,0) + (0,0)) / 2
-    assert np.array_equal(toy_table.phrase_vector([tok("a"), tok("zzz")]), [0.5, 0.0])
+    assert np.array_equal(toy_table.phrase_vector(["a", "zzz"]), [0.5, 0.0])
 
 
 def test_phrase_vector_empty(toy_table):
@@ -178,7 +187,11 @@ def test_phrase_vector_empty(toy_table):
 
 
 def test_phrase_vector_uses_lemma(toy_table):
-    assert np.array_equal(toy_table.phrase_vector([tok("XYZ", "a")]), [1.0, 0.0])
+    # a dense row averages the vectors of the tokens' lemmas, not of their text
+    inst = make_instance([tok("XYZ", "a"), tok("Q", "b")], e1=(0, 0), e2=(1, 1))
+    assert dense_lemmas([inst]) == [([], ["a"], ["b"])]
+    assert np.array_equal(dense_block(dense_lemmas([inst]), toy_table),
+                          [[0.0, 0.0, 1.0, 0.0, 0.0, 1.0]])
 
 
 def test_cosine_basics():
@@ -216,7 +229,7 @@ def test_save_load_fixture_byte_stable(fixture_embeddings_path, tmp_path):
     )
 )
 def test_table_file_roundtrip(tmp_path_factory, vectors):
-    table = EmbeddingTable(vectors, name="t")
+    table = EmbeddingTable(list(vectors), list(vectors.values()), name="t")
     path = tmp_path_factory.mktemp("emb") / "t.txt"
     save_table(table, path)
     loaded = load_table(path)
@@ -230,7 +243,7 @@ def test_table_file_roundtrip(tmp_path_factory, vectors):
 
 def test_save_table_writes_the_reference_bytes(tmp_path):
     # signed zero, the smallest subnormal, a repr-sensitive sum and a huge value
-    table = EmbeddingTable({"b": [-0.0, 5e-324, 0.1 + 0.2], "a": [1e300, -1.5, 0.0]}, name="t")
+    table = EmbeddingTable(["b", "a"], [[-0.0, 5e-324, 0.1 + 0.2], [1e300, -1.5, 0.0]], name="t")
     ours, reference = tmp_path / "ours.txt", tmp_path / "reference.txt"
     save_table(table, ours)
     save_table_reference(table, reference)

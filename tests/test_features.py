@@ -39,7 +39,7 @@ EXAMPLE_KEYS = {
 }
 
 # a and b orthogonal: two one-token entities on them have cosine 0
-AB_TABLE = EmbeddingTable({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [2.0, 2.0]})
+AB_TABLE = EmbeddingTable(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
 
 
 def keys_of(inst, levin, table=AB_TABLE, threshold=1):
