@@ -3,13 +3,15 @@
 Subcommands: train, predict, evaluate, search, features, crossval. Each takes
 only the flags it reads (``COMMANDS``). Every value can also come from a JSON
 config file (--config), whose keys all commands share, each reading its own;
-explicit flags win. Exit codes: 0 success, 2 usage or config error, 1
-internal error.
+explicit flags win. A command imports the modules it runs when it runs, so
+that none pays for another's. Exit codes: 0 success, 2 usage or config
+error, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import json
 import logging
@@ -19,12 +21,11 @@ from dataclasses import asdict
 from importlib.resources import files
 from pathlib import Path
 
-from . import clstm, read, search, svm
+from . import read
 from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, build_lemma_counts, parse_corpus
 from .embeddings import EmbeddingTable, load_table
-from .evaluation import confusion, cross_validate, f1_scores, format_report
-from .features import NAMESPACES, featurize, load_levin_table
-from .modelio import ModelFormatError, argmax_labels, read_json, write_atomic
+from .modelio import (CLSTM_FORMAT, SVM_FORMAT, ModelFormatError, argmax_labels, read_json,
+                      write_atomic)
 
 log = logging.getLogger(__name__)
 
@@ -37,9 +38,11 @@ def fixture_path(name: str) -> Path:
     return Path(str(files("relclass") / "fixtures" / name))
 
 
-def _default(fn, name: str):
-    """The default that ``fn`` declares for its parameter ``name``."""
-    return inspect.signature(fn).parameters[name].default
+def _library(module: str, fn: str, name: str):
+    """The default that ``relclass.<module>.<fn>`` declares for its parameter
+    ``name``, as a function that imports the module and looks it up."""
+    return lambda: inspect.signature(
+        getattr(importlib.import_module(f"relclass.{module}"), fn)).parameters[name].default
 
 
 # every setting, defined once: option -> (kind, default, help). The option's
@@ -48,8 +51,8 @@ def _default(fn, name: str):
 # only a str setting may be null in the config file. A flag left off the
 # command line is None, so the config file or the default applies. A model
 # or search setting defaults to its one definition in the library:
-# ``corpus.FREQ_THRESHOLD``, ``clstm.Hyperparams``, or the default that the
-# library function reading it declares.
+# ``corpus.FREQ_THRESHOLD``, or the default that ``clstm.Hyperparams`` or
+# the library function reading it declares, looked up when read (``_library``).
 SETTINGS: dict[str, tuple[type, object, str | None]] = {
     "--train": (str, None, "labeled training corpus (JSONL)"),
     "--corpus": (str, None, "input corpus (JSONL)"),
@@ -63,38 +66,53 @@ SETTINGS: dict[str, tuple[type, object, str | None]] = {
     "--report": (str, None, "JSON training-report path (default: stdout)"),
     "--trial-log": (str, None, "JSONL trial log path"),
     "--seed": (int, 0, None),
-    "-k": (int, _default(cross_validate, "k"), "number of folds"),
+    "-k": (int, _library("evaluation", "cross_validate", "k"), "number of folds"),
     "--n-trials": (int, 20, None),
-    "--fraction": (float, _default(search.random_search, "fraction"), "validation fraction"),
+    "--fraction": (float, _library("search", "random_search", "fraction"),
+                   "validation fraction"),
     "--freq-threshold": (int, FREQ_THRESHOLD, "minimum lemma count of a context word"),
-    "--C": (float, _default(svm.train_multiclass, "C"), "SVM penalty"),
-    "--gamma": (float, _default(svm.train_multiclass, "gamma"), "RBF width"),
-    "--num-filters": (int, clstm.Hyperparams.num_filters, None),
-    "--filter-width": (int, clstm.Hyperparams.filter_width, None),
-    "--rnn-units": (int, clstm.Hyperparams.rnn_units, None),
-    "--dropout": (float, clstm.Hyperparams.dropout_rate, None),
-    "--l2": (float, clstm.Hyperparams.l2_scale, None),
-    "--batch-size": (int, clstm.Hyperparams.batch_size, None),
-    "--epochs": (int, clstm.Hyperparams.epochs, None),
-    "--learning-rate": (float, clstm.Hyperparams.learning_rate, None),
-    "--stride": (int, clstm.Hyperparams.stride, None),
+    "--C": (float, _library("svm", "train_multiclass", "C"), "SVM penalty"),
+    "--gamma": (float, _library("svm", "train_multiclass", "gamma"), "RBF width"),
+    "--num-filters": (int, _library("clstm", "Hyperparams", "num_filters"), None),
+    "--filter-width": (int, _library("clstm", "Hyperparams", "filter_width"), None),
+    "--rnn-units": (int, _library("clstm", "Hyperparams", "rnn_units"), None),
+    "--dropout": (float, _library("clstm", "Hyperparams", "dropout_rate"), None),
+    "--l2": (float, _library("clstm", "Hyperparams", "l2_scale"), None),
+    "--batch-size": (int, _library("clstm", "Hyperparams", "batch_size"), None),
+    "--epochs": (int, _library("clstm", "Hyperparams", "epochs"), None),
+    "--learning-rate": (float, _library("clstm", "Hyperparams", "learning_rate"), None),
+    "--stride": (int, _library("clstm", "Hyperparams", "stride"), None),
 }
+# each setting by its destination
+_KEYS = {flag.lstrip("-").replace("-", "_"): setting for flag, setting in SETTINGS.items()}
 # the config-file reader of each kind
 _READERS = {int: read.integer, float: read.number, str: read.string}
 
 
+class _Settings(argparse.Namespace):
+    """One command's settings, where each library default left in place is
+    looked up when the command first reads it."""
+
+    def __getattr__(self, key: str):
+        if key not in _KEYS:
+            raise AttributeError(key)
+        setattr(self, key, _KEYS[key][1]())
+        return vars(self)[key]
+
+
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """The settings of one command, each from its flag, else the config file
-    (if any), else its default."""
-    settings = {flag.lstrip("-").replace("-", "_"): setting for flag, setting in SETTINGS.items()}
-    merged = {key: default for key, (_, default, _) in settings.items()}
+    (if any), else its default. So that a command imports only the modules it
+    runs, a library default is looked up when it is first read; with no
+    command in ``args``, every one is looked up here."""
+    merged = {key: default for key, (_, default, _) in _KEYS.items()}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             try:
                 for key, value in read.object(json.load(fh), "the document").items():
-                    if key not in settings:
+                    if key not in _KEYS:
                         raise ValueError(f"unknown key {key!r}")
-                    kind = settings[key][0]
+                    kind = _KEYS[key][0]
                     if value is not None or kind is not str:
                         _READERS[kind](value, f"key {key!r}")
                     merged[key] = value
@@ -103,7 +121,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in vars(args).items():
         if key in merged and value is not None:
             merged[key] = value
-    return argparse.Namespace(**merged)
+    if "func" not in args:
+        merged = {key: value() if callable(value) else value for key, value in merged.items()}
+    return _Settings(**{key: value for key, value in merged.items() if not callable(value)})
 
 
 def _load_embeddings(cfg: argparse.Namespace) -> EmbeddingTable:
@@ -114,16 +134,8 @@ def _load_embeddings(cfg: argparse.Namespace) -> EmbeddingTable:
 
 def _load_levin(cfg: argparse.Namespace) -> dict[str, frozenset[int]]:
     """The verb table; only SVM training and ``features`` read one."""
+    from .features import load_levin_table
     return load_levin_table(cfg.levin) if cfg.levin else {}
-
-
-def _hyper_from(cfg: argparse.Namespace) -> clstm.Hyperparams:
-    return clstm.Hyperparams(
-        num_filters=cfg.num_filters, filter_width=cfg.filter_width, rnn_units=cfg.rnn_units,
-        dropout_rate=cfg.dropout, l2_scale=cfg.l2, stride=cfg.stride,
-        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, epochs=cfg.epochs,
-        seed=cfg.seed,
-    )
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -138,23 +150,22 @@ def _trainer(cfg: argparse.Namespace, table: EmbeddingTable):
     """A function that trains the model kind ``cfg.model`` names on a corpus,
     with the configured settings."""
     if cfg.model == "svm":
+        from . import svm
         levin = _load_levin(cfg)
         return lambda instances: svm.train_multiclass(
             instances, table, levin,
             C=cfg.C, gamma=cfg.gamma, freq_threshold=cfg.freq_threshold,
             seed=cfg.seed,
         )
-    hyper = _hyper_from(cfg)
+    from . import clstm
+    hyper = clstm.Hyperparams(
+        num_filters=cfg.num_filters, filter_width=cfg.filter_width, rnn_units=cfg.rnn_units,
+        dropout_rate=cfg.dropout, l2_scale=cfg.l2, stride=cfg.stride,
+        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, epochs=cfg.epochs,
+        seed=cfg.seed,
+    )
     return lambda instances: clstm.train(instances, table, hyper,
                                          freq_threshold=cfg.freq_threshold)
-
-
-def _label_counts(instances) -> dict[str, int]:
-    counts = {label.value: 0 for label in LABELS}
-    for inst in instances:
-        if inst.label is not None:
-            counts[inst.label.value] += 1
-    return counts
 
 
 def cmd_train(cfg: argparse.Namespace) -> int:
@@ -170,30 +181,28 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         "model": cfg.model,
         "train_corpus": cfg.train,
         "instances": len(instances),
-        "class_distribution": _label_counts(instances),
+        "class_distribution": {label.value: sum(inst.label is label for inst in instances)
+                               for label in LABELS},
         "seed": cfg.seed,
         "model_file": out,
     }
     model = train(instances)
     if cfg.model == "svm":
-        svm.save_svm_model(model, out)
+        from .svm import save_svm_model
+        save_svm_model(model, out)
         report["feature_space_size"] = len(model.space)
         report["binary_models"] = len(model.pair_models)
         report["sv_rows"] = len(model.sv)
         report["workers"] = model.fit_report["workers"]
         report["pairs"] = [
-            {
-                "first": pair.first.value,
-                "second": pair.second.value,
-                "support_vectors": len(pair.svm.sv),
-                "A": pair.calibrator.A,
-                "B": pair.calibrator.B,
-                **model.fit_report["pairs"][key],
-            }
+            {"first": pair.first.value, "second": pair.second.value,
+             "support_vectors": len(pair.svm.sv), "A": pair.calibrator.A, "B": pair.calibrator.B,
+             **model.fit_report["pairs"][key]}
             for key, pair in sorted(model.pair_models.items())
         ]
     else:
-        clstm.save_clstm_model(model, out)
+        from .clstm import save_clstm_model
+        save_clstm_model(model, out)
         report["hyper"] = asdict(model.hyper)
         report["l_max"] = model.l_max
         report["loss_history"] = list(model.loss_history)
@@ -211,11 +220,13 @@ def cmd_train(cfg: argparse.Namespace) -> int:
 def _load_any_model(path: str, table: EmbeddingTable):
     payload = read_json(path)
     kind = payload.get("format")
-    if kind == svm.SVM_FORMAT:
-        return svm.load_svm_model(path, table, payload)
-    if kind == clstm.CLSTM_FORMAT:
-        return clstm.load_clstm_model(path, table, payload)
-    raise ModelFormatError(f"{path}: unknown model format {kind!r}")
+    if kind == SVM_FORMAT:
+        from .svm import load_svm_model as load
+    elif kind == CLSTM_FORMAT:
+        from .clstm import load_clstm_model as load
+    else:
+        raise ModelFormatError(f"{path}: unknown model format {kind!r}")
+    return load(path, table, payload)
 
 
 def cmd_predict(cfg: argparse.Namespace) -> int:
@@ -225,22 +236,17 @@ def cmd_predict(cfg: argparse.Namespace) -> int:
     instances = parse_corpus(cfg.corpus)
     out = cfg.out or "predictions.jsonl"
     probs = model.predict_proba_many(instances)
-    records = (
-        {
-            "id": inst.id,
-            "label": best.value,
-            "proba": {label.value: p for label, p in zip(LABELS, row.tolist())},
-        }
-        for inst, best, row in zip(instances, argmax_labels(probs), probs)
-    )
-    write_atomic(
-        out, (json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n" for rec in records)
-    )
+    records = ({"id": inst.id, "label": best.value,
+                "proba": {label.value: p for label, p in zip(LABELS, row.tolist())}}
+               for inst, best, row in zip(instances, argmax_labels(probs), probs))
+    write_atomic(out, (json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n"
+                       for rec in records))
     print(f"{len(instances)} predictions written to {out}")
     return 0
 
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
+    from .evaluation import confusion, f1_scores, format_report
     if not cfg.gold or not cfg.predictions:
         raise ValueError("--gold and --predictions are required")
     instances = parse_corpus(cfg.gold)
@@ -276,15 +282,13 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_search(cfg: argparse.Namespace) -> int:
+    from . import search
     if not cfg.train:
         raise ValueError("--train corpus is required")
     instances = parse_corpus(cfg.train)
     best, results = search.random_search(
-        instances, _load_embeddings(cfg),
-        n_trials=cfg.n_trials, seed=cfg.seed,
-        fraction=cfg.fraction, freq_threshold=cfg.freq_threshold,
-        epochs=cfg.epochs,
-    )
+        instances, _load_embeddings(cfg), n_trials=cfg.n_trials, seed=cfg.seed,
+        fraction=cfg.fraction, freq_threshold=cfg.freq_threshold, epochs=cfg.epochs)
     if cfg.trial_log:
         search.write_trial_log(results, cfg.trial_log)
         print(f"trial log written to {cfg.trial_log}")
@@ -293,6 +297,7 @@ def cmd_search(cfg: argparse.Namespace) -> int:
 
 
 def cmd_features(cfg: argparse.Namespace) -> int:
+    from .features import NAMESPACES, featurize
     if not cfg.corpus:
         raise ValueError("--corpus is required")
     instances = parse_corpus(cfg.corpus)
@@ -315,6 +320,7 @@ def cmd_features(cfg: argparse.Namespace) -> int:
 
 
 def cmd_crossval(cfg: argparse.Namespace) -> int:
+    from .evaluation import cross_validate
     if cfg.model not in ("svm", "clstm"):
         raise ValueError("--model must be svm or clstm")
     if not cfg.corpus:

@@ -35,7 +35,6 @@ from .embeddings import EmbeddingTable
 
 log = logging.getLogger(__name__)
 
-CLSTM_FORMAT = "relclass-clstm"
 # The most columns a model may pad its inputs to (its l_max): the LSTM steps
 # over every window of every batch, and the paper's inputs are single sentences.
 L_MAX_LIMIT = 1024
@@ -669,7 +668,7 @@ def save_clstm_model(model: ClstmModel, path: str | Path) -> None:
         "l_max": model.l_max,
         "params": {name: model.params[name] for name in PARAM_NAMES},
     }
-    modelio.save_model(model, CLSTM_FORMAT, fields, path)
+    modelio.save_model(model, modelio.CLSTM_FORMAT, fields, path)
 
 
 def _build_clstm_model(payload: dict, **common) -> ClstmModel:
@@ -694,4 +693,4 @@ def load_clstm_model(
 ) -> ClstmModel:
     """The conv-LSTM model in ``path``; ``payload``, when given, is that
     file's parsed JSON, so it is not read again."""
-    return modelio.load_model(path, CLSTM_FORMAT, table, _build_clstm_model, payload)
+    return modelio.load_model(path, modelio.CLSTM_FORMAT, table, _build_clstm_model, payload)

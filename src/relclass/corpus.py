@@ -147,17 +147,24 @@ def filter_context(
     return tuple(tok for tok in context if freq.get(tok.lemma, 0) >= threshold)
 
 
-def instance_from_dict(record: dict) -> RelationInstance:
+def instance_from_dict(record: dict, known: dict | None = None) -> RelationInstance:
     """The instance of one corpus record; ``label`` may be absent, which
-    reads as null."""
+    reads as null. ``known`` maps each ``(text, lemma, pos)`` already read to
+    its token, so a repeated token is built and checked once; the valid
+    tokens of this record are added to it."""
+    known = {} if known is None else known
     try:
         record = read.object(record, "record")
         tokens = []
         for t in read.array(record["tokens"], "tokens"):
             t = read.object(t, "token")
-            tokens.append(TokenAnnotation(read.string(t["text"], "token text"),
-                                          read.string(t["lemma"], "token lemma"),
-                                          read.string(t["pos"], "token pos")))
+            try:
+                tokens.append(known[t["text"], t["lemma"], t["pos"]])
+            except (KeyError, TypeError):  # new, missing or unhashable: checked here
+                tok = TokenAnnotation(read.string(t["text"], "token text"),
+                                      read.string(t["lemma"], "token lemma"),
+                                      read.string(t["pos"], "token pos"))
+                tokens.append(known.setdefault((tok.text, tok.lemma, tok.pos), tok))
         label = record.get("label")
         return RelationInstance(
             id=read.string(record["id"], "id"),
@@ -189,13 +196,14 @@ def instance_to_dict(inst: RelationInstance) -> dict:
 
 
 def parse_corpus(path: str | Path) -> list[RelationInstance]:
-    """Parse a JSON-lines corpus file; raises on the first malformed line."""
-    instances = []
+    """Parse a JSON-lines corpus file; raises on the first malformed line.
+    Equal tokens of the file are one object."""
+    instances, known = [], {}
     for lineno, line in read.text_lines(path, error=CorpusFormatError):
         if not line.strip():
             continue
         try:
-            instances.append(instance_from_dict(json.loads(line)))
+            instances.append(instance_from_dict(json.loads(line), known))
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
         except (CorpusFormatError, InstanceValidationError) as exc:

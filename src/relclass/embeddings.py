@@ -5,15 +5,17 @@ components, whitespace separated. An optional first line ``<count> <dim>``
 declares the table size. Lookup is exact and case-sensitive; tables here are
 keyed by lemma. Out-of-vocabulary lemmas map to the zero vector.
 
-The parsed matrix of the last table loaded is cached in one entry,
+The tokens and matrix of the last table loaded are cached in one entry,
 ``relclass/embedding-table.npz`` under ``$XDG_CACHE_HOME`` (when that is an
 absolute path) or ``~/.cache``, keyed by the SHA-256 of the file's bytes. A
-load whose bytes match reads the matrix from there instead of parsing it.
+load whose bytes match takes the table from there instead of reading its
+lines.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 import os
 import zipfile
@@ -26,7 +28,8 @@ from . import read
 
 log = logging.getLogger(__name__)
 
-CACHE_VERSION = 1  # of the cache entry's layout: digest, version, matrix
+CACHE_VERSION = 2  # of the cache entry's layout: digest, version, tokens, matrix
+HASH_CHUNK = 1 << 20  # bytes of each read that hashes a table file
 
 
 class EmbeddingFormatError(ValueError):
@@ -110,9 +113,28 @@ def _cache_file() -> Path | None:
     return Path(base, "relclass", "embedding-table.npz") if os.path.isabs(base) else None
 
 
-def _cached_matrix(digest: str, shape: tuple[int, int]) -> np.ndarray | None:
-    """The cached matrix of the table whose bytes hash to ``digest``, if the
-    entry holds it with this ``shape``; None on any other entry or none."""
+def _declared_shape(fields: list[str]) -> tuple[int, int] | None:
+    """The ``<count> <dim>`` that a first line of these fields declares, or
+    None when it is not a header."""
+    try:
+        return (int(fields[0]), int(fields[1])) if len(fields) == 2 else None
+    except ValueError:
+        return None
+
+
+def _body_width(head: bytes) -> int:
+    """The number of values on the first vector line of a table file that
+    starts with the bytes ``head``."""
+    lines = (ln.split() for ln in io.TextIOWrapper(io.BytesIO(head), "utf-8", "replace")
+             if ln.strip())
+    first = next(lines, [])
+    return len(next(lines, []) if _declared_shape(first) else first) - 1
+
+
+def _cached_table(digest: str, head: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The tokens and matrix of the table whose bytes hash to ``digest`` and
+    start with ``head``, if the entry holds them and they fit the file; None
+    on any other entry or none."""
     path = _cache_file()
     if path is None:
         return None
@@ -123,18 +145,23 @@ def _cached_matrix(digest: str, shape: tuple[int, int]) -> np.ndarray | None:
             if not isinstance(entry, np.lib.npyio.NpzFile):  # one bare .npy array
                 return None
             with entry:
-                if (entry["digest"].tolist() != digest
+                names = entry["tokens"]  # UTF-8, one "\n" after each token but the last
+                if (entry["digest"].tolist() != digest or names.dtype != np.uint8
                         or entry["version"].tolist() != CACHE_VERSION):
                     return None
+                tokens = names.tobytes().decode("utf-8").split("\n")
                 matrix = entry["matrix"]  # the zip CRC check fails a corrupted one here
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         log.debug("embedding-table cache %s not read: %s", path, exc)
         return None
-    return matrix if matrix.dtype == np.float64 and matrix.shape == shape else None
+    fits = (matrix.dtype == np.float64 and matrix.shape == (len(tokens), _body_width(head))
+            and len(set(tokens)) == len(tokens) and np.isfinite(matrix).all())
+    return (tokens, matrix) if fits else None
 
 
-def _store_matrix(digest: str, matrix: np.ndarray) -> None:
-    """Make ``matrix`` the cache entry: written next to it, then renamed over it."""
+def _store_table(digest: str, tokens: list[str], matrix: np.ndarray) -> None:
+    """Make ``tokens`` and ``matrix`` the cache entry: written next to it,
+    then renamed over it."""
     path = _cache_file()
     if path is None:
         return
@@ -144,6 +171,7 @@ def _store_matrix(digest: str, matrix: np.ndarray) -> None:
         try:
             with open(tmp, "wb") as fh:
                 np.savez(fh, digest=np.array(digest), version=np.array(CACHE_VERSION),
+                         tokens=np.frombuffer("\n".join(tokens).encode("utf-8"), np.uint8),
                          matrix=matrix)
             os.replace(tmp, path)
         finally:
@@ -157,24 +185,28 @@ def load_table(path: str | Path) -> EmbeddingTable:
 
     A first line of exactly two integer fields is treated as a
     ``<count> <dim>`` header and checked against the body; otherwise the
-    first line is already a vector line. The file is read once; every line
-    check runs on each load. The value fields of all lines are parsed by one
-    ``np.loadtxt`` call, unless the cache holds the matrix of these bytes.
+    first line is already a vector line. The file's bytes are hashed first.
+    When the cache holds the table of these bytes, that is the table: its
+    lines passed every check when the entry was written. Otherwise every
+    line is checked, the value fields of all lines are parsed by one
+    ``np.loadtxt`` call, and the table becomes the entry.
     """
     path = Path(path)
-    sha = hashlib.sha256()
-    lines = [(i, ln) for i, ln in read.text_lines(path, EmbeddingFormatError, sha) if ln.strip()]
+    with open(path, "rb") as fh:
+        head = fh.read(HASH_CHUNK)
+        sha = hashlib.sha256(head)
+        for chunk in iter(lambda: fh.read(HASH_CHUNK), b""):
+            sha.update(chunk)
     digest = sha.hexdigest()
+    cached = _cached_table(digest, head)
+    if cached is not None:
+        return EmbeddingTable(*cached, name=path.stem)
+    lines = [(i, ln) for i, ln in read.text_lines(path, EmbeddingFormatError) if ln.strip()]
     if not lines:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
-    declared: tuple[int, int] | None = None
-    first_parts = lines[0][1].split()
-    if len(first_parts) == 2:
-        try:
-            declared = (int(first_parts[0]), int(first_parts[1]))
-            lines = lines[1:]
-        except ValueError:
-            declared = None
+    declared = _declared_shape(lines[0][1].split())
+    if declared:
+        lines = lines[1:]
     tokens: dict[str, None] = {}  # in line order, as a dict for the repeat check
     for lineno, line in lines:
         token, *rest = line.split(None, 1)
@@ -185,16 +217,12 @@ def load_table(path: str | Path) -> EmbeddingTable:
         tokens[token] = None
     if not tokens:
         raise EmbeddingFormatError(f"{path}: no vectors")
-    cached = _cached_matrix(digest, (len(lines), len(lines[0][1].split()) - 1))
-    if cached is not None:
-        matrix = cached
-    else:
-        rests = [line.split(None, 1)[1] for _, line in lines]  # the value fields of each line
-        try:
-            matrix = np.loadtxt(rests, ndmin=2, comments=None)
-        except ValueError:
-            _raise_for_first_bad_line(path, lines, rests)
-            raise
+    rests = [line.split(None, 1)[1] for _, line in lines]  # the value fields of each line
+    try:
+        matrix = np.loadtxt(rests, ndmin=2, comments=None)
+    except ValueError:
+        _raise_for_first_bad_line(path, lines, rests)
+        raise
     if not np.isfinite(matrix).all():
         i = int(np.argmin(np.isfinite(matrix).all(axis=1)))
         token = list(tokens)[i]
@@ -204,8 +232,7 @@ def load_table(path: str | Path) -> EmbeddingTable:
             f"{path}: header declares {declared[0]} x {declared[1]}, "
             f"file has {matrix.shape[0]} x {matrix.shape[1]}"
         )
-    if cached is None:
-        _store_matrix(digest, matrix)
+    _store_table(digest, list(tokens), matrix)
     return EmbeddingTable(list(tokens), matrix, name=path.stem)
 
 

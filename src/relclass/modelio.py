@@ -31,8 +31,9 @@ from .embeddings import EmbeddingTable
 
 log = logging.getLogger(__name__)
 
+SVM_FORMAT, CLSTM_FORMAT = "relclass-svm", "relclass-clstm"  # each file's "format"
 # the one version of each model format that is written and read
-VERSIONS = {"relclass-svm": 3, "relclass-clstm": 2}
+VERSIONS = {SVM_FORMAT: 3, CLSTM_FORMAT: 2}
 
 
 class ModelFormatError(ValueError):

@@ -30,8 +30,7 @@ def worker_count(n_tasks: int) -> int:
     process may run on, at most one per task; 1 (run them in this process)
     where fork or the CPU affinity mask is unavailable, or in a daemonic
     worker."""
-    # imported only to train: every CLI command imports the trainers, and
-    # prediction would pay its start-up time for nothing
+    # imported only to train: prediction imports this module, but never forks
     import multiprocessing
 
     if (
@@ -100,8 +99,7 @@ def forked(workers: int, state: Any) -> Iterator[Callable]:
     if workers == 1:
         yield lambda fn, tasks: [fn(state, *task) for task in tasks]
         return
-    # imported only to train: every CLI command imports the trainers, and
-    # prediction would pay its start-up time for nothing
+    # imported only to train: prediction imports this module, but never forks
     import multiprocessing
     from multiprocessing.connection import wait
 

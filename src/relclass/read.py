@@ -20,31 +20,13 @@ class FieldError(ValueError):
     """A field of the wrong kind, or out of its range."""
 
 
-class _Digesting(io.RawIOBase):
-    """The binary file ``fh``, each byte read from it also added to ``digest``."""
-
-    def __init__(self, fh, digest):
-        self._fh, self._digest = fh, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._fh.readinto(buf)
-        self._digest.update(memoryview(buf)[:n])
-        return n
-
-
-def text_lines(path, error: type[ValueError] = ValueError, digest=None):
+def text_lines(path, error: type[ValueError] = ValueError):
     """Yield ``(line number, line)`` for each line of the UTF-8 text file
     ``path``, split as text-mode iteration splits them (at ``\\n``,
-    ``\\r\\n`` and ``\\r``, each read as ``\\n``). The file is read once;
-    ``digest``, a ``hashlib`` object, is updated with its bytes as they are
-    read. A byte that is not UTF-8 raises ``error`` naming the file and the
-    line it stands on."""
+    ``\\r\\n`` and ``\\r``, each read as ``\\n``). A byte that is not UTF-8
+    raises ``error`` naming the file and the line it stands on."""
     with open(path, "rb") as fh:
-        buffered = fh if digest is None else io.BufferedReader(_Digesting(fh, digest), 1 << 20)
-        text = io.TextIOWrapper(buffered, encoding="utf-8")
+        text = io.TextIOWrapper(fh, encoding="utf-8")
         try:
             yield from enumerate(text, start=1)
         except UnicodeDecodeError:

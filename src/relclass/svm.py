@@ -43,7 +43,6 @@ from . import modelio, parallel, read
 from .corpus import (FREQ_THRESHOLD, LABELS, FrequencyTable, RelationInstance, RelationLabel,
                      build_lemma_counts)
 from .embeddings import EmbeddingTable
-from .evaluation import stratified_fold_indices
 from .features import (
     FeatureSpace,
     Key,
@@ -57,8 +56,6 @@ from .features import (
 )
 
 log = logging.getLogger(__name__)
-
-SVM_FORMAT = "relclass-svm"
 
 
 class SvmTrainingError(ValueError):
@@ -498,6 +495,7 @@ def _calibration_scores(
     n_folds = min(5, n_pos, n_neg)
     if n_folds < 2:
         return None
+    from .evaluation import stratified_fold_indices  # imported by training only
     scores = np.zeros_like(y)
     fits = []
     folds = stratified_fold_indices(y.tolist(), n_folds, seed=seed_key)
@@ -665,7 +663,7 @@ def save_svm_model(model: SvmModel, path: str | Path) -> None:
         "sv_digest": _digest(model.sv.dense),
         "pairs": pairs,
     }
-    modelio.save_model(model, SVM_FORMAT, fields, path)
+    modelio.save_model(model, modelio.SVM_FORMAT, fields, path)
 
 
 def _digest(dense: np.ndarray) -> str:
@@ -733,4 +731,4 @@ def load_svm_model(
 ) -> SvmModel:
     """The SVM model in ``path``; ``payload``, when given, is that file's
     parsed JSON, so it is not read again."""
-    return modelio.load_model(path, SVM_FORMAT, table, _build_svm_model, payload)
+    return modelio.load_model(path, modelio.SVM_FORMAT, table, _build_svm_model, payload)

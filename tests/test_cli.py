@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import failing_smo, force_cpus, uneven_corpus
-from relclass import cli, clstm, corpus, evaluation, search, svm
+from relclass import cli, clstm, corpus, evaluation, features, search, svm
 from relclass.cli import build_parser, fixture_path, main
 from relclass.corpus import LABELS, write_corpus
 from relclass.embeddings import EmbeddingTable, load_table, save_table
@@ -556,6 +556,50 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def _modules_loaded(argv):
+    """Exit code of ``cli.main(argv)`` run in a new process, and the relclass
+    modules it loaded."""
+    code = ("import json, sys; from relclass.cli import main; rc = main(sys.argv[1:]); "
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('relclass.'))]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    rc, modules = json.loads(done.stdout.splitlines()[-1])
+    return rc, {m.removeprefix("relclass.") for m in modules}
+
+
+# command -> modules it must not load
+COMMAND_IMPORTS = {
+    "predict-clstm": {"svm", "features", "evaluation", "search"},
+    "predict-svm": {"clstm", "search"},
+    "train-svm": {"clstm", "search"},
+    "evaluate": {"svm", "clstm"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_IMPORTS))
+def test_each_command_imports_only_the_modules_it_runs(workdir, clstm_model_file, tmp_path, case):
+    inputs = ["--embeddings", workdir / "emb.txt", "--levin", fixture_path("levin_small.tsv")]
+    svm_predict = ["predict", "--model-file", workdir / "svm-model.json",
+                   "--corpus", workdir / "train.jsonl", "--out", tmp_path / "pred.jsonl", *inputs]
+    argv = {
+        "predict-clstm": ["predict", "--model-file", clstm_model_file,
+                          "--corpus", workdir / "train.jsonl", "--out", tmp_path / "c.jsonl",
+                          *inputs],
+        "predict-svm": svm_predict,
+        "train-svm": ["train", "--model", "svm", "--train", workdir / "train.jsonl",
+                      "--out", tmp_path / "svm.json", "--report", tmp_path / "r.json", *inputs],
+        "evaluate": ["evaluate", "--gold", workdir / "train.jsonl",
+                     "--predictions", tmp_path / "pred.jsonl"],
+    }[case]
+    if case == "evaluate":
+        assert main([str(arg) for arg in svm_predict]) == 0
+    rc, loaded = _modules_loaded(argv)
+    assert rc == 0
+    assert "corpus" in loaded
+    assert not loaded & COMMAND_IMPORTS[case]
+
+
 def test_evaluate_perfect_predictions(workdir, tmp_path, capsys):
     pred = tmp_path / "pred.jsonl"
     main([
@@ -988,7 +1032,7 @@ def _run_refusing_verb_table(workdir, clstm_model_file, tmp_path, monkeypatch, t
     def refuse(path):
         raise ValueError(f"verb table {path} opened")
 
-    monkeypatch.setattr(cli, "load_levin_table", refuse)
+    monkeypatch.setattr(features, "load_levin_table", refuse)
     levin_config = tmp_path / "config.json"
     levin_config.write_text(json.dumps({"levin": str(fixture_path("levin_small.tsv"))}),
                             encoding="utf-8")

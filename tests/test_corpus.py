@@ -211,6 +211,61 @@ def test_parse_rejects_missing_field(tmp_path, example_instance):
         parse_corpus(path)
 
 
+def test_equal_tokens_of_a_file_are_one_object(tmp_path, example_instance):
+    record = instance_to_dict(example_instance)
+    record["tokens"].append(dict(record["tokens"][0]))
+    record["e2"] = [8, 9]
+    path = tmp_path / "twice.jsonl"
+    path.write_text("".join(json.dumps({**record, "id": f"i{n}"}) + "\n" for n in range(2)),
+                    encoding="utf-8")
+    first, second = parse_corpus(path)
+    assert first.tokens == second.tokens == instance_from_dict(record).tokens
+    assert all(a is b for a, b in zip(first.tokens, second.tokens))
+    assert first.tokens[-1] is first.tokens[0]
+    assert len({id(t) for t in first.tokens}) == len(set(first.tokens))
+
+
+def _bad_token_line(tmp_path, example_instance, bad_token):
+    """A corpus whose line 2 repeats line 1's first token, then has ``bad_token``."""
+    record = instance_to_dict(example_instance)
+    bad = instance_to_dict(example_instance)
+    bad["tokens"][1] = bad_token
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("bad_token, message", [
+    ({"text": "Tok", "lemma": "Tok", "pos": "NOUN"}, "token lemma must be lowercase: 'Tok'"),
+    ({"text": ["a"], "lemma": "a", "pos": "NOUN"},
+     "bad instance record: token text must be a nonempty string, got ['a']"),
+    ({"text": "a", "lemma": {"a": 1}, "pos": "NOUN"},
+     "bad instance record: token lemma must be a nonempty string, got {'a': 1}"),
+    ({"text": 5, "pos": "NOUN"},
+     "bad instance record: token text must be a nonempty string, got 5"),
+    ({"text": "a", "lemma": "a"}, "bad instance record: 'pos'"),
+], ids=["invalid", "list-text", "dict-lemma", "number-text-first", "missing-pos"])
+def test_bad_token_after_a_repeated_one_exits_2_naming_file_and_line(
+        tmp_path, example_instance, capsys, bad_token, message):
+    from relclass.cli import fixture_path, main
+
+    path = _bad_token_line(tmp_path, example_instance, bad_token)
+    rc = main(["features", "--corpus", str(path),
+               "--embeddings", str(fixture_path("toy_embeddings.txt"))])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: {message}\n"
+
+
+def test_invalid_token_is_never_kept(example_instance):
+    known = {}
+    record = instance_to_dict(example_instance)
+    record["tokens"][0] = {"text": "Tok", "lemma": "Tok", "pos": "NOUN"}
+    for _ in range(2):
+        with pytest.raises(InstanceValidationError, match="lowercase"):
+            instance_from_dict(record, known)
+    assert ("Tok", "Tok", "NOUN") not in known
+
+
 def test_serialize_key_order(example_instance):
     line = serialize_instance(example_instance)
     assert list(json.loads(line).keys()) == [

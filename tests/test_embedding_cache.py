@@ -1,9 +1,10 @@
 """The embedding-table cache: one entry under $XDG_CACHE_HOME (conftest gives
 every test its own, empty one), keyed by the SHA-256 of the table file.
 
-A load that hits must give the table a parse gives; any entry that does not
-hold this file's matrix must be parsed over and replaced, silently; and the
-cache must never change whether a load fails or what it says.
+A load that hits must give the table a parse gives without reading the
+file's lines; any entry that does not hold this file's tokens and matrix
+must be parsed over and replaced, silently; and the cache must never change
+whether a load fails or what it says.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from relclass import embeddings
+from relclass import embeddings, read
 from relclass.embeddings import CACHE_VERSION, EmbeddingFormatError, load_table, save_table
 from relclass.synthetic import make_embedding_table
 
@@ -34,6 +35,11 @@ def entry_digest():
         return entry["digest"].tolist()
 
 
+def entry_tokens():
+    with np.load(entry_path(), allow_pickle=False) as entry:
+        return entry["tokens"].tobytes().decode("utf-8").split("\n")
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -45,16 +51,19 @@ def assert_same_table(a, b):
 
 
 def forbid_parsing(monkeypatch):
-    def loadtxt(*args, **kwargs):
-        raise AssertionError("np.loadtxt called on a cache hit")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on a cache hit")
+        return call
 
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(np, "loadtxt", forbidden("np.loadtxt"))
+    monkeypatch.setattr(read, "text_lines", forbidden("read.text_lines"))
 
 
 def load_table_uncached(path):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embeddings, "_cached_matrix", lambda digest, shape: None)
-        mp.setattr(embeddings, "_store_matrix", lambda digest, matrix: None)
+        mp.setattr(embeddings, "_cached_table", lambda digest, head: None)
+        mp.setattr(embeddings, "_store_table", lambda digest, tokens, matrix: None)
         return load_table(path)
 
 
@@ -80,6 +89,7 @@ def test_entry_falls_back_to_home_cache(tmp_path, monkeypatch, table_file, xdg):
 def test_hit_equals_miss_and_never_parses(table_file, monkeypatch):
     miss = load_table(table_file)
     assert entry_digest() == sha256(table_file)
+    assert entry_tokens() == miss.tokens()
     forbid_parsing(monkeypatch)
     hit = load_table(table_file)
     assert_same_table(hit, miss)
@@ -113,81 +123,111 @@ def write_npz(path, **arrays):
         np.savez(fh, **arrays)
 
 
-def other_table_entry(path, digest, matrix):
-    write_npz(path, digest=np.array("0" * 64), version=np.array(CACHE_VERSION), matrix=matrix)
+def write_entry(path, digest, tokens, matrix, /, **arrays):
+    """An entry of the current layout, with ``arrays`` in place of its own
+    (None drops one)."""
+    fields = {"digest": np.array(digest), "version": np.array(CACHE_VERSION),
+              "tokens": np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8),
+              "matrix": matrix, **arrays}
+    write_npz(path, **{name: a for name, a in fields.items() if a is not None})
 
 
-def wrong_shape_entry(path, digest, matrix):
-    write_npz(path, digest=np.array(digest), version=np.array(CACHE_VERSION),
-              matrix=matrix[:, :-1])
+def other_table_entry(path, digest, tokens, matrix):
+    write_entry(path, "0" * 64, tokens, matrix)
 
 
-def wrong_dtype_entry(path, digest, matrix):
-    write_npz(path, digest=np.array(digest), version=np.array(CACHE_VERSION),
-              matrix=matrix.astype(np.float32))
+def wrong_shape_entry(path, digest, tokens, matrix):
+    write_entry(path, digest, tokens, matrix[:, :-1])
 
 
-def wrong_version_entry(path, digest, matrix):
-    write_npz(path, digest=np.array(digest), version=np.array(CACHE_VERSION + 1), matrix=matrix)
+def wrong_dtype_entry(path, digest, tokens, matrix):
+    write_entry(path, digest, tokens, matrix.astype(np.float32))
 
 
-def pickled_entry(path, digest, matrix):
-    write_npz(path, digest=np.array([digest], dtype=object), version=np.array(CACHE_VERSION),
-              matrix=matrix)
+def non_finite_entry(path, digest, tokens, matrix):
+    spoiled = matrix.copy()
+    spoiled[-1, 0] = np.inf
+    write_entry(path, digest, tokens, spoiled)
 
 
-def missing_array_entry(path, digest, matrix):
-    write_npz(path, digest=np.array(digest), version=np.array(CACHE_VERSION))
+def wrong_version_entry(path, digest, tokens, matrix):
+    write_entry(path, digest, tokens, matrix, version=np.array(CACHE_VERSION + 1))
 
 
-def truncated_entry(path, digest, matrix):
+def version_1_entry(path, digest, tokens, matrix):
+    write_entry(path, digest, tokens, matrix, version=np.array(1), tokens=None)
+
+
+def pickled_entry(path, digest, tokens, matrix):
+    write_entry(path, digest, tokens, matrix, digest=np.array([digest], dtype=object))
+
+
+def missing_array_entry(path, digest, tokens, matrix):
+    write_entry(path, digest, tokens, matrix, matrix=None)
+
+
+def fewer_tokens_entry(path, digest, tokens, matrix):
+    write_entry(path, digest, tokens[:-1], matrix)
+
+
+def repeated_token_entry(path, digest, tokens, matrix):
+    write_entry(path, digest, [tokens[0], *tokens[:-1]], matrix)
+
+
+def text_tokens_entry(path, digest, tokens, matrix):  # UCS-4 text, not UTF-8 bytes
+    write_entry(path, digest, tokens, matrix, tokens=np.array("\n".join(tokens)))
+
+
+def truncated_entry(path, digest, tokens, matrix):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
 
 
-def flipped_byte_entry(path, digest, matrix):
+def flipped_byte_entry(path, digest, tokens, matrix):
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0xFF  # inside the matrix: only the zip CRC notices
     path.write_bytes(bytes(data))
 
 
-def text_entry(path, digest, matrix):
+def text_entry(path, digest, tokens, matrix):
     path.write_text("not an npz file\n", encoding="utf-8")
 
 
-def empty_entry(path, digest, matrix):
+def empty_entry(path, digest, tokens, matrix):
     path.write_bytes(b"")
 
 
-def npy_entry(path, digest, matrix):
+def npy_entry(path, digest, tokens, matrix):
     with open(path, "wb") as fh:
         np.save(fh, matrix)
 
 
-def directory_entry(path, digest, matrix):
+def directory_entry(path, digest, tokens, matrix):
     path.unlink()
     path.mkdir()
 
 
-BAD_ENTRIES = [other_table_entry, wrong_shape_entry, wrong_dtype_entry, wrong_version_entry,
-               pickled_entry, missing_array_entry, truncated_entry, flipped_byte_entry,
-               text_entry, empty_entry, npy_entry]
+BAD_ENTRIES = [other_table_entry, wrong_shape_entry, wrong_dtype_entry, non_finite_entry,
+               wrong_version_entry, version_1_entry, pickled_entry, missing_array_entry,
+               fewer_tokens_entry, repeated_token_entry, text_tokens_entry, truncated_entry,
+               flipped_byte_entry, text_entry, empty_entry, npy_entry]
 
 
 @pytest.mark.parametrize("spoil", BAD_ENTRIES, ids=lambda f: f.__name__.removesuffix("_entry"))
 def test_bad_entry_is_parsed_over_and_replaced(table_file, spoil):
     expected = load_table(table_file)
     digest = sha256(table_file)
-    spoil(entry_path(), digest, expected._matrix[:-1])
+    spoil(entry_path(), digest, expected.tokens(), expected._matrix[:-1])
     assert_same_table(load_table(table_file), expected)
     assert entry_digest() == digest
+    assert entry_tokens() == expected.tokens()
     with np.load(entry_path(), allow_pickle=False) as entry:
         assert entry["matrix"].tobytes() == expected._matrix[:-1].tobytes()
 
 
 def test_directory_in_place_of_the_entry_still_loads(table_file):
     expected = load_table(table_file)
-    directory_entry(entry_path(), None, None)
+    directory_entry(entry_path(), None, None, None)
     assert_same_table(load_table(table_file), expected)
     assert entry_path().is_dir()
 
