@@ -1,13 +1,13 @@
 """Convolutional-LSTM relation classifier, written out by hand.
 
 Pipeline per instance: embedding columns [start entity | filtered context |
-end entity] -> right zero-padding to the corpus maximum length -> 1-D
-convolution (ReLU) -> the column sequence of feature maps -> LSTM -> dropout
--> softmax over the six classes, with a batch's columns held as ids into one
-bank of their vectors (``Batch``). Trained with mini-batch cross-entropy and
-Adam; the embedding table is read-only throughout. All arithmetic is float64
-and every forward/backward step is an explicit numpy expression, so gradients
-can be checked against finite differences.
+end entity] -> 1-D convolution (ReLU) over the windows that start inside
+them -> LSTM over those feature maps, read at its last step -> dropout ->
+softmax over the six classes, with a batch's columns held as right-padded
+ids into one bank of their vectors (``Batch``). Trained with mini-batch
+cross-entropy and Adam; the embedding table is read-only throughout. All
+arithmetic is float64 and every forward/backward step is an explicit numpy
+expression, so gradients can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .embeddings import EmbeddingTable
 
 log = logging.getLogger(__name__)
 
-# The most columns a model may pad its inputs to (its l_max): the LSTM steps
-# over every window of every batch, and the paper's inputs are single sentences.
+# The most columns a model may pad its inputs to (its l_max): a prediction
+# batch's ids are that wide, and the paper's inputs are single sentences.
 L_MAX_LIMIT = 1024
 
 # parameter tensors in a fixed order (serialization, Adam state, grad checks)
@@ -104,21 +104,26 @@ def build_sequence(
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """B padded input sequences as column ids into one bank of vectors.
+    """B right-padded input sequences as column ids into one bank of vectors.
 
     ``bank`` is an (n_cols + 1, v) matrix whose last row is zero and whose
     other rows are not; ``ids`` is (B, l_max), row b the bank rows of
-    instance b's columns in order, then the zero row's id as padding. It
-    stands for the (B, v, l_max) batch ``bank[ids].transpose(0, 2, 1)``.
+    instance b's ``lengths[b]`` columns in order, then the zero row's id as
+    padding. It stands for the (B, v, l_max) batch ``bank[ids].transpose(0, 2, 1)``.
     """
 
     ids: np.ndarray
     bank: np.ndarray
+    lengths: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int, int]:
         """(B, v, l_max), the shape of the padded batch this stands for."""
         return self.ids.shape[0], self.bank.shape[1], self.ids.shape[1]
+
+    def rows(self, idx) -> Batch:
+        """The Batch of rows ``idx`` of this one, on the same bank."""
+        return Batch(self.ids[idx], self.bank, self.lengths[idx])
 
 
 def build_batch(
@@ -132,11 +137,10 @@ def build_batch(
 
     The bank holds each distinct column vector once. A column whose vector
     is zero (an out-of-vocabulary lemma, an entity of them) gets the zero
-    row's id, as padding does, so a window is live exactly when one of its
-    ids is not the zero row's. Without ``l_max`` (training) the batch is as
-    long as the longest sequence, which may not be longer than L_MAX_LIMIT;
-    with it (prediction), a longer sequence is cut to ``l_max`` columns
-    with a warning.
+    row's id, as padding does, but counts in its row's length. Without
+    ``l_max`` (training) the batch is as wide as the longest sequence, which
+    may not be longer than L_MAX_LIMIT; with it (prediction), a longer
+    sequence is cut to ``l_max`` columns with a warning.
     """
     sequences = [build_sequence(inst, freq, threshold) for inst in instances]
     if l_max is None:
@@ -162,13 +166,20 @@ def build_batch(
     # the bank row of each key, the zero row for a zero vector, and (last) of padding
     row = np.full(len(keys) + 1, n_cols)
     row[:-1][nonzero] = np.arange(n_cols)
-    return Batch(row[raw], np.concatenate([vectors[nonzero], np.zeros((1, table.dim))]))
+    return Batch(row[raw], np.concatenate([vectors[nonzero], np.zeros((1, table.dim))]),
+                 (raw >= 0).sum(axis=1))
 
 
 def n_windows(l_max: int, ws: int, st: int) -> int:
     if ws > l_max:
         raise ValueError(f"filter width {ws} exceeds padded length {l_max}")
     return (l_max - ws) // st + 1
+
+
+def row_steps(batch: Batch, ws: int, st: int) -> np.ndarray:
+    """Each row's LSTM steps: its windows that start inside its sequence,
+    ``ceil(length / st)``, of the ``n_windows`` the batch width holds."""
+    return np.minimum(-(-batch.lengths // st), n_windows(batch.shape[2], ws, st))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -206,11 +217,12 @@ def init_params(
 # ---------------------------------------------------------------------------
 # batched forward/backward
 #
-# Activations are time-major: row t of an (m, B, .) array is window/step t
-# of every instance in the batch. The four gates are fused in the order
-# i, f, o, g (Appleyard et al., arXiv:1604.01946): one (4u, k) input
-# projection over the live windows of all steps at once, one (4u, u)
-# recurrent matmul per step.
+# A batch's rows run by descending length, so the rows still inside their
+# sequence at step t are a prefix of them, and a row past its last step
+# keeps its state. Activations are packed: block t of an (N, .) array holds
+# that prefix at step t. The four gates are fused in the order i, f, o, g
+# (Appleyard et al., arXiv:1604.01946): one (4u, k) input projection over
+# the windows of all steps at once, one (4u, u) recurrent matmul per step.
 
 GATES = "ifog"
 
@@ -224,41 +236,23 @@ def _fused(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nd
     )
 
 
-def _window_slices(m: int, ws: int, st: int) -> list[slice]:
-    """Per filter column w, the time steps that feed column w of the m windows."""
-    return [slice(w, w + (m - 1) * st + 1, st) for w in range(ws)]
-
-
-def _live_windows(batch: Batch, ws: int, st: int) -> np.ndarray:
-    """(m, B) mask of the windows of ``batch`` that read at least one nonzero
-    column, one whose id is not the bank's zero row. The other windows are
-    dead: all their inputs are 0."""
-    nonzero = (batch.ids != len(batch.bank) - 1).T
-    l_max, B = nonzero.shape
-    m = n_windows(l_max, ws, st)
-    live = np.zeros((m, B), dtype=bool)
-    for cols in _window_slices(m, ws, st):
-        live |= nonzero[cols]
-    return live
-
-
 @dataclass
 class ForwardCache:
     """Everything the backward pass needs, for one batch. One backward_batch
     consumes it: that pass overwrites ``gates`` with the gate gradients.
 
-    A window whose input columns are all zero is dead: its conv feature map
-    is exactly relu(conv_b), so only the live windows are stored.
+    Batch row ``order[r]`` ran r-th, and the first ``active[t]`` rows took
+    step t; the per-step arrays are packed (see above).
     """
 
-    live: np.ndarray  # (m, B) live-window mask, time-major
-    cols: np.ndarray  # (n_cols, v) the distinct column vectors of the live windows
-    inv: np.ndarray  # (n_live, ws) each live window's columns, as rows of ``cols``
-    x_live: np.ndarray  # (n_live, k) conv feature maps of the live windows, post-ReLU
-    x_dead: np.ndarray  # (k,) the feature map of every dead window, relu(conv_b)
-    gates: np.ndarray  # (m, B, 4, u) gate activations, in the order of GATES
-    cells: np.ndarray  # (m + 1, B, u) c_t, with c_0 = 0 first
-    hiddens: np.ndarray  # (m + 1, B, u) h_t, with h_0 = 0 first
+    order: np.ndarray  # (B,) the batch rows by descending length
+    active: np.ndarray  # (T,) the rows that took step t, non-increasing
+    cols: np.ndarray  # (n_cols, v) the distinct column vectors of the windows stepped
+    inv: np.ndarray  # (N, ws) each stepped window's columns, as rows of ``cols``
+    xs: np.ndarray  # (N, k) conv feature maps of the stepped windows, post-ReLU
+    gates: np.ndarray  # (N, 4u) gate activations, in the order of GATES
+    cells: np.ndarray  # (B + N, u) c_t after each step, after B rows of c_0 = 0
+    hiddens: np.ndarray  # (B + N, u) h_t after each step, after B rows of h_0 = 0
     mask: np.ndarray  # dropout mask incl. inverted scaling, (B, u)
     h_drop: np.ndarray  # (B, u)
     probs: np.ndarray  # (B, n_classes)
@@ -279,51 +273,49 @@ def forward_batch(
     hyper: Hyperparams,
     mask: np.ndarray | None = None,
 ) -> ForwardCache | np.ndarray:
-    """Class distributions for a Batch of B padded inputs.
+    """Class distributions for a Batch of B padded inputs, in its row order.
 
     At training time ``mask``, a (B, u) dropout mask from ``dropout_mask``,
     is applied to the final hidden state, and the ForwardCache of the batch
     is returned. Inference (None) never drops and returns only the
     (B, n_classes) probabilities: the LSTM keeps no state but its last.
     """
-    B, v, l_max = batch.shape
+    B, v, _ = batch.shape
     u, k = hyper.rnn_units, hyper.num_filters
     ws, st = hyper.filter_width, hyper.stride
-    live = _live_windows(batch, ws, st)
-    m = live.shape[0]
+    steps = row_steps(batch, ws, st)
+    order = np.argsort(-batch.lengths, kind="stable")
+    # active[t] rows take step t; packed row p is row r of step t's block
+    active = B - np.cumsum(np.bincount(steps, minlength=steps.max(initial=0) + 1))[:-1]
+    t_of = np.repeat(np.arange(len(active)), active)
+    r_of = np.arange(len(t_of)) - np.repeat(np.cumsum(active) - active, active)
 
-    # conv on the live windows only: one matmul over their distinct columns
+    # conv on the stepped windows: one matmul over their distinct columns
     # gives proj[c, f, w], filter f's weights for window column w times
-    # column c, and a window's feature map sums its ws columns' terms. A dead
-    # window gives relu(conv_b).
-    steps, rows = np.divmod(np.flatnonzero(live), B)
-    uniq, inv = np.unique(batch.ids[rows[:, None], steps[:, None] * st + np.arange(ws)],
+    # column c, and a window's feature map sums its ws columns' terms
+    uniq, inv = np.unique(batch.ids[order[r_of, None], t_of[:, None] * st + np.arange(ws)],
                           return_inverse=True)
     inv = inv.reshape(-1, ws)
     cols = batch.bank[uniq]
     proj = (cols @ params["conv_w"].reshape(k * ws, v).T).reshape(-1, k, ws)
-    x_live = proj[inv[:, 0], :, 0]
+    xs = proj[inv[:, 0], :, 0]
     for w in range(1, ws):
-        x_live += proj[inv[:, w], :, w]
-    x_live += params["conv_b"]
-    np.maximum(x_live, 0.0, out=x_live)
-    x_dead = np.maximum(params["conv_b"], 0.0)
+        xs += proj[inv[:, w], :, w]
+    xs += params["conv_b"]
+    np.maximum(xs, 0.0, out=xs)
 
-    # the (4u, k) input projection on the live rows; every dead row gets the
-    # same constant pre-activation
     w_x, w_h, bias = _fused(params)
-    gates = np.empty((m * B, 4 * u))
-    flat_live = live.ravel()
-    gates[~flat_live] = x_dead @ w_x.T + bias
-    gates[flat_live] = x_live @ w_x.T + bias
-    gates = gates.reshape(m, B, 4, u)
-    # training keeps the state of every step, inference only the current one
-    cells = np.zeros((m + 1 if mask is not None else 1, B, u))
-    hiddens = np.zeros_like(cells)
-    for t in range(m):
-        now, new = (t, t + 1) if mask is not None else (0, 0)
-        a = gates[t]
-        a += (hiddens[now] @ w_h.T).reshape(B, 4, u)
+    gates = xs @ w_x.T
+    gates += bias
+    # the state of every row, by descending length; training also keeps
+    # every step's, packed after B zero rows (the state before step 0)
+    cell, hidden = np.zeros((B, u)), np.zeros((B, u))
+    if mask is not None:
+        cells, hiddens = np.zeros((B + len(t_of), u)), np.zeros((B + len(t_of), u))
+    lo = 0
+    for n in active:
+        a = gates[lo : lo + n].reshape(n, 4, u)
+        a += (hidden[:n] @ w_h.T).reshape(n, 4, u)
         # sigmoid as 0.5 * (1 + tanh(x / 2)): no overflow, no mask
         sig = a[:, :3]
         sig *= 0.5
@@ -331,15 +323,20 @@ def forward_batch(
         sig += 1.0
         sig *= 0.5
         i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-        np.add(f * cells[now], i * g, out=cells[new])
-        np.multiply(o, np.tanh(cells[new]), out=hiddens[new])
+        c, h = cell[:n], hidden[:n]
+        np.add(f * c, i * g, out=c)
+        np.multiply(o, np.tanh(c), out=h)
+        if mask is not None:
+            cells[B + lo : B + lo + n], hiddens[B + lo : B + lo + n] = c, h
+        lo += n
+    # back to the batch's row order
+    hidden[order] = hidden.copy()
     if mask is None:
-        return softmax(hiddens[0] @ params["soft_w"].T + params["soft_b"])
+        return softmax(hidden @ params["soft_w"].T + params["soft_b"])
 
-    h_drop = hiddens[m] * mask
+    h_drop = hidden * mask
     probs = softmax(h_drop @ params["soft_w"].T + params["soft_b"])
-    return ForwardCache(live, cols, inv, x_live, x_dead, gates, cells, hiddens, mask, h_drop,
-                        probs)
+    return ForwardCache(order, active, cols, inv, xs, gates, cells, hiddens, mask, h_drop, probs)
 
 
 def _cross_entropy_sum(probs: np.ndarray, gold: np.ndarray) -> float:
@@ -367,11 +364,12 @@ def backward_batch(
     a batch of ``batch_rows`` rows. The shards' gradients sum to the
     batch's; the L2 term's, ``l2_scale * soft_w``, is left to the caller.
 
-    Consumes ``cache``: step t writes its gate gradients over
-    ``cache.gates[t]`` once it has copied those gates to a (B, 4u) buffer, so
-    the pass holds no second (m, B, 4, u) array.
+    Consumes ``cache``: step t writes its gate gradients over its block of
+    ``cache.gates`` once it has copied those gates to a buffer, so the pass
+    holds no second (N, 4u) array. A row past its last step passes its
+    ``dh`` and ``dc`` through unchanged.
     """
-    m, B = cache.live.shape
+    B = len(cache.order)
     u = hyper.rnn_units
 
     dlogits = cache.probs.copy()
@@ -384,37 +382,37 @@ def backward_batch(
     }
 
     w_x, w_h, _ = _fused(params)
-    # pre-activation gradients of all steps, (m, B, 4, u), in place of the gates
-    da, cells = cache.gates, cache.cells
-    a = np.empty((B, 4, u))
-    i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    dh = (dlogits @ params["soft_w"]) * cache.mask
+    # pre-activation gradients of all steps, packed, in place of the gates
+    da, cells, active = cache.gates, cache.cells, cache.active
+    # the rows of the block before each step's, in ``cells`` and ``hiddens``
+    before = np.concatenate([[B], active[:-1]])
+    buf = np.empty((B, 4, u))
+    dh = ((dlogits @ params["soft_w"]) * cache.mask)[cache.order]
     dc = np.zeros((B, u))
-    for t in range(m - 1, -1, -1):
-        a[...] = da[t]
-        tanh_c = np.tanh(cells[t + 1])
-        dc += dh * o * (1.0 - tanh_c * tanh_c)
-        d = da[t]
+    hi = len(da)
+    for t in range(len(active) - 1, -1, -1):
+        n = active[t]
+        lo = hi - n
+        a = buf[:n]
+        a[...] = da[lo:hi].reshape(n, 4, u)
+        i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        tanh_c = np.tanh(cells[B + lo : B + hi])
+        dc[:n] += dh[:n] * o * (1.0 - tanh_c * tanh_c)
+        d = da[lo:hi].reshape(n, 4, u)
         # activation derivatives: s(1 - s) for the sigmoid gates, 1 - g^2 for g
         np.subtract(1.0, a, out=d)
         d *= a
         np.subtract(1.0, g * g, out=d[:, 3])
-        d[:, 0] *= dc * g
-        d[:, 1] *= dc * cells[t]
-        d[:, 2] *= dh * tanh_c
-        d[:, 3] *= dc * i
-        dc *= f
-        dh = d.reshape(B, 4 * u) @ w_h
+        d[:, 0] *= dc[:n] * g
+        d[:, 1] *= dc[:n] * cells[B + lo - before[t] : B + hi - before[t]]  # c_{t-1}
+        d[:, 2] *= dh[:n] * tanh_c
+        d[:, 3] *= dc[:n] * i
+        dc[:n] *= f
+        dh[:n] = da[lo:hi] @ w_h
+        hi = lo
 
-    da = da.reshape(m * B, 4 * u)
-    flat_live = cache.live.ravel()
-    da_live = da[flat_live]
-    # every dead row has the same input x_dead, so their share of the input
-    # weights and of conv_b is one rank-1 term in the sum of their da
-    da_dead = np.add.reduce(da, axis=0, where=~flat_live[:, None])
-    d_wx = da_live.T @ cache.x_live
-    d_wx += np.outer(da_dead, cache.x_dead)
-    d_wh = da.T @ cache.hiddens[:-1].reshape(m * B, u)
+    d_wx = da.T @ cache.xs
+    d_wh = da.T @ cache.hiddens[B + np.arange(len(da)) - np.repeat(before, active)]  # h_{t-1}
     d_b = da.sum(axis=0)
     for n, gate in enumerate(GATES):
         rows = slice(n * u, (n + 1) * u)
@@ -422,12 +420,11 @@ def backward_batch(
         grads["u_" + gate] = d_wh[rows]
         grads["b_" + gate] = d_b[rows]
 
-    # a dead window's inputs are zero, so it adds nothing to the conv_w
-    # gradient. Its block w sums dz times column w over the live windows:
-    # dz summed per distinct column (sorted by it, one sum per run of equal
-    # ids), then one matmul with those columns
-    dz = da_live @ w_x
-    dz *= cache.x_live > 0
+    # block w of the conv_w gradient sums dz times column w over the stepped
+    # windows: dz summed per distinct column (sorted by it, one sum per run
+    # of equal ids), then one matmul with those columns
+    dz = da @ w_x
+    dz *= cache.xs > 0
     v = cache.cols.shape[1]
     d_conv = grads["conv_w"] = np.empty_like(params["conv_w"])
     for w in range(cache.inv.shape[1]):
@@ -435,7 +432,7 @@ def backward_batch(
         col = cache.inv[order, w]
         runs = np.flatnonzero(np.diff(col, prepend=-1))
         d_conv[:, w * v : (w + 1) * v] = np.add.reduceat(dz[order], runs).T @ cache.cols[col[runs]]
-    grads["conv_b"] = dz.sum(axis=0) + (da_dead @ w_x) * (cache.x_dead > 0)
+    grads["conv_b"] = dz.sum(axis=0)
     return {name: grads[name] for name in PARAM_NAMES}
 
 
@@ -479,7 +476,8 @@ class ClstmModel(modelio.Classifier):
     freq_threshold: int
     table: EmbeddingTable
     loss_history: tuple[float, ...] = field(default=(), compare=False)
-    # (live, total) conv windows over the padded training corpus
+    # (stepped, total) conv windows over the training corpus: the windows
+    # the LSTM stepped, each instance's own, and all the padded width holds
     windows: tuple[int, int] = field(default=(0, 0), compare=False)
     # how training ran, for the train report only: ``workers``, the processes
     # that ran the batch shards, and ``blas_threads``, the OpenBLAS thread
@@ -495,8 +493,7 @@ class ClstmModel(modelio.Classifier):
         batch = build_batch(instances, self.table, self.freq, self.freq_threshold, self.l_max)
         step = self.hyper.batch_size
         return np.vstack([
-            forward_batch(Batch(batch.ids[start : start + step], batch.bank),
-                          self.params, self.hyper)
+            forward_batch(batch.rows(slice(start, start + step)), self.params, self.hyper)
             for start in range(0, len(instances), step)
         ])
 
@@ -552,8 +549,7 @@ def _shard_gradient(state: _TrainState, shard: int, idx: np.ndarray, mask: np.nd
     gold = state.gold[idx]
     # the shard's ids live only as long as forward_batch's call, and the
     # cache only until this returns: one shard's working set at a time
-    cache = forward_batch(Batch(state.corpus.ids[idx], state.corpus.bank),
-                          state.params, state.hyper, mask)
+    cache = forward_batch(state.corpus.rows(idx), state.params, state.hyper, mask)
     ce = _cross_entropy_sum(cache.probs, gold)
     grads = backward_batch(cache, gold, state.params, state.hyper, batch_rows)
     for name, out in state.shard_grads[shard].items():
@@ -573,14 +569,14 @@ def _update(state: _TrainState, half: int, t: int) -> None:
     adam_step(state.flat[cols], grad, state.m[cols], state.v[cols], t, state.hyper.learning_rate)
 
 
-def _split(live: np.ndarray) -> list[np.ndarray]:
+def _split(steps: np.ndarray) -> list[np.ndarray]:
     """The positions of a batch's rows in its two shards, from each row's
-    live-window count ``live``: over the rows by descending count, shard 0
+    LSTM step count ``steps``: over the rows by descending count, shard 0
     takes the 1st, 4th, 5th, 8th, 9th, ... and shard 1 the others, so each
-    has half the rows (ceil or floor) and nearly half the live windows. Each
-    shard keeps its rows in batch order."""
-    order = np.argsort(-live, kind="stable")
-    first = np.arange(len(live)) % 4 % 3 == 0
+    has half the rows (ceil or floor) and nearly half the steps. Each shard
+    keeps its rows in batch order."""
+    order = np.argsort(-steps, kind="stable")
+    first = np.arange(len(steps)) % 4 % 3 == 0
     return [np.sort(order[first]), np.sort(order[~first])]
 
 
@@ -596,7 +592,7 @@ def train(
     dropout mask per batch.
 
     Each batch is split into two shards of half its rows (ceil or floor)
-    with nearly equal live windows (``_split``), which depend only on the
+    with nearly equal LSTM steps (``_split``), which depend only on the
     batch's rows. Its gradient is shard 0's plus shard 1's, in that order,
     plus the L2 term once. The parameters are one flat buffer, and Adam
     updates each half of it in one pass. The loop runs with OpenBLAS at one
@@ -619,7 +615,7 @@ def train(
         )
     n, bs = len(labeled), hyper.batch_size
     ws, st = hyper.filter_width, hyper.stride
-    row_live = _live_windows(corpus, ws, st).sum(axis=0)  # each instance's live windows
+    steps = row_steps(corpus, ws, st)
     label_idx = {label: i for i, label in enumerate(LABELS)}
     gold = np.array([label_idx[inst.label] for inst in labeled], dtype=np.int64)
 
@@ -640,7 +636,7 @@ def train(
                     rows = len(idx)
                     mask = dropout_mask(hyper, rows, rng)
                     ce = run(_shard_gradient, [(shard, idx[pos], mask[pos], rows) for shard, pos
-                                               in enumerate(_split(row_live[idx]))])
+                                               in enumerate(_split(steps[idx]))])
                     epoch_losses.append((ce[0] + ce[1]) / rows
                                         + _l2_penalty(state.params, hyper.l2_scale))
                     t += 1
@@ -654,7 +650,7 @@ def train(
         freq_threshold=freq_threshold,
         table=table,
         loss_history=tuple(history),
-        windows=(int(row_live.sum()), n * n_windows(l_max, ws, st)),
+        windows=(int(steps.sum()), n * n_windows(l_max, ws, st)),
         fit_report={"workers": workers, "blas_threads": blas_threads},
     )
 

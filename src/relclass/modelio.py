@@ -9,8 +9,9 @@ its own fields. Files are written atomically: readers see the old file or the
 whole new one, never a partial write.
 
 Each format has one version (``VERSIONS``): 3 for SVM files, whose support
-vectors are stored as lemma lists (``svm``), 2 for conv-LSTM files. Files of
-any other version are rejected; there is no reader for older versions.
+vectors are stored as lemma lists (``svm``), and 3 for conv-LSTM files, whose
+network reads each instance's own windows only (``clstm``). Files of any
+other version are rejected; there is no reader for older versions.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ log = logging.getLogger(__name__)
 
 SVM_FORMAT, CLSTM_FORMAT = "relclass-svm", "relclass-clstm"  # each file's "format"
 # the one version of each model format that is written and read
-VERSIONS = {SVM_FORMAT: 3, CLSTM_FORMAT: 2}
+VERSIONS = {SVM_FORMAT: 3, CLSTM_FORMAT: 3}
 
 
 class ModelFormatError(ValueError):

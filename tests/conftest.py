@@ -14,6 +14,8 @@ from relclass.embeddings import EmbeddingTable
 from relclass.features import load_levin_table
 from relclass.synthetic import make_corpus, make_embedding_table
 
+from oracles import relative_error
+
 
 @pytest.fixture(autouse=True, scope="session")
 def _session_cache_home(tmp_path_factory):
@@ -42,39 +44,58 @@ def make_instance(tokens, e1, e2, label=RelationLabel.USAGE, reverse=False,
                             label=label, reverse=reverse, subtask=subtask)
 
 
-def as_batch(dense):
+def as_batch(dense, lengths=None):
     """The clstm.Batch that stands for the (B, v, l_max) padded batch
-    ``dense``: its distinct nonzero columns in the bank, then the zero row."""
+    ``dense`` whose row b holds ``lengths[b]`` columns (all l_max without
+    ``lengths``): its distinct nonzero columns in the bank, then the zero
+    row."""
     B, v, l_max = dense.shape
+    lengths = np.full(B, l_max) if lengths is None else np.asarray(lengths)
+    assert not any(dense[b, :, n:].any() for b, n in enumerate(lengths))
     cols = dense.transpose(0, 2, 1).reshape(B * l_max, v)
     nonzero = cols.any(axis=1)
     distinct, inv = np.unique(cols[nonzero], axis=0, return_inverse=True)
     ids = np.full(B * l_max, len(distinct))
     ids[nonzero] = inv.ravel()
-    batch = Batch(ids.reshape(B, l_max), np.concatenate([distinct, np.zeros((1, v))]))
+    batch = Batch(ids.reshape(B, l_max), np.concatenate([distinct, np.zeros((1, v))]), lengths)
     assert np.array_equal(batch.bank[batch.ids].transpose(0, 2, 1), dense)
     return batch
 
 
-def feature_maps(cache):
-    """The (m, B, k) conv feature maps of a forward_batch cache: the stored
-    maps at the live windows, relu(conv_b) at every dead one."""
-    m, B = cache.live.shape
-    xs = np.broadcast_to(cache.x_dead, (m, B, cache.x_dead.size)).copy()
-    xs[cache.live] = cache.x_live
-    return xs
+def stepped(cache):
+    """(step, batch row) of each packed row of a forward_batch cache, to
+    index the time-major (m, B, .) arrays of the dense reference with."""
+    steps = np.repeat(np.arange(len(cache.active)), cache.active)
+    ranks = np.arange(len(steps)) - np.repeat(np.cumsum(cache.active) - cache.active, cache.active)
+    return steps, cache.order[ranks]
+
+
+def assert_matches_reference(cache, ref, name=""):
+    """A forward_batch cache against the dense reference's of the same
+    batch, within 1e-12: the probabilities, and the conv maps and states of
+    every step a row takes; a row takes the steps the reference marks
+    active, and the states before the first step are zero."""
+    t, b = stepped(cache)
+    B = len(cache.order)
+    assert len(t) == ref.active.sum() and ref.active[t, b].all(), name
+    assert not cache.cells[:B].any() and not cache.hiddens[:B].any(), name
+    assert relative_error(cache.probs, ref.probs) <= 1e-12, name
+    assert relative_error(cache.xs, ref.xs[t, b]) <= 1e-12, name
+    assert relative_error(cache.cells[B:], ref.cells[t + 1, b]) <= 1e-12, name
+    assert relative_error(cache.hiddens[B:], ref.hiddens[t + 1, b]) <= 1e-12, name
 
 
 def conv_maps(I_pad, filters, bias, stride):
-    """The k x m conv feature maps of one padded instance, read from the
-    forward_batch cache of a batch of one (a training call without dropout)."""
+    """The k x m conv feature maps of one instance that fills its width,
+    read from the forward_batch cache of a batch of one (a training call
+    without dropout), which steps all m windows."""
     v = I_pad.shape[0]
     k, flat = filters.shape
     hyper = Hyperparams(num_filters=k, filter_width=flat // v, rnn_units=1, stride=stride)
     params = init_params(v, hyper, np.random.default_rng(0))
     params.update(conv_w=filters, conv_b=bias)
     cache = forward_batch(as_batch(I_pad[None]), params, hyper, np.ones((1, 1)))
-    return feature_maps(cache)[:, 0].T
+    return cache.xs.T
 
 
 def force_cpus(monkeypatch, n):

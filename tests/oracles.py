@@ -332,10 +332,13 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 # dense conv-LSTM reference
 #
 # The package's batched forward/backward pass as it was before it skipped
-# all-zero conv windows: every window of the padded input is convolved and
-# projected, with no live/dead split. Copied verbatim, with its own copies of
-# the helpers it calls; ``hyper`` is any object with the package's
-# Hyperparams attributes.
+# any conv window: every window of the padded input is convolved and
+# projected, and the LSTM steps every row over every window. Copied from it,
+# with its own copies of the helpers it calls, and masked: a row stays at its
+# state from the step whose window starts at or past its length on (a
+# ``where`` over the full step), and in the backward pass such a step gives
+# zero gate gradients and passes the row's dh and dc through. ``hyper`` is
+# any object with the package's Hyperparams attributes.
 
 PARAM_NAMES = (
     "conv_w", "conv_b",
@@ -380,6 +383,7 @@ class ForwardCache:
     """Everything the backward pass needs, for one batch."""
 
     inputs: np.ndarray  # (l_max, B, v) padded inputs, time-major
+    active: np.ndarray  # (m, B) whether row b takes step t
     xs: np.ndarray  # (m, B, k) conv feature maps, post-ReLU
     gates: np.ndarray  # (m, B, 4, u) gate activations, in the order of GATES
     cells: np.ndarray  # (m + 1, B, u) c_t, with c_0 = 0 first
@@ -391,12 +395,14 @@ class ForwardCache:
 
 def dense_forward_batch(
     batch: np.ndarray,
+    lengths,
     params: dict[str, np.ndarray],
     hyper,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardCache:
-    """Class distributions for a (B, v, l_max) batch of padded inputs.
+    """Class distributions for a (B, v, l_max) batch of padded inputs whose
+    row b holds ``lengths[b]`` columns.
 
     At training time an inverted-scaling dropout mask is applied to the final
     hidden state; inference never drops.
@@ -405,6 +411,7 @@ def dense_forward_batch(
     u = hyper.rnn_units
     m = n_windows(l_max, hyper.filter_width, hyper.stride)
     inputs = np.ascontiguousarray(batch.transpose(2, 0, 1))
+    active = np.arange(m)[:, None] * hyper.stride < np.asarray(lengths)[None, :]
 
     # conv: window j sums, over the filter's columns w, block w of conv_w
     # times input column j*st + w; one matmul per w covers every window
@@ -432,8 +439,9 @@ def dense_forward_batch(
         sig += 1.0
         sig *= 0.5
         i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-        np.add(f * cells[t], i * g, out=cells[t + 1])
-        np.multiply(o, np.tanh(cells[t + 1]), out=hiddens[t + 1])
+        step = active[t][:, None]
+        cells[t + 1] = np.where(step, f * cells[t] + i * g, cells[t])
+        hiddens[t + 1] = np.where(step, o * np.tanh(cells[t + 1]), hiddens[t])
 
     if training and hyper.dropout_rate > 0.0:
         if rng is None:
@@ -444,7 +452,7 @@ def dense_forward_batch(
         mask = np.ones((B, u))
     h_drop = hiddens[m] * mask
     probs = softmax(h_drop @ params["soft_w"].T + params["soft_b"])
-    return ForwardCache(inputs, xs, gates, cells, hiddens, mask, h_drop, probs)
+    return ForwardCache(inputs, active, xs, gates, cells, hiddens, mask, h_drop, probs)
 
 
 def dense_backward_batch(
@@ -476,8 +484,10 @@ def dense_backward_batch(
     for t in range(m - 1, -1, -1):
         a = gates[t]
         i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        step = cache.active[t][:, None]
         tanh_c = np.tanh(cells[t + 1])
-        dc += dh * o * (1.0 - tanh_c * tanh_c)
+        dc_in = dc
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
         d = da[t]
         # activation derivatives: s(1 - s) for the sigmoid gates, 1 - g^2 for g
         np.subtract(1.0, a, out=d)
@@ -487,8 +497,9 @@ def dense_backward_batch(
         d[:, 1] *= dc * cells[t]
         d[:, 2] *= dh * tanh_c
         d[:, 3] *= dc * i
-        dc *= f
-        dh = d.reshape(B, 4 * u) @ w_h
+        d *= step[:, :, None]
+        dc = np.where(step, dc * f, dc_in)
+        dh = np.where(step, d.reshape(B, 4 * u) @ w_h, dh)
 
     da = da.reshape(m * B, 4 * u)
     xs = cache.xs.reshape(m * B, k)
@@ -511,9 +522,9 @@ def dense_backward_batch(
     return {name: grads[name] for name in PARAM_NAMES}
 
 
-def clstm_dense_reference(batch, gold, params, hyper, training=False, rng=None):
+def clstm_dense_reference(batch, lengths, gold, params, hyper, training=False, rng=None):
     """(ForwardCache, gradients) of one batch from the dense reference."""
-    cache = dense_forward_batch(batch, params, hyper, training, rng)
+    cache = dense_forward_batch(batch, lengths, params, hyper, training, rng)
     return cache, dense_backward_batch(cache, gold, params, hyper)
 
 

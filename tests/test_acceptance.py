@@ -172,11 +172,12 @@ def test_c05_conv_and_lstm_oracles():
     batch = rng.normal(size=(1, 2, 7))
     xs = conv1d_oracle(batch[0], params["conv_w"], params["conv_b"], 1).T
     ones = np.ones((1, 3))
-    h = forward_batch(as_batch(batch), params, hyper, ones).hiddens[-1, 0]
+    # with a mask of ones, the dropped final state is the final state
+    h = forward_batch(as_batch(batch), params, hyper, ones).h_drop[0]
     assert relative_error(h, lstm_oracle(xs, params)) <= 1e-12
 
     zero = {name: np.zeros_like(p) for name, p in params.items()}
-    assert np.array_equal(forward_batch(as_batch(batch), zero, hyper, ones).hiddens[-1, 0],
+    assert np.array_equal(forward_batch(as_batch(batch), zero, hyper, ones).h_drop[0],
                           np.zeros(3))
 
 

@@ -105,6 +105,9 @@ def test_train_exits_2_when_a_pair_fit_fails(workdir, tmp_path, monkeypatch, cap
 
 def test_train_clstm_seed_reproducible(workdir, tmp_path):
     digests, histories = [], []
+    instances = make_corpus(n_per_class=12)
+    freq = corpus.build_lemma_counts(instances)
+    lengths = [len(clstm.build_sequence(inst, freq, 1)) for inst in instances]
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         rc = main([
@@ -120,9 +123,12 @@ def test_train_clstm_seed_reproducible(workdir, tmp_path):
         assert len(report["loss_history"]) == 2  # one loss per epoch
         assert all(math.isfinite(loss) for loss in report["loss_history"])
         assert report["loss_history"][-1] == report["final_epoch_loss"]
-        # filter width 2, stride 1: l_max - 1 windows per instance
+        # filter width 2, stride 1: l_max - 1 windows per instance in total;
+        # live: those the LSTM steps, one per column of each instance, up to
+        # l_max - 1
         total = report["instances"] * (report["l_max"] - 1)
         assert report["windows"]["total"] == total
+        assert report["windows"]["live"] == sum(min(n, report["l_max"] - 1) for n in lengths)
         assert 0 < report["windows"]["live"] < total
         # one shard worker where OpenBLAS runs at one thread (blas_threads 1)
         assert report["blas_threads"] in (1, None)
@@ -534,18 +540,21 @@ def test_predict_rejects_a_table_that_changes_a_support_vector(workdir, tmp_path
     assert not (tmp_path / "pred.jsonl").exists()
 
 
-def test_version_2_is_read_for_conv_lstm_files_only(workdir, clstm_model_file, tmp_path,
-                                                     capsys):
-    assert json.loads(clstm_model_file.read_text(encoding="utf-8"))["version"] == 2
-    assert _predict(clstm_model_file, workdir, tmp_path / "clstm-pred.jsonl") == 0
-    svm_v2 = tmp_path / "svm-v2.json"
-    payload = json.loads((workdir / "svm-model.json").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("kind", ["svm", "clstm"])
+def test_version_2_files_are_rejected(workdir, clstm_model_file, tmp_path, capsys, kind):
+    # both formats are at version 3: SVM files since their support vectors
+    # became lemma lists, conv-LSTM files since the network reads each
+    # instance's own windows only
+    source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
+    payload = json.loads(source.read_text(encoding="utf-8"))
     assert payload["version"] == 3
-    svm_v2.write_text(json.dumps({**payload, "version": 2}), encoding="utf-8")
+    assert _predict(source, workdir, tmp_path / "pred.jsonl") == 0
+    old = tmp_path / f"{kind}-v2.json"
+    old.write_text(json.dumps({**payload, "version": 2}), encoding="utf-8")
     capsys.readouterr()
-    assert _predict(svm_v2, workdir, tmp_path / "svm-pred.jsonl") == 2
-    assert f"{svm_v2}: unsupported version 2 of relclass-svm" in capsys.readouterr().err
-    assert not (tmp_path / "svm-pred.jsonl").exists()
+    assert _predict(old, workdir, tmp_path / "old-pred.jsonl") == 2
+    assert f"{old}: unsupported version 2 of relclass-{kind}" in capsys.readouterr().err
+    assert not (tmp_path / "old-pred.jsonl").exists()
 
 
 def test_cli_import_loads_no_scipy():
