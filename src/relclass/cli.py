@@ -22,7 +22,7 @@ from importlib.resources import files
 from pathlib import Path
 
 from . import read
-from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, build_lemma_counts, parse_corpus
+from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, context_vocabulary, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .modelio import (CLSTM_FORMAT, SVM_FORMAT, ModelFormatError, argmax_labels, read_json,
                       write_atomic)
@@ -207,10 +207,7 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         report["l_max"] = model.l_max
         report["loss_history"] = list(model.loss_history)
         report["final_epoch_loss"] = model.loss_history[-1] if model.loss_history else None
-        live, total = model.windows
-        report["windows"] = {"live": live, "total": total}
-        report["workers"] = model.fit_report["workers"]
-        report["blas_threads"] = model.fit_report["blas_threads"]
+        report.update(model.fit_report)
     report["timing"] = {"train_seconds": time.perf_counter() - start}
     _write_json(report, cfg.report)
     print(f"model written to {out}")
@@ -302,8 +299,8 @@ def cmd_features(cfg: argparse.Namespace) -> int:
         raise ValueError("--corpus is required")
     instances = parse_corpus(cfg.corpus)
     table, levin = _load_embeddings(cfg), _load_levin(cfg)
-    key_sets, _ = featurize(instances, build_lemma_counts(instances), table, levin,
-                            cfg.freq_threshold)
+    key_sets, _ = featurize(instances, context_vocabulary(instances, cfg.freq_threshold),
+                            table, levin)
     lines = []
     for inst, keys in zip(instances, key_sets):
         grouped: dict[str, list[str]] = {ns: [] for ns in NAMESPACES}

@@ -4,10 +4,13 @@ Pipeline per instance: embedding columns [start entity | filtered context |
 end entity] -> 1-D convolution (ReLU) over the windows that start inside
 them -> LSTM over those feature maps, read at its last step -> dropout ->
 softmax over the six classes, with a batch's columns held as right-padded
-ids into one bank of their vectors (``Batch``). Trained with mini-batch
-cross-entropy and Adam; the embedding table is read-only throughout. All
-arithmetic is float64 and every forward/backward step is an explicit numpy
-expression, so gradients can be checked against finite differences.
+ids into one bank of their vectors (``Batch``). A context word is a column
+only if its lemma is in the training corpus's context vocabulary. The LSTM's
+four gates are one projection: their weights and biases are held, trained
+and saved as three fused tensors. Trained with mini-batch cross-entropy and
+Adam; the embedding table is read-only throughout. All arithmetic is float64
+and every forward/backward step is an explicit numpy expression, so
+gradients can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from . import modelio, parallel, read
 from .corpus import (
     FREQ_THRESHOLD,
     LABELS,
-    FrequencyTable,
     RelationInstance,
-    build_lemma_counts,
+    context_vocabulary,
     extract_context,
     filter_context,
 )
@@ -40,14 +42,10 @@ log = logging.getLogger(__name__)
 L_MAX_LIMIT = 1024
 
 # parameter tensors in a fixed order (serialization, Adam state, grad checks)
-PARAM_NAMES = (
-    "conv_w", "conv_b",
-    "w_i", "u_i", "b_i",
-    "w_f", "u_f", "b_f",
-    "w_o", "u_o", "b_o",
-    "w_g", "u_g", "b_g",
-    "soft_w", "soft_b",
-)
+PARAM_NAMES = ("conv_w", "conv_b", "w_x", "w_h", "b", "soft_w", "soft_b")
+
+# the order of the gates' blocks of u rows in w_x, w_h and b
+GATES = "ifog"
 
 
 @dataclass(frozen=True)
@@ -89,16 +87,12 @@ class Hyperparams:
             reader(getattr(self, name), name, *bounds)
 
 
-def build_sequence(
-    inst: RelationInstance,
-    freq: FrequencyTable,
-    threshold: int,
-) -> list:
+def build_sequence(inst: RelationInstance, vocabulary: frozenset[str]) -> list:
     """The columns of the embedding matrix I of ``inst``, each as the key of
     its vector: the start entity's tokens (a tuple, whose vector is the
-    token average), the lemma of each filtered context word in order, the
-    end entity's tokens."""
-    context = filter_context(extract_context(inst), freq, threshold)
+    token average), the lemma of each context word in ``vocabulary`` in
+    order, the end entity's tokens."""
+    context = filter_context(extract_context(inst), vocabulary)
     return [inst.start_tokens, *(tok.lemma for tok in context), inst.end_tokens]
 
 
@@ -129,8 +123,7 @@ class Batch:
 def build_batch(
     instances: Sequence[RelationInstance],
     table: EmbeddingTable,
-    freq: FrequencyTable,
-    threshold: int,
+    vocabulary: frozenset[str],
     l_max: int | None = None,
 ) -> Batch:
     """The Batch of the sequences of ``instances`` (see build_sequence).
@@ -142,7 +135,7 @@ def build_batch(
     may not be longer than L_MAX_LIMIT; with it (prediction), a longer
     sequence is cut to ``l_max`` columns with a warning.
     """
-    sequences = [build_sequence(inst, freq, threshold) for inst in instances]
+    sequences = [build_sequence(inst, vocabulary) for inst in instances]
     if l_max is None:
         l_max = max(map(len, sequences))
         if l_max > L_MAX_LIMIT:
@@ -190,14 +183,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def param_shapes(v: int, hyper: Hyperparams) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter tensor for v-dim embeddings, in
-    PARAM_NAMES order: matrices are weights, vectors are biases."""
+    PARAM_NAMES order: matrices are weights, vectors are biases. The LSTM's
+    input weights w_x (4u, k), recurrent weights w_h (4u, u) and biases b
+    (4u,) hold one block of u rows per gate, in GATES order."""
     k, u, n = hyper.num_filters, hyper.rnn_units, len(LABELS)
     return {
         "conv_w": (k, v * hyper.filter_width), "conv_b": (k,),
-        "w_i": (u, k), "u_i": (u, u), "b_i": (u,),
-        "w_f": (u, k), "u_f": (u, u), "b_f": (u,),
-        "w_o": (u, k), "u_o": (u, u), "b_o": (u,),
-        "w_g": (u, k), "u_g": (u, u), "b_g": (u,),
+        "w_x": (4 * u, k), "w_h": (4 * u, u), "b": (4 * u,),
         "soft_w": (n, u), "soft_b": (n,),
     }
 
@@ -206,11 +198,19 @@ def init_params(
     v: int, hyper: Hyperparams, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
     """Uniform [-0.1, 0.1] weights, zero biases, forget-gate bias 1.0.
-    The weights are drawn one after another in PARAM_NAMES order."""
+    The weights are drawn one after another: conv_w, then per gate in GATES
+    order its (u, k) block of w_x and its (u, u) block of w_h, then soft_w."""
+    shapes, u, k = param_shapes(v, hyper), hyper.rnn_units, hyper.num_filters
+    conv_w = rng.uniform(-0.1, 0.1, size=shapes["conv_w"])
+    blocks = [(rng.uniform(-0.1, 0.1, size=(u, k)), rng.uniform(-0.1, 0.1, size=(u, u)))
+              for _ in GATES]
     return {
-        name: rng.uniform(-0.1, 0.1, size=shape) if len(shape) == 2
-        else np.full(shape, 1.0 if name == "b_f" else 0.0)
-        for name, shape in param_shapes(v, hyper).items()
+        "conv_w": conv_w, "conv_b": np.zeros(shapes["conv_b"]),
+        "w_x": np.concatenate([w for w, _ in blocks]),
+        "w_h": np.concatenate([w for _, w in blocks]),
+        "b": np.repeat([1.0 if gate == "f" else 0.0 for gate in GATES], u),
+        "soft_w": rng.uniform(-0.1, 0.1, size=shapes["soft_w"]),
+        "soft_b": np.zeros(shapes["soft_b"]),
     }
 
 
@@ -220,20 +220,9 @@ def init_params(
 # A batch's rows run by descending length, so the rows still inside their
 # sequence at step t are a prefix of them, and a row past its last step
 # keeps its state. Activations are packed: block t of an (N, .) array holds
-# that prefix at step t. The four gates are fused in the order i, f, o, g
+# that prefix at step t. The four gates are fused in the order of GATES
 # (Appleyard et al., arXiv:1604.01946): one (4u, k) input projection over
 # the windows of all steps at once, one (4u, u) recurrent matmul per step.
-
-GATES = "ifog"
-
-
-def _fused(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Input weights (4u, k), recurrent weights (4u, u) and biases (4u,)."""
-    return (
-        np.concatenate([params["w_" + g] for g in GATES]),
-        np.concatenate([params["u_" + g] for g in GATES]),
-        np.concatenate([params["b_" + g] for g in GATES]),
-    )
 
 
 @dataclass
@@ -304,9 +293,9 @@ def forward_batch(
     xs += params["conv_b"]
     np.maximum(xs, 0.0, out=xs)
 
-    w_x, w_h, bias = _fused(params)
-    gates = xs @ w_x.T
-    gates += bias
+    w_h = params["w_h"]
+    gates = xs @ params["w_x"].T
+    gates += params["b"]
     # the state of every row, by descending length; training also keeps
     # every step's, packed after B zero rows (the state before step 0)
     cell, hidden = np.zeros((B, u)), np.zeros((B, u))
@@ -381,7 +370,7 @@ def backward_batch(
         "soft_b": dlogits.sum(axis=0),
     }
 
-    w_x, w_h, _ = _fused(params)
+    w_h = params["w_h"]
     # pre-activation gradients of all steps, packed, in place of the gates
     da, cells, active = cache.gates, cache.cells, cache.active
     # the rows of the block before each step's, in ``cells`` and ``hiddens``
@@ -411,19 +400,15 @@ def backward_batch(
         dh[:n] = da[lo:hi] @ w_h
         hi = lo
 
-    d_wx = da.T @ cache.xs
-    d_wh = da.T @ cache.hiddens[B + np.arange(len(da)) - np.repeat(before, active)]  # h_{t-1}
-    d_b = da.sum(axis=0)
-    for n, gate in enumerate(GATES):
-        rows = slice(n * u, (n + 1) * u)
-        grads["w_" + gate] = d_wx[rows]
-        grads["u_" + gate] = d_wh[rows]
-        grads["b_" + gate] = d_b[rows]
+    grads["w_x"] = da.T @ cache.xs
+    h_prev = cache.hiddens[B + np.arange(len(da)) - np.repeat(before, active)]  # h_{t-1}
+    grads["w_h"] = da.T @ h_prev
+    grads["b"] = da.sum(axis=0)
 
     # block w of the conv_w gradient sums dz times column w over the stepped
     # windows: dz summed per distinct column (sorted by it, one sum per run
     # of equal ids), then one matmul with those columns
-    dz = da @ w_x
+    dz = da @ params["w_x"]
     dz *= cache.xs > 0
     v = cache.cols.shape[1]
     d_conv = grads["conv_w"] = np.empty_like(params["conv_w"])
@@ -472,16 +457,15 @@ class ClstmModel(modelio.Classifier):
     params: dict[str, np.ndarray]
     hyper: Hyperparams
     l_max: int
-    freq: FrequencyTable
-    freq_threshold: int
+    vocabulary: frozenset[str]
     table: EmbeddingTable
     loss_history: tuple[float, ...] = field(default=(), compare=False)
-    # (stepped, total) conv windows over the training corpus: the windows
-    # the LSTM stepped, each instance's own, and all the padded width holds
-    windows: tuple[int, int] = field(default=(0, 0), compare=False)
-    # how training ran, for the train report only: ``workers``, the processes
-    # that ran the batch shards, and ``blas_threads``, the OpenBLAS thread
-    # count of the loop (None: the count could not be set); never saved
+    # how training ran, for the train report only: ``windows``, the conv
+    # windows over the training corpus (``live``: those the LSTM stepped,
+    # each instance's own; ``total``: all the padded width holds),
+    # ``workers``, the processes that ran the batch shards, and
+    # ``blas_threads``, the OpenBLAS thread count of the loop (None: the
+    # count could not be set); never saved
     fit_report: dict = field(default_factory=dict, compare=False)
 
     def predict_proba_many(self, instances: Sequence[RelationInstance]) -> np.ndarray:
@@ -490,7 +474,7 @@ class ClstmModel(modelio.Classifier):
         ``hyper.batch_size`` of them, so its memory does not grow with the corpus."""
         if not instances:
             return np.zeros((0, len(LABELS)))
-        batch = build_batch(instances, self.table, self.freq, self.freq_threshold, self.l_max)
+        batch = build_batch(instances, self.table, self.vocabulary, self.l_max)
         step = self.hyper.batch_size
         return np.vstack([
             forward_batch(batch.rows(slice(start, start + step)), self.params, self.hyper)
@@ -606,8 +590,8 @@ def train(
         raise ValueError("no labeled instances")
     if len(labeled) != len(instances):
         raise ValueError("training corpus contains unlabeled instances")
-    freq = build_lemma_counts(labeled)
-    corpus = build_batch(labeled, table, freq, freq_threshold)
+    vocabulary = context_vocabulary(labeled, freq_threshold)
+    corpus = build_batch(labeled, table, vocabulary)
     l_max = corpus.shape[2]
     if hyper.filter_width > l_max:
         raise ValueError(
@@ -646,12 +630,11 @@ def train(
         params={name: p.copy() for name, p in state.params.items()},
         hyper=hyper,
         l_max=l_max,
-        freq=freq,
-        freq_threshold=freq_threshold,
+        vocabulary=vocabulary,
         table=table,
         loss_history=tuple(history),
-        windows=(int(steps.sum()), n * n_windows(l_max, ws, st)),
-        fit_report={"workers": workers, "blas_threads": blas_threads},
+        fit_report={"windows": {"live": int(steps.sum()), "total": n * n_windows(l_max, ws, st)},
+                    "workers": workers, "blas_threads": blas_threads},
     )
 
 

@@ -1,4 +1,4 @@
-"""Annotated relation corpus: instances, context extraction, lemma-frequency filtering.
+"""Annotated relation corpus: instances, context extraction, the context vocabulary.
 
 Corpus files are JSON-lines, one instance per line:
 
@@ -50,9 +50,6 @@ class RelationLabel(Enum):
 LABELS: tuple[RelationLabel, ...] = tuple(RelationLabel)
 
 SUBTASKS = ("1.1", "1.2")
-
-# lemma -> occurrence count over the context tokens of a corpus partition
-FrequencyTable = Counter
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,9 @@ def extract_context(inst: RelationInstance) -> tuple[TokenAnnotation, ...]:
     return inst.tokens[inst.e1[1] + 1 : inst.e2[0]]
 
 
-def build_lemma_counts(instances: Iterable[RelationInstance]) -> FrequencyTable:
+def build_lemma_counts(instances: Iterable[RelationInstance]) -> Counter:
     """Lemma occurrence counts over the context tokens of all instances."""
-    counts: FrequencyTable = Counter()
+    counts: Counter = Counter()
     for inst in instances:
         counts.update(tok.lemma for tok in extract_context(inst))
     return counts
@@ -137,14 +134,20 @@ def build_lemma_counts(instances: Iterable[RelationInstance]) -> FrequencyTable:
 FREQ_THRESHOLD = 5  # the lemma-frequency threshold every trainer defaults to
 
 
-def filter_context(
-    context: Sequence[TokenAnnotation],
-    freq: FrequencyTable,
-    threshold: int,
-) -> tuple[TokenAnnotation, ...]:
-    """Keep only context tokens whose lemma count reaches ``threshold``."""
+def context_vocabulary(instances: Iterable[RelationInstance], threshold: int) -> frozenset[str]:
+    """The context vocabulary of a corpus: the lemmas whose count over its
+    context tokens reaches ``threshold``. Both models read a context word
+    only if its lemma is in their training corpus's vocabulary."""
     read.integer(threshold, "freq_threshold", 1)
-    return tuple(tok for tok in context if freq.get(tok.lemma, 0) >= threshold)
+    return frozenset(lemma for lemma, count in build_lemma_counts(instances).items()
+                     if count >= threshold)
+
+
+def filter_context(
+    context: Sequence[TokenAnnotation], vocabulary: frozenset[str]
+) -> tuple[TokenAnnotation, ...]:
+    """Keep only the context tokens whose lemma is in ``vocabulary``."""
+    return tuple(tok for tok in context if tok.lemma in vocabulary)
 
 
 def instance_from_dict(record: dict, known: dict | None = None) -> RelationInstance:

@@ -16,13 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import read
-from .corpus import (
-    FrequencyTable,
-    RelationInstance,
-    TokenAnnotation,
-    extract_context,
-    filter_context,
-)
+from .corpus import RelationInstance, TokenAnnotation, extract_context, filter_context
 from .embeddings import EmbeddingTable, cosine
 
 NAMESPACES = (
@@ -118,15 +112,14 @@ def dense_block(rows: Sequence[Sequence[Sequence[str]]], table: EmbeddingTable) 
 
 def featurize(
     instances: Sequence[RelationInstance],
-    freq: FrequencyTable,
+    vocabulary: frozenset[str],
     table: EmbeddingTable,
     levin: dict[str, frozenset[int]],
-    threshold: int,
 ) -> tuple[list[set[Key]], np.ndarray]:
     """The boolean key set of each instance and their (n, 3 * dim) unscaled
     dense block (``dense_block``).
 
-    bow/pos/lc come from the frequency-filtered context, pospath/dist from
+    bow/pos/lc come from the context words in ``vocabulary``, pospath/dist from
     the full context (the path and its length describe the raw gap). The
     entity strings (lowercased surface, plus the head noun of multi-token
     nominals) go under ents and, by role, under startEnt/endEnt; sim100 is the
@@ -138,7 +131,7 @@ def featurize(
     for inst, row in zip(instances, dense):
         full = extract_context(inst)
         keys = {("pospath", pos_path(full)), ("dist", str(len(full)))}
-        for tok in filter_context(full, freq, threshold):
+        for tok in filter_context(full, vocabulary):
             keys.add(("bow", tok.lemma))
             keys.add(("pos", tok.pos))
             keys.update(("lc", str(class_id)) for class_id in levin.get(tok.lemma, ()))

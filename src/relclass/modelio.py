@@ -4,13 +4,14 @@ Model files are single JSON documents with sorted keys and compact separators,
 so identical model state always produces identical bytes. Arrays are stored as
 shape-tagged base64 blobs of little-endian float64, which round-trip bit for
 bit. Every model file starts from the same header (``format``, ``version``,
-``labels``, ``embedding``, ``freq``, ``freq_threshold``); each model kind adds
-its own fields. Files are written atomically: readers see the old file or the
-whole new one, never a partial write.
+``labels``, ``embedding``, ``vocabulary``: the sorted context lemmas the model
+reads); each model kind adds its own fields, in the layout prediction reads
+them. Files are written atomically: readers see the old file or the whole new
+one, never a partial write.
 
-Each format has one version (``VERSIONS``): 3 for SVM files, whose support
-vectors are stored as lemma lists (``svm``), and 3 for conv-LSTM files, whose
-network reads each instance's own windows only (``clstm``). Files of any
+Each format has one version (``VERSIONS``), 4 for both: the header holds the
+context vocabulary, an SVM file stores its support vectors as lemma lists
+(``svm``) and a conv-LSTM file its LSTM gates fused (``clstm``). Files of any
 other version are rejected; there is no reader for older versions.
 """
 
@@ -27,14 +28,14 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import read
-from .corpus import LABELS, FrequencyTable, RelationInstance, RelationLabel
+from .corpus import LABELS, RelationInstance, RelationLabel
 from .embeddings import EmbeddingTable
 
 log = logging.getLogger(__name__)
 
 SVM_FORMAT, CLSTM_FORMAT = "relclass-svm", "relclass-clstm"  # each file's "format"
 # the one version of each model format that is written and read
-VERSIONS = {SVM_FORMAT: 3, CLSTM_FORMAT: 3}
+VERSIONS = {SVM_FORMAT: 4, CLSTM_FORMAT: 4}
 
 
 class ModelFormatError(ValueError):
@@ -153,8 +154,7 @@ def save_model(model: Any, model_format: str, fields: dict, path: str | Path) ->
         "version": VERSIONS[model_format],
         "labels": [label.value for label in LABELS],
         "embedding": {"name": model.table.name, "dim": model.table.dim},
-        "freq": dict(sorted(model.freq.items())),
-        "freq_threshold": model.freq_threshold,
+        "vocabulary": sorted(model.vocabulary),
     }
     save_json({**header, **fields}, path)
 
@@ -166,14 +166,13 @@ def load_model(
     build: Callable[..., Any],
     payload: dict | None = None,
 ) -> Any:
-    """Read the shared header, then ``build(payload, freq=...,
-    freq_threshold=..., table=...)`` the model from the file's own fields.
-    ``payload``, when given, is the file's already parsed JSON.
+    """Read the shared header, then ``build(payload, vocabulary=...,
+    table=...)`` the model from the file's own fields. ``payload``, when
+    given, is the file's already parsed JSON.
 
-    A missing field, one of the wrong kind or range (a ``freq`` count must be
-    an integer >= 0, ``freq_threshold`` one >= 1), a file of another format or
-    version, or a value the model rejects raises ModelFormatError naming the
-    file.
+    A missing field, one of the wrong kind (each ``vocabulary`` entry must be
+    a nonempty string), a file of another format or version, or a value the
+    model rejects raises ModelFormatError naming the file.
     """
     payload = read_json(path) if payload is None else payload
     try:
@@ -192,15 +191,9 @@ def load_model(
                 "embedding table name mismatch: model trained with %r, predicting with %r",
                 name, table.name,
             )
-        freq = read.object(payload["freq"], "freq")
-        for lemma, count in freq.items():
-            read.integer(count, f"freq count of {lemma!r}", 0)
-        return build(
-            payload,
-            freq=FrequencyTable(freq),
-            freq_threshold=read.integer(payload["freq_threshold"], "freq_threshold", 1),
-            table=table,
-        )
+        vocabulary = frozenset(read.string(lemma, "vocabulary lemma")
+                               for lemma in read.array(payload["vocabulary"], "vocabulary"))
+        return build(payload, vocabulary=vocabulary, table=table)
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ModelFormatError(f"{path}: {problem}") from exc

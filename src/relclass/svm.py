@@ -40,8 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import modelio, parallel, read
-from .corpus import (FREQ_THRESHOLD, LABELS, FrequencyTable, RelationInstance, RelationLabel,
-                     build_lemma_counts)
+from .corpus import FREQ_THRESHOLD, LABELS, RelationInstance, RelationLabel, context_vocabulary
 from .embeddings import EmbeddingTable
 from .features import (
     FeatureSpace,
@@ -449,9 +448,8 @@ class SvmModel(modelio.Classifier):
     sv_lemmas: list[tuple[list[str], ...]]
     space: FeatureSpace
     scaler: MinMaxScaler
-    freq: FrequencyTable
-    freq_threshold: int
-    levin: dict[str, frozenset[int]]
+    vocabulary: frozenset[str]
+    levin: dict[str, frozenset[int]]  # the verb classes of the vocabulary's lemmas
     table: EmbeddingTable
     C: float
     gamma: float
@@ -461,9 +459,7 @@ class SvmModel(modelio.Classifier):
     fit_report: dict = field(default_factory=dict, compare=False)
 
     def _pack(self, instances: Sequence[RelationInstance]) -> PackedFeatures:
-        key_sets, dense = featurize(
-            instances, self.freq, self.table, self.levin, self.freq_threshold
-        )
+        key_sets, dense = featurize(instances, self.vocabulary, self.table, self.levin)
         return pack_rows(key_sets, dense, self.space, self.scaler)
 
     def predict_proba_many(self, instances: Sequence[RelationInstance]) -> np.ndarray:
@@ -570,7 +566,9 @@ def train_multiclass(
     freq_threshold: int = FREQ_THRESHOLD,
     seed: int = 0,
 ) -> SvmModel:
-    """Train all class-pair SVMs plus calibrators on a labeled corpus.
+    """Train all class-pair SVMs plus calibrators on a labeled corpus. The
+    model keeps the corpus's context vocabulary at ``freq_threshold`` and,
+    of ``levin``, the verb classes of that vocabulary's lemmas only.
 
     Pairs with a missing class are skipped; their pairwise probability
     defaults to 0.5 at prediction time. The pairs are fitted in
@@ -585,8 +583,8 @@ def train_multiclass(
     present = {inst.label for inst in labeled}
     if len(present) < 2:
         raise SvmTrainingError("need at least two classes to train")
-    freq = build_lemma_counts(labeled)
-    key_sets, dense = featurize(labeled, freq, table, levin, freq_threshold)
+    vocabulary = context_vocabulary(labeled, freq_threshold)
+    key_sets, dense = featurize(labeled, vocabulary, table, levin)
     space = build_feature_space(key_sets)
     scaler = fit_minmax(dense)
     packed = pack_rows(key_sets, dense, space, scaler)
@@ -620,9 +618,8 @@ def train_multiclass(
         sv_lemmas=dense_lemmas([labeled[i] for i in union]),
         space=space,
         scaler=scaler,
-        freq=freq,
-        freq_threshold=freq_threshold,
-        levin=levin,
+        vocabulary=vocabulary,
+        levin={lemma: ids for lemma, ids in levin.items() if lemma in vocabulary},
         table=table,
         C=C,
         gamma=gamma,

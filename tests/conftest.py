@@ -44,6 +44,19 @@ def make_instance(tokens, e1, e2, label=RelationLabel.USAGE, reverse=False,
                             label=label, reverse=reverse, subtask=subtask)
 
 
+def per_gate(tensors):
+    """The package's parameters (or gradients) with its fused LSTM tensors
+    split into the oracles' twelve per-gate arrays: block n of u rows of
+    w_x, w_h and b is gate ``"ifog"[n]``'s w_, u_ and b_ array."""
+    u = len(tensors["b"]) // 4
+    split = {name: tensors[name] for name in ("conv_w", "conv_b", "soft_w", "soft_b")}
+    for n, gate in enumerate("ifog"):
+        rows = slice(n * u, (n + 1) * u)
+        split.update({"w_" + gate: tensors["w_x"][rows], "u_" + gate: tensors["w_h"][rows],
+                      "b_" + gate: tensors["b"][rows]})
+    return split
+
+
 def as_batch(dense, lengths=None):
     """The clstm.Batch that stands for the (B, v, l_max) padded batch
     ``dense`` whose row b holds ``lengths[b]`` columns (all l_max without

@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import as_batch, conv_maps, in_space, make_instance, tok
+from conftest import as_batch, conv_maps, in_space, make_instance, per_gate, tok
 from oracles import (
+    PARAM_NAMES as GATE_PARAM_NAMES,
     conv1d_oracle,
     f1_oracle,
     finite_diff_grads,
@@ -145,9 +146,10 @@ def test_c04_gradient_check():
     def loss_fn():
         return batch_loss(forward_batch(batch, params, hyper, ones), gold, params, hyper.l2_scale)
 
-    numeric = finite_diff_grads(loss_fn, params)
+    numeric = per_gate(finite_diff_grads(loss_fn, params))
     elapsed = time.perf_counter() - start
-    for name in PARAM_NAMES:
+    grads = per_gate(grads)
+    for name in GATE_PARAM_NAMES:
         assert relative_error(grads[name], numeric[name]) < 1e-4, name
     assert elapsed < 10.0
 
@@ -174,7 +176,7 @@ def test_c05_conv_and_lstm_oracles():
     ones = np.ones((1, 3))
     # with a mask of ones, the dropped final state is the final state
     h = forward_batch(as_batch(batch), params, hyper, ones).h_drop[0]
-    assert relative_error(h, lstm_oracle(xs, params)) <= 1e-12
+    assert relative_error(h, lstm_oracle(xs, per_gate(params))) <= 1e-12
 
     zero = {name: np.zeros_like(p) for name, p in params.items()}
     assert np.array_equal(forward_batch(as_batch(batch), zero, hyper, ones).h_drop[0],

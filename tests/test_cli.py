@@ -106,8 +106,8 @@ def test_train_exits_2_when_a_pair_fit_fails(workdir, tmp_path, monkeypatch, cap
 def test_train_clstm_seed_reproducible(workdir, tmp_path):
     digests, histories = [], []
     instances = make_corpus(n_per_class=12)
-    freq = corpus.build_lemma_counts(instances)
-    lengths = [len(clstm.build_sequence(inst, freq, 1)) for inst in instances]
+    vocabulary = corpus.context_vocabulary(instances, 1)
+    lengths = [len(clstm.build_sequence(inst, vocabulary)) for inst in instances]
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         rc = main([
@@ -355,16 +355,18 @@ def _pair_against_itself(payload):
     return payload
 
 
-def _set_freq_count(value):
+def _set_vocabulary_lemma(value):
     def damage(payload):
-        payload["freq"][min(payload["freq"])] = value
+        payload["vocabulary"][0] = value
         return payload
     return damage
 
 
 def _set_levin_id(value):
+    # the file's levin holds the verb lemmas of its vocabulary; the fixture
+    # table's are not in the synthetic corpus, but "use" is
     def damage(payload):
-        payload["levin"][min(payload["levin"])][0] = value
+        payload["levin"]["use"] = [105, value]
         return payload
     return damage
 
@@ -404,7 +406,7 @@ def _set_embedding_name(value):
     ("svm", _sv_bool_duplicate_column),
     ("svm", _drop_sv_lemmas_row),
     ("clstm", _add_hyper_key),
-    ("clstm", _drop("freq")),
+    ("clstm", _drop("vocabulary")),
     ("clstm", _conv_w_column_short),
     ("clstm", _set_hyper("rnn_units", 5)),
     ("clstm", lambda payload: {**payload, "l_max": 1}),
@@ -426,14 +428,10 @@ def _set_embedding_name(value):
     ("svm", _set_pair("B", math.inf)),
     ("svm", _repeat_pair),
     ("svm", _pair_against_itself),
-    ("svm", _set("freq_threshold", "5")),
-    ("svm", _set("freq_threshold", True)),
-    ("svm", _set("freq_threshold", 0)),
-    ("svm", _set_freq_count(-1)),
-    ("svm", _set_freq_count(1.5)),
-    ("clstm", _set("freq_threshold", "5")),
-    ("clstm", _set("freq_threshold", True)),
-    ("clstm", _set_freq_count(True)),
+    # a vocabulary that is not an array of nonempty strings
+    ("clstm", _set("vocabulary", "be")),
+    ("svm", _set_vocabulary_lemma(5)),
+    ("svm", _set_vocabulary_lemma("")),
     # fields of the wrong kind or beyond int64
     ("svm", _set("levin", "x")),
     ("svm", _set_levin_id(True)),
@@ -461,16 +459,15 @@ def _set_embedding_name(value):
         "svm-sv-index-out-of-range", "svm-sv-coef-length-mismatch", "svm-version-1",
         "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column",
         "svm-sv-lemmas-row-count",
-        "clstm-unknown-hyper-key", "clstm-missing-freq", "clstm-conv-w-width",
+        "clstm-unknown-hyper-key", "clstm-missing-vocabulary", "clstm-conv-w-width",
         "clstm-rnn-units-mismatch", "clstm-l-max-below-filter-width", "clstm-l-max-not-int",
         "svm-sv-lemmas-not-array", "clstm-param-null", "clstm-rnn-units-float",
         "clstm-batch-size-bool", "svm-space-unsorted", "svm-space-duplicate",
         "svm-space-unknown-namespace",
         "svm-C-zero", "svm-gamma-string", "svm-gamma-negative", "svm-gamma-bool",
         "svm-pair-b-string", "svm-pair-A-string", "svm-pair-B-inf", "svm-pair-repeated",
-        "svm-pair-against-itself", "svm-freq-threshold-string", "svm-freq-threshold-bool",
-        "svm-freq-threshold-zero", "svm-freq-count-negative", "svm-freq-count-float",
-        "clstm-freq-threshold-string", "clstm-freq-threshold-bool", "clstm-freq-count-bool",
+        "svm-pair-against-itself", "clstm-vocabulary-not-an-array", "svm-vocabulary-number",
+        "svm-vocabulary-empty-string",
         "svm-levin-string", "svm-levin-id-bool", "svm-levin-id-float", "svm-pairs-object",
         "svm-pairs-empty", "svm-sv-bool-column-bool", "svm-embedding-name-number",
         "clstm-stride-huge",
@@ -496,7 +493,8 @@ def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_pat
 @pytest.mark.parametrize("damage, field", [
     (_set("l_max", 2**31), "l_max must be a 64-bit integer >= 2 and <= 1024"),
     (_insert_in_data("!", "params", "conv_b"), "conv_b data: "),
-], ids=["l-max", "conv-b-data"])
+    (_set_vocabulary_lemma(""), "vocabulary lemma must be a nonempty string"),
+], ids=["l-max", "conv-b-data", "vocabulary-lemma"])
 def test_predict_names_the_field_of_a_bad_model_file(clstm_model_file, workdir, tmp_path,
                                                      capsys, damage, field):
     bad = tmp_path / "bad-model.json"
@@ -542,19 +540,20 @@ def test_predict_rejects_a_table_that_changes_a_support_vector(workdir, tmp_path
 
 @pytest.mark.parametrize("kind", ["svm", "clstm"])
 def test_version_2_files_are_rejected(workdir, clstm_model_file, tmp_path, capsys, kind):
-    # both formats are at version 3: SVM files since their support vectors
-    # became lemma lists, conv-LSTM files since the network reads each
-    # instance's own windows only
+    # both formats are at version 4, whose header holds the context
+    # vocabulary; versions 2 and 3 have no reader
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
     payload = json.loads(source.read_text(encoding="utf-8"))
-    assert payload["version"] == 3
+    assert payload["version"] == 4
     assert _predict(source, workdir, tmp_path / "pred.jsonl") == 0
-    old = tmp_path / f"{kind}-v2.json"
-    old.write_text(json.dumps({**payload, "version": 2}), encoding="utf-8")
-    capsys.readouterr()
-    assert _predict(old, workdir, tmp_path / "old-pred.jsonl") == 2
-    assert f"{old}: unsupported version 2 of relclass-{kind}" in capsys.readouterr().err
-    assert not (tmp_path / "old-pred.jsonl").exists()
+    for version in (2, 3):
+        old = tmp_path / f"{kind}-v{version}.json"
+        old.write_text(json.dumps({**payload, "version": version}), encoding="utf-8")
+        capsys.readouterr()
+        assert _predict(old, workdir, tmp_path / "old-pred.jsonl") == 2
+        assert (f"{old}: unsupported version {version} of relclass-{kind}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "old-pred.jsonl").exists()
 
 
 def test_cli_import_loads_no_scipy():

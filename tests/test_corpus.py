@@ -13,6 +13,7 @@ from relclass.corpus import (
     RelationLabel,
     TokenAnnotation,
     build_lemma_counts,
+    context_vocabulary,
     extract_context,
     filter_context,
     instance_from_dict,
@@ -122,15 +123,15 @@ def test_lemma_counts_example_sentence(example_instance):
 
 def test_filter_threshold_one_is_identity(example_instance):
     ctx = extract_context(example_instance)
-    counts = build_lemma_counts([example_instance])
-    assert filter_context(ctx, counts, threshold=1) == ctx
+    assert filter_context(ctx, context_vocabulary([example_instance], 1)) == ctx
 
 
 def test_filter_drops_rare_lemmas():
-    from collections import Counter
-    ctx = (tok("are", "be", "VERB"), tok("foo", "foo", "NOUN"))
-    counts = Counter({"be": 10, "foo": 2})
-    kept = filter_context(ctx, counts, threshold=5)
+    ctx = [tok("are", "be", "VERB")] * 10 + [tok("foo", "foo", "NOUN")] * 2
+    inst = make_instance([tok("x"), *ctx, tok("y")], e1=(0, 0), e2=(13, 13))
+    vocabulary = context_vocabulary([inst], 5)
+    assert vocabulary == {"be"}
+    kept = filter_context((tok("are", "be", "VERB"), tok("foo", "foo", "NOUN")), vocabulary)
     assert [t.lemma for t in kept] == ["be"]
 
 
@@ -139,15 +140,16 @@ def test_filter_counts_are_corpus_wide():
     # the token even though each sentence contains it once
     base = [tok("x"), tok("improving", "improve", "VERB"), tok("y")]
     corpus = [make_instance(base, e1=(0, 0), e2=(2, 2), id=f"i{k}") for k in range(7)]
-    counts = build_lemma_counts(corpus)
-    assert counts["improve"] == 7
-    kept = filter_context(extract_context(corpus[0]), counts, threshold=5)
+    assert build_lemma_counts(corpus)["improve"] == 7
+    kept = filter_context(extract_context(corpus[0]), context_vocabulary(corpus, 5))
     assert [t.lemma for t in kept] == ["improve"]
+    assert context_vocabulary(corpus, 8) == frozenset()
 
 
 def test_filter_rejects_bad_threshold(example_instance):
-    with pytest.raises(ValueError):
-        filter_context(extract_context(example_instance), {}, threshold=0)
+    for threshold in (0, 1.0, True):
+        with pytest.raises(ValueError, match="freq_threshold"):
+            context_vocabulary([example_instance], threshold)
 
 
 @pytest.mark.parametrize("e1,e2", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance, tok
-from relclass.corpus import RelationInstance, build_lemma_counts, extract_context
+from relclass.corpus import RelationInstance, context_vocabulary, extract_context
 from relclass.embeddings import EmbeddingTable, load_table
 from relclass.features import (
     NAMESPACES,
@@ -43,8 +43,8 @@ AB_TABLE = EmbeddingTable(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
 
 
 def keys_of(inst, levin, table=AB_TABLE, threshold=1):
-    """featurize's key set of one instance, lemma counts from the instance itself."""
-    key_sets, _ = featurize([inst], build_lemma_counts([inst]), table, levin, threshold)
+    """featurize's key set of one instance, its vocabulary from the instance itself."""
+    key_sets, _ = featurize([inst], context_vocabulary([inst], threshold), table, levin)
     return key_sets[0]
 
 
@@ -270,8 +270,8 @@ def test_minmax_output_in_unit_interval(train, query):
 def test_dense_block_layout():
     inst = make_instance([tok("A", "a"), tok("C", "c"), tok("B", "b")],
                          e1=(0, 0), e2=(2, 2))
-    freq = build_lemma_counts([inst])
-    _, dense = featurize([inst, reversed_copy(inst)], freq, AB_TABLE, {}, 1)
+    vocabulary = context_vocabulary([inst], 1)
+    _, dense = featurize([inst, reversed_copy(inst)], vocabulary, AB_TABLE, {})
     # [context mean | start entity | end entity]; reverse swaps the roles
     assert np.array_equal(dense, [[2.0, 2.0, 1.0, 0.0, 0.0, 1.0],
                                   [2.0, 2.0, 0.0, 1.0, 1.0, 0.0]])
@@ -282,8 +282,8 @@ def test_dense_block_hand_scaled():
                           e1=(0, 0), e2=(2, 2), id="x")
     second = make_instance([tok("B", "b"), tok("A", "a"), tok("C", "c")],
                            e1=(0, 0), e2=(2, 2), id="y")
-    freq = build_lemma_counts([first, second])
-    _, dense = featurize([first, second], freq, AB_TABLE, {}, 1)
+    vocabulary = context_vocabulary([first, second], 1)
+    _, dense = featurize([first, second], vocabulary, AB_TABLE, {})
     scaler = fit_minmax(dense)
     scaled = scaler.apply(dense[0])
     # col 0: train {2,1} -> 2 maps to 1; col 2: train {1,0} -> 1 maps to 1, etc.
@@ -301,19 +301,19 @@ def test_featurize_batch_equals_single_instances(example_instance, fixture_embed
         make_instance(tokens[2:8], e1=(0, 1), e2=(4, 5), id="short"),
         make_instance([tok("x"), tok("Zzz"), *tokens[8:]], e1=(0, 0), e2=(2, 3), id="oov"),
     ]
-    freq = build_lemma_counts(batch)
-    key_sets, dense = featurize(batch, freq, table, levin, 2)
-    alone = [featurize([inst], freq, table, levin, 2) for inst in batch]
+    vocabulary = context_vocabulary(batch, 2)
+    key_sets, dense = featurize(batch, vocabulary, table, levin)
+    alone = [featurize([inst], vocabulary, table, levin) for inst in batch]
     assert key_sets == [keys[0] for keys, _ in alone]
     assert dense.shape == (len(batch), 3 * table.dim)
     assert dense.tobytes() == np.vstack([block for _, block in alone]).tobytes()
-    assert featurize([], freq, table, levin, 2)[1].shape == (0, 3 * table.dim)
+    assert featurize([], vocabulary, table, levin)[1].shape == (0, 3 * table.dim)
 
 
 def test_assemble_end_to_end(example_instance, fixture_embeddings_path, levin):
     table = load_table(fixture_embeddings_path)
-    key_sets, dense = featurize([example_instance], build_lemma_counts([example_instance]),
-                                table, levin, 1)
+    key_sets, dense = featurize([example_instance], context_vocabulary([example_instance], 1),
+                                table, levin)
     space = build_feature_space(key_sets)
     scaler = fit_minmax(dense)
     packed = pack_rows(key_sets, dense, space, scaler)

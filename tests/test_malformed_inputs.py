@@ -32,7 +32,7 @@ SUBSTITUTES = ["x", True, None, -1, 0, 0.5, [], {}, 10**30]
 SUBSTITUTE_IDS = ["string", "true", "null", "minus-one", "zero", "half", "array", "object",
                   "ten-to-the-30"]
 # the seeded sample of field paths each run replaces, so that the whole test
-# takes about 5 s: of about 70 (SVM) and 120 (conv-LSTM) collapsed model-file
+# takes about 5 s: of about 50 (SVM) and 60 (conv-LSTM) collapsed model-file
 # paths and of the 27 config keys; the smaller formats run every path
 MODEL_PATHS_SAMPLED = 20
 CONFIG_KEYS_SAMPLED = 12
@@ -218,6 +218,12 @@ def test_malformed_field_exits_0_or_2_naming_the_file(formats, tmp_path, capsys,
         elif rc == 0 and fmt.must_fail(path, substitute):
             problems.append(f"{where}, accepted a value of the wrong kind")
     assert not problems, "\n".join(problems)
+
+
+def test_model_samples_cover_the_vocabulary(formats):
+    # the seeded samples replace the context vocabulary of both model kinds
+    assert {("vocabulary",), ("vocabulary", 0)} <= set(formats["svm"].paths)
+    assert ("vocabulary",) in formats["clstm"].paths
 
 
 @pytest.fixture(scope="module")

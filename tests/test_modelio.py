@@ -2,12 +2,14 @@ import base64
 import json
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import make_instance, tok
 from relclass import clstm, svm
-from relclass.corpus import LABELS
+from relclass.corpus import LABELS, extract_context
 from relclass.modelio import decode_array, save_json, write_atomic
 from relclass.synthetic import make_corpus
 
@@ -39,6 +41,34 @@ def test_shared_predict_methods_agree_with_predict_proba_many(model):
 def test_shared_predict_methods_on_empty_input(model):
     assert model.predict_many([]) == []
     assert model.predict_proba_many([]).shape == (0, len(LABELS))
+
+
+@pytest.mark.parametrize("threshold", [1, 5])
+@pytest.mark.parametrize("kind", ["svm", "clstm"])
+def test_model_file_holds_the_training_context_vocabulary(tmp_path, syn_table, levin, kind,
+                                                           threshold):
+    # one instance adds a context lemma and a verb lemma that occur once
+    rare = make_instance([tok("x"), tok("improved", "improve", "VERB"), tok("rare"), tok("y")],
+                         e1=(0, 0), e2=(3, 3), id="rare")
+    corpus = CORPUS + [rare]
+    counts = Counter(t.lemma for inst in corpus for t in extract_context(inst))
+    expected = sorted(lemma for lemma, n in counts.items() if n >= threshold)
+    assert ("rare" in expected) == (threshold == 1)
+    path = tmp_path / "model.json"
+    if kind == "svm":
+        verbs = {**levin, "use": frozenset({105})}  # "use" is a frequent context verb
+        svm.save_svm_model(svm.train_multiclass(corpus, syn_table, verbs,
+                                                freq_threshold=threshold), path)
+    else:
+        hyper = clstm.Hyperparams(num_filters=4, filter_width=2, rnn_units=3, epochs=1, seed=1)
+        clstm.save_clstm_model(clstm.train(corpus, syn_table, hyper, freq_threshold=threshold),
+                               path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["vocabulary"] == expected
+    if kind == "svm":
+        # the verb classes of the vocabulary's lemmas only: featurize looks up no other
+        assert sorted(payload["levin"]) == sorted(set(verbs) & set(expected))
+        assert "use" in payload["levin"]
 
 
 def test_write_atomic_replaces_file(tmp_path):

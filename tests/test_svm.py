@@ -406,8 +406,7 @@ def test_packed_rows_reject_bad_columns(row):
 
 def test_pack_features_consistency(svm_model, syn_table):
     corpus, model = svm_model
-    key_sets, dense = featurize(corpus[:4], model.freq, syn_table, model.levin,
-                                model.freq_threshold)
+    key_sets, dense = featurize(corpus[:4], model.vocabulary, syn_table, model.levin)
     # per-instance reference rows: columns looked up key by key, dense scaled row by row
     column = {key: i for i, key in enumerate(model.space.keys())}
     cols = [sorted(column[k] for k in keys if k in column) for keys in key_sets]
