@@ -204,7 +204,6 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         from .clstm import save_clstm_model
         save_clstm_model(model, out)
         report["hyper"] = asdict(model.hyper)
-        report["l_max"] = model.l_max
         report["loss_history"] = list(model.loss_history)
         report["final_epoch_loss"] = model.loss_history[-1] if model.loss_history else None
         report.update(model.fit_report)

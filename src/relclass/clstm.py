@@ -15,7 +15,6 @@ gradients can be checked against finite differences.
 
 from __future__ import annotations
 
-import logging
 import math
 import mmap
 from dataclasses import asdict, dataclass, field
@@ -35,10 +34,8 @@ from .corpus import (
 )
 from .embeddings import EmbeddingTable
 
-log = logging.getLogger(__name__)
-
-# The most columns a model may pad its inputs to (its l_max): a prediction
-# batch's ids are that wide, and the paper's inputs are single sentences.
+# The most columns a sequence may have: a batch's ids are as wide as its
+# longest sequence, and the paper's inputs are single sentences.
 L_MAX_LIMIT = 1024
 
 # parameter tensors in a fixed order (serialization, Adam state, grad checks)
@@ -76,7 +73,7 @@ class Hyperparams:
         "dropout_rate": (read.number, ">= 0", "< 1"),
         "l2_scale": (read.number, ">= 0"),
         "stride": (read.integer, 1),
-        "learning_rate": (read.number,),
+        "learning_rate": (read.number, "> 0"),
         "batch_size": (read.integer, 1),
         "epochs": (read.integer, 0),
         "seed": (read.integer, 0),
@@ -101,9 +98,9 @@ class Batch:
     """B right-padded input sequences as column ids into one bank of vectors.
 
     ``bank`` is an (n_cols + 1, v) matrix whose last row is zero and whose
-    other rows are not; ``ids`` is (B, l_max), row b the bank rows of
+    other rows are not; ``ids`` is (B, width), row b the bank rows of
     instance b's ``lengths[b]`` columns in order, then the zero row's id as
-    padding. It stands for the (B, v, l_max) batch ``bank[ids].transpose(0, 2, 1)``.
+    padding. It stands for the (B, v, width) batch ``bank[ids].transpose(0, 2, 1)``.
     """
 
     ids: np.ndarray
@@ -112,7 +109,7 @@ class Batch:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(B, v, l_max), the shape of the padded batch this stands for."""
+        """(B, v, width), the shape of the padded batch this stands for."""
         return self.ids.shape[0], self.bank.shape[1], self.ids.shape[1]
 
     def rows(self, idx) -> Batch:
@@ -124,33 +121,23 @@ def build_batch(
     instances: Sequence[RelationInstance],
     table: EmbeddingTable,
     vocabulary: frozenset[str],
-    l_max: int | None = None,
 ) -> Batch:
-    """The Batch of the sequences of ``instances`` (see build_sequence).
+    """The Batch of the sequences of ``instances`` (see build_sequence), as
+    wide as the longest of them.
 
     The bank holds each distinct column vector once. A column whose vector
     is zero (an out-of-vocabulary lemma, an entity of them) gets the zero
-    row's id, as padding does, but counts in its row's length. Without
-    ``l_max`` (training) the batch is as wide as the longest sequence, which
-    may not be longer than L_MAX_LIMIT; with it (prediction), a longer
-    sequence is cut to ``l_max`` columns with a warning.
+    row's id, as padding does, but counts in its row's length. A sequence
+    of more than L_MAX_LIMIT columns raises ValueError naming its instance.
     """
     sequences = [build_sequence(inst, vocabulary) for inst in instances]
-    if l_max is None:
-        l_max = max(map(len, sequences))
-        if l_max > L_MAX_LIMIT:
-            raise ValueError(
-                f"the longest sequence has {l_max} columns, more than a model may pad to ({L_MAX_LIMIT})"
-            )
+    for inst, seq in zip(instances, sequences):
+        if len(seq) > L_MAX_LIMIT:
+            raise ValueError(f"instance {inst.id}: its sequence has {len(seq)} columns, "
+                             f"more than a batch may hold ({L_MAX_LIMIT})")
     keys: dict = {}  # column key -> its row in ``vectors``
-    raw = np.full((len(sequences), l_max), -1)  # -1: padding
-    for b, (inst, seq) in enumerate(zip(instances, sequences)):
-        if len(seq) > l_max:
-            log.warning(
-                "instance %s: sequence length %d exceeds training maximum %d, truncating",
-                inst.id, len(seq), l_max,
-            )
-            seq = seq[:l_max]
+    raw = np.full((len(sequences), max(map(len, sequences))), -1)  # -1: padding
+    for b, seq in enumerate(sequences):
         raw[b, : len(seq)] = [keys.setdefault(key, len(keys)) for key in seq]
     vectors = np.array([table.lookup(key) if isinstance(key, str)
                         else table.phrase_vector([tok.lemma for tok in key]) for key in keys])
@@ -163,16 +150,10 @@ def build_batch(
                  (raw >= 0).sum(axis=1))
 
 
-def n_windows(l_max: int, ws: int, st: int) -> int:
-    if ws > l_max:
-        raise ValueError(f"filter width {ws} exceeds padded length {l_max}")
-    return (l_max - ws) // st + 1
-
-
-def row_steps(batch: Batch, ws: int, st: int) -> np.ndarray:
+def row_steps(batch: Batch, st: int) -> np.ndarray:
     """Each row's LSTM steps: its windows that start inside its sequence,
-    ``ceil(length / st)``, of the ``n_windows`` the batch width holds."""
-    return np.minimum(-(-batch.lengths // st), n_windows(batch.shape[2], ws, st))
+    ``ceil(length / st)``, whatever the batch's width."""
+    return -(-batch.lengths // st)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -272,7 +253,7 @@ def forward_batch(
     B, v, _ = batch.shape
     u, k = hyper.rnn_units, hyper.num_filters
     ws, st = hyper.filter_width, hyper.stride
-    steps = row_steps(batch, ws, st)
+    steps = row_steps(batch, st)
     order = np.argsort(-batch.lengths, kind="stable")
     # active[t] rows take step t; packed row p is row r of step t's block
     active = B - np.cumsum(np.bincount(steps, minlength=steps.max(initial=0) + 1))[:-1]
@@ -281,8 +262,10 @@ def forward_batch(
 
     # conv on the stepped windows: one matmul over their distinct columns
     # gives proj[c, f, w], filter f's weights for window column w times
-    # column c, and a window's feature map sums its ws columns' terms
-    uniq, inv = np.unique(batch.ids[order[r_of, None], t_of[:, None] * st + np.arange(ws)],
+    # column c, and a window's feature map sums its ws columns' terms; a
+    # window that runs past the width reads the zero row there
+    ids = np.pad(batch.ids, ((0, 0), (0, ws - 1)), constant_values=len(batch.bank) - 1)
+    uniq, inv = np.unique(ids[order[r_of, None], t_of[:, None] * st + np.arange(ws)],
                           return_inverse=True)
     inv = inv.reshape(-1, ws)
     cols = batch.bank[uniq]
@@ -456,16 +439,15 @@ def adam_step(
 class ClstmModel(modelio.Classifier):
     params: dict[str, np.ndarray]
     hyper: Hyperparams
-    l_max: int
     vocabulary: frozenset[str]
     table: EmbeddingTable
     loss_history: tuple[float, ...] = field(default=(), compare=False)
-    # how training ran, for the train report only: ``windows``, the conv
-    # windows over the training corpus (``live``: those the LSTM stepped,
-    # each instance's own; ``total``: all the padded width holds),
-    # ``workers``, the processes that ran the batch shards, and
-    # ``blas_threads``, the OpenBLAS thread count of the loop (None: the
-    # count could not be set); never saved
+    # how training ran, for the train report only: ``l_max``, the width of
+    # the training corpus's batch; ``windows``, the conv windows over it
+    # (``live``: those the LSTM stepped, each instance's own; ``total``: the
+    # ``ceil(l_max / stride)`` of every row); ``workers``, the processes
+    # that ran the batch shards; and ``blas_threads``, the OpenBLAS thread
+    # count of the loop (None: the count could not be set); never saved
     fit_report: dict = field(default_factory=dict, compare=False)
 
     def predict_proba_many(self, instances: Sequence[RelationInstance]) -> np.ndarray:
@@ -474,7 +456,7 @@ class ClstmModel(modelio.Classifier):
         ``hyper.batch_size`` of them, so its memory does not grow with the corpus."""
         if not instances:
             return np.zeros((0, len(LABELS)))
-        batch = build_batch(instances, self.table, self.vocabulary, self.l_max)
+        batch = build_batch(instances, self.table, self.vocabulary)
         step = self.hyper.batch_size
         return np.vstack([
             forward_batch(batch.rows(slice(start, start + step)), self.params, self.hyper)
@@ -592,14 +574,8 @@ def train(
         raise ValueError("training corpus contains unlabeled instances")
     vocabulary = context_vocabulary(labeled, freq_threshold)
     corpus = build_batch(labeled, table, vocabulary)
-    l_max = corpus.shape[2]
-    if hyper.filter_width > l_max:
-        raise ValueError(
-            f"filter width {hyper.filter_width} exceeds the longest sequence ({l_max})"
-        )
-    n, bs = len(labeled), hyper.batch_size
-    ws, st = hyper.filter_width, hyper.stride
-    steps = row_steps(corpus, ws, st)
+    n, bs, width = len(labeled), hyper.batch_size, corpus.shape[2]
+    steps = row_steps(corpus, hyper.stride)
     label_idx = {label: i for i, label in enumerate(LABELS)}
     gold = np.array([label_idx[inst.label] for inst in labeled], dtype=np.int64)
 
@@ -629,11 +605,11 @@ def train(
     return ClstmModel(
         params={name: p.copy() for name, p in state.params.items()},
         hyper=hyper,
-        l_max=l_max,
         vocabulary=vocabulary,
         table=table,
         loss_history=tuple(history),
-        fit_report={"windows": {"live": int(steps.sum()), "total": n * n_windows(l_max, ws, st)},
+        fit_report={"l_max": width,
+                    "windows": {"live": int(steps.sum()), "total": n * -(-width // hyper.stride)},
                     "workers": workers, "blas_threads": blas_threads},
     )
 
@@ -644,7 +620,6 @@ def train(
 def save_clstm_model(model: ClstmModel, path: str | Path) -> None:
     fields = {
         "hyper": asdict(model.hyper),
-        "l_max": model.l_max,
         "params": {name: model.params[name] for name in PARAM_NAMES},
     }
     modelio.save_model(model, modelio.CLSTM_FORMAT, fields, path)
@@ -655,7 +630,6 @@ def _build_clstm_model(payload: dict, **common) -> ClstmModel:
     if hyper.keys() != Hyperparams.READERS.keys():
         raise ValueError(f"hyper must hold exactly the fields {', '.join(Hyperparams.READERS)}")
     hyper = Hyperparams(**hyper)
-    l_max = read.integer(payload["l_max"], "l_max", hyper.filter_width, L_MAX_LIMIT)
     stored = read.object(payload["params"], "params")
     params = {}
     for name, shape in param_shapes(common["table"].dim, hyper).items():
@@ -664,7 +638,7 @@ def _build_clstm_model(payload: dict, **common) -> ClstmModel:
             raise ValueError(
                 f"{name} has shape {params[name].shape}, hyper and the table dim imply {shape}"
             )
-    return ClstmModel(params=params, hyper=hyper, l_max=l_max, **common)
+    return ClstmModel(params=params, hyper=hyper, **common)
 
 
 def load_clstm_model(

@@ -9,10 +9,11 @@ reads); each model kind adds its own fields, in the layout prediction reads
 them. Files are written atomically: readers see the old file or the whole new
 one, never a partial write.
 
-Each format has one version (``VERSIONS``), 4 for both: the header holds the
-context vocabulary, an SVM file stores its support vectors as lemma lists
-(``svm``) and a conv-LSTM file its LSTM gates fused (``clstm``). Files of any
-other version are rejected; there is no reader for older versions.
+Each format has one version (``VERSIONS``): the header holds the context
+vocabulary, an SVM file (version 4) stores its support vectors as lemma
+lists (``svm``), and a conv-LSTM file (version 5) its LSTM gates fused and
+no padded width (``clstm``). Files of any other version are rejected; there
+is no reader for older versions.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ log = logging.getLogger(__name__)
 
 SVM_FORMAT, CLSTM_FORMAT = "relclass-svm", "relclass-clstm"  # each file's "format"
 # the one version of each model format that is written and read
-VERSIONS = {SVM_FORMAT: 4, CLSTM_FORMAT: 4}
+VERSIONS = {SVM_FORMAT: 4, CLSTM_FORMAT: 5}
 
 
 class ModelFormatError(ValueError):

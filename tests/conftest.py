@@ -99,9 +99,10 @@ def assert_matches_reference(cache, ref, name=""):
 
 
 def conv_maps(I_pad, filters, bias, stride):
-    """The k x m conv feature maps of one instance that fills its width,
-    read from the forward_batch cache of a batch of one (a training call
-    without dropout), which steps all m windows."""
+    """The k x ceil(l / stride) conv feature maps of one instance that fills
+    its width l, read from the forward_batch cache of a batch of one (a
+    training call without dropout), which steps every window that starts
+    inside it; a window that runs past the width reads zero columns there."""
     v = I_pad.shape[0]
     k, flat = filters.shape
     hyper = Hyperparams(num_filters=k, filter_width=flat // v, rnn_units=1, stride=stride)

@@ -337,8 +337,11 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 # with its own copies of the helpers it calls, and masked: a row stays at its
 # state from the step whose window starts at or past its length on (a
 # ``where`` over the full step), and in the backward pass such a step gives
-# zero gate gradients and passes the row's dh and dc through. ``hyper`` is
-# any object with the package's Hyperparams attributes.
+# zero gate gradients and passes the row's dh and dc through. A window that
+# runs past the batch's width reads zero columns: the batch gets
+# ``filter_width - 1`` of them on the right before anything else, so every
+# row steps ``ceil(length / stride)`` windows. ``hyper`` is any object with
+# the package's Hyperparams attributes.
 
 PARAM_NAMES = (
     "conv_w", "conv_b",
@@ -382,7 +385,7 @@ def _window_slices(m: int, ws: int, st: int) -> list[slice]:
 class ForwardCache:
     """Everything the backward pass needs, for one batch."""
 
-    inputs: np.ndarray  # (l_max, B, v) padded inputs, time-major
+    inputs: np.ndarray  # (l_max + ws - 1, B, v) padded inputs, time-major
     active: np.ndarray  # (m, B) whether row b takes step t
     xs: np.ndarray  # (m, B, k) conv feature maps, post-ReLU
     gates: np.ndarray  # (m, B, 4, u) gate activations, in the order of GATES
@@ -402,11 +405,13 @@ def dense_forward_batch(
     rng: np.random.Generator | None = None,
 ) -> ForwardCache:
     """Class distributions for a (B, v, l_max) batch of padded inputs whose
-    row b holds ``lengths[b]`` columns.
+    row b holds ``lengths[b]`` columns, with ``filter_width - 1`` more zero
+    columns appended.
 
     At training time an inverted-scaling dropout mask is applied to the final
     hidden state; inference never drops.
     """
+    batch = np.pad(batch, ((0, 0), (0, 0), (0, hyper.filter_width - 1)))
     B, v, l_max = batch.shape
     u = hyper.rnn_units
     m = n_windows(l_max, hyper.filter_width, hyper.stride)

@@ -165,14 +165,17 @@ def test_c05_conv_and_lstm_oracles():
         I_pad = rng.normal(size=(v, l_max))
         filters = rng.normal(size=(k, v * ws))
         bias = rng.normal(size=k)
+        # the oracle's windows over the width padded by ws - 1 zero columns
         assert relative_error(conv_maps(I_pad, filters, bias, stride),
-                              conv1d_oracle(I_pad, filters, bias, stride)) <= 1e-12
+                              conv1d_oracle(np.pad(I_pad, ((0, 0), (0, ws - 1))), filters, bias,
+                                            stride)) <= 1e-12
 
     # conv-LSTM final state of one instance against oracle conv -> oracle LSTM
     hyper = Hyperparams(num_filters=2, filter_width=2, rnn_units=3)
     params = init_params(2, hyper, rng)
     batch = rng.normal(size=(1, 2, 7))
-    xs = conv1d_oracle(batch[0], params["conv_w"], params["conv_b"], 1).T
+    xs = conv1d_oracle(np.pad(batch[0], ((0, 0), (0, 1))), params["conv_w"], params["conv_b"],
+                       1).T
     ones = np.ones((1, 3))
     # with a mask of ones, the dropped final state is the final state
     h = forward_batch(as_batch(batch), params, hyper, ones).h_drop[0]

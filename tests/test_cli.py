@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import failing_smo, force_cpus, uneven_corpus
+from conftest import failing_smo, force_cpus, make_instance, tok, uneven_corpus
 from relclass import cli, clstm, corpus, evaluation, features, search, svm
 from relclass.cli import build_parser, fixture_path, main
 from relclass.corpus import LABELS, write_corpus
@@ -123,12 +123,13 @@ def test_train_clstm_seed_reproducible(workdir, tmp_path):
         assert len(report["loss_history"]) == 2  # one loss per epoch
         assert all(math.isfinite(loss) for loss in report["loss_history"])
         assert report["loss_history"][-1] == report["final_epoch_loss"]
-        # filter width 2, stride 1: l_max - 1 windows per instance in total;
-        # live: those the LSTM steps, one per column of each instance, up to
-        # l_max - 1
-        total = report["instances"] * (report["l_max"] - 1)
+        # stride 1: l_max windows per instance in total, l_max the width of
+        # the training batch; live: those the LSTM steps, one per column of
+        # each instance
+        assert report["l_max"] == max(lengths)
+        total = report["instances"] * report["l_max"]
         assert report["windows"]["total"] == total
-        assert report["windows"]["live"] == sum(min(n, report["l_max"] - 1) for n in lengths)
+        assert report["windows"]["live"] == sum(lengths)
         assert 0 < report["windows"]["live"] < total
         # one shard worker where OpenBLAS runs at one thread (blas_threads 1)
         assert report["blas_threads"] in (1, None)
@@ -167,6 +168,20 @@ def test_train_rejects_bad_svm_hyperparameter(workdir, tmp_path, capsys, flag, v
     ])
     assert rc == 2
     assert f"{flag[2:]} must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_train_rejects_a_learning_rate_that_does_not_descend(workdir, tmp_path, capsys, value):
+    # -5 is gradient ascent, 0 no update at all
+    out = tmp_path / "m.json"
+    rc = main([
+        "train", "--model", "clstm", "--train", str(workdir / "train.jsonl"),
+        "--embeddings", str(workdir / "emb.txt"), "--out", str(out), *CLSTM_SMOKE,
+        "--learning-rate", value,
+    ])
+    assert rc == 2
+    assert "learning_rate must be a finite number > 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -409,8 +424,6 @@ def _set_embedding_name(value):
     ("clstm", _drop("vocabulary")),
     ("clstm", _conv_w_column_short),
     ("clstm", _set_hyper("rnn_units", 5)),
-    ("clstm", lambda payload: {**payload, "l_max": 1}),
-    ("clstm", lambda payload: {**payload, "l_max": str(payload["l_max"])}),
     ("svm", _set("sv_lemmas", {})),
     ("clstm", _set_param("conv_b", None)),
     ("clstm", _rnn_units_as_float),
@@ -441,12 +454,9 @@ def _set_embedding_name(value):
     ("svm", _sv_bool_column_true),
     ("svm", _set_embedding_name(5)),
     ("clstm", _set_hyper("stride", 10**30)),
-    ("clstm", _set("l_max", 10**30)),
-    # an l_max past the format limit would size every prediction batch
-    ("clstm", _set("l_max", clstm.L_MAX_LIMIT + 1)),
-    ("clstm", _set("l_max", 10**6)),
-    ("clstm", _set("l_max", 2**31)),
-    ("clstm", _set("l_max", 2**50)),
+    # a learning rate its trainer would refuse
+    ("clstm", _set_hyper("learning_rate", 0)),
+    ("clstm", _set_hyper("learning_rate", -5)),
     # tensor data with a character outside the base64 alphabet
     ("clstm", _insert_in_data(" ", "params", "conv_b")),
     ("clstm", _insert_in_data("!", "params", "conv_b")),
@@ -460,8 +470,8 @@ def _set_embedding_name(value):
         "svm-sv-bool-column-out-of-range", "svm-sv-bool-duplicate-column",
         "svm-sv-lemmas-row-count",
         "clstm-unknown-hyper-key", "clstm-missing-vocabulary", "clstm-conv-w-width",
-        "clstm-rnn-units-mismatch", "clstm-l-max-below-filter-width", "clstm-l-max-not-int",
-        "svm-sv-lemmas-not-array", "clstm-param-null", "clstm-rnn-units-float",
+        "clstm-rnn-units-mismatch", "svm-sv-lemmas-not-array", "clstm-param-null",
+        "clstm-rnn-units-float",
         "clstm-batch-size-bool", "svm-space-unsorted", "svm-space-duplicate",
         "svm-space-unknown-namespace",
         "svm-C-zero", "svm-gamma-string", "svm-gamma-negative", "svm-gamma-bool",
@@ -470,9 +480,8 @@ def _set_embedding_name(value):
         "svm-vocabulary-empty-string",
         "svm-levin-string", "svm-levin-id-bool", "svm-levin-id-float", "svm-pairs-object",
         "svm-pairs-empty", "svm-sv-bool-column-bool", "svm-embedding-name-number",
-        "clstm-stride-huge",
-        "clstm-l-max-huge", "clstm-l-max-over-limit", "clstm-l-max-million",
-        "clstm-l-max-2-31", "clstm-l-max-2-50", "clstm-conv-b-data-space",
+        "clstm-stride-huge", "clstm-learning-rate-zero", "clstm-learning-rate-negative",
+        "clstm-conv-b-data-space",
         "clstm-conv-b-data-bang", "svm-sv-lemmas-lemma-number",
         "svm-sv-lemmas-row-two-lists", "svm-sv-digest-wrong"])
 def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_path, capsys,
@@ -491,10 +500,10 @@ def test_predict_rejects_malformed_model_file(workdir, clstm_model_file, tmp_pat
 
 
 @pytest.mark.parametrize("damage, field", [
-    (_set("l_max", 2**31), "l_max must be a 64-bit integer >= 2 and <= 1024"),
+    (_set_hyper("learning_rate", -5), "learning_rate must be a finite number > 0"),
     (_insert_in_data("!", "params", "conv_b"), "conv_b data: "),
     (_set_vocabulary_lemma(""), "vocabulary lemma must be a nonempty string"),
-], ids=["l-max", "conv-b-data", "vocabulary-lemma"])
+], ids=["learning-rate", "conv-b-data", "vocabulary-lemma"])
 def test_predict_names_the_field_of_a_bad_model_file(clstm_model_file, workdir, tmp_path,
                                                      capsys, damage, field):
     bad = tmp_path / "bad-model.json"
@@ -540,13 +549,15 @@ def test_predict_rejects_a_table_that_changes_a_support_vector(workdir, tmp_path
 
 @pytest.mark.parametrize("kind", ["svm", "clstm"])
 def test_version_2_files_are_rejected(workdir, clstm_model_file, tmp_path, capsys, kind):
-    # both formats are at version 4, whose header holds the context
-    # vocabulary; versions 2 and 3 have no reader
+    # SVM files are at version 4, whose header holds the context vocabulary,
+    # conv-LSTM files at version 5, which holds no padded width (l_max);
+    # older versions have no reader
     source = workdir / "svm-model.json" if kind == "svm" else clstm_model_file
     payload = json.loads(source.read_text(encoding="utf-8"))
-    assert payload["version"] == 4
+    assert payload["version"] == {"svm": 4, "clstm": 5}[kind]
+    assert "l_max" not in payload
     assert _predict(source, workdir, tmp_path / "pred.jsonl") == 0
-    for version in (2, 3):
+    for version in range(2, payload["version"]):
         old = tmp_path / f"{kind}-v{version}.json"
         old.write_text(json.dumps({**payload, "version": version}), encoding="utf-8")
         capsys.readouterr()
@@ -554,6 +565,31 @@ def test_version_2_files_are_rejected(workdir, clstm_model_file, tmp_path, capsy
         assert (f"{old}: unsupported version {version} of relclass-{kind}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "old-pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_a_sequence_over_the_limit_exits_2(workdir, clstm_model_file, tmp_path, capsys,
+                                           command):
+    # one instance of 1025 columns: its class keyword 1023 times between the
+    # two entities; a batch may hold 1024 (clstm.L_MAX_LIMIT)
+    keyword = "alpha"
+    long = make_instance([tok("parser"), *[tok(keyword)] * 1023, tok("corpus")],
+                         e1=(0, 0), e2=(1024, 1024), id="too-long")
+    instances = make_corpus(n_per_class=12)
+    vocabulary = corpus.context_vocabulary(instances, 1)
+    assert keyword in vocabulary and len(clstm.build_sequence(long, vocabulary)) == 1025
+    path = tmp_path / "long.jsonl"
+    write_corpus([*instances, long], path)
+    out = tmp_path / "out.json"
+    if command == "train":
+        args = ["train", "--model", "clstm", "--train", str(path), *CLSTM_SMOKE]
+    else:
+        args = ["predict", "--model-file", str(clstm_model_file), "--corpus", str(path)]
+    capsys.readouterr()
+    assert main([*args, "--embeddings", str(workdir / "emb.txt"), "--out", str(out)]) == 2
+    assert ("instance too-long: its sequence has 1025 columns, more than a batch may hold "
+            "(1024)") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

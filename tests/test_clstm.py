@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -29,6 +30,7 @@ from oracles import (
     dense_forward_batch,
     finite_diff_grads,
     lstm_oracle,
+    n_windows,
     relative_error,
 )
 from relclass import clstm, parallel
@@ -44,7 +46,6 @@ from relclass.clstm import (
     forward_batch,
     init_params,
     load_clstm_model,
-    n_windows,
     save_clstm_model,
     softmax,
     train,
@@ -87,6 +88,10 @@ def test_hyperparams_validation():
         Hyperparams(l2_scale=-0.1)
     with pytest.raises(ValueError):
         Hyperparams(stride=0)
+    # gradient ascent, or no step at all
+    for learning_rate in (-5, 0, 0.0):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):
+            Hyperparams(learning_rate=learning_rate)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -104,7 +109,7 @@ def test_hyperparams_accept_ints_for_floats():
 
 
 def dense(batch):
-    """The (B, v, l_max) padded batch that ``batch`` stands for."""
+    """The (B, v, width) padded batch that ``batch`` stands for."""
     return batch.bank[batch.ids].transpose(0, 2, 1)
 
 
@@ -193,24 +198,24 @@ def test_build_batch_entity_columns_are_token_averages():
 def test_build_batch_refuses_a_sequence_over_the_limit_in_training(monkeypatch):
     insts = [id_instance("a b c a b".split()), id_instance("a b".split(), 1)]
     monkeypatch.setattr(clstm, "L_MAX_LIMIT", 4)
-    with pytest.raises(ValueError, match="more than a model may pad to"):
+    with pytest.raises(ValueError, match=r"^instance i-0: its sequence has 5 columns, "
+                                         r"more than a batch may hold \(4\)$"):
         build_batch(insts, ID_TABLE, context_vocabulary(insts, 1))
     monkeypatch.setattr(clstm, "L_MAX_LIMIT", 5)
     assert build_batch(insts, ID_TABLE, context_vocabulary(insts, 1)).shape == (2, 2, 5)
 
 
-def test_build_batch_truncates_over_l_max_with_warning_in_prediction(caplog):
-    insts = [id_instance("a b c a b".split()), id_instance("a b".split(), 1)]
-    vocabulary = context_vocabulary(insts, 1)
-    whole = build_batch(insts, ID_TABLE, vocabulary)
-    import logging
-    with caplog.at_level(logging.WARNING, logger="relclass.clstm"):
-        cut = build_batch(insts, ID_TABLE, vocabulary, l_max=3)
-    assert [r.getMessage() for r in caplog.records] == [
-        "instance i-0: sequence length 5 exceeds training maximum 3, truncating"]
-    assert cut.shape == (2, 2, 3)
-    assert np.array_equal(dense(cut), dense(whole)[:, :, :3])
-    assert list(whole.lengths) == [5, 2] and list(cut.lengths) == [3, 2]
+def test_prediction_refuses_a_sequence_over_the_limit(overfit_model, monkeypatch):
+    # prediction checks the limit as training does: nothing is cut
+    corpus = overfit_corpus()
+    lengths = [len(build_sequence(inst, overfit_model.vocabulary)) for inst in corpus]
+    longest = corpus[int(np.argmax(lengths))]
+    monkeypatch.setattr(clstm, "L_MAX_LIMIT", max(lengths) - 1)
+    with pytest.raises(ValueError, match=f"instance {longest.id}: its sequence has "
+                                         f"{max(lengths)} columns"):
+        overfit_model.predict_proba_many(corpus)
+    monkeypatch.setattr(clstm, "L_MAX_LIMIT", max(lengths))
+    assert overfit_model.predict_proba_many(corpus).shape == (len(corpus), len(LABELS))
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,17 +235,25 @@ def test_build_batch_stands_for_the_padded_sequences(lemma_lists):
 
 
 def test_n_windows():
+    # the dense reference's windows over a width padded by ws - 1 zero
+    # columns are the steps the package gives a row that fills the width,
+    # ceil(width / stride), whatever the filter width
     assert n_windows(8, 3, 1) == 6
-    assert n_windows(8, 8, 1) == 1
     assert n_windows(9, 3, 2) == 4
     with pytest.raises(ValueError):
         n_windows(2, 3, 1)
+    for width in range(1, 9):
+        for ws in range(1, 11):
+            for stride in range(1, 4):
+                batch = as_batch(np.ones((1, 1, width)))
+                assert clstm.row_steps(batch, stride) == [-(-width // stride)]
+                assert n_windows(width + ws - 1, ws, stride) == -(-width // stride)
 
 
 def test_conv_zero_input_zero_bias():
     filters = np.random.default_rng(0).normal(size=(4, 6))
     out = conv_maps(np.zeros((2, 5)), filters, np.zeros(4), 1)
-    assert out.shape == (4, 3)
+    assert out.shape == (4, 5)
     assert np.all(out == 0.0)
 
 
@@ -256,7 +269,8 @@ def test_conv_matches_oracle_on_random_shapes():
         filters = rng.normal(size=(k, v * ws))
         bias = rng.normal(size=k)
         ours = conv_maps(I_pad, filters, bias, stride)
-        ref = conv1d_oracle(I_pad, filters, bias, stride)
+        # the oracle's windows over the width padded by ws - 1 zero columns
+        ref = conv1d_oracle(np.pad(I_pad, ((0, 0), (0, ws - 1))), filters, bias, stride)
         assert relative_error(ours, ref) <= 1e-12
 
 
@@ -266,8 +280,10 @@ def test_lstm_matches_unrolled_oracle():
     params = init_params(2, hyper, rng)
     batch = rng.normal(size=(1, 2, 6))
     cache = forward_batch(as_batch(batch), params, hyper, np.ones((1, 3)))
-    xs = conv1d_oracle(batch[0], params["conv_w"], params["conv_b"], 1).T
-    assert len(xs) == 5 and np.any(xs > 0)
+    # the last window runs past the width into one zero column
+    xs = conv1d_oracle(np.pad(batch[0], ((0, 0), (0, 1))), params["conv_w"], params["conv_b"],
+                       1).T
+    assert len(xs) == 6 and np.any(xs > 0)
     ref = lstm_oracle(xs, per_gate(params))
     # with a mask of ones, the dropped final state is the final state
     assert relative_error(cache.h_drop[0], ref) <= 1e-12
@@ -280,8 +296,8 @@ def test_lstm_zero_parameters_give_zero_state():
     params["conv_b"] = np.ones(2)
     cache = forward_batch(as_batch(np.ones((1, 2, 5))), params, hyper, np.ones((1, 3)))
     assert np.all(cache.xs > 0)
-    # h_0 and the 4 windows' states
-    assert np.array_equal(cache.hiddens, np.zeros((5, 3)))
+    # h_0 and the 5 windows' states
+    assert np.array_equal(cache.hiddens, np.zeros((6, 3)))
 
 
 def test_softmax_uniform_and_normalized():
@@ -420,8 +436,9 @@ def test_gradients_match_finite_differences():
 def test_gradients_match_finite_differences_on_padded_batch():
     # rows of 4, 6, 3 and 1 columns at strides 1 and 2: right padding, a
     # zero column mid-sequence, a row of zero columns only (its windows give
-    # relu(conv_b)) and a row shorter than the filter; conv_b away from 0, so
-    # relu(conv_b) has no kink within the difference step
+    # relu(conv_b)), a row shorter than the filter and a row whose last
+    # window runs past the width; conv_b away from 0, so relu(conv_b) has no
+    # kink within the difference step
     params = tiny_params(seed=5)
     params["conv_b"] = np.array([0.3, -0.2, 0.1, -0.4])
     lengths = np.array([4, 6, 3, 1])
@@ -432,8 +449,8 @@ def test_gradients_match_finite_differences_on_padded_batch():
     batch[2] = 0.0
     for stride in (1, 2):
         hyper = replace(TINY, stride=stride)
-        steps = clstm.row_steps(as_batch(batch, lengths), 2, stride)
-        assert list(steps) == [[4, 5, 3, 1], [2, 3, 2, 1]][stride - 1]
+        steps = clstm.row_steps(as_batch(batch, lengths), stride)
+        assert list(steps) == [[4, 6, 3, 1], [2, 3, 2, 1]][stride - 1]
         assert_gradients_match_finite_differences(batch, np.array([2, 5, 0, 3]), params, hyper,
                                                   lengths)
 
@@ -493,26 +510,45 @@ def test_live_windows_match_dense_reference():
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_forward_matches_the_lstm_oracle_over_each_rows_own_windows(stride):
     # each row's final state is the unrolled LSTM over the conv maps of the
-    # windows that start inside it, and padding to a wider batch changes
-    # nothing
+    # windows that start inside it, those that run past the width reading
+    # zero columns, and padding to a wider batch changes nothing
     rng = np.random.default_rng(40 + stride)
     hyper = Hyperparams(num_filters=3, filter_width=3, rnn_units=4, stride=stride)
     params = init_params(2, hyper, rng)
-    lengths = np.array([2, 9, 5, 1, 7, 9, 3])
+    lengths = np.array([2, 9, 5, 1, 7, 9, 3, 8])
     batch = rng.normal(size=(len(lengths), 2, 9))
     for b, n in enumerate(lengths):
         batch[b, :, n:] = 0.0
     ones = np.ones((len(lengths), 4))
     cache = forward_batch(as_batch(batch, lengths), params, hyper, ones)
-    m = n_windows(9, 3, stride)
     for b, n in enumerate(lengths):
-        xs = conv1d_oracle(batch[b], params["conv_w"], params["conv_b"], stride).T
-        h = lstm_oracle(xs[: min(-(-n // stride), m)], per_gate(params))
+        xs = conv1d_oracle(np.pad(batch[b], ((0, 0), (0, 2))), params["conv_w"],
+                           params["conv_b"], stride).T
+        h = lstm_oracle(xs[: -(-n // stride)], per_gate(params))
         assert relative_error(cache.h_drop[b], h) <= 1e-12, b
     wide = np.concatenate([batch, np.zeros((len(lengths), 2, 5))], axis=2)
-    short = -(-lengths // stride) <= m  # each of its windows fits 9 columns too
-    assert np.array_equal(forward_batch(as_batch(wide, lengths), params, hyper)[short],
-                          forward_batch(as_batch(batch, lengths), params, hyper)[short])
+    assert np.array_equal(forward_batch(as_batch(wide, lengths), params, hyper),
+                          forward_batch(as_batch(batch, lengths), params, hyper))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_a_row_as_long_as_its_batch_does_not_depend_on_a_longer_row(stride):
+    # rows of 9 columns in a batch 9 wide, then in one that a row of 14
+    # columns widens: a window of a 9-column row that runs past column 9
+    # reads zero columns either way
+    rng = np.random.default_rng(50 + stride)
+    hyper = Hyperparams(num_filters=3, filter_width=3, rnn_units=4, stride=stride)
+    params = init_params(2, hyper, rng)
+    params["conv_b"] = rng.normal(size=3)
+    lengths = np.array([9, 4, 9, 8])
+    batch = rng.normal(size=(len(lengths), 2, 9))
+    for b, n in enumerate(lengths):
+        batch[b, :, n:] = 0.0
+    alone = forward_batch(as_batch(batch, lengths), params, hyper)
+    longer = rng.normal(size=(1, 2, 14))
+    wide = np.concatenate([np.pad(batch, ((0, 0), (0, 0), (0, 5))), longer])
+    together = forward_batch(as_batch(wide, [*lengths, 14]), params, hyper)
+    assert np.abs(together[: len(lengths)] - alone).max() <= 1e-12
 
 
 # a 4-d table for the id path: "z" is zero in it, "q" and "r" are out of
@@ -549,7 +585,7 @@ def test_id_batches_match_the_dense_reference(ws, st, dropout):
     grads = batch_gradient(cache, gold, params, hyper)
     ref, ref_grads = clstm_dense_reference(dense(batch), batch.lengths, gold, per_gate(params),
                                            hyper, dropout > 0, np.random.default_rng(1))
-    assert len(set(clstm.row_steps(batch, ws, st))) > 1
+    assert len(set(clstm.row_steps(batch, st))) > 1
     # the row of zero columns is stepped; each of its maps is relu(conv_b)
     row5 = stepped(cache)[1] == 5
     assert row5.any()
@@ -592,7 +628,7 @@ def test_predict_proba_many_matches_the_dense_reference():
     hyper = Hyperparams(num_filters=6, filter_width=3, rnn_units=5, batch_size=5, epochs=2,
                         seed=2)
     model = train(corpus[::2], table, hyper, freq_threshold=1)
-    batch = build_batch(corpus, table, model.vocabulary, model.l_max)
+    batch = build_batch(corpus, table, model.vocabulary)
     ref = dense_forward_batch(dense(batch), batch.lengths, per_gate(model.params), hyper).probs
     assert np.abs(model.predict_proba_many(corpus) - ref).max() <= 1e-12
 
@@ -613,7 +649,7 @@ def test_gradient_deterministic_under_fixed_dropout_seed():
 
 
 def test_backward_pass_peak_stays_below_the_gates():
-    # B=64, v=20, l_max=30, k=16, u=50, sequences of 3 to 29 columns: the
+    # B=64, v=20, width 30, k=16, u=50, sequences of 3 to 29 columns: the
     # gates are 4 x 50 floats per step of a row, about 64 x 16 steps (1.6 MB).
     # The pass writes its gate gradients over them, so everything else it
     # allocates stays smaller.
@@ -729,18 +765,21 @@ def test_embeddings_stay_frozen():
         assert np.array_equal(table.lookup(t), vec)
 
 
-def test_train_rejects_unlabeled_and_overlong_filters():
+def test_train_rejects_unlabeled_instances_and_takes_any_filter_width():
     corpus = overfit_corpus()
     table = make_embedding_table()
     from relclass.corpus import RelationInstance
     unlabeled = RelationInstance(id="u", tokens=corpus[0].tokens, e1=corpus[0].e1,
                                  e2=corpus[0].e2, label=None, reverse=False,
                                  subtask="1.1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unlabeled"):
         train(corpus + [unlabeled], table, OVERFIT, freq_threshold=1)
+    # a filter wider than every sequence: each window reads zero columns
+    # past its row's end
     wide = Hyperparams(num_filters=4, filter_width=100, rnn_units=4, epochs=1)
-    with pytest.raises(ValueError):
-        train(corpus, table, wide, freq_threshold=1)
+    model = train(corpus, table, wide, freq_threshold=1)
+    assert model.fit_report["l_max"] < 100
+    assert np.allclose(model.predict_proba_many(corpus).sum(axis=1), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("epochs", [0, 2])
@@ -752,13 +791,14 @@ def test_train_windows_count_the_padded_corpus(epochs):
     model = train(corpus, table, hyper, freq_threshold=1)
     vocabulary = context_vocabulary(corpus, 1)
     lengths = [len(build_sequence(inst, vocabulary)) for inst in corpus]
-    assert max(lengths) == model.l_max
+    width = model.fit_report["l_max"]
+    assert max(lengths) == width
     # live: the windows that start inside their sequence, those the LSTM
-    # steps; total: all the padded width holds
-    m = n_windows(model.l_max, 2, 2)
-    live = sum(len(range(0, min(n, 2 * m), 2)) for n in lengths)
-    assert model.fit_report["windows"] == {"live": live, "total": len(corpus) * m}
-    assert 0 < live < len(corpus) * m
+    # steps; total: those of a row as wide as the corpus's batch, for every row
+    live = sum(len(range(0, n, 2)) for n in lengths)
+    total = len(corpus) * len(range(0, width, 2))
+    assert model.fit_report["windows"] == {"live": live, "total": total}
+    assert 0 < live < total
 
 
 def test_training_holds_one_batch_working_set(monkeypatch):
@@ -799,14 +839,15 @@ def test_train_refuses_sequences_over_the_format_limit(monkeypatch, tmp_path):
     table = make_embedding_table()
     hyper = Hyperparams(num_filters=4, filter_width=2, rnn_units=5, batch_size=10, epochs=1)
     monkeypatch.setattr(clstm, "L_MAX_LIMIT", 7)
-    with pytest.raises(ValueError, match="more than a model may pad to"):
+    with pytest.raises(ValueError, match="has 8 columns, more than a batch may hold"):
         train(corpus, table, hyper, freq_threshold=1)
-    # a model at the limit is written and read back
+    # a model trained at the limit is written, read back and predicts
     monkeypatch.setattr(clstm, "L_MAX_LIMIT", 8)
     model = train(corpus, table, hyper, freq_threshold=1)
-    assert model.l_max == 8
+    assert model.fit_report["l_max"] == 8
     save_clstm_model(model, tmp_path / "clstm.json")
-    assert load_clstm_model(tmp_path / "clstm.json", table).l_max == 8
+    loaded = load_clstm_model(tmp_path / "clstm.json", table)
+    assert np.array_equal(loaded.predict_proba_many(corpus), model.predict_proba_many(corpus))
 
 
 def test_prediction_runs_in_batches_of_batch_size(monkeypatch):
@@ -831,7 +872,8 @@ def test_clstm_model_file_roundtrip(overfit_model, tmp_path):
     path = tmp_path / "clstm.json"
     save_clstm_model(overfit_model, path)
     loaded = load_clstm_model(path, table)
-    assert loaded.l_max == overfit_model.l_max
+    # the file keeps no padded width
+    assert "l_max" not in json.loads(path.read_text(encoding="utf-8"))
     assert np.array_equal(loaded.predict_proba_many(corpus),
                           overfit_model.predict_proba_many(corpus))
     again = tmp_path / "clstm2.json"
@@ -839,32 +881,36 @@ def test_clstm_model_file_roundtrip(overfit_model, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_model_truncates_overlong_inputs_with_warning(overfit_model, caplog):
-    # context lemmas must survive the training-corpus frequency filter,
-    # otherwise the sequence collapses to the two entity columns
-    middle = [tok("model", pos="NOUN")] * 28
-    long_inst = make_instance(
-        [tok("parser", pos="NOUN"), *middle, tok("corpus", pos="NOUN")],
-        e1=(0, 0), e2=(29, 29), label=RelationLabel.USAGE, id="long",
-    )
-    import logging
-    with caplog.at_level(logging.WARNING, logger="relclass.clstm"):
-        probs = overfit_model.predict_proba(long_inst)
-    assert abs(sum(probs.values()) - 1.0) <= 1e-9
-    assert any("truncat" in r.getMessage() for r in caplog.records)
+def long_instance(n_context):
+    """An instance of ``n_context`` context columns between two entities:
+    "model" survives the training-corpus frequency filter of every model
+    here, so the sequence does not collapse to the two entity columns."""
+    middle = [tok("model", pos="NOUN")] * n_context
+    return make_instance([tok("parser", pos="NOUN"), *middle, tok("corpus", pos="NOUN")],
+                         e1=(0, 0), e2=(n_context + 1, n_context + 1),
+                         label=RelationLabel.USAGE, id="long")
+
+
+def test_model_predicts_inputs_longer_than_its_training_sequences(overfit_model):
+    # no column of an instance longer than every training sequence is cut:
+    # its prediction differs from that of the same instance with only as
+    # many columns as the longest training sequence
+    width = overfit_model.fit_report["l_max"]
+    probs = overfit_model.predict_proba_many([long_instance(28)])
+    assert len(build_sequence(long_instance(28), overfit_model.vocabulary)) == 30 > width
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    cut = overfit_model.predict_proba_many([long_instance(width - 2)])
+    assert np.abs(probs - cut).max() > 1e-6
 
 
 def test_prediction_does_not_depend_on_the_padded_width(overfit_model):
-    # a row reads only its own windows: padding the prediction batch to 5
-    # more columns than the model's l_max changes no probability of an
-    # instance whose windows all fit l_max (right padding changed them all)
+    # a row reads only its own windows: an instance of 30 columns, longer
+    # than every training sequence, widens the prediction batch and changes
+    # no probability of the others (right padding changed them all)
     corpus = make_corpus(n_per_class=4, seed=5)
-    fits = [inst for inst in corpus
-            if len(build_sequence(inst, overfit_model.vocabulary))
-            <= overfit_model.l_max - OVERFIT.filter_width + 1]
-    assert len(fits) > len(corpus) // 2
-    wide = replace(overfit_model, l_max=overfit_model.l_max + 5)
-    assert np.array_equal(wide.predict_proba_many(fits), overfit_model.predict_proba_many(fits))
+    alone = overfit_model.predict_proba_many(corpus)
+    widened = overfit_model.predict_proba_many([*corpus, long_instance(28)])
+    assert np.abs(widened[: len(corpus)] - alone).max() <= 1e-12
 
 
 def test_small_model_leaves_the_majority_baseline():
@@ -878,7 +924,7 @@ def test_small_model_leaves_the_majority_baseline():
     hyper = Hyperparams(num_filters=16, filter_width=3, rnn_units=16, dropout_rate=0.0,
                         l2_scale=0.0, epochs=8, batch_size=16, learning_rate=0.01, seed=0)
     model = train(make_corpus(n_per_class=20, seed=0) + [long], table, hyper, freq_threshold=1)
-    assert model.l_max == 40
+    assert model.fit_report["l_max"] == 40
     held_out = make_corpus(n_per_class=10, seed=100)
     predicted = model.predict_many(held_out)
     macro = f1_scores(confusion([inst.label for inst in held_out], predicted)).macro_f1
