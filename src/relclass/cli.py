@@ -11,8 +11,6 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import importlib
-import inspect
 import json
 import logging
 import sys
@@ -38,21 +36,19 @@ def fixture_path(name: str) -> Path:
     return Path(str(files("relclass") / "fixtures" / name))
 
 
-def _library(module: str, fn: str, name: str):
-    """The default that ``relclass.<module>.<fn>`` declares for its parameter
-    ``name``, as a function that imports the module and looks it up."""
-    return lambda: inspect.signature(
-        getattr(importlib.import_module(f"relclass.{module}"), fn)).parameters[name].default
-
+# the model kinds that train and crossval take (--model)
+MODELS = ("svm", "clstm")
 
 # every setting, defined once: option -> (kind, default, help). The option's
 # name is its destination and config key (--model-file: model_file); its kind
 # (int, float or str) reads the flag and the config-file value alike, and
 # only a str setting may be null in the config file. A flag left off the
 # command line is None, so the config file or the default applies. A model
-# or search setting defaults to its one definition in the library:
-# ``corpus.FREQ_THRESHOLD``, or the default that ``clstm.Hyperparams`` or
-# the library function reading it declares, looked up when read (``_library``).
+# or search setting with no default here is passed on only when a flag or
+# the config file set it (``_given``), so that the library function reading
+# it applies its own default: that of ``clstm.Hyperparams``,
+# ``svm.train_multiclass``, ``evaluation.cross_validate`` or
+# ``search.random_search``.
 SETTINGS: dict[str, tuple[type, object, str | None]] = {
     "--train": (str, None, "labeled training corpus (JSONL)"),
     "--corpus": (str, None, "input corpus (JSONL)"),
@@ -66,22 +62,21 @@ SETTINGS: dict[str, tuple[type, object, str | None]] = {
     "--report": (str, None, "JSON training-report path (default: stdout)"),
     "--trial-log": (str, None, "JSONL trial log path"),
     "--seed": (int, 0, None),
-    "-k": (int, _library("evaluation", "cross_validate", "k"), "number of folds"),
+    "-k": (int, None, "number of folds"),
     "--n-trials": (int, 20, None),
-    "--fraction": (float, _library("search", "random_search", "fraction"),
-                   "validation fraction"),
+    "--fraction": (float, None, "validation fraction"),
     "--freq-threshold": (int, FREQ_THRESHOLD, "minimum lemma count of a context word"),
-    "--C": (float, _library("svm", "train_multiclass", "C"), "SVM penalty"),
-    "--gamma": (float, _library("svm", "train_multiclass", "gamma"), "RBF width"),
-    "--num-filters": (int, _library("clstm", "Hyperparams", "num_filters"), None),
-    "--filter-width": (int, _library("clstm", "Hyperparams", "filter_width"), None),
-    "--rnn-units": (int, _library("clstm", "Hyperparams", "rnn_units"), None),
-    "--dropout": (float, _library("clstm", "Hyperparams", "dropout_rate"), None),
-    "--l2": (float, _library("clstm", "Hyperparams", "l2_scale"), None),
-    "--batch-size": (int, _library("clstm", "Hyperparams", "batch_size"), None),
-    "--epochs": (int, _library("clstm", "Hyperparams", "epochs"), None),
-    "--learning-rate": (float, _library("clstm", "Hyperparams", "learning_rate"), None),
-    "--stride": (int, _library("clstm", "Hyperparams", "stride"), None),
+    "--C": (float, None, "SVM penalty"),
+    "--gamma": (float, None, "RBF width"),
+    "--num-filters": (int, None, None),
+    "--filter-width": (int, None, None),
+    "--rnn-units": (int, None, None),
+    "--dropout": (float, None, None),
+    "--l2": (float, None, None),
+    "--batch-size": (int, None, None),
+    "--epochs": (int, None, None),
+    "--learning-rate": (float, None, None),
+    "--stride": (int, None, None),
 }
 # each setting by its destination
 _KEYS = {flag.lstrip("-").replace("-", "_"): setting for flag, setting in SETTINGS.items()}
@@ -89,22 +84,9 @@ _KEYS = {flag.lstrip("-").replace("-", "_"): setting for flag, setting in SETTIN
 _READERS = {int: read.integer, float: read.number, str: read.string}
 
 
-class _Settings(argparse.Namespace):
-    """One command's settings, where each library default left in place is
-    looked up when the command first reads it."""
-
-    def __getattr__(self, key: str):
-        if key not in _KEYS:
-            raise AttributeError(key)
-        setattr(self, key, _KEYS[key][1]())
-        return vars(self)[key]
-
-
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """The settings of one command, each from its flag, else the config file
-    (if any), else its default. So that a command imports only the modules it
-    runs, a library default is looked up when it is first read; with no
-    command in ``args``, every one is looked up here."""
+    (if any), else its default."""
     merged = {key: default for key, (_, default, _) in _KEYS.items()}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -115,15 +97,23 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
                     kind = _KEYS[key][0]
                     if value is not None or kind is not str:
                         _READERS[kind](value, f"key {key!r}")
+                    # checked where read, like a range: train and crossval take --model
+                    if key == "model" and "model" in args and value not in (None, *MODELS):
+                        raise ValueError(f"key 'model' must be {' or '.join(MODELS)}, "
+                                         f"got {value!r}")
                     merged[key] = value
             except ValueError as exc:  # invalid JSON, too
                 raise ValueError(f"config file {args.config}: {exc}") from exc
     for key, value in vars(args).items():
         if key in merged and value is not None:
             merged[key] = value
-    if "func" not in args:
-        merged = {key: value() if callable(value) else value for key, value in merged.items()}
-    return _Settings(**{key: value for key, value in merged.items() if not callable(value)})
+    return argparse.Namespace(**merged)
+
+
+def _given(**settings) -> dict:
+    """The ``settings`` that a flag or the config file set; the library
+    function they are passed to applies its own default to the others."""
+    return {name: value for name, value in settings.items() if value is not None}
 
 
 def _load_embeddings(cfg: argparse.Namespace) -> EmbeddingTable:
@@ -153,26 +143,20 @@ def _trainer(cfg: argparse.Namespace, table: EmbeddingTable):
         from . import svm
         levin = _load_levin(cfg)
         return lambda instances: svm.train_multiclass(
-            instances, table, levin,
-            C=cfg.C, gamma=cfg.gamma, freq_threshold=cfg.freq_threshold,
-            seed=cfg.seed,
-        )
+            instances, table, levin, freq_threshold=cfg.freq_threshold, seed=cfg.seed,
+            **_given(C=cfg.C, gamma=cfg.gamma))
     from . import clstm
-    hyper = clstm.Hyperparams(
+    hyper = clstm.Hyperparams(seed=cfg.seed, **_given(
         num_filters=cfg.num_filters, filter_width=cfg.filter_width, rnn_units=cfg.rnn_units,
         dropout_rate=cfg.dropout, l2_scale=cfg.l2, stride=cfg.stride,
-        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, epochs=cfg.epochs,
-        seed=cfg.seed,
-    )
+        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, epochs=cfg.epochs))
     return lambda instances: clstm.train(instances, table, hyper,
                                          freq_threshold=cfg.freq_threshold)
 
 
 def cmd_train(cfg: argparse.Namespace) -> int:
-    if cfg.model not in ("svm", "clstm"):
-        raise ValueError("--model must be svm or clstm")
-    if not cfg.train:
-        raise ValueError("--train corpus is required")
+    if not cfg.model or not cfg.train:
+        raise ValueError("--model and --train are required")
     instances = parse_corpus(cfg.train)
     train = _trainer(cfg, _load_embeddings(cfg))
     out = cfg.out or f"{cfg.model}-model.json"
@@ -284,7 +268,7 @@ def cmd_search(cfg: argparse.Namespace) -> int:
     instances = parse_corpus(cfg.train)
     best, results = search.random_search(
         instances, _load_embeddings(cfg), n_trials=cfg.n_trials, seed=cfg.seed,
-        fraction=cfg.fraction, freq_threshold=cfg.freq_threshold, epochs=cfg.epochs)
+        freq_threshold=cfg.freq_threshold, **_given(fraction=cfg.fraction, epochs=cfg.epochs))
     if cfg.trial_log:
         search.write_trial_log(results, cfg.trial_log)
         print(f"trial log written to {cfg.trial_log}")
@@ -317,14 +301,12 @@ def cmd_features(cfg: argparse.Namespace) -> int:
 
 def cmd_crossval(cfg: argparse.Namespace) -> int:
     from .evaluation import cross_validate
-    if cfg.model not in ("svm", "clstm"):
-        raise ValueError("--model must be svm or clstm")
-    if not cfg.corpus:
-        raise ValueError("--corpus is required")
+    if not cfg.model or not cfg.corpus:
+        raise ValueError("--model and --corpus are required")
     instances = parse_corpus(cfg.corpus)
     train = _trainer(cfg, _load_embeddings(cfg))
     result = cross_validate(instances, lambda train_set: train(train_set).predict_many,
-                            k=cfg.k, seed=cfg.seed)
+                            seed=cfg.seed, **_given(k=cfg.k))
     for n, fold in enumerate(result.fold_reports, start=1):
         print(f"fold {n:2d}: macro-F1 {fold.macro_f1:.4f}  micro-F1 {fold.micro_f1:.4f}")
     print(f"mean   : macro-F1 {result.macro_mean:.4f} +- {result.macro_std:.4f}  "
@@ -370,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags.split():
             kind, _, flag_help = SETTINGS[flag]
             p.add_argument(flag, type=kind, help=flag_help,
-                           choices=["svm", "clstm"] if flag == "--model" else None)
+                           choices=MODELS if flag == "--model" else None)
         p.set_defaults(func=func)
     return parser
 

@@ -104,6 +104,11 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        # name the path asked for (say, in a missing directory), not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -50,9 +50,6 @@ class TrialResult:
     seed: int
     wall_time: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
@@ -180,5 +177,5 @@ def write_trial_log(results: Sequence[TrialResult], path: str | Path) -> None:
     """JSON-lines log, one trial per line; replaces the file atomically."""
     modelio.write_atomic(
         path,
-        (json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False) + "\n" for r in results),
+        (json.dumps(asdict(r), sort_keys=True, ensure_ascii=False) + "\n" for r in results),
     )

@@ -1,15 +1,17 @@
 """Shared fixtures and small builders for the test suite."""
 
 import dataclasses
+import inspect
 import os
 
 import numpy as np
 import pytest
 
-from relclass import svm
+from relclass import evaluation, search, svm
 from relclass.cli import fixture_path
 from relclass.clstm import Batch, Hyperparams, forward_batch, init_params
-from relclass.corpus import LABELS, RelationInstance, RelationLabel, TokenAnnotation
+from relclass.corpus import (FREQ_THRESHOLD, LABELS, RelationInstance, RelationLabel,
+                             TokenAnnotation)
 from relclass.embeddings import EmbeddingTable
 from relclass.features import load_levin_table
 from relclass.synthetic import make_corpus, make_embedding_table
@@ -125,6 +127,40 @@ def in_space(space, hyper) -> bool:
     inclusive range of ``space``."""
     return all(lo <= getattr(hyper, name) <= hi
                for name, (lo, hi) in dataclasses.asdict(space).items())
+
+
+def declared_default(fn, name):
+    """The default that ``fn`` declares for its parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
+
+
+# every CLI setting in order (tests/test_malformed_inputs.py samples config
+# keys by position), its kind, and the value a command runs with when
+# neither a flag nor the config file sets it: the CLI's default, or the
+# library's for a setting in LIBRARY_HELD, which the CLI passes on only when set
+SETTING_DEFAULTS = [
+    *((key, str, None) for key in ("train", "corpus", "gold", "predictions", "model",
+                                   "model_file", "embeddings", "levin", "out", "report",
+                                   "trial_log")),
+    ("seed", int, 0),
+    ("k", int, declared_default(evaluation.cross_validate, "k")),
+    ("n_trials", int, 20),
+    ("fraction", float, declared_default(search.random_search, "fraction")),
+    ("freq_threshold", int, FREQ_THRESHOLD),
+    ("C", float, declared_default(svm.train_multiclass, "C")),
+    ("gamma", float, declared_default(svm.train_multiclass, "gamma")),
+    ("num_filters", int, Hyperparams.num_filters),
+    ("filter_width", int, Hyperparams.filter_width),
+    ("rnn_units", int, Hyperparams.rnn_units),
+    ("dropout", float, Hyperparams.dropout_rate),
+    ("l2", float, Hyperparams.l2_scale),
+    ("batch_size", int, Hyperparams.batch_size),
+    ("epochs", int, Hyperparams.epochs),
+    ("learning_rate", float, Hyperparams.learning_rate),
+    ("stride", int, Hyperparams.stride),
+]
+LIBRARY_HELD = {"k", "fraction", "C", "gamma", "num_filters", "filter_width", "rnn_units",
+                "dropout", "l2", "batch_size", "epochs", "learning_rate", "stride"}
 
 
 def uneven_corpus():

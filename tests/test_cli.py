@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import failing_smo, force_cpus, make_instance, tok, uneven_corpus
+from conftest import (LIBRARY_HELD, SETTING_DEFAULTS, declared_default, failing_smo, force_cpus,
+                      make_instance, tok, uneven_corpus)
 from relclass import cli, clstm, corpus, evaluation, features, search, svm
 from relclass.cli import build_parser, fixture_path, main
 from relclass.corpus import LABELS, write_corpus
@@ -191,6 +192,23 @@ def test_train_rejects_bad_model_name(workdir, tmp_path):
         "--embeddings", str(workdir / "emb.txt"), "--out", str(tmp_path / "m.json"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, flag", [("predict", "--out"), ("train", "--out"),
+                                           ("train", "--report")])
+def test_output_in_a_missing_directory_exits_2_naming_it(workdir, tmp_path, capsys,
+                                                         command, flag):
+    outputs = {"--out": str(tmp_path / "out.json"), "--report": str(tmp_path / "report.json"),
+               flag: str(tmp_path / "missing" / "out.json")}
+    if command == "predict":
+        argv = ["predict", "--model-file", str(workdir / "svm-model.json"),
+                "--corpus", str(workdir / "train.jsonl"), "--out", outputs["--out"]]
+    else:
+        argv = ["train", "--model", "clstm", "--train", str(workdir / "train.jsonl"),
+                "--out", outputs["--out"], "--report", outputs["--report"], *CLSTM_SMOKE]
+    assert main([*argv, "--embeddings", str(workdir / "emb.txt")]) == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{outputs[flag]}'" in err, err
 
 
 def test_predict_probabilities_sum_to_one(workdir, tmp_path):
@@ -897,13 +915,9 @@ def test_crossval_seed_reproducible(workdir, tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def _default(fn, name):
-    return inspect.signature(fn).parameters[name].default
-
-
 def test_trainers_default_to_the_one_freq_threshold():
     for trainer in (svm.train_multiclass, clstm.train, search.random_search):
-        assert _default(trainer, "freq_threshold") == corpus.FREQ_THRESHOLD
+        assert declared_default(trainer, "freq_threshold") == corpus.FREQ_THRESHOLD
 
 
 # the outer function that calls each of these holds the setting's one default
@@ -913,49 +927,93 @@ def test_trainers_default_to_the_one_freq_threshold():
     (clstm.adam_step, "lr"),
 ])
 def test_inner_function_declares_no_default(fn, name):
-    assert _default(fn, name) is inspect.Parameter.empty
+    assert declared_default(fn, name) is inspect.Parameter.empty
+
+
+class _Stop(Exception):
+    """Raised by a recorded library function once it has kept its arguments."""
+
+
+def _library_arguments(argv):
+    """The arguments, declared defaults applied, with which the command line
+    ``argv`` calls each library function that trains or searches: each is
+    replaced by one that keeps them and stops the command (crossval after
+    its first fold's trainer)."""
+    passed = {}
+
+    def record(mp, module, name):
+        signature = inspect.signature(getattr(module, name))
+
+        def recorder(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            passed[name] = bound.arguments
+            if name == "cross_validate":
+                bound.arguments["train_fn"](bound.arguments["instances"])
+            raise _Stop
+
+        mp.setattr(module, name, recorder)
+
+    args = build_parser().parse_args(argv)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(_Stop):
+        for module, name in [(svm, "train_multiclass"), (clstm, "train"),
+                             (evaluation, "cross_validate"), (search, "random_search")]:
+            record(mp, module, name)
+        args.func(cli.resolve_config(args))
+    return passed
+
+
+def _hyper(defaults):
+    """The clstm.Hyperparams of the conv-LSTM settings in ``defaults``."""
+    fields = {"dropout": "dropout_rate", "l2": "l2_scale"}
+    return clstm.Hyperparams(**{fields.get(key, key): defaults[key] for key in (
+        "num_filters", "filter_width", "rnn_units", "dropout", "l2", "batch_size", "epochs",
+        "learning_rate", "stride", "seed")})
 
 
 @pytest.mark.parametrize("command", ["train", "crossval", "search"])
-def test_unset_settings_take_the_library_defaults(command):
-    cfg = cli.resolve_config(build_parser().parse_args([command]))
-    assert cfg.freq_threshold == corpus.FREQ_THRESHOLD
-    assert cfg.C == _default(svm.train_multiclass, "C")
-    assert cfg.gamma == _default(svm.train_multiclass, "gamma")
-    assert cfg.k == _default(evaluation.cross_validate, "k")
-    assert cfg.fraction == _default(search.random_search, "fraction")
-    assert cfg.learning_rate == clstm.Hyperparams().learning_rate
+def test_unset_settings_take_the_library_defaults(workdir, command):
+    defaults = {key: default for key, _, default in SETTING_DEFAULTS}
+
+    def assert_defaults(passed, *keys):
+        assert {key: passed[key] for key in keys} == {key: defaults[key] for key in keys}
+
+    argv = [command, "--corpus" if command == "crossval" else "--train",
+            str(workdir / "train.jsonl"), "--embeddings", str(workdir / "emb.txt")]
+    if command == "search":
+        assert_defaults(_library_arguments(argv)["random_search"],
+                        "n_trials", "seed", "fraction", "freq_threshold", "epochs")
+        return
+    for model in ("svm", "clstm"):
+        passed = _library_arguments([*argv, "--model", model])
+        if model == "svm":
+            assert_defaults(passed["train_multiclass"], "C", "gamma", "freq_threshold", "seed")
+        else:
+            assert passed["train"]["hyper"] == _hyper(defaults)
+            assert_defaults(passed["train"], "freq_threshold")
+        if command == "crossval":
+            assert_defaults(passed["cross_validate"], "k", "seed")
 
 
-def test_config_settings_keep_their_keys_kinds_and_defaults():
+def test_config_settings_keep_their_keys_kinds_and_defaults(workdir, tmp_path):
     # in order: tests/test_malformed_inputs.py samples config keys by seeded position
-    hyper = clstm.Hyperparams
-    expected = [
-        *((key, str, None) for key in ("train", "corpus", "gold", "predictions", "model",
-                                       "model_file", "embeddings", "levin", "out", "report",
-                                       "trial_log")),
-        ("seed", int, 0),
-        ("k", int, _default(evaluation.cross_validate, "k")),
-        ("n_trials", int, 20),
-        ("fraction", float, _default(search.random_search, "fraction")),
-        ("freq_threshold", int, corpus.FREQ_THRESHOLD),
-        ("C", float, _default(svm.train_multiclass, "C")),
-        ("gamma", float, _default(svm.train_multiclass, "gamma")),
-        ("num_filters", int, hyper.num_filters),
-        ("filter_width", int, hyper.filter_width),
-        ("rnn_units", int, hyper.rnn_units),
-        ("dropout", float, hyper.dropout_rate),
-        ("l2", float, hyper.l2_scale),
-        ("batch_size", int, hyper.batch_size),
-        ("epochs", int, hyper.epochs),
-        ("learning_rate", float, hyper.learning_rate),
-        ("stride", int, hyper.stride),
-    ]
-    defaults = vars(cli.resolve_config(argparse.Namespace()))
+    resolved = vars(cli.resolve_config(argparse.Namespace()))
     kinds = [kind for kind, _, _ in cli.SETTINGS.values()]
-    settings = [(key, kind, default) for (key, default), kind in zip(defaults.items(), kinds)]
-    assert settings == expected
-    assert len(expected) == 27
+    settings = [(key, kind, default) for (key, default), kind in zip(resolved.items(), kinds)]
+    # a setting the library defaults is None here, and so left to the library
+    assert settings == [(key, kind, None if key in LIBRARY_HELD else default)
+                        for key, kind, default in SETTING_DEFAULTS]
+    assert len(settings) == 27
+    # a setting of the config file is passed on; the rest take the library's default
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"C": 10.0, "epochs": 1, "train": str(workdir / "train.jsonl"),
+                                  "embeddings": str(workdir / "emb.txt")}), encoding="utf-8")
+    defaults = {key: default for key, _, default in SETTING_DEFAULTS}
+    argv = ["train", "--config", str(config), "--model"]
+    trained = _library_arguments([*argv, "svm"])["train_multiclass"]
+    assert (trained["C"], trained["gamma"]) == (10.0, defaults["gamma"])
+    hyper = _library_arguments([*argv, "clstm"])["train"]["hyper"]
+    assert hyper == _hyper({**defaults, "epochs": 1})
 
 
 def test_config_file_merging(workdir, tmp_path):
@@ -1003,6 +1061,19 @@ def test_config_value_of_wrong_type_rejected(workdir, tmp_path, capsys, key, val
     assert rc == 2
     err = capsys.readouterr().err
     assert f"key {key!r} must be" in err and str(config) in err
+
+
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_config_model_of_no_kind_exits_2_naming_the_file_and_key(workdir, tmp_path, capsys,
+                                                                 command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "SVM"}), encoding="utf-8")
+    rc = main([command, "--train" if command == "train" else "--corpus",
+               str(workdir / "train.jsonl"), "--embeddings", str(workdir / "emb.txt"),
+               "--config", str(config)])
+    assert rc == 2
+    assert (f"config file {config}: key 'model' must be svm or clstm, got 'SVM'"
+            in capsys.readouterr().err)
 
 
 # the model flags that neither search nor features reads
@@ -1106,8 +1177,8 @@ def test_svm_training_and_features_read_the_verb_table(workdir, clstm_model_file
 
 def test_config_key_of_another_command_is_accepted(workdir, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"C": 10, "n_trials": 3, "model_file": "unused.json"}),
-                      encoding="utf-8")
+    config.write_text(json.dumps({"C": 10, "n_trials": 3, "model_file": "unused.json",
+                                  "model": "SVM"}), encoding="utf-8")
     rc = main(["features", "--corpus", str(fixture_path("example_corpus.jsonl")),
                "--embeddings", str(fixture_path("toy_embeddings.txt")), "--config", str(config)])
     assert rc == 0

@@ -11,11 +11,12 @@ integer stood, must exit 2, except null in a field declared nullable.
 
 Models are read through ``predict`` on a one-instance corpus and config
 files through ``predict --config``; nothing here trains on a mutated input.
+Each valid file, unmutated, must run with exit 0, so that no format's runs
+can all exit 2 for a reason of their own.
 A byte that is not UTF-8 in a file of a line format must exit 2 too, naming
 the file and the line the byte stands on.
 """
 
-import argparse
 import json
 import random
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from typing import Callable
 
 import pytest
 
-from relclass.cli import fixture_path, main, resolve_config
+from conftest import SETTING_DEFAULTS
+from relclass.cli import fixture_path, main
 from relclass.corpus import write_corpus
 from relclass.embeddings import save_table
 from relclass.synthetic import make_corpus, make_embedding_table
@@ -38,12 +40,11 @@ MODEL_PATHS_SAMPLED = 20
 CONFIG_KEYS_SAMPLED = 12
 SEED = 16
 
-# every config key and its default, in order
-CONFIG_DEFAULTS = vars(resolve_config(argparse.Namespace()))
-# fields that may be null: the corpus label, and every config setting whose
-# default is null (a path or the model kind)
+FORMATS = ["svm", "clstm", "corpus", "config", "predictions", "embeddings", "verbs"]
+# fields that may be null: the corpus label, and every string config setting
+# (a path or the model kind)
 NULLABLE = {("corpus", ("label",))} | {
-    ("config", (key,)) for key, value in CONFIG_DEFAULTS.items() if value is None
+    ("config", (key,)) for key, kind, _ in SETTING_DEFAULTS if kind is str
 }
 
 
@@ -101,6 +102,7 @@ class Format:
 
     paths: list
     write: Callable  # (path, substitute, destination) -> None
+    write_valid: Callable  # destination -> None: the file unmutated
     command: Callable  # destination -> argv
     must_fail: Callable  # (path, substitute) -> bool
     line: int | None = None  # the line a line format's field stands on
@@ -114,6 +116,9 @@ def json_format(name, doc, command, line=None, sample=None):
     def write(path, substitute, dest):
         dest.write_text(dumps_replaced(doc, path, substitute) + "\n", encoding="utf-8")
 
+    def write_valid(dest):
+        dest.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+
     def fails(path, substitute):
         if substitute is None and (name, path) in NULLABLE:
             return False
@@ -122,7 +127,7 @@ def json_format(name, doc, command, line=None, sample=None):
             original = original[key]
         return must_fail(original, substitute)
 
-    return Format(paths, write, command, fails, line)
+    return Format(paths, write, write_valid, command, fails, line)
 
 
 def text_line_format(lines, lineno, split, join, numeric_fields, command):
@@ -138,12 +143,15 @@ def text_line_format(lines, lineno, split, join, numeric_fields, command):
         out[lineno - 1] = join(changed)
         dest.write_text("\n".join(out) + "\n", encoding="utf-8")
 
+    def write_valid(dest):
+        dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
     def fails(i, substitute):
         allowed = {int: int, float: (int, float)}.get(numeric_fields.get(i), object)
         return not isinstance(substitute, allowed) or (
             i in numeric_fields and isinstance(substitute, bool))
 
-    return Format(list(range(len(fields))), write, command, fails, lineno)
+    return Format(list(range(len(fields))), write, write_valid, command, fails, lineno)
 
 
 @pytest.fixture(scope="module")
@@ -172,8 +180,9 @@ def formats(tmp_path_factory):
         return ["features", "--corpus", str(corpus), "--embeddings", str(table),
                 "--levin", str(verbs), "--freq-threshold", "1", "--out", out]
 
-    config = {key: "unread.txt" if value is None else value
-              for key, value in CONFIG_DEFAULTS.items()}
+    # each setting's default, the library's where the CLI holds none
+    config = {key: "unread.txt" if kind is str else default
+              for key, kind, default in SETTING_DEFAULTS}
     config["model"] = "svm"
     return {
         "svm": json_format("svm", read_json(root / "svm.json"), predict,
@@ -197,9 +206,16 @@ def formats(tmp_path_factory):
     }
 
 
+@pytest.mark.parametrize("name", FORMATS)
+def test_unmutated_file_exits_0(formats, tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    dest = tmp_path / f"valid-{name}"
+    formats[name].write_valid(dest)
+    assert main(formats[name].command(dest)) == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("substitute", SUBSTITUTES, ids=SUBSTITUTE_IDS)
-@pytest.mark.parametrize("name", ["svm", "clstm", "corpus", "config", "predictions",
-                                  "embeddings", "verbs"])
+@pytest.mark.parametrize("name", FORMATS)
 def test_malformed_field_exits_0_or_2_naming_the_file(formats, tmp_path, capsys, monkeypatch,
                                                       name, substitute):
     monkeypatch.chdir(tmp_path)  # where a relative output path would land

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -197,5 +198,5 @@ def test_trial_log_roundtrip(small_search, tmp_path):
     assert len(lines) == len(results)
     for line, result in zip(lines, results):
         record = json.loads(line)
-        assert record == result.to_dict()
+        assert record == asdict(result)
         assert record["hyper"]["num_filters"] == result.hyper.num_filters
