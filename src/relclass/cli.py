@@ -11,8 +11,10 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -46,9 +48,8 @@ MODELS = ("svm", "clstm")
 # command line is None, so the config file or the default applies. A model
 # or search setting with no default here is passed on only when a flag or
 # the config file set it (``_given``), so that the library function reading
-# it applies its own default: that of ``clstm.Hyperparams``,
-# ``svm.train_multiclass``, ``evaluation.cross_validate`` or
-# ``search.random_search``.
+# it applies its own default (``clstm.Hyperparams``, ``svm.train_multiclass``,
+# ``evaluation.cross_validate`` or ``search.random_search``).
 SETTINGS: dict[str, tuple[type, object, str | None]] = {
     "--train": (str, None, "labeled training corpus (JSONL)"),
     "--corpus": (str, None, "input corpus (JSONL)"),
@@ -116,12 +117,6 @@ def _given(**settings) -> dict:
     return {name: value for name, value in settings.items() if value is not None}
 
 
-def _load_embeddings(cfg: argparse.Namespace) -> EmbeddingTable:
-    if not cfg.embeddings:
-        raise ValueError("an embedding table is required (--embeddings)")
-    return load_table(cfg.embeddings)
-
-
 def _load_levin(cfg: argparse.Namespace) -> dict[str, frozenset[int]]:
     """The verb table; only SVM training and ``features`` read one."""
     from .features import load_levin_table
@@ -155,10 +150,8 @@ def _trainer(cfg: argparse.Namespace, table: EmbeddingTable):
 
 
 def cmd_train(cfg: argparse.Namespace) -> int:
-    if not cfg.model or not cfg.train:
-        raise ValueError("--model and --train are required")
     instances = parse_corpus(cfg.train)
-    train = _trainer(cfg, _load_embeddings(cfg))
+    train = _trainer(cfg, load_table(cfg.embeddings))
     out = cfg.out or f"{cfg.model}-model.json"
     start = time.perf_counter()
     report: dict = {
@@ -210,9 +203,7 @@ def _load_any_model(path: str, table: EmbeddingTable):
 
 
 def cmd_predict(cfg: argparse.Namespace) -> int:
-    if not cfg.model_file or not cfg.corpus:
-        raise ValueError("--model-file and --corpus are required")
-    model = _load_any_model(cfg.model_file, _load_embeddings(cfg))
+    model = _load_any_model(cfg.model_file, load_table(cfg.embeddings))
     instances = parse_corpus(cfg.corpus)
     out = cfg.out or "predictions.jsonl"
     probs = model.predict_proba_many(instances)
@@ -227,8 +218,6 @@ def cmd_predict(cfg: argparse.Namespace) -> int:
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
     from .evaluation import confusion, f1_scores, format_report
-    if not cfg.gold or not cfg.predictions:
-        raise ValueError("--gold and --predictions are required")
     instances = parse_corpus(cfg.gold)
     if any(inst.label is None for inst in instances):
         raise ValueError("gold corpus contains unlabeled instances")
@@ -263,11 +252,9 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 
 def cmd_search(cfg: argparse.Namespace) -> int:
     from . import search
-    if not cfg.train:
-        raise ValueError("--train corpus is required")
     instances = parse_corpus(cfg.train)
     best, results = search.random_search(
-        instances, _load_embeddings(cfg), n_trials=cfg.n_trials, seed=cfg.seed,
+        instances, load_table(cfg.embeddings), n_trials=cfg.n_trials, seed=cfg.seed,
         freq_threshold=cfg.freq_threshold, **_given(fraction=cfg.fraction, epochs=cfg.epochs))
     if cfg.trial_log:
         search.write_trial_log(results, cfg.trial_log)
@@ -278,10 +265,8 @@ def cmd_search(cfg: argparse.Namespace) -> int:
 
 def cmd_features(cfg: argparse.Namespace) -> int:
     from .features import NAMESPACES, featurize
-    if not cfg.corpus:
-        raise ValueError("--corpus is required")
     instances = parse_corpus(cfg.corpus)
-    table, levin = _load_embeddings(cfg), _load_levin(cfg)
+    table, levin = load_table(cfg.embeddings), _load_levin(cfg)
     key_sets, _ = featurize(instances, context_vocabulary(instances, cfg.freq_threshold),
                             table, levin)
     lines = []
@@ -301,10 +286,8 @@ def cmd_features(cfg: argparse.Namespace) -> int:
 
 def cmd_crossval(cfg: argparse.Namespace) -> int:
     from .evaluation import cross_validate
-    if not cfg.model or not cfg.corpus:
-        raise ValueError("--model and --corpus are required")
     instances = parse_corpus(cfg.corpus)
-    train = _trainer(cfg, _load_embeddings(cfg))
+    train = _trainer(cfg, load_table(cfg.embeddings))
     result = cross_validate(instances, lambda train_set: train(train_set).predict_many,
                             seed=cfg.seed, **_given(k=cfg.k))
     for n, fold in enumerate(result.fold_reports, start=1):
@@ -316,27 +299,43 @@ def cmd_crossval(cfg: argparse.Namespace) -> int:
     return 0
 
 
-# subcommand -> (handler, help, the flags it reads besides --config, which
-# every command takes). train and crossval read
+# subcommand -> (handler, help, the settings it needs from a flag or the
+# config file, the settings naming the files it writes, the flags it reads
+# besides --config, which every command takes). train and crossval read
 # --freq-threshold, the SVM's C and gamma, and the conv-LSTM settings; predict
 # accepts --levin and never reads it, as an SVM model file holds its verb classes.
 MODEL_FLAGS = ("--freq-threshold --C --gamma --num-filters --filter-width --rnn-units "
                "--dropout --l2 --batch-size --epochs --learning-rate --stride")
 COMMANDS = {
-    "train": (cmd_train, "train a model",
+    "train": (cmd_train, "train a model", "--model --train --embeddings", "--out --report",
               "--out --seed --embeddings --levin --model --train --report " + MODEL_FLAGS),
-    "predict": (cmd_predict, "predict with a trained model",
-                "--out --embeddings --levin --model-file --corpus"),
-    "evaluate": (cmd_evaluate, "score predictions against gold",
-                 "--out --gold --predictions"),
-    "search": (cmd_search, "random hyperparameter search",
-               "--out --seed --embeddings --freq-threshold --epochs --train --n-trials "
-               "--fraction --trial-log"),
-    "features": (cmd_features, "dump boolean feature keys",
+    "predict": (cmd_predict, "predict with a trained model", "--model-file --corpus --embeddings",
+                "--out", "--out --embeddings --levin --model-file --corpus"),
+    "evaluate": (cmd_evaluate, "score predictions against gold", "--gold --predictions",
+                 "--out", "--out --gold --predictions"),
+    "search": (cmd_search, "random hyperparameter search", "--train --embeddings",
+               "--out --trial-log", "--out --seed --embeddings --freq-threshold --epochs "
+               "--train --n-trials --fraction --trial-log"),
+    "features": (cmd_features, "dump boolean feature keys", "--corpus --embeddings", "--out",
                  "--out --embeddings --levin --freq-threshold --corpus"),
     "crossval": (cmd_crossval, "stratified k-fold cross-validation",
+                 "--model --corpus --embeddings", "--out",
                  "--out --seed --embeddings --levin --model --corpus -k " + MODEL_FLAGS),
 }
+
+
+def _check_contract(cfg: argparse.Namespace, needs: str, writes: str) -> None:
+    """Fail before any input is read: on an unset needed setting, and on an
+    output that is a directory or in a missing one, as ``write_atomic`` would."""
+    missing = [flag for flag in needs.split() if not getattr(cfg, flag[2:].replace("-", "_"))]
+    if missing:
+        raise ValueError(f"{' and '.join(missing)} {'are' if missing[1:] else 'is'} required")
+    for flag in writes.split():
+        path = getattr(cfg, flag[2:].replace("-", "_"))
+        if path and Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags) in COMMANDS.items():
+    for name, (func, help_text, _, _, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; explicit flags win")
         for flag in flags.split():
@@ -365,6 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = resolve_config(args)
+        _check_contract(cfg, *COMMANDS[args.command][2:4])
         return args.func(cfg)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

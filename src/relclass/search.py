@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -36,10 +36,10 @@ class SearchSpace:
     l2_scale: tuple[float, float] = (0.0, 3.0)
 
     def __post_init__(self) -> None:
-        for name in ("num_filters", "filter_width", "rnn_units", "dropout_rate", "l2_scale"):
-            lo, hi = getattr(self, name)
+        for field in fields(self):
+            lo, hi = getattr(self, field.name)
             if lo > hi:
-                raise ValueError(f"{name}: min {lo} exceeds max {hi}")
+                raise ValueError(f"{field.name}: min {lo} exceeds max {hi}")
 
 
 @dataclass(frozen=True)
@@ -114,15 +114,14 @@ def stratified_split(
 
 
 def sample_config(space: SearchSpace, rng: np.random.Generator, seed: int = 0) -> Hyperparams:
-    """One uniform draw from the space; the other settings keep their defaults."""
-    return Hyperparams(
-        num_filters=int(rng.integers(space.num_filters[0], space.num_filters[1], endpoint=True)),
-        filter_width=int(rng.integers(space.filter_width[0], space.filter_width[1], endpoint=True)),
-        rnn_units=int(rng.integers(space.rnn_units[0], space.rnn_units[1], endpoint=True)),
-        dropout_rate=float(rng.uniform(space.dropout_rate[0], space.dropout_rate[1])),
-        l2_scale=float(rng.uniform(space.l2_scale[0], space.l2_scale[1])),
-        seed=seed,
-    )
+    """One uniform draw from the space in field order, an integer where
+    ``Hyperparams`` reads one; the other settings keep their defaults."""
+    def draw(name: str) -> int | float:
+        lo, hi = getattr(space, name)
+        if Hyperparams.READERS[name][0] is read.integer:
+            return int(rng.integers(lo, hi, endpoint=True))
+        return float(rng.uniform(lo, hi))
+    return Hyperparams(**{field.name: draw(field.name) for field in fields(space)}, seed=seed)
 
 
 def random_search(

@@ -1,5 +1,6 @@
 import argparse
 import base64
+import errno
 import hashlib
 import inspect
 import itertools
@@ -9,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -186,12 +188,34 @@ def test_train_rejects_a_learning_rate_that_does_not_descend(workdir, tmp_path, 
     assert not out.exists()
 
 
-def test_train_rejects_bad_model_name(workdir, tmp_path):
-    rc = main([
-        "train", "--model", "svm", "--train", str(workdir / "missing.jsonl"),
-        "--embeddings", str(workdir / "emb.txt"), "--out", str(tmp_path / "m.json"),
-    ])
+def test_train_rejects_bad_model_name(workdir, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--model", "SVM", "--train", str(workdir / "train.jsonl"),
+              "--embeddings", str(workdir / "emb.txt"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --model: invalid choice: 'SVM'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_exits_2_naming_a_missing_training_corpus(workdir, tmp_path, capsys):
+    missing, out = workdir / "missing.jsonl", tmp_path / "m.json"
+    rc = main(["train", "--model", "svm", "--train", str(missing),
+               "--embeddings", str(workdir / "emb.txt"), "--out", str(out)])
     assert rc == 2
+    assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_prints_its_report_without_report_flag(workdir, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    rc = main(["train", "--model", "clstm", "--train", str(workdir / "train.jsonl"),
+               "--embeddings", str(workdir / "emb.txt"), "--out", str(model), *CLSTM_SMOKE])
+    assert rc == 0
+    out = capsys.readouterr().out
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert report["model_file"] == str(model)
+    assert out[end:] == f"\nmodel written to {model}\n"
 
 
 @pytest.mark.parametrize("command, flag", [("predict", "--out"), ("train", "--out"),
@@ -209,6 +233,68 @@ def test_output_in_a_missing_directory_exits_2_naming_it(workdir, tmp_path, caps
     assert main([*argv, "--embeddings", str(workdir / "emb.txt")]) == 2
     err = capsys.readouterr().err
     assert f"No such file or directory: '{outputs[flag]}'" in err, err
+
+
+def _key(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _contract_argv(command, inputs, skip=None):
+    """``command`` with each setting it needs but ``skip`` set to a file
+    under the directory ``inputs``, which does not exist (--model: svm)."""
+    argv = [command]
+    for flag in cli.COMMANDS[command][2].split():
+        if flag != skip:
+            argv += [flag, "svm" if flag == "--model" else str(inputs / _key(flag))]
+    return argv
+
+
+NEEDED = [(command, flag) for command, entry in cli.COMMANDS.items() for flag in entry[2].split()]
+WRITTEN = [(command, flag) for command, entry in cli.COMMANDS.items() for flag in entry[3].split()]
+
+
+@pytest.mark.parametrize("command, flag", NEEDED, ids=[f"{c}{f}" for c, f in NEEDED])
+def test_an_unset_needed_setting_exits_2_before_any_input_is_read(tmp_path, capsys,
+                                                                  command, flag):
+    inputs = tmp_path / "inputs"
+    argv = _contract_argv(command, inputs, skip=flag)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} is required\n"
+    # given only as a config key, the setting passes the check, so the
+    # command goes on to read its inputs, which are missing
+    config = tmp_path / "config.json"
+    value = "svm" if flag == "--model" else str(inputs / _key(flag))
+    config.write_text(json.dumps({_key(flag): value}), encoding="utf-8")
+    assert main([*argv, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{inputs}" in err, err
+
+
+def test_every_unset_needed_setting_is_named_in_one_message(capsys):
+    assert main(["train"]) == 2
+    assert capsys.readouterr().err == "error: --model and --train and --embeddings are required\n"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command, flag", WRITTEN, ids=[f"{c}{f}" for c, f in WRITTEN])
+def test_an_output_that_cannot_be_written_exits_2_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, command, flag, where):
+    inputs, outputs = tmp_path / "inputs", tmp_path / "outputs"
+    outputs.mkdir()
+    monkeypatch.chdir(outputs)  # where train and predict write by default
+    bad = outputs / "missing" / "out.json"
+    if where == "directory":
+        bad = outputs / "a-directory"
+        bad.mkdir()
+    argv = _contract_argv(command, inputs)
+    for out in cli.COMMANDS[command][3].split():
+        argv += [out, str(bad if out == flag else outputs / f"{_key(out)}.json")]
+    assert main(argv) == 2
+    code = errno.EISDIR if where == "directory" else errno.ENOENT
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{bad}'\n"
+    # nothing was written, not even into the directory named as an output
+    left = [path.relative_to(outputs).as_posix() for path in outputs.rglob("*")]
+    assert left == (["a-directory"] if where == "directory" else [])
 
 
 def test_predict_probabilities_sum_to_one(workdir, tmp_path):
@@ -565,6 +651,16 @@ def test_predict_rejects_a_table_that_changes_a_support_vector(workdir, tmp_path
     assert not (tmp_path / "pred.jsonl").exists()
 
 
+def test_predict_rejects_a_model_file_of_unknown_format(workdir, tmp_path, capsys):
+    model, out = tmp_path / "model.json", tmp_path / "pred.jsonl"
+    model.write_text(json.dumps({"format": "relclass-forest", "version": 1}), encoding="utf-8")
+    rc = main(["predict", "--model-file", str(model), "--corpus", str(workdir / "train.jsonl"),
+               "--embeddings", str(workdir / "emb.txt"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {model}: unknown model format 'relclass-forest'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["svm", "clstm"])
 def test_version_2_files_are_rejected(workdir, clstm_model_file, tmp_path, capsys, kind):
     # SVM files are at version 4, whose header holds the context vocabulary,
@@ -679,6 +775,17 @@ def test_evaluate_perfect_predictions(workdir, tmp_path, capsys):
     assert scores["macro_f1"] == 1.0
     assert scores["micro_f1"] == 1.0
     assert "macro" in capsys.readouterr().out
+
+
+def test_evaluate_rejects_a_gold_corpus_with_an_unlabeled_instance(workdir, tmp_path, capsys):
+    instances = corpus.parse_corpus(workdir / "train.jsonl")
+    gold = tmp_path / "gold.jsonl"
+    write_corpus([replace(instances[0], label=None), *instances[1:]], gold)
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps({"id": inst.id, "label": "USAGE"}) + "\n"
+                            for inst in instances), encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--predictions", str(pred)]) == 2
+    assert capsys.readouterr().err == "error: gold corpus contains unlabeled instances\n"
 
 
 def test_evaluate_order_independent(workdir, tmp_path):

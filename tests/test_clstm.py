@@ -782,6 +782,11 @@ def test_train_rejects_unlabeled_instances_and_takes_any_filter_width():
     assert np.allclose(model.predict_proba_many(corpus).sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_train_rejects_an_empty_corpus():
+    with pytest.raises(ValueError, match="^no labeled instances$"):
+        train([], make_embedding_table(), OVERFIT, freq_threshold=1)
+
+
 @pytest.mark.parametrize("epochs", [0, 2])
 def test_train_windows_count_the_padded_corpus(epochs):
     corpus = make_corpus(n_per_class=4, seed=0)  # sequences of 5 to 8 columns

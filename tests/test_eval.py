@@ -164,6 +164,13 @@ def test_kfold_train_test_disjoint(syn_corpus):
             assert len(train) + len(test) == len(syn_corpus)
 
 
+def test_kfold_rejects_unlabeled_instances():
+    instances = [make_instance([tok("a"), tok("b")], e1=(0, 0), e2=(1, 1), id=f"t-{i}",
+                               label=None if i == 3 else TOPIC) for i in range(4)]
+    with pytest.raises(ValueError, match="^cross-validation needs labeled instances$"):
+        stratified_kfold(instances, k=2)
+
+
 def test_constant_classifier_balanced_two_class():
     insts = []
     for i in range(20):
