@@ -16,10 +16,10 @@ import time
 
 from relclass.cli import fixture_path
 from relclass.clstm import Hyperparams, train
-from relclass.evaluation import confusion, cross_validate, f1_scores, format_report
+from relclass.evaluation import (confusion, cross_validate, f1_scores, format_report,
+                                 stratified_split)
 from relclass.features import load_levin_table
 from relclass.modelio import write_atomic
-from relclass.search import stratified_split
 from relclass.svm import train_multiclass
 from relclass.synthetic import make_corpus, make_embedding_table
 

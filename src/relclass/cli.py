@@ -14,7 +14,6 @@ import argparse
 import errno
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -24,13 +23,13 @@ from pathlib import Path
 from . import read
 from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, context_vocabulary, parse_corpus
 from .embeddings import EmbeddingTable, load_table
-from .modelio import (CLSTM_FORMAT, SVM_FORMAT, ModelFormatError, argmax_labels, read_json,
-                      write_atomic)
+from .modelio import (CLSTM_FORMAT, SVM_FORMAT, ModelFormatError, argmax_labels,
+                      output_error, read_json, write_atomic)
 
 log = logging.getLogger(__name__)
 
 # every input, config and model-file error of the package is a ValueError
-USAGE_ERRORS = (FileNotFoundError, IsADirectoryError, ValueError)
+USAGE_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError)
 
 
 def fixture_path(name: str) -> Path:
@@ -326,16 +325,16 @@ COMMANDS = {
 
 def _check_contract(cfg: argparse.Namespace, needs: str, writes: str) -> None:
     """Fail before any input is read: on an unset needed setting, and on an
-    output that is a directory or in a missing one, as ``write_atomic`` would."""
+    output that is a directory or whose parent is not one, as ``write_atomic`` would."""
     missing = [flag for flag in needs.split() if not getattr(cfg, flag[2:].replace("-", "_"))]
     if missing:
         raise ValueError(f"{' and '.join(missing)} {'are' if missing[1:] else 'is'} required")
     for flag in writes.split():
         path = getattr(cfg, flag[2:].replace("-", "_"))
         if path and Path(path).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            raise output_error(errno.EISDIR, path)
         if path and not Path(path).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            raise output_error(errno.ENOTDIR if Path(path).parent.exists() else errno.ENOENT, path)
 
 
 def build_parser() -> argparse.ArgumentParser:

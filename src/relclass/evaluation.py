@@ -1,4 +1,5 @@
-"""Micro/macro F1 scoring and stratified k-fold cross-validation."""
+"""Micro/macro F1 scoring and the stratified splits, k-fold cross-validation and
+the validation split, which both deal from one per-class shuffle."""
 
 from __future__ import annotations
 
@@ -93,6 +94,17 @@ def f1_scores(cm: ConfusionMatrix) -> ScoreReport:
     return ScoreReport(precision, recall, f1, support, macro, micro)
 
 
+def _shuffled_classes(labels: Sequence[Hashable], seed: int) -> list[np.ndarray]:
+    """The indices of each class, classes in ``repr`` order of their label,
+    each shuffled in that order by one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    classes = [np.array([i for i, x in enumerate(labels) if x == label], dtype=np.int64)
+               for label in sorted(set(labels), key=repr)]
+    for idx in classes:
+        rng.shuffle(idx)
+    return classes
+
+
 def stratified_fold_indices(
     labels: Sequence[Hashable], k: int, seed: int = 0
 ) -> list[np.ndarray]:
@@ -105,19 +117,33 @@ def stratified_fold_indices(
     read.integer(k, "k", 2)
     if k > len(labels):
         raise ValueError(f"k={k} exceeds dataset size {len(labels)}")
-    rng = np.random.default_rng(seed)
-    by_class: dict[Hashable, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_class.setdefault(label, []).append(i)
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0
-    for label in sorted(by_class, key=repr):
-        idx = np.array(by_class[label], dtype=np.int64)
-        rng.shuffle(idx)
+    for idx in _shuffled_classes(labels, seed):
         for q, i in enumerate(idx):
             folds[(offset + q) % k].append(int(i))
         offset = (offset + len(idx)) % k
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
+
+
+def stratified_split(
+    instances: Sequence[RelationInstance], fraction: float, seed: int = 0
+) -> tuple[list[RelationInstance], list[RelationInstance]]:
+    """(train, validation), each in corpus order. Of each shuffled class of n
+    instances, the first ``max(1, round-half-up(fraction * n))`` go to
+    validation; a class of one, or ``fraction == 0``, puts none there."""
+    if not instances:
+        raise ValueError("nothing to split")
+    read.number(fraction, "fraction", ">= 0", "< 1")
+    labels = [inst.label for inst in instances]
+    if any(label is None for label in labels):
+        raise ValueError("stratified split needs labeled instances")
+    val: set[int] = set()
+    for idx in _shuffled_classes(labels, seed):
+        if fraction > 0 and len(idx) > 1:
+            val.update(idx[: max(1, int(fraction * len(idx) + 0.5))].tolist())
+    return ([inst for i, inst in enumerate(instances) if i not in val],
+            [inst for i, inst in enumerate(instances) if i in val])
 
 
 def stratified_kfold(

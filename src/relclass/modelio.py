@@ -19,6 +19,7 @@ is no reader for older versions.
 from __future__ import annotations
 
 import base64
+import errno
 import itertools
 import json
 import logging
@@ -53,14 +54,8 @@ class Classifier:
     """Prediction methods shared by both models, built on each model's own
     ``predict_proba_many(instances)``: one row per instance, LABELS order."""
 
-    def predict_proba(self, inst: RelationInstance) -> dict[RelationLabel, float]:
-        return dict(zip(LABELS, self.predict_proba_many([inst])[0].tolist()))
-
     def predict_many(self, instances: Sequence[RelationInstance]) -> list[RelationLabel]:
         return argmax_labels(self.predict_proba_many(instances))
-
-    def predict(self, inst: RelationInstance) -> RelationLabel:
-        return self.predict_many([inst])[0]
 
 
 # bytes of each base64 slice an array is written in: a multiple of 3, so the
@@ -108,9 +103,16 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
         if exc.filename != str(tmp):
             raise
         # name the path asked for (say, in a missing directory), not the temporary file
-        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+        raise output_error(exc.errno, path) from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        if tmp.exists():  # False where the parent is missing or not a directory
+            tmp.unlink()
+
+
+def output_error(code: int, path: str | Path) -> OSError:
+    """The ``OSError`` subclass of ``code`` for an output ``path`` that cannot be written."""
+    parent = f"its parent {str(Path(path).parent)!r} is not a directory"
+    return OSError(code, parent if code == errno.ENOTDIR else os.strerror(code), str(path))
 
 
 def _canonical_chunks(value: Any) -> Iterator[str]:

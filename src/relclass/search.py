@@ -1,9 +1,7 @@
-"""Random hyperparameter search with a stratified validation split.
-
-One fixed 10% stratified sample serves as the validation set for every trial;
-each trial draws a configuration uniformly from the search space, trains a
-C-LSTM on the remaining 90%, and is scored by validation macro-F1.
-"""
+"""Random hyperparameter search: each trial draws a configuration uniformly
+from the search space, trains a C-LSTM on one fixed stratified split
+(``evaluation.stratified_split``, 10% held out by default) and is scored by
+the held-out part's macro-F1."""
 
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ from . import modelio, read
 from .clstm import Hyperparams, train
 from .corpus import FREQ_THRESHOLD, RelationInstance
 from .embeddings import EmbeddingTable
-from .evaluation import confusion, f1_scores
+from .evaluation import confusion, f1_scores, stratified_split
 
 log = logging.getLogger(__name__)
 
@@ -49,68 +47,6 @@ class TrialResult:
     micro_f1: float
     seed: int
     wall_time: float
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
-def stratified_split(
-    instances: Sequence[RelationInstance],
-    fraction: float,
-    seed: int = 0,
-) -> tuple[list[RelationInstance], list[RelationInstance]]:
-    """Split into (train, validation) preserving class proportions.
-
-    Per-class validation counts are round-half-up of fraction * class size,
-    at least 1 for classes of size >= 2; singleton classes stay in train.
-    A global adjustment nudges the total toward round(fraction * n) but never
-    moves any class more than 1 instance away from its exact proportion.
-    """
-    if not instances:
-        raise ValueError("nothing to split")
-    read.number(fraction, "fraction", ">= 0", "< 1")
-    if any(inst.label is None for inst in instances):
-        raise ValueError("stratified split needs labeled instances")
-    if fraction == 0.0:
-        return list(instances), []
-    rng = np.random.default_rng(seed)
-    by_class: dict = {}
-    for i, inst in enumerate(instances):
-        by_class.setdefault(inst.label, []).append(i)
-    class_order = sorted(by_class, key=lambda label: label.value)
-    counts = {}
-    for label in class_order:
-        n_k = len(by_class[label])
-        if n_k == 1:
-            counts[label] = 0
-            log.info("class %s has a single instance, kept in train", label.value)
-        else:
-            counts[label] = max(1, _round_half_up(fraction * n_k))
-    target = _round_half_up(fraction * len(instances))
-    delta = target - sum(counts.values())
-    step = 1 if delta > 0 else -1
-    for label in sorted(class_order, key=lambda l: -len(by_class[l])):
-        while delta != 0:
-            n_k = len(by_class[label])
-            new = counts[label] + step
-            floor = 1 if n_k >= 2 else 0
-            if not floor <= new <= n_k or abs(new - fraction * n_k) > 1.0:
-                break
-            counts[label] = new
-            delta -= step
-        if delta == 0:
-            break
-    if delta != 0:
-        log.info("stratified split: global total off target by %d (per-class bound wins)", delta)
-    val_idx: set[int] = set()
-    for label in class_order:
-        idx = np.array(by_class[label], dtype=np.int64)
-        rng.shuffle(idx)
-        val_idx.update(idx[: counts[label]].tolist())
-    train = [inst for i, inst in enumerate(instances) if i not in val_idx]
-    val = [inst for i, inst in enumerate(instances) if i in val_idx]
-    return train, val
 
 
 def sample_config(space: SearchSpace, rng: np.random.Generator, seed: int = 0) -> Hyperparams:

@@ -41,9 +41,10 @@ from relclass.clstm import (
 from relclass.cli import fixture_path, main
 from relclass.corpus import LABELS, RelationLabel, parse_corpus, write_corpus
 from relclass.embeddings import load_table, save_table
-from relclass.evaluation import ConfusionMatrix, confusion, f1_scores, stratified_fold_indices
+from relclass.evaluation import (ConfusionMatrix, confusion, f1_scores, stratified_fold_indices,
+                                 stratified_split)
 from relclass.features import load_levin_table
-from relclass.search import SearchSpace, sample_config, stratified_split
+from relclass.search import SearchSpace, sample_config
 from relclass.svm import (
     kernel_matrix,
     load_svm_model,

@@ -207,6 +207,14 @@ def test_train_exits_2_naming_a_missing_training_corpus(workdir, tmp_path, capsy
     assert not out.exists()
 
 
+def test_an_input_under_a_regular_file_exits_2(tmp_path, capsys):
+    gold = tmp_path / "afile" / "gold.jsonl"
+    gold.parent.write_text("a regular file\n", encoding="utf-8")
+    rc = main(["evaluate", "--gold", str(gold), "--predictions", str(tmp_path / "p.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOTDIR}] Not a directory: '{gold}'\n"
+
+
 def test_train_prints_its_report_without_report_flag(workdir, tmp_path, capsys):
     model = tmp_path / "m.json"
     rc = main(["train", "--model", "clstm", "--train", str(workdir / "train.jsonl"),
@@ -275,7 +283,7 @@ def test_every_unset_needed_setting_is_named_in_one_message(capsys):
     assert capsys.readouterr().err == "error: --model and --train and --embeddings are required\n"
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "file-parent"])
 @pytest.mark.parametrize("command, flag", WRITTEN, ids=[f"{c}{f}" for c, f in WRITTEN])
 def test_an_output_that_cannot_be_written_exits_2_before_any_input_is_read(
         tmp_path, monkeypatch, capsys, command, flag, where):
@@ -283,18 +291,24 @@ def test_an_output_that_cannot_be_written_exits_2_before_any_input_is_read(
     outputs.mkdir()
     monkeypatch.chdir(outputs)  # where train and predict write by default
     bad = outputs / "missing" / "out.json"
+    code, reason = errno.ENOENT, os.strerror(errno.ENOENT)
     if where == "directory":
         bad = outputs / "a-directory"
         bad.mkdir()
+        code, reason = errno.EISDIR, os.strerror(errno.EISDIR)
+    if where == "file-parent":
+        bad = outputs / "afile" / "out.json"
+        bad.parent.write_text("a regular file\n", encoding="utf-8")
+        code, reason = errno.ENOTDIR, f"its parent '{bad.parent}' is not a directory"
     argv = _contract_argv(command, inputs)
     for out in cli.COMMANDS[command][3].split():
         argv += [out, str(bad if out == flag else outputs / f"{_key(out)}.json")]
     assert main(argv) == 2
-    code = errno.EISDIR if where == "directory" else errno.ENOENT
-    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{bad}'\n"
-    # nothing was written, not even into the directory named as an output
+    assert capsys.readouterr().err == f"error: [Errno {code}] {reason}: '{bad}'\n"
+    # nothing was written, not even into the directory or file named as a parent
     left = [path.relative_to(outputs).as_posix() for path in outputs.rglob("*")]
-    assert left == (["a-directory"] if where == "directory" else [])
+    assert left == {"directory": ["a-directory"], "file-parent": ["afile"]}.get(where, [])
+    assert where != "file-parent" or bad.parent.read_text(encoding="utf-8") == "a regular file\n"
 
 
 def test_predict_probabilities_sum_to_one(workdir, tmp_path):
@@ -1029,7 +1043,7 @@ def test_trainers_default_to_the_one_freq_threshold():
 
 # the outer function that calls each of these holds the setting's one default
 @pytest.mark.parametrize("fn, name", [
-    (search.stratified_split, "fraction"),
+    (evaluation.stratified_split, "fraction"),
     (evaluation.stratified_kfold, "k"),
     (clstm.adam_step, "lr"),
 ])

@@ -1,4 +1,5 @@
 import base64
+import errno
 import json
 import os
 import tracemalloc
@@ -31,11 +32,10 @@ def test_shared_predict_methods_agree_with_predict_proba_many(model):
     assert probs.shape == (len(instances), len(LABELS))
     labels = [LABELS[int(np.argmax(row))] for row in probs]
     assert model.predict_many(instances) == labels
+    # an instance predicted alone gets its row of the batch
     for inst, row, label in zip(instances, probs, labels):
-        assert model.predict(inst) == label
-        dist = model.predict_proba(inst)
-        assert list(dist) == list(LABELS)
-        assert np.abs(np.array(list(dist.values())) - row).max() <= 1e-12
+        assert model.predict_many([inst]) == [label]
+        assert np.abs(model.predict_proba_many([inst])[0] - row).max() <= 1e-12
 
 
 def test_shared_predict_methods_on_empty_input(model):
@@ -136,6 +136,18 @@ def test_failed_write_keeps_old_file_and_leaves_no_temporary(tmp_path):
         write_atomic(path, chunks())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_write_atomic_names_the_path_whose_parent_is_a_file(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n", encoding="utf-8")
+    path = afile / "out.json"
+    message = f"[Errno {errno.ENOTDIR}] its parent '{afile}' is not a directory: '{path}'"
+    with pytest.raises(NotADirectoryError) as caught:
+        write_atomic(path, ["text\n"])
+    assert str(caught.value) == message
+    assert afile.read_text(encoding="utf-8") == "a regular file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_write_atomic_writes_through_links_and_devices(tmp_path):

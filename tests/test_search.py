@@ -1,32 +1,13 @@
 import json
-from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import in_space, make_instance, tok
+from conftest import in_space
 from relclass.clstm import Hyperparams
-from relclass.corpus import LABELS
-from relclass.search import (
-    SearchSpace,
-    random_search,
-    sample_config,
-    stratified_split,
-    write_trial_log,
-)
+from relclass.search import SearchSpace, random_search, sample_config, write_trial_log
 from relclass.synthetic import make_corpus, make_embedding_table
-
-
-def labeled_instances(class_sizes):
-    out = []
-    for label, n in zip(LABELS, class_sizes):
-        for i in range(n):
-            out.append(make_instance([tok("a"), tok("b"), tok("c")], e1=(0, 0),
-                                     e2=(2, 2), label=label, id=f"{label.value}-{i}"))
-    return out
 
 
 def test_space_defaults_and_validation():
@@ -50,77 +31,6 @@ def test_space_rejects_out_of_range_config():
     assert not in_space(SearchSpace(), Hyperparams(num_filters=501))
     assert not in_space(SearchSpace(), Hyperparams(filter_width=6))
     assert not in_space(SearchSpace(), Hyperparams(rnn_units=8))
-
-
-def test_split_fraction_zero_keeps_everything():
-    insts = labeled_instances([4, 4, 4, 4, 4, 4])
-    train, val = stratified_split(insts, fraction=0.0)
-    assert val == []
-    assert train == insts
-
-
-def test_split_rejects_bad_input():
-    insts = labeled_instances([2, 2, 2, 2, 2, 2])
-    with pytest.raises(ValueError):
-        stratified_split([], fraction=0.1)
-    with pytest.raises(ValueError):
-        stratified_split(insts, fraction=1.0)
-    unlabeled = make_instance([tok("a"), tok("b")], e1=(0, 0), e2=(1, 1), label=None)
-    with pytest.raises(ValueError):
-        stratified_split(insts + [unlabeled], fraction=0.1)
-
-
-def test_split_balanced_corpus_proportions():
-    insts = labeled_instances([20, 20, 20, 20, 20, 20])
-    train, val = stratified_split(insts, fraction=0.10, seed=0)
-    assert len(val) == 12
-    per_class = Counter(i.label for i in val)
-    assert all(per_class[l] == 2 for l in LABELS)
-    assert {i.id for i in train} | {i.id for i in val} == {i.id for i in insts}
-    assert not {i.id for i in train} & {i.id for i in val}
-
-
-def test_split_small_classes_get_one_instance():
-    insts = labeled_instances([40, 3, 2, 0, 0, 0])
-    _, val = stratified_split(insts, fraction=0.10, seed=1)
-    per_class = Counter(i.label for i in val)
-    assert per_class[LABELS[1]] == 1
-    assert per_class[LABELS[2]] == 1
-
-
-def test_split_singleton_class_stays_in_train():
-    insts = labeled_instances([30, 1, 0, 0, 0, 0])
-    train, val = stratified_split(insts, fraction=0.10, seed=2)
-    assert all(i.label is LABELS[0] for i in val)
-    assert sum(1 for i in train if i.label is LABELS[1]) == 1
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.integers(0, 40), min_size=6, max_size=6).filter(lambda s: sum(s) >= 10),
-    st.integers(0, 5),
-)
-def test_split_per_class_deviation_bounded(class_sizes, seed):
-    insts = labeled_instances(class_sizes)
-    train, val = stratified_split(insts, fraction=0.10, seed=seed)
-    assert len(train) + len(val) == len(insts)
-    per_class = Counter(i.label for i in val)
-    for label, n_k in zip(LABELS, class_sizes):
-        got = per_class.get(label, 0)
-        if n_k <= 1:
-            assert got == 0
-        else:
-            assert abs(got - 0.10 * n_k) <= 1.0
-            assert got >= 1
-
-
-def test_split_seed_reproducible():
-    insts = labeled_instances([15, 15, 15, 15, 15, 15])
-    a = stratified_split(insts, fraction=0.2, seed=5)
-    b = stratified_split(insts, fraction=0.2, seed=5)
-    assert [i.id for i in a[1]] == [i.id for i in b[1]]
-    c = stratified_split(insts, fraction=0.2, seed=6)
-    assert [i.id for i in a[1]] != [i.id for i in c[1]]
 
 
 def test_sample_config_deterministic():

@@ -347,9 +347,7 @@ def test_multiclass_probabilities_sum_to_one(svm_model):
 def test_deep_training_instance_gets_its_class(svm_model):
     corpus, model = svm_model
     inst = corpus[0]
-    assert model.predict(inst) == inst.label
-    dist = model.predict_proba(inst)
-    assert max(dist, key=dist.get) == inst.label
+    assert model.predict_many([inst]) == [inst.label]
 
 
 def test_multiclass_rejects_bad_corpora(syn_table, levin):
