@@ -32,7 +32,7 @@ from perfbench import gen  # noqa: E402
 from relclass import clstm, svm  # noqa: E402
 from relclass.corpus import parse_corpus  # noqa: E402
 from relclass.embeddings import load_table  # noqa: E402
-from relclass.evaluation import confusion, f1_scores  # noqa: E402
+from relclass.evaluation import score  # noqa: E402
 from relclass.features import load_levin_table  # noqa: E402
 
 SVM_FLAGS = {"C": 100.0, "gamma": 0.001}
@@ -48,7 +48,7 @@ def seed_list(text: str) -> list[int]:
 
 
 def scores(model, held_out) -> dict:
-    report = f1_scores(confusion([inst.label for inst in held_out], model.predict_many(held_out)))
+    report = score(model, held_out)
     return {"macro_f1": report.macro_f1, "micro_f1": report.micro_f1}
 
 

@@ -16,8 +16,7 @@ import time
 
 from relclass.cli import fixture_path
 from relclass.clstm import Hyperparams, train
-from relclass.evaluation import (confusion, cross_validate, f1_scores, format_report,
-                                 stratified_split)
+from relclass.evaluation import cross_validate, format_report, score, stratified_split
 from relclass.features import load_levin_table
 from relclass.modelio import write_atomic
 from relclass.svm import train_multiclass
@@ -41,12 +40,11 @@ def main(argv=None) -> int:
     table = make_embedding_table()
     levin = load_levin_table(fixture_path("levin_small.tsv"))
     train_set, held_out = stratified_split(corpus, fraction=args.fraction, seed=args.seed)
-    gold = [inst.label for inst in held_out]
     log.info("%d instances, %d train / %d held out", len(corpus), len(train_set), len(held_out))
 
     start = time.perf_counter()
     svm_model = train_multiclass(train_set, table, levin)
-    svm_report = f1_scores(confusion(gold, svm_model.predict_many(held_out)))
+    svm_report = score(svm_model, held_out)
     log.info("SVM trained and scored in %.1fs", time.perf_counter() - start)
     print(f"\n== SVM (C={svm_model.C:g}, gamma={svm_model.gamma:g}), held-out scores ==")
     print(format_report(svm_report))
@@ -55,16 +53,14 @@ def main(argv=None) -> int:
                         l2_scale=0.0, epochs=args.epochs, seed=args.seed)
     start = time.perf_counter()
     clstm_model = train(train_set, table, hyper)
-    clstm_report = f1_scores(confusion(gold, clstm_model.predict_many(held_out)))
+    clstm_report = score(clstm_model, held_out)
     log.info("conv-LSTM trained and scored in %.1fs (final loss %.4f)",
              time.perf_counter() - start, clstm_model.loss_history[-1])
     print(f"\n== conv-LSTM (k=64, ws=3, units=32, {args.epochs} epochs), held-out scores ==")
     print(format_report(clstm_report))
 
-    def svm_fold(fold_train):
-        return train_multiclass(fold_train, table, levin).predict_many
-
-    cv = cross_validate(corpus, svm_fold, k=args.folds, seed=args.seed)
+    cv = cross_validate(corpus, lambda fold_train: train_multiclass(fold_train, table, levin),
+                        k=args.folds, seed=args.seed)
     print(f"\n== SVM {args.folds}-fold cross-validation ==")
     print(f"macro-F1 {cv.macro_mean:.4f} +/- {cv.macro_std:.4f}")
     print(f"micro-F1 {cv.micro_mean:.4f} +/- {cv.micro_std:.4f}")

@@ -11,7 +11,6 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import logging
 import sys
@@ -24,7 +23,7 @@ from . import read
 from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, context_vocabulary, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .modelio import (CLSTM_FORMAT, SVM_FORMAT, ModelFormatError, argmax_labels,
-                      output_error, read_json, write_atomic)
+                      check_output, read_json, write_atomic)
 
 log = logging.getLogger(__name__)
 
@@ -287,8 +286,7 @@ def cmd_crossval(cfg: argparse.Namespace) -> int:
     from .evaluation import cross_validate
     instances = parse_corpus(cfg.corpus)
     train = _trainer(cfg, load_table(cfg.embeddings))
-    result = cross_validate(instances, lambda train_set: train(train_set).predict_many,
-                            seed=cfg.seed, **_given(k=cfg.k))
+    result = cross_validate(instances, train, seed=cfg.seed, **_given(k=cfg.k))
     for n, fold in enumerate(result.fold_reports, start=1):
         print(f"fold {n:2d}: macro-F1 {fold.macro_f1:.4f}  micro-F1 {fold.micro_f1:.4f}")
     print(f"mean   : macro-F1 {result.macro_mean:.4f} +- {result.macro_std:.4f}  "
@@ -325,16 +323,14 @@ COMMANDS = {
 
 def _check_contract(cfg: argparse.Namespace, needs: str, writes: str) -> None:
     """Fail before any input is read: on an unset needed setting, and on an
-    output that is a directory or whose parent is not one, as ``write_atomic`` would."""
+    output that ``write_atomic`` would refuse (``check_output``)."""
     missing = [flag for flag in needs.split() if not getattr(cfg, flag[2:].replace("-", "_"))]
     if missing:
         raise ValueError(f"{' and '.join(missing)} {'are' if missing[1:] else 'is'} required")
     for flag in writes.split():
         path = getattr(cfg, flag[2:].replace("-", "_"))
-        if path and Path(path).is_dir():
-            raise output_error(errno.EISDIR, path)
-        if path and not Path(path).parent.is_dir():
-            raise output_error(errno.ENOTDIR if Path(path).parent.exists() else errno.ENOENT, path)
+        if path:
+            check_output(path)
 
 
 def build_parser() -> argparse.ArgumentParser:

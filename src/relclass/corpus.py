@@ -40,10 +40,6 @@ class RelationLabel(Enum):
     TOPIC = "TOPIC"
     USAGE = "USAGE"
 
-    @property
-    def symmetric(self) -> bool:
-        return self is RelationLabel.COMPARE
-
 
 # Fixed label order; doubles as the deterministic tie-break order (it is
 # the lexicographic order of the label strings).

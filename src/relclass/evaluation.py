@@ -1,5 +1,5 @@
-"""Micro/macro F1 scoring and the stratified splits, k-fold cross-validation and
-the validation split, which both deal from one per-class shuffle."""
+"""Held-out scoring of a model (``score``: micro/macro F1), k-fold cross-validation of a
+model trainer, and the stratified folds and validation split, from one per-class shuffle."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from . import read
 from .corpus import LABELS, RelationInstance, RelationLabel
+from .modelio import Classifier
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,11 @@ def f1_scores(cm: ConfusionMatrix) -> ScoreReport:
     return ScoreReport(precision, recall, f1, support, macro, micro)
 
 
+def score(model: Classifier, instances: Sequence[RelationInstance]) -> ScoreReport:
+    """The scores of ``model``'s labels for the labeled ``instances``."""
+    return f1_scores(confusion([inst.label for inst in instances], model.predict_many(instances)))
+
+
 def _shuffled_classes(labels: Sequence[Hashable], seed: int) -> list[np.ndarray]:
     """The indices of each class, classes in ``repr`` order of their label,
     each shuffled in that order by one generator seeded with ``seed``."""
@@ -146,23 +152,6 @@ def stratified_split(
             [inst for i, inst in enumerate(instances) if i in val])
 
 
-def stratified_kfold(
-    instances: Sequence[RelationInstance], k: int, seed: int = 0
-) -> list[tuple[list[RelationInstance], list[RelationInstance]]]:
-    """k (train, test) partitions stratified by gold label."""
-    labels = [inst.label for inst in instances]
-    if any(label is None for label in labels):
-        raise ValueError("cross-validation needs labeled instances")
-    test_folds = stratified_fold_indices(labels, k, seed)
-    splits = []
-    for test_idx in test_folds:
-        test_set = set(test_idx.tolist())
-        train = [inst for i, inst in enumerate(instances) if i not in test_set]
-        test = [instances[i] for i in test_idx]
-        splits.append((train, test))
-    return splits
-
-
 @dataclass(frozen=True)
 class CrossValResult:
     fold_reports: tuple[ScoreReport, ...]
@@ -183,21 +172,23 @@ class CrossValResult:
 
 def cross_validate(
     instances: Sequence[RelationInstance],
-    train_fn: Callable[[list[RelationInstance]], Callable[[list[RelationInstance]], list[RelationLabel]]],
+    train: Callable[[list[RelationInstance]], Classifier],
     k: int = 10,
     seed: int = 0,
 ) -> CrossValResult:
-    """Train on k-1 folds, score the held-out fold, aggregate.
+    """Train a model on k-1 folds, ``score`` it on the held-out fold, aggregate.
 
-    ``train_fn`` must return a fresh predictor per call (no state reuse
-    across folds).
+    ``train(train_set)`` must return a fresh model per call. Each training set
+    is in corpus order, each held-out fold in ``stratified_fold_indices`` order.
     """
+    labels = [inst.label for inst in instances]
+    if any(label is None for label in labels):
+        raise ValueError("cross-validation needs labeled instances")
     reports = []
-    for train, test in stratified_kfold(instances, k, seed):
-        predict = train_fn(train)
-        pred = predict(test)
-        gold = [inst.label for inst in test]
-        reports.append(f1_scores(confusion(gold, pred)))
+    for test_idx in stratified_fold_indices(labels, k, seed):
+        test_set = set(test_idx.tolist())
+        model = train([inst for i, inst in enumerate(instances) if i not in test_set])
+        reports.append(score(model, [instances[i] for i in test_idx]))
     macros = np.array([r.macro_f1 for r in reports])
     micros = np.array([r.micro_f1 for r in reports])
     return CrossValResult(

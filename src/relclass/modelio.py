@@ -90,6 +90,7 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
     the rename would put a regular file in its place.
     """
     path = Path(path)
+    check_output(path)
     if path.is_symlink() or (path.exists() and not path.is_file()):
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -102,17 +103,25 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
     except OSError as exc:
         if exc.filename != str(tmp):
             raise
-        # name the path asked for (say, in a missing directory), not the temporary file
-        raise output_error(exc.errno, path) from exc
+        # name the path asked for (say, in a read-only directory), not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
-        if tmp.exists():  # False where the parent is missing or not a directory
+        if tmp.exists():
             tmp.unlink()
 
 
-def output_error(code: int, path: str | Path) -> OSError:
-    """The ``OSError`` subclass of ``code`` for an output ``path`` that cannot be written."""
-    parent = f"its parent {str(Path(path).parent)!r} is not a directory"
-    return OSError(code, parent if code == errno.ENOTDIR else os.strerror(code), str(path))
+def check_output(path: str | Path) -> None:
+    """Raise the ``OSError`` that writing an output ``path`` meets first: its
+    parent is missing or is not a directory, or ``path`` is a directory."""
+    path = Path(path)
+    try:  # with a trailing separator, stat fails (ENOTDIR) unless on a directory
+        os.stat(os.path.join(path.parent, ""))
+        code = errno.EISDIR if path.is_dir() else 0
+    except OSError as exc:  # ENOENT where the parent is missing; any such error stops the write
+        code = exc.errno
+    if code:
+        parent = f"its parent {str(path.parent)!r} is not a directory"
+        raise OSError(code, parent if code == errno.ENOTDIR else os.strerror(code), str(path))
 
 
 def _canonical_chunks(value: Any) -> Iterator[str]:

@@ -18,7 +18,7 @@ from . import modelio, read
 from .clstm import Hyperparams, train
 from .corpus import FREQ_THRESHOLD, RelationInstance
 from .embeddings import EmbeddingTable
-from .evaluation import confusion, f1_scores, stratified_split
+from .evaluation import score, stratified_split
 
 log = logging.getLogger(__name__)
 
@@ -80,16 +80,13 @@ def random_search(
     train_set, val_set = stratified_split(instances, fraction, seed)
     if not val_set:
         raise ValueError("validation split is empty; raise fraction or corpus size")
-    gold = [inst.label for inst in val_set]
     results: list[TrialResult] = []
     for trial in range(n_trials):
         rng = np.random.default_rng([seed, trial])
         trial_seed = int(rng.integers(0, 2**31))
         hyper = replace(sample_config(space, rng, seed=trial_seed), epochs=epochs)
         start = time.perf_counter()
-        model = train(train_set, table, hyper, freq_threshold)
-        pred = model.predict_many(val_set)
-        report = f1_scores(confusion(gold, pred))
+        report = score(train(train_set, table, hyper, freq_threshold), val_set)
         results.append(
             TrialResult(
                 hyper=hyper,

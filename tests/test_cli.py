@@ -22,7 +22,7 @@ from relclass import cli, clstm, corpus, evaluation, features, search, svm
 from relclass.cli import build_parser, fixture_path, main
 from relclass.corpus import LABELS, write_corpus
 from relclass.embeddings import EmbeddingTable, load_table, save_table
-from relclass.modelio import decode_array
+from relclass.modelio import decode_array, write_atomic
 from relclass.synthetic import make_corpus, make_embedding_table
 
 CLSTM_SMOKE = ["--num-filters", "8", "--filter-width", "2", "--rnn-units", "8",
@@ -283,7 +283,8 @@ def test_every_unset_needed_setting_is_named_in_one_message(capsys):
     assert capsys.readouterr().err == "error: --model and --train and --embeddings are required\n"
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory", "file-parent"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "file-parent",
+                                   "file-grandparent"])
 @pytest.mark.parametrize("command, flag", WRITTEN, ids=[f"{c}{f}" for c, f in WRITTEN])
 def test_an_output_that_cannot_be_written_exits_2_before_any_input_is_read(
         tmp_path, monkeypatch, capsys, command, flag, where):
@@ -300,6 +301,10 @@ def test_an_output_that_cannot_be_written_exits_2_before_any_input_is_read(
         bad = outputs / "afile" / "out.json"
         bad.parent.write_text("a regular file\n", encoding="utf-8")
         code, reason = errno.ENOTDIR, f"its parent '{bad.parent}' is not a directory"
+    if where == "file-grandparent":
+        bad = outputs / "afile" / "sub" / "out.json"
+        bad.parent.parent.write_text("a regular file\n", encoding="utf-8")
+        code, reason = errno.ENOTDIR, f"its parent '{bad.parent}' is not a directory"
     argv = _contract_argv(command, inputs)
     for out in cli.COMMANDS[command][3].split():
         argv += [out, str(bad if out == flag else outputs / f"{_key(out)}.json")]
@@ -307,8 +312,27 @@ def test_an_output_that_cannot_be_written_exits_2_before_any_input_is_read(
     assert capsys.readouterr().err == f"error: [Errno {code}] {reason}: '{bad}'\n"
     # nothing was written, not even into the directory or file named as a parent
     left = [path.relative_to(outputs).as_posix() for path in outputs.rglob("*")]
-    assert left == {"directory": ["a-directory"], "file-parent": ["afile"]}.get(where, [])
-    assert where != "file-parent" or bad.parent.read_text(encoding="utf-8") == "a regular file\n"
+    assert left == {"directory": ["a-directory"], "file-parent": ["afile"],
+                    "file-grandparent": ["afile"]}.get(where, [])
+    if where.startswith("file-"):
+        assert (outputs / "afile").read_text(encoding="utf-8") == "a regular file\n"
+
+
+@pytest.mark.parametrize("layout", ["afile/out.json", "afile/sub/out.json", "missing/out.json",
+                                    "missing/sub/out.json", "adir"])
+def test_the_cli_check_and_write_atomic_refuse_an_output_alike(tmp_path, layout):
+    (tmp_path / "afile").write_text("a regular file\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    path = str(tmp_path / layout)
+    errors = []
+    for refuse in (lambda: cli._check_contract(argparse.Namespace(out=path), "", "--out"),
+                   lambda: write_atomic(path, ["text\n"])):
+        with pytest.raises(OSError) as caught:
+            refuse()
+        errors.append((caught.value.errno, str(caught.value)))
+    assert errors[0] == errors[1], errors
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def test_predict_probabilities_sum_to_one(workdir, tmp_path):
@@ -1044,7 +1068,7 @@ def test_trainers_default_to_the_one_freq_threshold():
 # the outer function that calls each of these holds the setting's one default
 @pytest.mark.parametrize("fn, name", [
     (evaluation.stratified_split, "fraction"),
-    (evaluation.stratified_kfold, "k"),
+    (evaluation.stratified_fold_indices, "k"),
     (clstm.adam_step, "lr"),
 ])
 def test_inner_function_declares_no_default(fn, name):
@@ -1070,7 +1094,7 @@ def _library_arguments(argv):
             bound.apply_defaults()
             passed[name] = bound.arguments
             if name == "cross_validate":
-                bound.arguments["train_fn"](bound.arguments["instances"])
+                bound.arguments["train"](bound.arguments["instances"])
             raise _Stop
 
         mp.setattr(module, name, recorder)

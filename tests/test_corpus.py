@@ -56,8 +56,6 @@ def test_label_inventory():
     assert [l.value for l in LABELS] == [
         "COMPARE", "MODEL-FEATURE", "PART_WHOLE", "RESULT", "TOPIC", "USAGE",
     ]
-    assert RelationLabel.COMPARE.symmetric
-    assert not any(l.symmetric for l in LABELS if l is not RelationLabel.COMPARE)
 
 
 def test_parse_fixture_corpus(fixture_corpus_path, example_instance):

@@ -16,7 +16,6 @@ from relclass.evaluation import (
     f1_scores,
     format_report,
     stratified_fold_indices,
-    stratified_kfold,
     stratified_split,
 )
 
@@ -160,9 +159,26 @@ def test_fold_argument_validation():
         stratified_fold_indices(labels, 11)
 
 
+class RecordingModel:
+    """A trainer's model that keeps the set it was trained on and each batch
+    it is asked to label, and labels every instance with its gold label."""
+
+    def __init__(self, train_set, models):
+        self.train_set, self.batches = train_set, []
+        models.append(self)
+
+    def predict_many(self, instances):
+        self.batches.append(list(instances))
+        return [inst.label for inst in instances]
+
+
 def test_kfold_train_test_disjoint(syn_corpus):
     for k in (2, 10):
-        for train, test in stratified_kfold(syn_corpus, k=k, seed=0):
+        models = []
+        cross_validate(syn_corpus, lambda train_set: RecordingModel(train_set, models),
+                       k=k, seed=0)
+        for model in models:
+            train, (test,) = model.train_set, model.batches
             ids = {i.id for i in train}
             assert not ids & {i.id for i in test}
             assert len(train) + len(test) == len(syn_corpus)
@@ -171,8 +187,26 @@ def test_kfold_train_test_disjoint(syn_corpus):
 def test_kfold_rejects_unlabeled_instances():
     instances = [make_instance([tok("a"), tok("b")], e1=(0, 0), e2=(1, 1), id=f"t-{i}",
                                label=None if i == 3 else TOPIC) for i in range(4)]
+    models = []
     with pytest.raises(ValueError, match="^cross-validation needs labeled instances$"):
-        stratified_kfold(instances, k=2)
+        cross_validate(instances, lambda train_set: RecordingModel(train_set, models), k=2)
+    assert models == []
+
+
+def test_cross_validate_trains_on_the_complement_and_scores_the_fold(syn_corpus):
+    folds = stratified_fold_indices([inst.label for inst in syn_corpus], 4, seed=3)
+    models = []
+    result = cross_validate(syn_corpus, lambda train_set: RecordingModel(train_set, models),
+                            k=4, seed=3)
+    assert len(models) == len(result.fold_reports) == 4
+    for model, fold in zip(models, folds):
+        held_out = set(fold.tolist())
+        # the complement of the fold in corpus order, then the fold in the order
+        # stratified_fold_indices gives it, labeled once
+        assert model.train_set == [inst for i, inst in enumerate(syn_corpus)
+                                   if i not in held_out]
+        assert model.batches == [[syn_corpus[i] for i in fold]]
+    assert result.micro_mean == 1.0
 
 
 def test_fold_indices_pinned():
@@ -269,10 +303,14 @@ def test_constant_classifier_balanced_two_class():
         insts.append(make_instance([tok("a"), tok("b"), tok("c")], e1=(0, 0), e2=(2, 2),
                                    label=label, id=f"i{i}"))
 
-    def train_fn(train):
-        return lambda batch: [RelationLabel.USAGE] * len(batch)
+    class ConstantModel:
+        def predict_many(self, batch):
+            return [RelationLabel.USAGE] * len(batch)
 
-    result = cross_validate(insts, train_fn, k=5, seed=0)
+    def train(train_set):
+        return ConstantModel()
+
+    result = cross_validate(insts, train, k=5, seed=0)
     for report in result.fold_reports:
         assert report.micro_f1 == pytest.approx(0.5)
     assert result.micro_mean == pytest.approx(0.5)
@@ -285,11 +323,10 @@ def test_cross_validate_svm_synthetic(syn_table, levin):
 
     corpus = make_corpus(n_per_class=20)
 
-    def train_fn(train):
-        model = train_multiclass(train, syn_table, levin, freq_threshold=5)
-        return model.predict_many
+    def train(train_set):
+        return train_multiclass(train_set, syn_table, levin, freq_threshold=5)
 
-    result = cross_validate(corpus, train_fn, k=10, seed=0)
+    result = cross_validate(corpus, train, k=10, seed=0)
     assert result.macro_mean >= 0.95
 
 
