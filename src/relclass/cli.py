@@ -20,7 +20,7 @@ from importlib.resources import files
 from pathlib import Path
 
 from . import read
-from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, context_vocabulary, parse_corpus
+from .corpus import FREQ_THRESHOLD, LABELS, RelationLabel, context_vocabulary, gold_indices, parse_corpus
 from .embeddings import EmbeddingTable, load_table
 from .modelio import (CLSTM_FORMAT, SVM_FORMAT, ModelFormatError, argmax_labels,
                       check_output, read_json, write_atomic)
@@ -217,8 +217,7 @@ def cmd_predict(cfg: argparse.Namespace) -> int:
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
     from .evaluation import confusion, f1_scores, format_report
     instances = parse_corpus(cfg.gold)
-    if any(inst.label is None for inst in instances):
-        raise ValueError("gold corpus contains unlabeled instances")
+    gold = gold_indices(instances, ValueError("gold corpus contains unlabeled instances"))
     gold_ids = {inst.id for inst in instances}
     predicted: dict[str, tuple[int, RelationLabel]] = {}  # id -> (line, label)
     for lineno, line in read.text_lines(cfg.predictions):
@@ -239,9 +238,8 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
     if missing:
         raise ValueError(f"{cfg.predictions}: predictions missing for ids: "
                          f"{', '.join(missing[:5])}")
-    gold = [inst.label for inst in instances]
     pred = [predicted[inst.id][1] for inst in instances]
-    report = f1_scores(confusion(gold, pred))
+    report = f1_scores(confusion([LABELS[i] for i in gold], pred))
     print(format_report(report))
     if cfg.out:
         _write_json(report.to_dict(), cfg.out)

@@ -31,6 +31,7 @@ from .corpus import (
     context_vocabulary,
     extract_context,
     filter_context,
+    gold_indices,
 )
 from .embeddings import EmbeddingTable
 
@@ -567,17 +568,14 @@ def train(
     otherwise this process runs all four in turn. The model does not depend
     on which.
     """
-    labeled = [inst for inst in instances if inst.label is not None]
-    if not labeled:
+    if not instances:
         raise ValueError("no labeled instances")
-    if len(labeled) != len(instances):
-        raise ValueError("training corpus contains unlabeled instances")
-    vocabulary = context_vocabulary(labeled, freq_threshold)
-    corpus = build_batch(labeled, table, vocabulary)
-    n, bs, width = len(labeled), hyper.batch_size, corpus.shape[2]
+    unlabeled = ValueError("training corpus contains unlabeled instances")
+    gold = np.array(gold_indices(instances, unlabeled), dtype=np.int64)
+    vocabulary = context_vocabulary(instances, freq_threshold)
+    corpus = build_batch(instances, table, vocabulary)
+    n, bs, width = len(instances), hyper.batch_size, corpus.shape[2]
     steps = row_steps(corpus, hyper.stride)
-    label_idx = {label: i for i, label in enumerate(LABELS)}
-    gold = np.array([label_idx[inst.label] for inst in labeled], dtype=np.int64)
 
     rng = np.random.default_rng(hyper.seed)
     state = _TrainState(corpus, gold, hyper, param_shapes(table.dim, hyper))

@@ -1,4 +1,4 @@
-"""Annotated relation corpus: instances, context extraction, the context vocabulary.
+"""Annotated relation corpus: instances, gold labels (``gold_indices``), contexts, vocabulary.
 
 Corpus files are JSON-lines, one instance per line:
 
@@ -112,6 +112,13 @@ class RelationInstance:
     def end_tokens(self) -> tuple[TokenAnnotation, ...]:
         """Tokens of the semantic end entity (respects ``reverse``)."""
         return self.e1_tokens if self.reverse else self.e2_tokens
+
+
+def gold_indices(instances: Sequence[RelationInstance], unlabeled: Exception) -> list[int]:
+    """Each gold label as its index in ``LABELS``; raises ``unlabeled`` if an instance has none."""
+    if any(inst.label is None for inst in instances):
+        raise unlabeled
+    return [LABELS.index(inst.label) for inst in instances]
 
 
 def extract_context(inst: RelationInstance) -> tuple[TokenAnnotation, ...]:

@@ -9,7 +9,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from . import read
-from .corpus import LABELS, RelationInstance, RelationLabel
+from .corpus import LABELS, RelationInstance, RelationLabel, gold_indices
 from .modelio import Classifier
 
 
@@ -41,10 +41,9 @@ def confusion(
         raise ValueError(f"length mismatch: {len(gold)} gold vs {len(pred)} predicted")
     if not gold:
         raise ValueError("nothing to score")
-    index = {label: i for i, label in enumerate(LABELS)}
     counts = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     for g, p in zip(gold, pred):
-        counts[index[g], index[p]] += 1
+        counts[LABELS.index(g), LABELS.index(p)] += 1
     return ConfusionMatrix(counts)
 
 
@@ -97,10 +96,11 @@ def f1_scores(cm: ConfusionMatrix) -> ScoreReport:
 
 def score(model: Classifier, instances: Sequence[RelationInstance]) -> ScoreReport:
     """The scores of ``model``'s labels for the labeled ``instances``."""
-    return f1_scores(confusion([inst.label for inst in instances], model.predict_many(instances)))
+    gold = gold_indices(instances, ValueError("scoring needs labeled instances"))
+    return f1_scores(confusion([LABELS[i] for i in gold], model.predict_many(instances)))
 
 
-def _shuffled_classes(labels: Sequence[Hashable], seed: int) -> list[np.ndarray]:
+def _shuffled_classes(labels: Sequence[Hashable], seed: int | list[int]) -> list[np.ndarray]:
     """The indices of each class, classes in ``repr`` order of their label,
     each shuffled in that order by one generator seeded with ``seed``."""
     rng = np.random.default_rng(seed)
@@ -112,7 +112,7 @@ def _shuffled_classes(labels: Sequence[Hashable], seed: int) -> list[np.ndarray]
 
 
 def stratified_fold_indices(
-    labels: Sequence[Hashable], k: int, seed: int = 0
+    labels: Sequence[Hashable], k: int, seed: int | list[int] = 0
 ) -> list[np.ndarray]:
     """Test-index arrays of a stratified k-fold over arbitrary labels.
 
@@ -138,12 +138,11 @@ def stratified_split(
     """(train, validation), each in corpus order. Of each shuffled class of n
     instances, the first ``max(1, round-half-up(fraction * n))`` go to
     validation; a class of one, or ``fraction == 0``, puts none there."""
+    read.integer(seed, "seed", 0)
     if not instances:
         raise ValueError("nothing to split")
     read.number(fraction, "fraction", ">= 0", "< 1")
-    labels = [inst.label for inst in instances]
-    if any(label is None for label in labels):
-        raise ValueError("stratified split needs labeled instances")
+    labels = gold_indices(instances, ValueError("stratified split needs labeled instances"))
     val: set[int] = set()
     for idx in _shuffled_classes(labels, seed):
         if fraction > 0 and len(idx) > 1:
@@ -181,9 +180,8 @@ def cross_validate(
     ``train(train_set)`` must return a fresh model per call. Each training set
     is in corpus order, each held-out fold in ``stratified_fold_indices`` order.
     """
-    labels = [inst.label for inst in instances]
-    if any(label is None for label in labels):
-        raise ValueError("cross-validation needs labeled instances")
+    read.integer(seed, "seed", 0)
+    labels = gold_indices(instances, ValueError("cross-validation needs labeled instances"))
     reports = []
     for test_idx in stratified_fold_indices(labels, k, seed):
         test_set = set(test_idx.tolist())

@@ -45,7 +45,6 @@ class TrialResult:
     hyper: Hyperparams
     macro_f1: float
     micro_f1: float
-    seed: int
     wall_time: float
 
 
@@ -76,6 +75,7 @@ def random_search(
     Each trial derives its RNG from (seed, trial index); ties break toward
     the earlier trial.
     """
+    read.integer(seed, "seed", 0)
     read.integer(n_trials, "n_trials", 1)
     train_set, val_set = stratified_split(instances, fraction, seed)
     if not val_set:
@@ -92,7 +92,6 @@ def random_search(
                 hyper=hyper,
                 macro_f1=report.macro_f1,
                 micro_f1=report.micro_f1,
-                seed=trial_seed,
                 wall_time=time.perf_counter() - start,
             )
         )

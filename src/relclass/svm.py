@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import modelio, parallel, read
-from .corpus import FREQ_THRESHOLD, LABELS, RelationInstance, RelationLabel, context_vocabulary
+from .corpus import FREQ_THRESHOLD, LABELS, RelationInstance, RelationLabel, context_vocabulary, gold_indices
 from .embeddings import EmbeddingTable
 from .features import (
     FeatureSpace,
@@ -577,22 +577,17 @@ def train_multiclass(
     """
     read.number(C, "C", "> 0")
     read.number(gamma, "gamma", "> 0")
-    labeled = [inst for inst in train if inst.label is not None]
-    if len(labeled) != len(train):
-        raise SvmTrainingError("training corpus contains unlabeled instances")
-    present = {inst.label for inst in labeled}
-    if len(present) < 2:
+    read.integer(seed, "seed", 0)
+    gold = gold_indices(train, SvmTrainingError("training corpus contains unlabeled instances"))
+    if len(set(gold)) < 2:
         raise SvmTrainingError("need at least two classes to train")
-    vocabulary = context_vocabulary(labeled, freq_threshold)
-    key_sets, dense = featurize(labeled, vocabulary, table, levin)
+    vocabulary = context_vocabulary(train, freq_threshold)
+    key_sets, dense = featurize(train, vocabulary, table, levin)
     space = build_feature_space(key_sets)
     scaler = fit_minmax(dense)
     packed = pack_rows(key_sets, dense, space, scaler)
     K = kernel_matrix(packed, packed, gamma)
-    label_idx = {label: i for i, label in enumerate(LABELS)}
-    members: list[list[int]] = [[] for _ in LABELS]
-    for row, inst in enumerate(labeled):
-        members[label_idx[inst.label]].append(row)
+    members = [[row for row, g in enumerate(gold) if g == i] for i in range(len(LABELS))]
 
     pairs = list(itertools.combinations(range(len(LABELS)), 2))
     # largest pair first, so that no big fit starts last while the other
@@ -615,7 +610,7 @@ def train_multiclass(
         pair_models=pair_models,
         sv=packed_from_bool_lists([packed.cols[packed.ptr[i]:packed.ptr[i + 1]] for i in union],
                                   packed.dense[union], len(space)),
-        sv_lemmas=dense_lemmas([labeled[i] for i in union]),
+        sv_lemmas=dense_lemmas([train[i] for i in union]),
         space=space,
         scaler=scaler,
         vocabulary=vocabulary,

@@ -16,6 +16,7 @@ from relclass.corpus import (
     context_vocabulary,
     extract_context,
     filter_context,
+    gold_indices,
     instance_from_dict,
     instance_to_dict,
     parse_corpus,
@@ -193,6 +194,25 @@ def test_unlabeled_instance_roundtrip(example_instance):
     # prediction input may leave the label out; it reads as null
     del record["label"]
     assert instance_from_dict(record) == inst
+
+
+def test_gold_indices():
+    instances = [make_instance([tok("a"), tok("b")], e1=(0, 0), e2=(1, 1), label=label)
+                 for label in (RelationLabel.USAGE, RelationLabel.COMPARE, RelationLabel.TOPIC)]
+    assert gold_indices(instances, ValueError("unused")) == [5, 0, 4]
+    assert [LABELS[i] for i in gold_indices(instances, ValueError("unused"))] == [
+        inst.label for inst in instances]
+    assert gold_indices([], ValueError("unused")) == []
+
+    class Unlabeled(Exception):
+        pass
+
+    unlabeled = Unlabeled("the caller's message")
+    instances.insert(1, make_instance([tok("a"), tok("b")], e1=(0, 0), e2=(1, 1), label=None))
+    with pytest.raises(Unlabeled) as excinfo:
+        gold_indices(instances, unlabeled)
+    assert excinfo.value is unlabeled
+    assert str(excinfo.value) == "the caller's message"
 
 
 def test_parse_reports_line_numbers(tmp_path, example_instance):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_instance, tok
 from oracles import f1_oracle
+from relclass import search, svm
 from relclass.corpus import LABELS, RelationLabel
 from relclass.evaluation import (
     ConfusionMatrix,
@@ -15,6 +16,7 @@ from relclass.evaluation import (
     cross_validate,
     f1_scores,
     format_report,
+    score,
     stratified_fold_indices,
     stratified_split,
 )
@@ -170,6 +172,44 @@ class RecordingModel:
     def predict_many(self, instances):
         self.batches.append(list(instances))
         return [inst.label for inst in instances]
+
+
+def test_score_rejects_an_unlabeled_instance():
+    instances = [make_instance([tok("a"), tok("b")], e1=(0, 0), e2=(1, 1), id=f"t-{i}",
+                               label=None if i == 1 else TOPIC) for i in range(2)]
+    model = RecordingModel([], [])
+    with pytest.raises(ValueError, match="^scoring needs labeled instances$"):
+        score(model, instances)
+    assert model.batches == []
+
+
+def failing_trainer(train_set):
+    raise AssertionError("trained despite a bad seed")
+
+
+# each entry point that takes a seed refuses one that no generator can take
+# the same way, before any work: a featurizer or trainer that runs fails
+SEEDED = {
+    "svm.train_multiclass": lambda corpus, table, levin, seed:
+        svm.train_multiclass(corpus, table, levin, seed=seed),
+    "evaluation.stratified_split": lambda corpus, table, levin, seed:
+        stratified_split(corpus, 0.1, seed=seed),
+    "evaluation.cross_validate": lambda corpus, table, levin, seed:
+        cross_validate(corpus, failing_trainer, k=2, seed=seed),
+    "search.random_search": lambda corpus, table, levin, seed:
+        search.random_search(corpus, table, 1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True], ids=["minus-one", "two-to-the-64", "true"])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_bad_seed_is_refused_naming_it(syn_corpus, syn_table, levin, monkeypatch, entry, seed):
+    def featurize(*args, **kwargs):
+        raise AssertionError("featurized despite a bad seed")
+
+    monkeypatch.setattr(svm, "featurize", featurize)
+    with pytest.raises(ValueError, match="^seed must be a 64-bit integer >= 0, got "):
+        SEEDED[entry](syn_corpus, syn_table, levin, seed)
 
 
 def test_kfold_train_test_disjoint(syn_corpus):
